@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import jsonio
 from ._kernel import active_backend
-from .angles import AngleExpr
+from .angles import AngleExpr, PrecisionError
 from .betti import check_relation, check_stability
 from .connection import ReductionError, canonical_reduce, extract_irregular_type
 from .correspondence import (CorrespondenceError, dR_to_Betti, dR_to_Dol,
@@ -341,7 +341,7 @@ def main(argv=None) -> int:
         print(json.dumps({"format": FORMAT, "error": str(exc)}, sort_keys=True))
         return EXIT_INPUT
     except (ReductionError, StokesError, CorrespondenceError, ValueError,
-            ZeroDivisionError) as exc:
+            ZeroDivisionError, PrecisionError) as exc:
         print(json.dumps({"format": FORMAT, "error": str(exc)}, sort_keys=True))
         return EXIT_INPUT
 

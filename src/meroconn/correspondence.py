@@ -79,7 +79,11 @@ class DeRhamLocal:
     def structure(self) -> Sl2Data:
         """Jordan decomposition plus blockwise sl2 completion; blocks are
         the joint level sets of (s, beta, Q), so H and X commute with s,
-        with beta, and with the irregular type."""
+        with beta, and with the irregular type.  Computed once per
+        instance and kept on it (the fields are frozen)."""
+        cached = self.__dict__.get("_structure")
+        if cached is not None:
+            return cached
         s, y = jordan_decompose(self.residue)
         if not s.is_diagonal():
             raise CorrespondenceError(
@@ -87,7 +91,9 @@ class DeRhamLocal:
             )
         blocks = _joint_blocks(s, self.beta, self.q)
         data = sl2_complete_blockwise(y, blocks)
-        return Sl2Data(s, data.X, data.H, data.Y, data.basis)
+        st = Sl2Data(s, data.X, data.H, data.Y, data.basis)
+        object.__setattr__(self, "_structure", st)
+        return st
 
 
 @dataclass(frozen=True)

@@ -118,7 +118,7 @@ class GaussRat:
         return out
 
     def __eq__(self, other):
-        if isinstance(other, (GaussRat, int, Fraction, complex)):
+        if isinstance(other, (GaussRat, int, Fraction)):
             return self.t == _coerce(other).t
         return NotImplemented
 

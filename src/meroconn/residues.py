@@ -1,8 +1,12 @@
 """Residue structure: exact Jordan decomposition and sl2 completion.
 
 The exactness boundary is explicit: eigenvalues must lie in the
-Gaussian rationals (characteristic polynomials are factored over Q(i)),
-otherwise the decomposition reports failure instead of approximating.
+Gaussian rationals, otherwise the decomposition reports failure instead
+of approximating.  Eigenvalues come from a certified root finder: the
+numeric roots of the squarefree part of the characteristic polynomial
+are rounded to the only lattice in Q(i) that can hold them and accepted
+by exact evaluation; a root is declared outside Q(i) only under an
+inclusion-disk certificate.
 The semisimple part is assembled from generalized eigenspaces; nilpotent
 parts are completed to sl2 triples through Jordan chains with the
 standard weighted blocks
@@ -15,9 +19,13 @@ conjugated back through the recorded chain basis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
+
+import mpmath
+from mpmath.libmp import NoConvergence
 
 from .field import GaussRat
 from .lmatrix import CMat
@@ -88,40 +96,169 @@ def charpoly(m: CMat) -> List[GaussRat]:
 
 
 def gaussian_eigenvalues(m: CMat) -> List[Tuple[GaussRat, int]]:
-    """Eigenvalues in Q(i) with algebraic multiplicities.
+    """Eigenvalues in Q(i) with algebraic multiplicities, sorted by (re, im).
 
-    Raises EigenvalueError if the characteristic polynomial has a factor
-    that does not split over the Gaussian rationals.
+    The distinct eigenvalues are the roots of the squarefree part of the
+    characteristic polynomial.  Numeric roots are rounded to the lattice
+    (1/L) Z[i], L the lcm of the characteristic polynomial's denominators,
+    which holds every root in Q(i) (rational-root theorem in Z[i]); a
+    candidate counts only if it is an exact root, and its multiplicity
+    comes from exact division.
+    Raises EigenvalueError if some root lies outside the Gaussian
+    rationals, which is reported only under a certificate: Weierstrass
+    inclusion disks that are pairwise disjoint and narrower than the
+    lattice spacing.  Without one the precision is doubled.
     """
-    import sympy
+    p = charpoly(m)
+    sf = _squarefree_part(p)
+    if len(sf) == 2:
+        return [(-sf[0], m.n)]
+    den = math.lcm(*(c.t[2] for c in p))
+    prec = _START_PREC + den.bit_length()
+    for _ in range(_PASSES):
+        zs = _approx_roots(sf, prec)
+        if zs is not None:
+            found = {}
+            for z in zs:
+                cand = _nearest_lattice_point(z, den)
+                mult = found.get(cand) or _multiplicity(p, cand)
+                if mult:
+                    found[cand] = mult
+            if sum(found.values()) == m.n:
+                return sorted(found.items(), key=lambda t: (t[0].re, t[0].im))
+            if _inclusion_certified(sf, zs, den):
+                raise EigenvalueError("eigenvalues outside coefficient field")
+        prec *= 2
+    raise EigenvalueError(f"eigenvalues not certified at {prec // 2} bits")
 
-    lam = sympy.Symbol("lam")
-    coeffs = charpoly(m)
-    expr = sympy.Integer(0)
-    for k, c in enumerate(coeffs):
-        a, b, d = c.t
-        expr += (sympy.Rational(a, d) + sympy.Rational(b, d) * sympy.I) * lam**k
-    _, factors = sympy.factor_list(sympy.expand(expr), lam, extension=sympy.I)
-    out = []
-    total = 0
-    for fac, mult in factors:
-        poly = sympy.Poly(fac, lam)
-        if poly.degree() == 0:
-            continue
-        if poly.degree() != 1:
-            raise EigenvalueError("eigenvalues outside coefficient field")
-        c1, c0 = poly.all_coeffs()
-        root = sympy.simplify(-c0 / c1)
-        re, im = root.as_real_imag()
-        if not (re.is_rational and im.is_rational):
-            raise EigenvalueError("eigenvalues outside coefficient field")
-        lam_g = GaussRat(Fraction(int(re.p), int(re.q)), Fraction(int(im.p), int(im.q)))
-        out.append((lam_g, int(mult)))
-        total += int(mult)
-    if total != m.n:
-        raise EigenvalueError("eigenvalues outside coefficient field")
-    out.sort(key=lambda t: (t[0].re, t[0].im))
-    return out
+
+# Working precision (bits) of the first root-finding pass, on top of the
+# bit length of the denominator bound; doubled after each pass that
+# neither accepts nor certifies the roots.
+_START_PREC = 64
+_PASSES = 9
+
+
+def _squarefree_part(p: List[GaussRat]) -> List[GaussRat]:
+    """p / gcd(p, p'), monic; coefficient lists run from degree 0 up."""
+    deriv = [c * GaussRat(k) for k, c in enumerate(p) if k > 0]
+    a, b = p, deriv
+    while b:
+        a, b = b, _poly_divmod(a, b)[1]
+    return _monic(_poly_divmod(p, a)[0])
+
+
+def _poly_divmod(a: List[GaussRat], b: List[GaussRat]):
+    """Quotient and remainder; b has a nonzero leading coefficient and the
+    remainder comes back with its leading zeros stripped."""
+    rem = list(a)
+    lead_inv = b[-1].inv()
+    quot = [GaussRat(0)] * max(len(a) - len(b) + 1, 0)
+    for k in range(len(a) - len(b), -1, -1):
+        c = rem[k + len(b) - 1] * lead_inv
+        quot[k] = c
+        if not c.is_zero():
+            for j, bj in enumerate(b):
+                rem[k + j] = rem[k + j] - c * bj
+    rem = rem[:len(b) - 1]
+    while rem and rem[-1].is_zero():
+        rem.pop()
+    return quot, rem
+
+
+def _monic(p: List[GaussRat]) -> List[GaussRat]:
+    inv = p[-1].inv()
+    return [c * inv for c in p]
+
+
+def _horner(p: List[GaussRat], x: GaussRat) -> GaussRat:
+    acc = GaussRat(0)
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+def _multiplicity(p: List[GaussRat], root: GaussRat) -> int:
+    """How often (x - root) divides p exactly (0 if root is no root)."""
+    factor = [-root, GaussRat(1)]
+    mult = 0
+    while True:
+        p, rem = _poly_divmod(p, factor)
+        if rem:
+            return mult
+        mult += 1
+
+
+def _approx_roots(p: List[GaussRat], prec: int) -> Optional[List[GaussRat]]:
+    """Numeric roots of the monic p at ``prec`` bits, as the exact dyadic
+    values mpmath returned (None if the iteration did not converge).
+
+    mpmath stops on an absolute tolerance, so the roots are first scaled
+    by a power of two into the unit disk (Fujiwara's bound
+    2 max |c_k|^(1/(deg - k))) and scaled back exactly."""
+    deg = len(p) - 1
+    shift = max([0] + [
+        1 - (d.bit_length() - max(abs(a), abs(b)).bit_length() - 2) // (deg - k)
+        for k, (a, b, d) in enumerate(c.t for c in p[:-1]) if a or b
+    ])
+    with mpmath.workprec(prec):
+        coeffs = []
+        for k in range(deg, -1, -1):
+            a, b, d = p[k].t
+            d <<= shift * (deg - k)
+            coeffs.append(mpmath.mpc(mpmath.mpf(a) / d, mpmath.mpf(b) / d))
+        try:
+            roots = mpmath.polyroots(coeffs, maxsteps=100 + 10 * deg)
+        except NoConvergence:
+            return None
+        return [GaussRat(_dyadic(z.real) * 2**shift, _dyadic(z.imag) * 2**shift)
+                for z in roots]
+
+
+def _dyadic(x) -> Fraction:
+    sign, man, exp, _ = x._mpf_
+    if sign:
+        man = -man
+    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
+
+
+def _nearest_lattice_point(z: GaussRat, den: int) -> GaussRat:
+    return GaussRat(Fraction(round(z.re * den), den), Fraction(round(z.im * den), den))
+
+
+def _inclusion_certified(p: List[GaussRat], zs: List[GaussRat], den: int) -> bool:
+    """Weierstrass inclusion test for the monic squarefree p of degree k
+    at the approximations zs (Braess & Hadeler, Numer. Math. 1973): the
+    disks |x - z_i| <= k |W_i|, W_i = p(z_i) / prod_{j != i} (z_i - z_j),
+    hold all roots, and when they are pairwise disjoint each holds
+    exactly one.  A disk of radius below 1/(2 den) meets (1/den) Z[i] at
+    most in the lattice point nearest its centre.  Decided exactly on
+    squared radii."""
+    k = len(zs)
+    rad2 = []
+    for i, zi in enumerate(zs):
+        denom = GaussRat(1)
+        for j, zj in enumerate(zs):
+            if j != i:
+                denom = denom * (zi - zj)
+        if denom.is_zero():
+            return False
+        r2 = k * k * _abs2(_horner(p, zi)) / _abs2(denom)
+        if not 4 * den * den * r2 < 1:
+            return False
+        rad2.append(r2)
+    for i in range(k):
+        for j in range(i + 1, k):
+            # sqrt(R_i) + sqrt(R_j) < sqrt(D), squared twice
+            gap = _abs2(zs[i] - zs[j]) - rad2[i] - rad2[j]
+            if gap <= 0 or gap * gap <= 4 * rad2[i] * rad2[j]:
+                return False
+    return True
+
+
+def _abs2(z: GaussRat) -> Fraction:
+    a, b, d = z.t
+    return Fraction(a * a + b * b, d * d)
 
 
 # ----------------------------------------------------------------------

@@ -270,8 +270,10 @@ def lie_parahoric_member(a: LaurentMatrix, theta: Weight) -> bool:
 
 
 def parahoric_member(g: LaurentMatrix, theta: Weight) -> bool:
-    """Group version: g must be invertible in G(K) and z^theta g z^-theta
-    bounded as z -> 0 (same entrywise valuation test)."""
+    """Group version: g must be invertible in G(K), z^theta g z^-theta
+    bounded as z -> 0 (same entrywise valuation test), and det g a unit
+    of R, i.e. of valuation 0 with a nonzero constant term known at the
+    series' truncation."""
     det = laurent_det(g)
     if det.is_zero():
         if g.trunc == INF:
@@ -279,7 +281,7 @@ def parahoric_member(g: LaurentMatrix, theta: Weight) -> bool:
         raise ZeroDivisionError(
             "cannot certify invertibility of g at this truncation"
         )
-    return lie_parahoric_member(g, theta)
+    return det.val() == 0 and lie_parahoric_member(g, theta)
 
 
 def parabolic_from_weight(theta: Weight) -> ParabolicSpec:

@@ -1,0 +1,160 @@
+"""gaussian_eigenvalues against sympy factoring over Q(i).
+
+sympy is a test-only oracle: ``factor_list(..., extension=I)`` decides
+exactly which roots of the characteristic polynomial are Gaussian
+rationals.  Both sides must return the same (eigenvalue, multiplicity)
+list, or raise EigenvalueError with the same message.
+"""
+
+import random
+from fractions import Fraction as F
+
+import pytest
+
+from meroconn import residues
+from meroconn.field import GaussRat, gr
+from meroconn.lmatrix import CMat
+from meroconn.randomgen import rand_gauss, rand_invertible
+from meroconn.residues import EigenvalueError, charpoly, gaussian_eigenvalues
+
+sympy = pytest.importorskip("sympy")
+
+OUTSIDE = "eigenvalues outside coefficient field"
+
+
+def sympy_eigenvalues(m):
+    """Eigenvalues in Q(i) with multiplicities by sympy factoring."""
+    lam = sympy.Symbol("lam")
+    expr = sympy.Integer(0)
+    for k, c in enumerate(charpoly(m)):
+        a, b, d = c.t
+        expr += (sympy.Rational(a, d) + sympy.Rational(b, d) * sympy.I) * lam**k
+    _, factors = sympy.factor_list(sympy.expand(expr), lam, extension=sympy.I)
+    out = []
+    for fac, mult in factors:
+        poly = sympy.Poly(fac, lam)
+        if poly.degree() == 0:
+            continue
+        if poly.degree() != 1:
+            raise EigenvalueError(OUTSIDE)
+        c1, c0 = poly.all_coeffs()
+        re, im = sympy.simplify(-c0 / c1).as_real_imag()
+        if not (re.is_rational and im.is_rational):
+            raise EigenvalueError(OUTSIDE)
+        out.append((GaussRat(F(int(re.p), int(re.q)), F(int(im.p), int(im.q))), int(mult)))
+    if sum(mult for _, mult in out) != m.n:
+        raise EigenvalueError(OUTSIDE)
+    return sorted(out, key=lambda t: (t[0].re, t[0].im))
+
+
+def outcome(fn, m):
+    try:
+        return fn(m)
+    except EigenvalueError as exc:
+        return ("EigenvalueError", str(exc))
+
+
+def assert_same(m):
+    got = outcome(gaussian_eigenvalues, m)
+    assert got == outcome(sympy_eigenvalues, m)
+    return got
+
+
+def companion(coeffs):
+    """Companion matrix of the monic polynomial sum c_k x^k + x^n,
+    coefficients [c_0, ..., c_{n-1}]."""
+    n = len(coeffs)
+    rows = [[gr(0)] * n for _ in range(n)]
+    for i in range(1, n):
+        rows[i][i - 1] = gr(1)
+    for i, c in enumerate(coeffs):
+        rows[i][n - 1] = -GaussRat(c)
+    return CMat(rows)
+
+
+def conjugate(rng, m):
+    p = rand_invertible(rng, m.n)
+    return p * m * p.inv()
+
+
+def poly_mul(a, b):
+    out = [GaussRat(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def test_conjugated_triangular_with_repeated_eigenvalues():
+    rng = random.Random(11)
+    for n in range(1, 7):
+        for _ in range(3):
+            palette = [rand_gauss(rng, 4, 4) for _ in range(max(1, n // 2))]
+            rows = [[gr(0)] * n for _ in range(n)]
+            for i in range(n):
+                rows[i][i] = rng.choice(palette)
+                for j in range(i + 1, n):
+                    if rng.random() < 0.5:
+                        rows[i][j] = rand_gauss(rng, 3, 3)
+            got = assert_same(conjugate(rng, CMat(rows)))
+            assert sum(mult for _, mult in got) == n
+
+
+def test_zero_matrix():
+    for n in range(1, 5):
+        assert assert_same(CMat.zero(n)) == [(gr(0), n)]
+
+
+def test_dense_random_matrices():
+    rng = random.Random(12)
+    outcomes = []
+    for k in range(10):
+        n = 2 + k % 4
+        m = CMat([[rand_gauss(rng, 5, 3) for _ in range(n)] for _ in range(n)])
+        outcomes.append(assert_same(m))
+    assert any(isinstance(o, tuple) for o in outcomes)
+
+
+def test_mixed_split_and_non_split():
+    rng = random.Random(13)
+    minus_i = GaussRat(0, -1)
+    for coeffs in (poly_mul([-1, 1], [-2, 0, 1]),  # (x - 1)(x^2 - 2)
+                   poly_mul(poly_mul([minus_i, 1], [minus_i, 1]), [1, 1, 1]),
+                   poly_mul([F(-1, 2), 1], [-3, 0, 0, 1])):
+        m = conjugate(rng, companion(coeffs[:-1]))
+        assert assert_same(m) == ("EigenvalueError", OUTSIDE)
+
+
+def test_roots_one_lattice_step_apart():
+    # roots 0 and 1/q: the denominator bound L is q, so they sit at
+    # adjacent points of the lattice (1/L) Z[i]
+    for q in (7, 2**40 + 15):
+        m = companion([F(0), F(-1, q)])
+        assert assert_same(m) == [(gr(0), 1), (gr(F(1, q)), 1)]
+        # with a non-split factor the certificate must separate them
+        m = companion(poly_mul([0, F(-1, q), 1], [-2, 0, 1])[:-1])
+        assert assert_same(m) == ("EigenvalueError", OUTSIDE)
+
+
+def test_near_lattice_quadratic_escalates_precision(monkeypatch):
+    # x^2 - 10^30 x + 1 is irreducible; its roots lie within 1e-30 of
+    # 10^30 and of 0, which a first pass cannot separate from them
+    precs = []
+    approx = residues._approx_roots
+
+    def recording(p, prec):
+        precs.append(prec)
+        return approx(p, prec)
+
+    monkeypatch.setattr(residues, "_approx_roots", recording)
+    m = companion([F(1), F(-10**30)])
+    assert assert_same(m) == ("EigenvalueError", OUTSIDE)
+    assert len(precs) > 1 and precs == sorted(precs)
+    # the same near miss with a large denominator bound
+    precs.clear()
+    eps = F(2, 10**62)
+    assert assert_same(companion([1 - eps, F(-2)])) == ("EigenvalueError", OUTSIDE)
+    # and a split neighbour: roots 10^30 and 10^-30 exactly
+    precs.clear()
+    m = companion([F(1), -(F(10**30) + F(1, 10**30))])
+    assert assert_same(m) == [(gr(F(1, 10**30)), 1), (gr(10**30), 1)]

@@ -37,6 +37,12 @@ def test_floats_rejected():
         gr(1) + 0.5
 
 
+def test_complex_operands_compare_unequal():
+    assert not gr(1) == 1 + 0j
+    assert not 1 + 0j == gr(1)
+    assert gr(0, 1) != 1j
+
+
 # ---------------------------------------------------------------------
 # field axioms on randomized triples
 # ---------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -155,6 +156,20 @@ def test_cli_input_errors(tmp_path, capsys):
     assert code == 2 and "line 1" in doc["error"]
 
 
+def test_cli_precision_error_is_an_input_error(monkeypatch, capsys):
+    import meroconn.cli
+    from meroconn.angles import PrecisionError
+
+    def give_up(q):
+        raise PrecisionError("angle comparison did not resolve")
+
+    monkeypatch.setattr(meroconn.cli, "anti_stokes", give_up)
+    code, doc = run_cli("antistokes", "--irregular-type",
+                        str(DATA / "q_gl2.json"), capsys=capsys)
+    assert code == 2
+    assert doc == {"format": jsonio.FORMAT, "error": "angle comparison did not resolve"}
+
+
 def test_cli_violation_exit_code(tmp_path, capsys):
     # a representation violating the relation exits with code 1
     rep = rand_relation_rep(random.Random(93), 0, 1)
@@ -178,3 +193,19 @@ def test_console_script_deterministic_output():
     second = subprocess.run(cmd, capture_output=True, env=env, check=True)
     assert first.stdout == second.stdout
     assert first.stdout.strip()
+
+
+def test_translate_runs_without_sympy():
+    script = (
+        "import sys\n"
+        "from meroconn.cli import main\n"
+        "codes = [main(['translate', '--to', 'betti', '--input', p]) for p in sys.argv[1:]]\n"
+        "assert codes == [0] * len(codes), codes\n"
+        "assert 'sympy' not in sys.modules\n"
+    )
+    inputs = [str(DATA / "local_nilpotent.json"), str(DATA / "local_semisimple.json")]
+    subprocess.run([sys.executable, "-c", script, *inputs], capture_output=True,
+                   env=dict(os.environ), check=True)
+    src = Path(__file__).parent.parent / "src" / "meroconn"
+    imports = re.compile(r"^\s*(import|from)\s+sympy\b", re.M)
+    assert not [p.name for p in src.rglob("*.py") if imports.search(p.read_text())]

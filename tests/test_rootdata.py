@@ -60,6 +60,11 @@ def test_parahoric_member_examples():
     g2 = LM.from_const(CMat.identity(2) + CMat.unit(2, 1, 0))
     assert not parahoric_member(g2, Weight([F(1, 2), 0]))
     assert parahoric_member(g2, Weight([0, F(1, 2)]))
+    # diag(z, 1): entrywise bounded, but det = z is not a unit of R
+    g3 = LM([[LS.monomial(1, 1), LS.zero()], [LS.zero(), LS.const(1)]])
+    assert not parahoric_member(g3, Weight([0, 0]))
+    assert parahoric_member(LM([[LS.const(1) + LS.monomial(1, 1), LS.zero()],
+                                [LS.zero(), LS.const(1)]]), Weight([0, 0]))
 
 
 def test_lie_parahoric_member_examples():
