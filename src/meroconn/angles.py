@@ -12,13 +12,20 @@ angle expressions decidable:
 * the remaining integer branch is pinned by interval arithmetic
   (mpmath.iv), refined until the enclosure is narrow enough.
 
-Coincidence and ordering of directions therefore never depend on
-floating noise; intervals are used only where the answer is already
+Comparison is filtered.  Two rational multiples of pi compare by their
+coefficients.  Every other expression keeps one outward-rounded 64-bit
+enclosure, computed on first use, and two angles whose enclosures are
+disjoint are ordered from those alone.  Only where the enclosures
+overlap does ``compare`` run the exact Niven test on the difference
+and, off zero, refine the difference's enclosure until its sign is
+certain.  Coincidence and ordering of directions therefore never depend
+on floating noise; intervals decide only where the answer is already
 known to be off the degenerate set.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
@@ -32,12 +39,6 @@ _MAX_PREC = 2048
 
 class PrecisionError(RuntimeError):
     pass
-
-
-def _lcm(a: int, b: int) -> int:
-    from math import gcd
-
-    return a * b // gcd(a, b)
 
 
 @dataclass(frozen=True)
@@ -85,7 +86,7 @@ class AngleExpr:
         # clear denominators of the arg coefficients
         den = 1
         for q, _ in self.terms:
-            den = _lcm(den, q.denominator)
+            den = math.lcm(den, q.denominator)
         u = GaussRat(1)
         for q, w in self.terms:
             u = u * w ** int(q * den)
@@ -126,6 +127,19 @@ class AngleExpr:
         return r is not None and (r / Fraction(modulus)).denominator == 1
 
     def compare(self, other: "AngleExpr") -> int:
+        """Sign of self - other.  Two rational multiples of pi compare by
+        their coefficients.  Otherwise disjoint enclosures decide it at
+        once; where they overlap, the difference is tested for zero
+        exactly and its own enclosure is refined until the sign is
+        certain."""
+        if not self.terms and not other.terms:
+            d = self.pi_part - other.pi_part
+            return (d > 0) - (d < 0)
+        a, b = self._enclosure(), other._enclosure()
+        if a.b < b.a:
+            return -1
+        if b.b < a.a:
+            return 1
         diff = self - other
         if diff.is_zero():
             return 0
@@ -138,6 +152,15 @@ class AngleExpr:
                 return 1
             prec *= 2
         raise PrecisionError("comparison not resolved at maximum precision")
+
+    def _enclosure(self):
+        """interval(64), computed once per instance and kept on it (the
+        fields are frozen)."""
+        cached = self.__dict__.get("_iv64")
+        if cached is None:
+            cached = self.interval(64)
+            object.__setattr__(self, "_iv64", cached)
+        return cached
 
     def interval(self, prec: int = 64):
         old = iv.prec
@@ -277,14 +300,10 @@ def _iv_arg_octant(w: GaussRat):
 
 
 def _floor_interval(x) -> int:
-    import math
-
     return math.floor(float(iv.mpf(x)))
 
 
 def _ceil_interval(x) -> int:
-    import math
-
     return math.ceil(float(iv.mpf(x)))
 
 

@@ -177,6 +177,10 @@ class FilteredStokesRep:
         if len(self.weights) != len(self.rep.punctures):
             raise BettiError("need one weight per puncture")
         for p, w in zip(self.rep.punctures, self.weights):
+            if w.n != self.rep.n:
+                raise BettiError(
+                    f"weight of length {w.n} for a rank-{self.rep.n} representation"
+                )
             if not parabolic_from_weight(w).contains_matrix(p.h):
                 raise BettiError(
                     "formal monodromy leaves the parabolic of its weight"

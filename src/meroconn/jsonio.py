@@ -136,6 +136,8 @@ def enc_irregular(q: IrregularType) -> Dict[str, Any]:
 
 
 def dec_irregular(obj) -> IrregularType:
+    if not isinstance(obj, dict) or not isinstance(obj.get("coeffs", {}), dict):
+        raise FormatError("irregular type must be an object with a 'coeffs' object")
     try:
         return IrregularType(
             int(obj["n"]),
@@ -189,6 +191,8 @@ def enc_rep(rep: StokesRep) -> Dict[str, Any]:
 
 
 def dec_rep(obj) -> StokesRep:
+    if not isinstance(obj, dict):
+        raise FormatError("representation document must be a JSON object")
     try:
         handles = tuple(
             (dec_cmat(a), dec_cmat(b)) for a, b in obj.get("handles", [])
@@ -205,15 +209,23 @@ def dec_rep(obj) -> StokesRep:
                     S=tuple(dec_cmat(s) for s in p["S"]),
                 )
             )
+        if not handles and not punctures:
+            raise FormatError(
+                "representation needs a handle or a puncture to fix its rank"
+            )
         return StokesRep(int(obj.get("genus", 0)), handles, tuple(punctures))
     except KeyError as exc:
         raise FormatError(f"bad representation document: missing {exc}") from exc
+    except TypeError as exc:
+        raise FormatError(f"bad representation document: {exc}") from exc
 
 
 def dec_filtered_rep(rep_obj, weights_obj) -> FilteredStokesRep:
     rep = dec_rep(rep_obj)
     if isinstance(weights_obj, dict):
         weights_obj = weights_obj.get("weights", weights_obj)
+    if not isinstance(weights_obj, list):
+        raise FormatError("weights must be a list of weight vectors")
     weights = tuple(dec_weight(w) for w in weights_obj)
     return FilteredStokesRep(rep, weights)
 

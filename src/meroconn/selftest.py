@@ -8,7 +8,6 @@ fixed seed).  The pytest acceptance module reuses these functions.
 from __future__ import annotations
 
 import random
-import time
 from fractions import Fraction
 from typing import Callable, Dict, List
 
@@ -33,14 +32,13 @@ from .stokes import (anti_stokes, half_periods, rotate_angle_set_invariant,
                      stokes_dim_check, stokes_factor_matrix)
 from .rootdata import Root
 
-TIME_BUDGET_CANONICAL = 10.0
-
 
 def criterion_canonical_suite(seed: int, trunc: int = 12, count: int = 50) -> Dict:
     """Random GL2/GL3 reductions: invariants, gauge verification,
-    idempotence, within the time budget."""
+    idempotence.  The 10 s time budget is enforced by the acceptance test
+    around this call, not in the report, which must not depend on the
+    wall clock."""
     rng = random.Random(seed)
-    t0 = time.monotonic()
     failures = []
     for k in range(count):
         n = 2 if k % 2 == 0 else 3
@@ -57,13 +55,11 @@ def criterion_canonical_suite(seed: int, trunc: int = 12, count: int = 50) -> Di
             failures.append(f"case {k}: reduction is not idempotent")
         if re_form.residue != canonical.residue:
             failures.append(f"case {k}: re-reduction changed the residue")
-    elapsed = time.monotonic() - t0
     return {
         "name": "canonical-form suite",
         "cases": count,
-        "within_time_budget": elapsed < TIME_BUDGET_CANONICAL,
         "failures": failures,
-        "passed": not failures and elapsed < TIME_BUDGET_CANONICAL,
+        "passed": not failures,
     }
 
 

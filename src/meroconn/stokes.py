@@ -7,7 +7,8 @@ convention lives in the connection module and the CLI translates.
 A root r with most singular term c/z^k supports the directions
 phi = (arg(c) - pi + 2*pi*m)/k, m = 0..k-1 (where c/z^k is real and
 negative, i.e. exp(q_r) has maximal decay).  Directions arising from
-different roots are merged by exact angle comparison.
+different roots are merged by one stable sort under exact angle
+comparison.
 """
 
 from __future__ import annotations
@@ -104,19 +105,7 @@ class StokesDiagram:
 
 def anti_stokes(q: IrregularType) -> StokesDiagram:
     """Enumerate the anti-Stokes directions of q with exact angles."""
-    n = q.n
-    per_root = []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            series = q.root_series(i, j)
-            if not series:
-                continue
-            lead_exp = min(series)
-            k_r = -lead_exp
-            c_r = series[lead_exp]
-            per_root.append((Root(i, j), k_r, c_r))
+    per_root = _root_leading_data(q)
     if not per_root:
         raise StokesError(
             "trivial irregular type for the adjoint action "
@@ -128,15 +117,15 @@ def anti_stokes(q: IrregularType) -> StokesDiagram:
         for m in range(k_r):
             phi = (base + AngleExpr.of_pi(2 * m - 1)).scale(Fraction(1, k_r)).principal()
             raw.append((phi, r, k_r, c_r))
+    # Stable sort: each run of equal angles starts with its first raw
+    # representative, whose expression the merged direction keeps.
+    raw.sort(key=functools.cmp_to_key(lambda a, b: a[0].compare(b[0])))
     merged: List[Tuple[AngleExpr, list]] = []
     for phi, r, k_r, c_r in raw:
-        for angle, sup in merged:
-            if angle.compare(phi) == 0:
-                sup.append((r, k_r, c_r))
-                break
+        if merged and merged[-1][0].compare(phi) == 0:
+            merged[-1][1].append((r, k_r, c_r))
         else:
             merged.append((phi, [(r, k_r, c_r)]))
-    merged.sort(key=functools.cmp_to_key(lambda a, b: a[0].compare(b[0])))
     directions = [
         AntiStokesDirection(angle, tuple(sorted(sup, key=lambda t: (t[0].i, t[0].j))))
         for angle, sup in merged
@@ -225,7 +214,9 @@ def half_periods(diag: StokesDiagram, d1: int = 0) -> HalfPeriodData:
     )
 
 
-def _root_leading_data(q: IrregularType):
+def _root_leading_data(q: IrregularType) -> List[Tuple[Root, int, GaussRat]]:
+    """(r, k_r, c_r) for every root with q_r != 0: the order and the
+    coefficient of the most singular term of q_r."""
     out = []
     for i in range(q.n):
         for j in range(q.n):

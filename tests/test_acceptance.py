@@ -7,6 +7,7 @@ and this module stay in lockstep.
 
 import subprocess
 import sys
+import time
 
 from meroconn.selftest import (criterion_antistokes, criterion_betti_action,
                                criterion_canonical_suite,
@@ -15,6 +16,7 @@ from meroconn.selftest import (criterion_antistokes, criterion_betti_action,
                                criterion_metric, criterion_stability)
 
 SEED = 42
+TIME_BUDGET_CANONICAL_S = 10.0
 
 
 def _report(num, result):
@@ -25,8 +27,13 @@ def _report(num, result):
 
 def test_criterion_1_canonical_suite():
     """50 seeded GL2/GL3 reductions at trunc 12 in under 10 s: exact
-    invariants, gauge verification, idempotent re-reduction."""
-    _report(1, criterion_canonical_suite(SEED, trunc=12, count=50))
+    invariants, gauge verification, idempotent re-reduction.  The budget
+    is timed here because the selftest report holds no wall-clock value."""
+    t0 = time.monotonic()
+    result = criterion_canonical_suite(SEED, trunc=12, count=50)
+    elapsed = time.monotonic() - t0
+    _report(1, result)
+    assert elapsed < TIME_BUDGET_CANONICAL_S, f"took {elapsed:.2f} s"
 
 
 def test_criterion_2_irregular_gauge_invariance():

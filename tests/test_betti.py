@@ -213,6 +213,15 @@ def test_filtered_weight_parabolic_constraint():
         FilteredStokesRep(rep, (Weight([F(1, 2), 0, 0]), zero))
 
 
+def test_filtered_weight_length_must_match_rank():
+    rep = diag_rep([2, 3])
+    zero = Weight([0, 0])
+    FilteredStokesRep(rep, (zero, zero))
+    for short_or_long in (Weight([F(1, 2)]), Weight([0, 0, 0])):
+        with pytest.raises(BettiError, match="rank-2"):
+            FilteredStokesRep(rep, (short_or_long, zero))
+
+
 # ---------------------------------------------------------------------
 # stability
 # ---------------------------------------------------------------------

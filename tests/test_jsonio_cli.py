@@ -156,6 +156,25 @@ def test_cli_input_errors(tmp_path, capsys):
     assert code == 2 and "line 1" in doc["error"]
 
 
+@pytest.mark.parametrize("command, flag, doc, match", [
+    ("antistokes", "--irregular-type", {"n": 2, "coeffs": [1, 2]}, "irregular type"),
+    ("check-relation", "--rep", [], "representation"),
+    ("check-relation", "--rep", {}, "handle or a puncture"),
+    ("check-relation", "--rep", {"handles": 5}, "representation"),
+    ("stability", "--weights", {"weights": 5}, "weights"),
+    ("stability", "--weights", [["1/2"]], "rank-2"),
+])
+def test_cli_malformed_stokes_betti_inputs(tmp_path, capsys, command, flag, doc, match):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    argv = [command, flag, str(path)]
+    if command == "stability":
+        argv += ["--rep", str(DATA / "rep_gl2.json")]
+    code, out = run_cli(*argv, capsys=capsys)
+    assert code == 2
+    assert set(out) == {"format", "error"} and match in out["error"]
+
+
 def test_cli_precision_error_is_an_input_error(monkeypatch, capsys):
     import meroconn.cli
     from meroconn.angles import PrecisionError

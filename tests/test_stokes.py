@@ -1,9 +1,10 @@
+import functools
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from meroconn.angles import AngleExpr
+from meroconn.angles import AngleExpr, arg_angle
 from meroconn.connection import IrregularType
 from meroconn.field import gr
 from meroconn.rootdata import Root
@@ -185,3 +186,83 @@ def test_stokes_factor_support_validation():
     assert not StokesFactor(1, s).validate(d)  # wrong direction support
     with pytest.raises(StokesError):
         stokes_factor_matrix(d, 0, {Root(0, 1): gr(1)})
+
+
+# ---------------------------------------------------------------------
+# one-sort merge against the merge-then-sort reference
+# ---------------------------------------------------------------------
+
+def reference_directions(q):
+    """The quadratic merge: scan every merged angle for each raw
+    direction, then sort the merged angles."""
+    raw = []
+    for i in range(q.n):
+        for j in range(q.n):
+            series = q.root_series(i, j) if i != j else None
+            if not series:
+                continue
+            k_r = -min(series)
+            c_r = series[-k_r]
+            base = arg_angle(c_r)
+            for m in range(k_r):
+                phi = (base + AngleExpr.of_pi(2 * m - 1)).scale(F(1, k_r)).principal()
+                raw.append((phi, Root(i, j), k_r, c_r))
+    merged = []
+    for phi, r, k_r, c_r in raw:
+        for angle, sup in merged:
+            if angle.compare(phi) == 0:
+                sup.append((r, k_r, c_r))
+                break
+        else:
+            merged.append((phi, [(r, k_r, c_r)]))
+    merged.sort(key=functools.cmp_to_key(lambda a, b: a[0].compare(b[0])))
+    return [(angle.pi_ratio(), float(angle), _expression(angle),
+             sorted((r.i, r.j, k_r, c_r.t) for r, k_r, c_r in sup))
+            for angle, sup in merged]
+
+
+def _expression(angle):
+    """The stored expression, which tells apart equal angles written
+    differently (the merge keeps the first raw one)."""
+    return angle.pi_part, tuple((q, w.t) for q, w in angle.terms)
+
+
+def direction_digest(diagram):
+    return [(d.angle.pi_ratio(), float(d.angle), _expression(d.angle),
+             [(r.i, r.j, k_r, c_r.t) for r, k_r, c_r in d.support])
+            for d in diagram.directions]
+
+
+def _rand_lead(rng, n, kind):
+    if kind == "axis":  # every direction a rational multiple of pi
+        return [gr(rng.randint(-6, 6)) for _ in range(n)]
+    if kind == "collinear":  # a + m*d: distinct roots share directions
+        a = gr(rng.randint(-4, 4), rng.randint(-4, 4))
+        d = gr(rng.randint(1, 4), rng.randint(-4, 4))
+        steps = range(n) if rng.random() < 0.5 else rng.sample(range(-6, 7), n)
+        return [a + d * gr(m) for m in steps]
+    return [gr(F(rng.randint(-8, 8), rng.randint(1, 3)),
+               F(rng.randint(-8, 8), rng.randint(1, 3))) for _ in range(n)]
+
+
+def test_one_sort_merge_matches_reference():
+    rng = random.Random(5309)
+    shared = rational = 0
+    for case in range(36):
+        n = 2 + case % 4
+        pole = 1 + (case // 4) % 4
+        kind = ("generic", "axis", "collinear")[case % 3]
+        coeffs = {pole: tuple(_rand_lead(rng, n, kind))}
+        for j in range(1, pole):
+            if rng.random() < 0.5:
+                coeffs[j] = tuple(_rand_lead(rng, n, "generic"))
+        q = IrregularType(n, coeffs)
+        want = reference_directions(q)
+        if not want:
+            with pytest.raises(StokesError):
+                anti_stokes(q)
+            continue
+        assert direction_digest(anti_stokes(q)) == want
+        shared += sum(len(sup) > 1 for _, _, _, sup in want)
+        rational += sum(ratio is not None for ratio, _, _, _ in want)
+    assert shared > 0 and rational > 0
