@@ -6,7 +6,7 @@ dictionaries, and symbolic verification of the local model-metric
 identities.  All core arithmetic is exact over the Gaussian rationals.
 """
 
-from ._kernel import active_backend, available_backends, use_backend
+from ._kernel import active_backend
 from .field import GaussRat, gr
 from .series import INF, LaurentSeries, series_val
 from .lmatrix import CMat, LaurentMatrix, mat_exp_nilpotent, mat_inv, mat_mul
@@ -32,7 +32,7 @@ __version__ = "0.1.0"
 __all__ = [
     "GaussRat", "gr", "LaurentSeries", "LaurentMatrix", "CMat", "INF",
     "series_val", "mat_mul", "mat_inv", "mat_exp_nilpotent",
-    "active_backend", "available_backends", "use_backend",
+    "active_backend",
     "Weight", "Root", "ParabolicSpec", "Character",
     "MeroConnection", "IrregularType", "CanonicalForm",
     "gauge_act", "gauge_orbit_equal", "canonical_reduce",

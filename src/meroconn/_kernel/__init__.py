@@ -1,57 +1,21 @@
-"""Kernel backend selection.
+"""The exact arithmetic kernel.
 
-At import time the compiled kernel is preferred; the pure-Python kernel
-is the fallback.  ``use_backend`` rebinds the exported functions, which
-the benchmark and the backend-equivalence tests use to compare the two
-implementations on identical inputs.
+The functions live in ``_pykernel`` and are re-exported here; callers
+use them through this package (``from . import _kernel as K``), so a
+profiler that rebinds the package attributes sees every call from the
+rest of the library while calls between kernel functions stay inside
+the kernel.
 """
 
-from __future__ import annotations
+from ._pykernel import (ONE, ZERO, qadd, qconv, qdiv, qinv, qmul, qneg,
+                        qnormalize, qsub, qvadd, qvscale)
 
-import os
-
-from . import _pykernel
-
-try:
-    from . import _ckernel
-except ImportError:  # pragma: no cover - depends on build environment
-    _ckernel = None
-
-_EXPORTED = (
+__all__ = [
     "qnormalize", "qadd", "qsub", "qneg", "qmul", "qinv", "qdiv",
-    "qconv", "qvadd", "qvscale", "ZERO", "ONE",
-)
-
-HAVE_C = _ckernel is not None
-_active = None
-
-
-def available_backends():
-    return ("python", "c") if HAVE_C else ("python",)
+    "qconv", "qvadd", "qvscale", "ZERO", "ONE", "active_backend",
+]
 
 
 def active_backend():
-    return _active
-
-
-def use_backend(name):
-    """Select 'python' or 'c'; raises if the compiled kernel is missing."""
-    global _active
-    if name == "python":
-        impl = _pykernel
-    elif name == "c":
-        if _ckernel is None:
-            raise RuntimeError("compiled kernel not available")
-        impl = _ckernel
-    else:
-        raise ValueError(f"unknown kernel backend {name!r}")
-    for fn in _EXPORTED:
-        globals()[fn] = getattr(impl, fn)
-    _active = name
-    return name
-
-
-_default = os.environ.get("MEROCONN_KERNEL", "c" if HAVE_C else "python")
-if _default == "c" and not HAVE_C:
-    _default = "python"
-use_backend(_default)
+    """The kernel in use; there is one, in pure Python."""
+    return "python"

@@ -2,14 +2,11 @@
 
 Gaussian rationals are passed around as normalized integer triples
 ``(a, b, d)`` meaning ``(a + b*i) / d`` with ``d > 0`` and
-``gcd(a, b, d) == 1``.  Series coefficients are lists of such triples.
-The Cython kernel (``_ckernel``) implements the same functions; either
-backend must produce bit-identical triples.
+``gcd(a, b, d) == 1``, so equal values have equal triples.  Series
+coefficients are lists of such triples.
 """
 
 from math import gcd
-
-BACKEND = "python"
 
 ZERO = (0, 0, 1)
 ONE = (1, 0, 1)

@@ -20,14 +20,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from .field import GaussRat
 from .lmatrix import CMat
 from .rootdata import (Character, ParabolicSpec, Weight,
                        enumerate_parabolics_containing_T,
                        parabolic_from_weight, pairing)
-from .stokes import StokesDiagram
+from .stokes import StokesDiagram, stokes_factor_defect
 
 
 class BettiError(ValueError):
@@ -54,28 +53,14 @@ class PunctureData:
                 raise BettiError("dimension mismatch among factors")
         if len(self.S) != self.diagram.num_directions:
             raise BettiError("one Stokes factor required per anti-Stokes direction")
-        blocks = self.diagram.levi_blocks()
-        block_of = {}
-        for b, idxs in enumerate(blocks):
-            for i in idxs:
-                block_of[i] = b
-        for i in range(n):
-            for j in range(n):
-                if block_of[i] != block_of[j] and not self.h[i, j].is_zero():
-                    raise BettiError(
-                        "formal monodromy leaves the stabilizer of the irregular type"
-                    )
+        if not self.h.is_block_diagonal(self.diagram.q.levi_blocks()):
+            raise BettiError(
+                "formal monodromy leaves the stabilizer of the irregular type"
+            )
         for d, s in enumerate(self.S):
-            allowed = {(r.i, r.j) for r in self.diagram.directions[d].roots()}
-            for i in range(n):
-                for j in range(n):
-                    if i == j:
-                        if s[i, j] != GaussRat(1):
-                            raise BettiError(f"Stokes factor {d} not unipotent")
-                    elif (i, j) not in allowed and not s[i, j].is_zero():
-                        raise BettiError(
-                            f"Stokes factor {d} supported outside its root set"
-                        )
+            defect = stokes_factor_defect(self.diagram, d, s)
+            if defect:
+                raise BettiError(f"Stokes factor {d} {defect}")
 
     def local_word(self) -> CMat:
         """C^-1 h S_#A ... S_1 C."""
@@ -136,7 +121,8 @@ def group_act(g: CMat, ks: Sequence[CMat], rep: StokesRep) -> StokesRep:
     new_handles = tuple((g * a * g_inv, g * b * g_inv) for a, b in rep.handles)
     new_punctures = []
     for p, k in zip(rep.punctures, ks):
-        _require_in_stabilizer(k, p.diagram)
+        if not k.is_block_diagonal(p.diagram.q.levi_blocks()):
+            raise BettiError("k_x outside the stabilizer H_x")
         k_inv = k.inv()
         new_punctures.append(
             PunctureData(
@@ -147,18 +133,6 @@ def group_act(g: CMat, ks: Sequence[CMat], rep: StokesRep) -> StokesRep:
             )
         )
     return StokesRep(rep.genus, new_handles, tuple(new_punctures))
-
-
-def _require_in_stabilizer(k: CMat, diagram: StokesDiagram):
-    blocks = diagram.levi_blocks()
-    block_of = {}
-    for b, idxs in enumerate(blocks):
-        for i in idxs:
-            block_of[i] = b
-    for i in range(k.n):
-        for j in range(k.n):
-            if block_of[i] != block_of[j] and not k[i, j].is_zero():
-                raise BettiError("k_x outside the stabilizer H_x")
 
 
 # ----------------------------------------------------------------------

@@ -12,19 +12,16 @@ import json
 import sys
 from fractions import Fraction
 
-from . import jsonio
-from ._kernel import active_backend
+from . import __version__, jsonio
 from .angles import AngleExpr, PrecisionError
 from .betti import check_relation, check_stability
-from .connection import ReductionError, canonical_reduce, extract_irregular_type
+from .connection import ReductionError, canonical_reduce
 from .correspondence import (CorrespondenceError, dR_to_Betti, dR_to_Dol,
                              expected_multiplier, rank1_monodromy_oracle)
-from .field import GaussRat
 from .jsonio import FORMAT, FormatError
 from .modelmetric import (MetricData, TPoly, curvature_e0, higgs_extraction,
                           pseudo_curvature, sl2_identity_suite,
                           weight_jump_check)
-from .rootdata import Weight
 from .selftest import run_selftest
 from .stokes import StokesError, anti_stokes, half_periods, stokes_dim_check
 
@@ -276,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "model-metric checks.",
     )
     parser.add_argument("--version", action="version",
-                        version=f"meroconn 0.1.0 (kernel: {active_backend()})")
+                        version=f"meroconn {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("canonical-form", help="reduce a connection to canonical form")

@@ -28,12 +28,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .field import GaussRat
-from .lmatrix import CMat, LaurentMatrix, mat_inv, mat_mul
+from .lmatrix import CMat, LaurentMatrix, mat_exp_sum, mat_inv, mat_mul
 from .residues import gaussian_eigenvalues, nullspace
-from .rootdata import Weight, lie_parahoric_member
+from .rootdata import Weight
 from .series import INF, LaurentSeries
 
 DEFAULT_TRUNC = 12
@@ -112,6 +112,16 @@ class IrregularType:
     def entry(self, i: int) -> Dict[int, GaussRat]:
         """The scalar q_i as {exponent: coefficient} with negative exponents."""
         return {-j: ent[i] for j, ent in self.coeffs.items()}
+
+    def levi_blocks(self, *finer) -> List[List[int]]:
+        """Index blocks on which Q's diagonal entries, and each sequence
+        in ``finer``, are constant, in order of their first index: the
+        stabilizer H = Z_G(Q) is block-diagonal for the blocks of Q."""
+        blocks: Dict[tuple, List[int]] = {}
+        for i in range(self.n):
+            key = (tuple(ent[i] for ent in self.coeffs.values()),) + tuple(f[i] for f in finer)
+            blocks.setdefault(key, []).append(i)
+        return list(blocks.values())
 
     def root_series(self, i: int, k: int) -> Dict[int, GaussRat]:
         """q_r = r(Q) for the root e_i - e_k."""
@@ -282,31 +292,16 @@ def _piece(B: LaurentMatrix, slots):
     return out
 
 
-def _exp_graded(u: LaurentMatrix, cap: int) -> LaurentMatrix:
-    """exp of a single-positive-grade element; terminates inside the
-    truncated window because powers climb in grade.  Terms are clamped
-    to u's truncation (the sum cannot be known beyond it anyway)."""
-    out = LaurentMatrix.identity(u.n, u.trunc)
-    term = out
-    k = 1
-    fact = 1
-    while True:
-        term = mat_mul(term, u).truncate(u.trunc)
-        if term.is_zero():
-            return out
-        fact *= k
-        out = out + term * GaussRat(Fraction(1, fact))
-        k += 1
-        if k > cap:
-            raise ReductionError("gauge exponential did not terminate (grading violated)")
-
-
 def _apply_gauge(cur: LaurentMatrix, u: LaurentMatrix, g_total: LaurentMatrix,
                  cap: int) -> Tuple[LaurentMatrix, LaurentMatrix]:
-    g = _exp_graded(u, cap)
-    gi = _exp_graded(-u, cap)
-    new_B = mat_mul(mat_mul(g, cur), gi) - mat_mul(g.zdz(), gi)
-    return new_B, mat_mul(g, g_total)
+    """Gauge by exp(u) for u of a single positive grade; the exponential
+    sums terminate inside the truncated window because powers climb in
+    grade."""
+    g = mat_exp_sum(u, cap)
+    g_inv = mat_exp_sum(-u, cap)
+    if g is None or g_inv is None:
+        raise ReductionError("gauge exponential did not terminate (grading violated)")
+    return gauge_act(g, MeroConnection(cur), g_inv).B, mat_mul(g, g_total)
 
 
 def _diag_entries(m: CMat):
@@ -350,7 +345,7 @@ def canonical_reduce(conn: MeroConnection, theta: Optional[Weight] = None,
         )
 
     W = T + npole
-    cur = _rebuild_trunc(conn.B, T, W)
+    cur = conn.B.truncate(T)  # exact inputs are windowed to T
     g_total = LaurentMatrix.identity(n, W)
     polar = {j: _diag_entries(conn.polar_coeff(j)) for j in range(1, npole + 1)}
     cap = _exp_cap(theta, T, npole)
@@ -495,11 +490,6 @@ def _resolve_trunc(conn: MeroConnection, trunc: Optional[int]) -> int:
     if known != INF:
         return int(known)
     return DEFAULT_TRUNC
-
-
-def _rebuild_trunc(B: LaurentMatrix, T: int, W: int) -> LaurentMatrix:
-    # connection carried at truncation T; exact inputs are windowed to T
-    return B.truncate(T)
 
 
 def _off_diagonal_in_nonneg_grades(B: LaurentMatrix, theta: Weight) -> bool:

@@ -42,6 +42,13 @@ class CorrespondenceError(ValueError):
     pass
 
 
+def to_mpc(c: GaussRat):
+    """c as an mpmath complex, each part num/den rounded at the working
+    precision."""
+    return mpmath.mpc(mpmath.mpf(c.re.numerator) / c.re.denominator,
+                      mpmath.mpf(c.im.numerator) / c.im.denominator)
+
+
 # ----------------------------------------------------------------------
 # local data containers
 # ----------------------------------------------------------------------
@@ -89,8 +96,8 @@ class DeRhamLocal:
             raise CorrespondenceError(
                 "residue semisimple part is not diagonal (not in Levi normal form)"
             )
-        blocks = _joint_blocks(s, self.beta, self.q)
-        data = sl2_complete_blockwise(y, blocks)
+        eigenvalues = [s[i, i] for i in range(s.n)]
+        data = sl2_complete_blockwise(y, self.q.levi_blocks(eigenvalues, self.beta.entries))
         st = Sl2Data(s, data.X, data.H, data.Y, data.basis)
         object.__setattr__(self, "_structure", st)
         return st
@@ -129,20 +136,9 @@ class PiMatrixPoly:
 
     @classmethod
     def exp_neg_two_pi_i(cls, y: CMat) -> "PiMatrixPoly":
-        if not y.is_nilpotent():
-            raise CorrespondenceError("symbolic exponential needs a nilpotent matrix")
-        coeffs = {0: CMat.identity(y.n)}
-        term = CMat.identity(y.n)
-        scale = GaussRat(1)
-        fact = 1
-        for k in range(1, y.n + 1):
-            term = term * y
-            if term.is_zero():
-                break
-            fact *= k
-            scale = scale * GaussRat(0, -2)  # (-2i)^k accumulates
-            coeffs[k] = term.scale(scale / GaussRat(fact))
-        return cls(coeffs)
+        minus_2i = GaussRat(0, -2)
+        return cls({k: t.scale(minus_2i ** k)
+                    for k, t in enumerate(y.exp_nilpotent_terms())})
 
     def mp(self, prec: int = 53) -> List[List[object]]:
         """Evaluate at pi as mpmath complex numbers at the given precision."""
@@ -156,10 +152,7 @@ class PiMatrixPoly:
                     for j in range(n):
                         c = m[i, j]
                         if not c.is_zero():
-                            out[i][j] += mpmath.mpc(
-                                mpmath.mpf(c.re.numerator) / c.re.denominator,
-                                mpmath.mpf(c.im.numerator) / c.im.denominator,
-                            ) * w
+                            out[i][j] += to_mpc(c) * w
             return out
 
     def numeric(self, prec: int = 53) -> List[List[complex]]:
@@ -204,18 +197,6 @@ class BettiLocal:
 # translations
 # ----------------------------------------------------------------------
 
-def _joint_blocks(s: CMat, beta: Weight, q: IrregularType) -> List[List[int]]:
-    n = s.n
-    keys = []
-    for i in range(n):
-        qkey = tuple(sorted((e, c.t) for e, c in q.entry(i).items()))
-        keys.append((s[i, i].t, beta.entries[i], qkey))
-    blocks: Dict[tuple, List[int]] = {}
-    for i, key in enumerate(keys):
-        blocks.setdefault(key, []).append(i)
-    return [blocks[k] for k in sorted(blocks, key=lambda k: blocks[k][0])]
-
-
 def dR_to_Dol(d: DeRhamLocal) -> DolbeaultLocal:
     """Dolbeault data: alpha = Re(s) entrywise, residue
     (1/2)(s - beta) + (Y - H + X), irregular type halved."""
@@ -244,14 +225,7 @@ def dR_to_Betti(d: DeRhamLocal, prec: int = 128) -> BettiLocal:
             # kept as an mpmath complex at the working precision; callers
             # downcast to float complex at the API edge
             with mpmath.workprec(prec):
-                factors.append(
-                    mpmath.exp(
-                        -2j * mpmath.pi * mpmath.mpc(
-                            mpmath.mpf(si.re.numerator) / si.re.denominator,
-                            mpmath.mpf(si.im.numerator) / si.im.denominator,
-                        )
-                    )
-                )
+                factors.append(mpmath.exp(-2j * mpmath.pi * to_mpc(si)))
     nil = PiMatrixPoly.exp_neg_two_pi_i(st.Y)
     return BettiLocal(
         gamma=gamma, semisimple_factor=tuple(factors), nilpotent_factor=nil, q=d.q
@@ -281,27 +255,13 @@ def rank1_monodromy_oracle(b, q: Optional[IrregularType] = None,
     out of the multiplier, which equals exp(ORIENTATION * 2 pi i b).
     Fixed-step RK4 in mpmath; deterministic for fixed (steps, prec).
     """
-    b = Fraction(b) if not isinstance(b, GaussRat) else b
-    if isinstance(b, GaussRat):
-        b_re, b_im = b.re, b.im
-    else:
-        b_re, b_im = b, Fraction(0)
-    zq_terms: List[Tuple[int, Fraction, Fraction]] = []
-    if q is not None:
-        if q.n != 1:
-            raise CorrespondenceError("rank-1 oracle needs scalar irregular data")
-        for j, (c,) in q.coeffs.items():
-            zq_terms.append((-j, Fraction(-j) * c.re, Fraction(-j) * c.im))
+    b = b if isinstance(b, GaussRat) else GaussRat(Fraction(b))
+    if q is not None and q.n != 1:
+        raise CorrespondenceError("rank-1 oracle needs scalar irregular data")
+    zq_terms = [] if q is None else [(-j, c * GaussRat(-j)) for j, (c,) in q.coeffs.items()]
     with mpmath.workprec(prec):
-        bc = mpmath.mpc(
-            mpmath.mpf(b_re.numerator) / b_re.denominator,
-            mpmath.mpf(b_im.numerator) / b_im.denominator,
-        )
-        terms = [
-            (e, mpmath.mpc(mpmath.mpf(cr.numerator) / cr.denominator,
-                           mpmath.mpf(ci.numerator) / ci.denominator))
-            for e, cr, ci in zq_terms
-        ]
+        bc = to_mpc(b)
+        terms = [(e, to_mpc(c)) for e, c in zq_terms]
 
         def rhs(phi, f):
             z = mpmath.expjpi(2 * phi)  # phi in turns

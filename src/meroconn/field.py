@@ -3,11 +3,12 @@
 Every algebraic identity in the library is tested with ``==`` rather
 than a tolerance, so the scalar type must be an exact field.  A value
 is stored as a normalized integer triple ``(a, b, d)`` for
-``(a + b*i)/d``; arithmetic is delegated to the active kernel backend.
+``(a + b*i)/d``; arithmetic is delegated to the kernel.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from . import _kernel as K
@@ -16,16 +17,10 @@ from . import _kernel as K
 def _triple_from(re, im=0):
     re = Fraction(re)
     im = Fraction(im)
-    d = re.denominator * im.denominator // _gcd(re.denominator, im.denominator)
+    d = math.lcm(re.denominator, im.denominator)
     a = re.numerator * (d // re.denominator)
     b = im.numerator * (d // im.denominator)
     return K.qnormalize(a, b, d)
-
-
-def _gcd(x, y):
-    while y:
-        x, y = y, x % y
-    return x
 
 
 class GaussRat:

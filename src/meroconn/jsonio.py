@@ -67,6 +67,8 @@ def enc_series(s: LaurentSeries) -> Dict[str, Any]:
 
 
 def dec_series(obj) -> LaurentSeries:
+    if not isinstance(obj, dict):
+        raise FormatError(f"bad series object {obj!r}")
     try:
         trunc = obj.get("trunc", "inf")
         trunc = INF if trunc == "inf" else int(trunc)
@@ -86,13 +88,23 @@ def enc_lmatrix(m: LaurentMatrix) -> Dict[str, Any]:
 
 
 def dec_lmatrix(obj) -> LaurentMatrix:
+    if not isinstance(obj, dict):
+        raise FormatError("matrix must be an object with 'entries'")
     try:
         trunc = obj.get("trunc", "inf")
         trunc = INF if trunc == "inf" else int(trunc)
         rows = [[dec_series(x) for x in row] for row in obj["entries"]]
-        return LaurentMatrix(rows, trunc)
+        m = LaurentMatrix(rows, trunc)
     except (KeyError, TypeError) as exc:
         raise FormatError(f"bad matrix object: {exc}") from exc
+    _check_declared_n(obj, m.n, "matrix")
+    return m
+
+
+def _check_declared_n(obj, n: int, what: str) -> None:
+    """An optional "n" field must state the actual dimension."""
+    if "n" in obj and obj["n"] != n:
+        raise FormatError(f"{what} declares n = {obj['n']!r} but has dimension {n}")
 
 
 def enc_cmat(m: CMat) -> List[List[Dict[str, str]]]:
@@ -152,9 +164,11 @@ def enc_connection(c: MeroConnection) -> Dict[str, Any]:
 
 
 def dec_connection(obj) -> MeroConnection:
-    if "B" not in obj:
+    if not isinstance(obj, dict) or "B" not in obj:
         raise FormatError("connection document needs a 'B' matrix")
-    return MeroConnection(dec_lmatrix(obj["B"]))
+    conn = MeroConnection(dec_lmatrix(obj["B"]))
+    _check_declared_n(obj, conn.n, "connection")
+    return conn
 
 
 def enc_canonical(c: CanonicalForm) -> Dict[str, Any]:
@@ -213,11 +227,13 @@ def dec_rep(obj) -> StokesRep:
             raise FormatError(
                 "representation needs a handle or a puncture to fix its rank"
             )
-        return StokesRep(int(obj.get("genus", 0)), handles, tuple(punctures))
+        rep = StokesRep(int(obj.get("genus", 0)), handles, tuple(punctures))
     except KeyError as exc:
         raise FormatError(f"bad representation document: missing {exc}") from exc
     except TypeError as exc:
         raise FormatError(f"bad representation document: {exc}") from exc
+    _check_declared_n(obj, rep.n, "representation")
+    return rep
 
 
 def dec_filtered_rep(rep_obj, weights_obj) -> FilteredStokesRep:
@@ -245,6 +261,8 @@ def enc_de_rham(d: DeRhamLocal) -> Dict[str, Any]:
 
 
 def dec_de_rham(obj) -> DeRhamLocal:
+    if not isinstance(obj, dict):
+        raise FormatError("local-data document must be a JSON object")
     try:
         return DeRhamLocal(
             beta=dec_weight(obj["beta"]),

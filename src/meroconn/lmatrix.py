@@ -7,7 +7,9 @@ shared truncation order.  Both are immutable.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from typing import List, Optional
 
 from .field import GaussRat
 from .series import INF, LaurentSeries
@@ -120,6 +122,16 @@ class CMat:
             if i != j
         )
 
+    def is_block_diagonal(self, blocks) -> bool:
+        """Entries between different blocks of the partition vanish."""
+        block_of = {i: b for b, idxs in enumerate(blocks) for i in idxs}
+        return all(
+            self.rows[i][j].is_zero()
+            for i in range(self.n)
+            for j in range(self.n)
+            if block_of[i] != block_of[j]
+        )
+
     def __pow__(self, k: int):
         out = CMat.identity(self.n)
         base = self
@@ -159,19 +171,22 @@ class CMat:
                     aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
         return CMat([row[n:] for row in aug])
 
+    def exp_nilpotent_terms(self) -> List["CMat"]:
+        """The terms N^k / k! of exp(N), from k = 0 to the last nonzero
+        power; raises ValueError unless N is nilpotent (N^n = 0)."""
+        terms = [CMat.identity(self.n)]
+        power = terms[0]
+        for k in range(1, self.n + 1):
+            power = power * self
+            if power.is_zero():
+                return terms
+            terms.append(power.scale(Fraction(1, math.factorial(k))))
+        raise ValueError("exp_nilpotent requires a nilpotent matrix")
+
     def exp_nilpotent(self) -> "CMat":
         """Exact exp of a nilpotent matrix (finite sum)."""
-        if not self.is_nilpotent():
-            raise ValueError("exp_nilpotent requires a nilpotent matrix")
-        out = CMat.identity(self.n)
-        term = CMat.identity(self.n)
-        k = 1
-        while True:
-            term = term * self
-            if term.is_zero():
-                return out
-            out = out + term.scale(Fraction(1, _factorial(k)))
-            k += 1
+        terms = self.exp_nilpotent_terms()
+        return sum(terms[1:], terms[0])
 
     def apply(self, vec):
         """Matrix times column vector (list of GaussRat)."""
@@ -199,13 +214,6 @@ def _short(x: GaussRat) -> str:
     if x.im == 0:
         return str(x.re)
     return f"({x.re}+{x.im}i)"
-
-
-def _factorial(k):
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
 
 
 def _check_dim(a, b):
@@ -481,13 +489,8 @@ def mat_inv(a: LaurentMatrix, _depth: int = 0) -> LaurentMatrix:
 def mat_exp_nilpotent(m: LaurentMatrix) -> LaurentMatrix:
     """Exact exponential: requires m nilpotent (as a matrix of series)
     or val(m) >= 1 (z-adic convergence within the truncation window)."""
-    n = m.n
-    v = m.val()
-    if v == INF:
-        return LaurentMatrix.identity(n, m.trunc)
-    nilpotent = _is_nilpotent_series(m)
-    if not nilpotent:
-        if v < 1:
+    if not _is_nilpotent_series(m):
+        if m.val() < 1:
             raise ValueError(
                 "exponential not exactly computable: matrix is neither "
                 "nilpotent nor of positive valuation"
@@ -496,18 +499,27 @@ def mat_exp_nilpotent(m: LaurentMatrix) -> LaurentMatrix:
             raise ValueError(
                 "exponential of an exact non-nilpotent series is infinite; truncate first"
             )
-    out = LaurentMatrix.identity(n, m.trunc)
+    return mat_exp_sum(m)
+
+
+def mat_exp_sum(m: LaurentMatrix, cap: Optional[int] = None) -> Optional[LaurentMatrix]:
+    """sum_k m^k / k!, each power clamped to m's truncation (the sum is
+    not known beyond it), up to the first power that vanishes.  The
+    caller vouches that one does; with a cap, None is returned instead
+    when m^cap does not vanish."""
+    out = LaurentMatrix.identity(m.n, m.trunc)
     term = out
     k = 1
     fact = 1
     while True:
         term = mat_mul(term, m).truncate(m.trunc)
         if term.is_zero():
-            break
+            return out
+        if k == cap:
+            return None
         fact *= k
         out = out + term * GaussRat(Fraction(1, fact))
         k += 1
-    return out
 
 
 def _diag_monomial(exps):

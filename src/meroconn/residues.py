@@ -349,14 +349,8 @@ def sl2_complete_blockwise(y: CMat, blocks: List[List[int]]) -> Sl2Data:
     blocks (used when the residue must stay inside a Levi factor).
     """
     n = y.n
-    loc = {}
-    for b, idxs in enumerate(blocks):
-        for pos, i in enumerate(idxs):
-            loc[i] = (b, pos)
-    for i in range(n):
-        for j in range(n):
-            if loc[i][0] != loc[j][0] and not y[i, j].is_zero():
-                raise ValueError("nilpotent part is not block diagonal")
+    if not y.is_block_diagonal(blocks):
+        raise ValueError("nilpotent part is not block diagonal")
     x_rows = [[GaussRat(0)] * n for _ in range(n)]
     h_rows = [[GaussRat(0)] * n for _ in range(n)]
     p_rows = [[GaussRat(0)] * n for _ in range(n)]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Tuple
 
-from .lmatrix import CMat, LaurentMatrix, laurent_det, mat_inv
+from .lmatrix import CMat, LaurentMatrix, laurent_det
 from .series import INF
 
 

@@ -31,22 +31,8 @@ class LaurentSeries:
 
     __slots__ = ("order_min", "coeffs", "trunc")
 
-    def __init__(self, order_min, coeffs, trunc=INF):
-        coeffs = [_as_triple(c) for c in coeffs]
-        # drop anything at or above trunc
-        if trunc != INF:
-            keep = int(trunc) - order_min
-            coeffs = coeffs[:max(keep, 0)]
-        # strip zero margins
-        lo = 0
-        while lo < len(coeffs) and coeffs[lo][0] == 0 and coeffs[lo][1] == 0:
-            lo += 1
-        hi = len(coeffs)
-        while hi > lo and coeffs[hi - 1][0] == 0 and coeffs[hi - 1][1] == 0:
-            hi -= 1
-        object.__setattr__(self, "order_min", order_min + lo)
-        object.__setattr__(self, "coeffs", tuple(coeffs[lo:hi]))
-        object.__setattr__(self, "trunc", trunc)
+    def __new__(cls, order_min, coeffs, trunc=INF):
+        return cls._raw(order_min, [_as_triple(c) for c in coeffs], trunc)
 
     def __setattr__(self, *a):
         raise AttributeError("LaurentSeries is immutable")
@@ -229,6 +215,7 @@ class LaurentSeries:
 
     @classmethod
     def _raw(cls, order_min, coeffs, trunc):
+        """From kernel triples: drop exponents >= trunc, strip zero margins."""
         self = object.__new__(cls)
         if trunc != INF:
             keep = int(trunc) - order_min

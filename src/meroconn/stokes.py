@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .angles import AngleExpr, arg_angle, cos_sign
 from .connection import IrregularType
@@ -80,19 +80,6 @@ class StokesDiagram:
 
     def angles(self) -> List[AngleExpr]:
         return [d.angle for d in self.directions]
-
-    def levi_blocks(self) -> List[List[int]]:
-        """Level sets of the irregular type's diagonal entries (the
-        block structure of the stabilizer H = Z_G(Q))."""
-        n = self.q.n
-        keys = []
-        for i in range(n):
-            entry = tuple(sorted(self.q.entry(i).items(), key=lambda t: t[0]))
-            keys.append(tuple((e, c.t) for e, c in entry))
-        blocks: Dict[tuple, List[int]] = {}
-        for i, key in enumerate(keys):
-            blocks.setdefault(key, []).append(i)
-        return [blocks[k] for k in sorted(blocks, key=lambda k: blocks[k][0])]
 
     def __repr__(self):
         return (f"StokesDiagram(n={self.q.n}, #A={self.num_directions}, "
@@ -179,29 +166,18 @@ def half_periods(diag: StokesDiagram, d1: int = 0) -> HalfPeriodData:
     if gap.is_zero():
         gap = AngleExpr.of_pi(2)
 
-    roots_data = _root_leading_data(diag.q)
-    delta = None
+    roots = [(r, k_r, arg_angle(c_r)) for r, k_r, c_r in _root_leading_data(diag.q)]
     for attempt in range(16):
-        cand = (last + gap.scale(Fraction(1, 2 + attempt))).principal()
-        if all(
-            cos_sign(arg_angle(c_r) - cand.scale(k_r)) != 0
-            for _, k_r, c_r in roots_data
-        ):
-            delta = cand
+        delta = (last + gap.scale(Fraction(1, 2 + attempt))).principal()
+        signs = _decay_signs(roots, delta)
+        if signs is not None:
             break
-    if delta is None:
+    else:
         raise StokesError("could not certify a generic test direction")
 
-    r_plus = set()
-    r_minus = set()
-    for r, k_r, c_r in roots_data:
-        sign = cos_sign(arg_angle(c_r) - delta.scale(k_r))
-        if sign < 0:
-            r_plus.add(r)
-        else:
-            r_minus.add(r)
-    blocks = diag.levi_blocks()
-    order = _order_blocks(blocks, r_plus)
+    r_plus = {r for (r, _, _), sign in zip(roots, signs) if sign < 0}
+    r_minus = {r for (r, _, _), sign in zip(roots, signs) if sign > 0}
+    order = _order_blocks(diag.q.levi_blocks(), r_plus)
     p_plus = ParabolicSpec(order)
     p_minus = ParabolicSpec(list(reversed(order)))
     return HalfPeriodData(
@@ -212,6 +188,19 @@ def half_periods(diag: StokesDiagram, d1: int = 0) -> HalfPeriodData:
         delta=delta,
         base_index=d1,
     )
+
+
+def _decay_signs(roots, delta: AngleExpr) -> Optional[List[int]]:
+    """The sign of cos(arg(c_r) - k_r delta), i.e. of Re(q_r) along
+    delta, for each (r, k_r, arg(c_r)); None as soon as one is 0 (delta
+    is not generic)."""
+    signs = []
+    for _, k_r, arg in roots:
+        sign = cos_sign(arg - delta.scale(k_r))
+        if sign == 0:
+            return None
+        signs.append(sign)
+    return signs
 
 
 def _root_leading_data(q: IrregularType) -> List[Tuple[Root, int, GaussRat]]:
@@ -322,16 +311,21 @@ class StokesFactor:
     matrix: CMat
 
     def validate(self, diag: StokesDiagram) -> bool:
-        allowed = {(r.i, r.j) for r in stokes_group_basis(diag, self.direction)}
-        m = self.matrix
-        for i in range(m.n):
-            for j in range(m.n):
-                if i == j:
-                    if m[i, j] != GaussRat(1):
-                        return False
-                elif (i, j) not in allowed and not m[i, j].is_zero():
-                    return False
-        return True
+        return stokes_factor_defect(diag, self.direction, self.matrix) is None
+
+
+def stokes_factor_defect(diag: StokesDiagram, d: int, m: CMat) -> Optional[str]:
+    """None when m lies in Sto_d (unipotent and supported on the roots
+    R(d)); otherwise what is wrong with it, at the first bad entry."""
+    allowed = {(r.i, r.j) for r in stokes_group_basis(diag, d)}
+    for i in range(m.n):
+        for j in range(m.n):
+            if i == j:
+                if m[i, j] != GaussRat(1):
+                    return "not unipotent"
+            elif (i, j) not in allowed and not m[i, j].is_zero():
+                return "supported outside its root set"
+    return None
 
 
 def stokes_factor_matrix(diag: StokesDiagram, d: int, entries) -> CMat:

@@ -1,0 +1,71 @@
+"""Golden-output guard: the exact bytes every CLI subcommand prints on
+the committed fixtures, and the golden-examples selftest report.
+
+Refactors of the exact layers must leave these outputs byte-identical;
+a digest that changes here is a change of behaviour, to be made on
+purpose.  `verify-metric --numeric` is left out because its exponents
+come from a numpy/scipy fit whose last bits depend on the BLAS build.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from meroconn.cli import main
+from meroconn.selftest import criterion_golden_examples
+
+DATA = Path(__file__).parent / "data"
+
+CLI_DIGESTS = [
+    ("canonical-form --input conn_gl2.json --trunc 12",
+     "07cc1cd5020099cca58df5526be0024143cc4f1533c3b80e3bf2dbf8059a6d9d"),
+    ("antistokes --irregular-type q_gl2.json",
+     "511eaa30bef06bf47b9824e41f57cb5c803179fb6309e5b646f1cdbc065b9987"),
+    ("antistokes --irregular-type q_gl3.json",
+     "43c2cb291a9fcfb9d2ed926c0fe40e867a455793078739c8903ceea7e63c8977"),
+    ("stokes-dim --irregular-type q_gl2.json",
+     "6e1dd4a093cbfe1d1721d79acbe1f54c8dbfc6e1072933bc7224916ddf8f7fa7"),
+    ("stokes-dim --irregular-type q_gl3.json",
+     "bb746739e276bb4468ef781c8b486d7c6bcd0d21d9ca05dc8cc245baa42bf9d2"),
+    ("translate --to dol --input local_nilpotent.json",
+     "ca57f1a24649d567f76249b4a6f145221e4456af514687d53e4f6e9ccdeaec62"),
+    ("translate --to dol --input local_semisimple.json",
+     "bdc80e6dd8cfa32c1368276e63c6c5228eab1d33ecfa46ec626d5a83b520f9db"),
+    ("translate --to betti --input local_nilpotent.json",
+     "b2871dd9819d584cc85dd8ab9edf26a4b3745b74cb85b411ce988907eaebaf7f"),
+    ("translate --to betti --input local_semisimple.json",
+     "98c931c8b319631f6f37ffdd3f337f602e6a394d03e27edc560760a697659014"),
+    ("check-relation --rep rep_gl2.json",
+     "5ddc65fa9977905b1510a2e2d0dccc6dbf29e9f9383aa8330b10545aefcff15c"),
+    ("stability --rep rep_gl2.json --weights weights_zero.json",
+     "c61814b968a91d767649fa4dfb59d025322bb34433a833eb121cdc5428628986"),
+    ("stability --rep rep_gl2.json --weights weights_traceless.json",
+     "c61814b968a91d767649fa4dfb59d025322bb34433a833eb121cdc5428628986"),
+    ("verify-metric --input local_nilpotent.json",
+     "b694209145a302a2be7c46034ae0a07f45efa948c5b7286d7dd6960c7a70884b"),
+    ("verify-metric --input local_semisimple.json",
+     "b694209145a302a2be7c46034ae0a07f45efa948c5b7286d7dd6960c7a70884b"),
+    ("oracle-monodromy --b 1/3 --steps 512 --precision 64",
+     "39c18297e975c9e32e6fb9968386586fac30a22db70d08d5e09ebdd4f29a08c9"),
+]
+
+GOLDEN_EXAMPLES_DIGEST = "fb5e8bdce8979a697c52fbf8dd64e1fc616e5e88147284d482c06781e9ccf3e7"
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("command, digest", CLI_DIGESTS)
+def test_cli_fixture_output_is_pinned(capsys, command, digest):
+    argv = [str(DATA / a) if a.endswith(".json") else a for a in command.split()]
+    assert main(argv) == 0
+    assert _sha256(capsys.readouterr().out) == digest
+
+
+def test_golden_examples_report_is_pinned():
+    report = criterion_golden_examples(42)
+    assert report["cases"] == 45 and report["passed"], report
+    assert _sha256(json.dumps(report, sort_keys=True)) == GOLDEN_EXAMPLES_DIGEST

@@ -156,6 +156,9 @@ def test_cli_input_errors(tmp_path, capsys):
     assert code == 2 and "line 1" in doc["error"]
 
 
+SERIES_Z_INV = {"order_min": -1, "coeffs": [{"re": "1", "im": "0"}], "trunc": 4}
+
+
 @pytest.mark.parametrize("command, flag, doc, match", [
     ("antistokes", "--irregular-type", {"n": 2, "coeffs": [1, 2]}, "irregular type"),
     ("check-relation", "--rep", [], "representation"),
@@ -163,11 +166,21 @@ def test_cli_input_errors(tmp_path, capsys):
     ("check-relation", "--rep", {"handles": 5}, "representation"),
     ("stability", "--weights", {"weights": 5}, "weights"),
     ("stability", "--weights", [["1/2"]], "rank-2"),
+    ("translate --to dol", "--input", [], "local-data"),
+    ("verify-metric", "--input", [], "local-data"),
+    ("canonical-form", "--input", {"B": 5}, "matrix"),
+    ("canonical-form", "--input", {"B": {"entries": [[5]]}}, "series"),
+    ("canonical-form", "--input", {"B": {"n": 2, "entries": [[SERIES_Z_INV]]}},
+     "declares n = 2 but has dimension 1"),
+    ("canonical-form", "--input", {"n": 2, "B": {"entries": [[SERIES_Z_INV]]}},
+     "declares n = 2 but has dimension 1"),
+    ("check-relation", "--rep", {"n": 2, "genus": 1, "handles": [[[["1"]], [["1"]]]]},
+     "declares n = 2 but has dimension 1"),
 ])
 def test_cli_malformed_stokes_betti_inputs(tmp_path, capsys, command, flag, doc, match):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc))
-    argv = [command, flag, str(path)]
+    argv = command.split() + [flag, str(path)]
     if command == "stability":
         argv += ["--rep", str(DATA / "rep_gl2.json")]
     code, out = run_cli(*argv, capsys=capsys)
