@@ -132,15 +132,6 @@ class IrregularType:
                 out[-j] = c
         return out
 
-    def as_matrix(self, trunc=INF) -> LaurentMatrix:
-        rows = [
-            [LaurentSeries.zero() for _ in range(self.n)] for _ in range(self.n)
-        ]
-        for j, ent in self.coeffs.items():
-            for i in range(self.n):
-                rows[i][i] = rows[i][i] + LaurentSeries.monomial(ent[i], -j)
-        return LaurentMatrix(rows, trunc)
-
     def half(self) -> "IrregularType":
         half = GaussRat(Fraction(1, 2))
         return IrregularType(

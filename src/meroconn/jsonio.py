@@ -250,16 +250,6 @@ def dec_filtered_rep(rep_obj, weights_obj) -> FilteredStokesRep:
 # local data
 # ----------------------------------------------------------------------
 
-def enc_de_rham(d: DeRhamLocal) -> Dict[str, Any]:
-    return {
-        "format": FORMAT,
-        "kind": "de_rham_local",
-        "beta": enc_weight(d.beta),
-        "residue": enc_cmat(d.residue),
-        "q": enc_irregular(d.q),
-    }
-
-
 def dec_de_rham(obj) -> DeRhamLocal:
     if not isinstance(obj, dict):
         raise FormatError("local-data document must be a JSON object")

@@ -335,9 +335,6 @@ class LaurentMatrix:
             return self * other
         return NotImplemented
 
-    def scale_series(self, s: LaurentSeries):
-        return LaurentMatrix([[x * s for x in row] for row in self.rows])
-
     def shift(self, e: int):
         return LaurentMatrix([[x.shift(e) for x in row] for row in self.rows])
 

@@ -4,8 +4,9 @@ All |z|- and log-dependence is reduced to the single formal variable
 t = 1/ln|z|^2 with the derivation rule  z-bar d/dz-bar : t -> -t^2,
 plus (-ln|z|^2) = -1/t for the log-power conjugations.  The curvature
 and pseudo-curvature lemmas then become finite exact algebra over the
-Gaussian rationals; double-precision numerics appear only in the
-diagnostic weight-jump fit.
+Gaussian rationals.  The only numerics are the diagnostic weight-jump
+fit: the metric's diagonal entries are exact in L = -ln|z|^2, and mpmath
+evaluates and fits them at one fixed precision.
 
 Conjugate quantities (s-bar, the dz-bar side operators) are formed
 entrywise from the exact data; the conjugate-transpose pairing between
@@ -15,11 +16,15 @@ the raising and lowering elements of the triple is structural
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
+
+import mpmath
 
 from .connection import IrregularType
+from .correspondence import to_mpc
 from .field import GaussRat
 from .lmatrix import CMat, LaurentMatrix
 from .residues import Sl2Data
@@ -61,9 +66,6 @@ class TPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def degree_min(self) -> Optional[int]:
-        return min(self.coeffs, default=None)
-
     def __add__(self, other: "TPoly") -> "TPoly":
         acc = dict(self.coeffs)
         for k, m in other.coeffs.items():
@@ -93,9 +95,6 @@ class TPoly:
         """z-bar d/dz-bar via the chain rule t -> -t^2:
         M t^k maps to -k M t^(k+1)."""
         return TPoly({k + 1: m.scale(-k) for k, m in self.coeffs.items() if k != 0})
-
-    def conjugate_entries(self) -> "TPoly":
-        return TPoly({k: m.conjugate() for k, m in self.coeffs.items()})
 
     def __eq__(self, other):
         if not isinstance(other, TPoly):
@@ -161,15 +160,22 @@ class IdentityReport:
         return [name for name, ok in self.results if not ok]
 
 
+def _h_frame(triple: Sl2Data):
+    """(p, p^-1, eigenvalues of H) for the triple's basis p, in which H
+    must be diagonal."""
+    p = triple.basis
+    p_inv = p.inv()
+    d = p_inv * triple.H * p
+    if not d.is_diagonal():
+        raise MetricError("triple basis does not diagonalize H")
+    return p, p_inv, [d[i, i] for i in range(d.n)]
+
+
 def sl2_identity_suite(triple: Sl2Data) -> IdentityReport:
     """Exact verification of the log-power and exponential conjugation
     identities used throughout the local computations."""
     X, H, Y = triple.X, triple.H, triple.Y
-    p = triple.basis
-    p_inv = p.inv()
-    d_entries = [(p_inv * H * p)[i, i] for i in range(H.n)]
-    if not (p_inv * H * p).is_diagonal():
-        raise MetricError("triple basis does not diagonalize H")
+    p, p_inv, d_entries = _h_frame(triple)
 
     def ad_weight_is(m: CMat, w: int) -> bool:
         """m lies in the ad(H)-eigenspace of weight w (checked in the
@@ -331,9 +337,7 @@ def _series_conj(s):
 def _conj_log_power(poly: TPoly, triple: Sl2Data, sign: int) -> TPoly:
     """Ad((-ln|z|^2)^(sign*H/2)) on each coefficient: the ad(H)-weight-w
     component picks (-ln)^(sign*w/2) = (-1/t)^(sign*w/2)."""
-    p = triple.basis
-    p_inv = p.inv()
-    d_entries = [(p_inv * triple.H * p)[i, i] for i in range(triple.H.n)]
+    p, p_inv, d_entries = _h_frame(triple)
     acc: Dict[int, CMat] = {}
     n = triple.H.n
     for k, m in poly.coeffs.items():
@@ -370,6 +374,9 @@ def _conj_exp(poly: TPoly, nilp: CMat) -> TPoly:
 # numeric weight-jump diagnostic
 # ----------------------------------------------------------------------
 
+_FIT_PREC = 113  # bits; the fitted exponents are rounded to floats
+
+
 @dataclass(frozen=True)
 class WeightJumpReport:
     de_rham_exponents: Tuple[float, ...]
@@ -401,62 +408,67 @@ def weight_jump_check(data: MetricData, tolerance: float = 0.02) -> WeightJumpRe
     s + s-bar (holomorphic Higgs frame).
 
     The fit model is ln h = a ln r + c ln(-ln r^2) + b, i.e. power law
-    with the documented log correction; diagnostics only, double
-    precision."""
-    import numpy as np
-
+    with the documented log correction.  Each diagonal entry is an exact
+    Gaussian-rational combination of half-integer powers of L = -ln r^2,
+    evaluated and fitted in mpmath at ``_FIT_PREC`` bits; diagnostics
+    only."""
     t = data.triple
     n = t.H.n
-    h_num = _to_complex(t.H)
-    x_num = _to_complex(t.X)
-    y_num = _to_complex(t.Y)
-    s_num = _to_complex(t.s)
-    beta = [float(b) for b in data.beta.entries]
-    s_re = [float(t.s[i, i].re) for i in range(n)]
-
-    radii = [10.0 ** (-e) for e in range(3, 9)]
-    rows_dr = []
-    rows_dol = []
-    import scipy.linalg
-
-    exp_my = scipy.linalg.expm(-y_num)
-    exp_mx = scipy.linalg.expm(-x_num)
-    exp_y = scipy.linalg.expm(y_num)
-    exp_x = scipy.linalg.expm(x_num)
-    for r in radii:
-        big_l = -np.log(r * r)
-        logpow_half = scipy.linalg.expm(h_num * (np.log(big_l) / 2))
-        logpow_one = scipy.linalg.expm(h_num * np.log(big_l))
-        zb = np.diag([r ** (2 * b) for b in beta])
-        h0 = zb @ logpow_half @ exp_my @ exp_mx @ logpow_half
-        zs = np.diag([r ** (2 * sr) for sr in s_re])
-        h2 = zs @ exp_y @ logpow_one @ exp_x
-        rows_dr.append([abs(h0[i, i]) for i in range(n)])
-        rows_dol.append([abs(h2[i, i]) for i in range(n)])
-
-    def fit(rows):
-        a_out = []
-        design = np.array(
-            [[np.log(r), np.log(-np.log(r * r)), 1.0] for r in radii]
-        )
-        for i in range(n):
-            yv = np.array([np.log(rows[k][i]) for k in range(len(radii))])
-            sol, *_ = np.linalg.lstsq(design, yv, rcond=None)
-            a_out.append(float(sol[0]))
-        return tuple(a_out)
-
+    p, p_inv, h = _h_frame(t)
+    h = [e.re for e in h]
+    beta = data.beta.entries
+    s_re = [t.s[i, i].re for i in range(n)]
+    # h0 = |z|^2beta L^(H/2) e^-Y e^-X L^(H/2) and h2 = |z|^2s e^Y L^H e^X,
+    # where L^(cH) = p L^(cD) p^-1 with D = diag(h)
+    mid = p_inv * (-t.Y).exp_nilpotent() * (-t.X).exp_nilpotent() * p
+    diag_dr = _diagonal_l_powers(p, mid, p_inv, h)
+    diag_dol = _diagonal_l_powers(t.Y.exp_nilpotent() * p, CMat.identity(n),
+                                  p_inv * t.X.exp_nilpotent(), h)
     return WeightJumpReport(
-        de_rham_exponents=fit(rows_dr),
-        de_rham_targets=tuple(2 * b for b in beta),
-        dolbeault_exponents=fit(rows_dol),
-        dolbeault_targets=tuple(2 * sr for sr in s_re),
+        de_rham_exponents=tuple(map(_fit_exponent, diag_dr, beta)),
+        de_rham_targets=tuple(2 * float(b) for b in beta),
+        dolbeault_exponents=tuple(map(_fit_exponent, diag_dol, s_re)),
+        dolbeault_targets=tuple(2 * float(sr) for sr in s_re),
         tolerance=tolerance,
     )
 
 
-def _to_complex(m: CMat):
-    import numpy as np
+def _fit_exponent(terms: Dict[Fraction, GaussRat], w: Fraction) -> float:
+    """Least-squares |z|-exponent of |z|^(2w) * sum_e c_e L^e over the radii."""
+    ln_r, sqrt_l, first_row = _fit_design()
+    with mpmath.workprec(_FIT_PREC):
+        two_w = 2 * mpmath.mpf(w.numerator) / w.denominator
+        powers = [(int(2 * e), to_mpc(c)) for e, c in terms.items()]
+        logs = [two_w * x + mpmath.ln(abs(mpmath.fsum(c * rt ** k for k, c in powers)))
+                for x, rt in zip(ln_r, sqrt_l)]
+        return float(mpmath.fdot(first_row, logs))
 
-    return np.array(
-        [[complex(m[i, j]) for j in range(m.n)] for i in range(m.n)], dtype=complex
-    )
+
+@functools.lru_cache(maxsize=None)
+def _fit_design():
+    """ln r and sqrt(L) at the radii, and the first row of the
+    pseudo-inverse of the design [ln r, ln L, 1]: the functional that maps
+    the log values to the least-squares |z|-exponent."""
+    with mpmath.workprec(_FIT_PREC):
+        ln_r = tuple(-e * mpmath.ln10 for e in range(3, 9))  # radii 10^-3 .. 10^-8
+        ln_l = [mpmath.ln(-2 * x) for x in ln_r]
+        design = mpmath.matrix([[x, y, 1] for x, y in zip(ln_r, ln_l)])
+        pinv = mpmath.inverse(design.T * design) * design.T
+        first_row = tuple(pinv[0, k] for k in range(pinv.cols))
+        return ln_r, tuple(mpmath.exp(y / 2) for y in ln_l), first_row
+
+
+def _diagonal_l_powers(a: CMat, m: CMat, c: CMat, h) -> List[Dict[Fraction, GaussRat]]:
+    """Diagonal of a L^(D/2) m L^(D/2) c with D = diag(h), entry by entry
+    as exact {exponent of L: coefficient} maps."""
+    out = []
+    for i in range(a.n):
+        acc: Dict[Fraction, GaussRat] = {}
+        for j in range(a.n):
+            for k in range(a.n):
+                coef = a[i, j] * m[j, k] * c[k, i]
+                if not coef.is_zero():
+                    e = (h[j] + h[k]) / 2
+                    acc[e] = acc[e] + coef if e in acc else coef
+        out.append(acc)
+    return out

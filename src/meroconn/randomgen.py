@@ -126,16 +126,6 @@ def rand_invertible(rng: random.Random, n: int) -> CMat:
     return CMat(lower) * diag * CMat(upper)
 
 
-def rand_block_diag_invertible(rng: random.Random, blocks: List[List[int]], n: int) -> CMat:
-    rows = [[GaussRat(0)] * n for _ in range(n)]
-    for idxs in blocks:
-        sub = rand_invertible(rng, len(idxs))
-        for a, i in enumerate(idxs):
-            for b, j in enumerate(idxs):
-                rows[i][j] = sub[a, b]
-    return CMat(rows)
-
-
 # ----------------------------------------------------------------------
 # Betti-side fixtures
 # ----------------------------------------------------------------------

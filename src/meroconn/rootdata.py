@@ -167,14 +167,6 @@ class ParabolicSpec:
             if i != j and self._block_of[i] <= self._block_of[j]
         }
 
-    def levi_roots(self):
-        return {
-            Root(i, j)
-            for i in range(self.n)
-            for j in range(self.n)
-            if i != j and self._block_of[i] == self._block_of[j]
-        }
-
     def contains_matrix(self, m: CMat) -> bool:
         """Entry (i, j) must vanish whenever block(i) > block(j)."""
         return all(

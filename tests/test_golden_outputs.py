@@ -3,8 +3,7 @@ the committed fixtures, and the golden-examples selftest report.
 
 Refactors of the exact layers must leave these outputs byte-identical;
 a digest that changes here is a change of behaviour, to be made on
-purpose.  `verify-metric --numeric` is left out because its exponents
-come from a numpy/scipy fit whose last bits depend on the BLAS build.
+purpose.
 """
 
 import hashlib
@@ -47,6 +46,10 @@ CLI_DIGESTS = [
      "b694209145a302a2be7c46034ae0a07f45efa948c5b7286d7dd6960c7a70884b"),
     ("verify-metric --input local_semisimple.json",
      "b694209145a302a2be7c46034ae0a07f45efa948c5b7286d7dd6960c7a70884b"),
+    ("verify-metric --input local_nilpotent.json --numeric",
+     "9eac5229906ddaa68728f70f29a01e7f899002b56b966713cae24d8cf0919114"),
+    ("verify-metric --input local_semisimple.json --numeric",
+     "e056e32ca3ba66f8cf3986f9ee4ff4d3226a925517b8e1390b0cecc67661bafe"),
     ("oracle-monodromy --b 1/3 --steps 512 --precision 64",
      "39c18297e975c9e32e6fb9968386586fac30a22db70d08d5e09ebdd4f29a08c9"),
 ]

@@ -228,16 +228,25 @@ def test_console_script_deterministic_output():
 
 
 def test_translate_runs_without_sympy():
+    """translate and verify-metric --numeric load neither sympy (a test
+    oracle) nor numpy/scipy, and mpmath is the only runtime dependency."""
     script = (
         "import sys\n"
         "from meroconn.cli import main\n"
-        "codes = [main(['translate', '--to', 'betti', '--input', p]) for p in sys.argv[1:]]\n"
+        "codes = [main([*cmd, '--input', p]) for p in sys.argv[1:]\n"
+        "         for cmd in (['translate', '--to', 'betti'], ['verify-metric', '--numeric'])]\n"
         "assert codes == [0] * len(codes), codes\n"
-        "assert 'sympy' not in sys.modules\n"
+        "loaded = {'sympy', 'numpy', 'scipy'} & set(sys.modules)\n"
+        "assert not loaded, loaded\n"
     )
     inputs = [str(DATA / "local_nilpotent.json"), str(DATA / "local_semisimple.json")]
     subprocess.run([sys.executable, "-c", script, *inputs], capture_output=True,
                    env=dict(os.environ), check=True)
-    src = Path(__file__).parent.parent / "src" / "meroconn"
-    imports = re.compile(r"^\s*(import|from)\s+sympy\b", re.M)
+    root = Path(__file__).parent.parent
+    imports = re.compile(r"^\s*(import|from)\s+(sympy|numpy|scipy)\b", re.M)
+    src = root / "src" / "meroconn"
     assert not [p.name for p in src.rglob("*.py") if imports.search(p.read_text())]
+    tomllib = pytest.importorskip("tomllib")
+    with open(root / "pyproject.toml", "rb") as fh:
+        deps = tomllib.load(fh)["project"]["dependencies"]
+    assert [re.match(r"[A-Za-z0-9_.-]+", d).group() for d in deps] == ["mpmath"]

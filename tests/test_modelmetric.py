@@ -1,7 +1,12 @@
+import json
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
+import mpmath
 import pytest
+
+from meroconn import jsonio
 
 from meroconn.connection import IrregularType
 from meroconn.correspondence import DeRhamLocal, dR_to_Dol
@@ -212,3 +217,59 @@ def test_weight_jump_dolbeault_exponent():
     report = weight_jump_check(MetricData.from_de_rham(d))
     assert report.dolbeault_targets == (2 / 3, 0.0)
     assert report.dolbeault_pass
+
+
+def _weight_jump_reference(data):
+    """The float weight-jump fit, step by step: the matrices converted to
+    floats, the metric evaluated with matrix exponentials (mpmath.expm in
+    place of scipy.linalg.expm) at each radius, and one 6x3 least-squares
+    solve (mpmath.qr_solve in place of numpy.linalg.lstsq) per entry."""
+    t = data.triple
+    n = t.H.n
+
+    def num(m):
+        return mpmath.matrix([[complex(m[i, j]) for j in range(n)] for i in range(n)])
+
+    h_num, x_num, y_num = num(t.H), num(t.X), num(t.Y)
+    beta = [float(b) for b in data.beta.entries]
+    s_re = [float(t.s[i, i].re) for i in range(n)]
+    radii = [10.0 ** (-e) for e in range(3, 9)]
+    exp_my, exp_mx = mpmath.expm(-y_num), mpmath.expm(-x_num)
+    exp_y, exp_x = mpmath.expm(y_num), mpmath.expm(x_num)
+    rows_dr, rows_dol = [], []
+    for r in radii:
+        big_l = -mpmath.log(r * r)
+        logpow_half = mpmath.expm(h_num * (mpmath.log(big_l) / 2))
+        logpow_one = mpmath.expm(h_num * mpmath.log(big_l))
+        h0 = mpmath.diag([r ** (2 * b) for b in beta]) * logpow_half * exp_my * exp_mx * logpow_half
+        h2 = mpmath.diag([r ** (2 * sr) for sr in s_re]) * exp_y * logpow_one * exp_x
+        rows_dr.append([abs(h0[i, i]) for i in range(n)])
+        rows_dol.append([abs(h2[i, i]) for i in range(n)])
+    design = mpmath.matrix([[mpmath.log(r), mpmath.log(-mpmath.log(r * r)), 1] for r in radii])
+
+    def fit(rows):
+        return tuple(float(mpmath.qr_solve(design, [mpmath.log(row[i]) for row in rows])[0][0])
+                     for i in range(n))
+
+    return fit(rows_dr), fit(rows_dol), tuple(2 * b for b in beta), tuple(2 * s for s in s_re)
+
+
+def test_weight_jump_matches_float_reference():
+    data_dir = Path(__file__).parent / "data"
+    cases = [MetricData.from_de_rham(jsonio.dec_de_rham(json.loads((data_dir / f).read_text())))
+             for f in ("local_nilpotent.json", "local_semisimple.json")]
+    rng = random.Random(11)
+    cases += [MetricData.from_de_rham(rand_de_rham_local(rng, n)) for n in (2, 3, 4, 2, 3, 4)]
+    for data in cases:
+        report = weight_jump_check(data)
+        with mpmath.workprec(53):
+            dr, dol, dr_want, dol_want = _weight_jump_reference(data)
+        for got, ref in ((report.de_rham_exponents, dr), (report.dolbeault_exponents, dol)):
+            assert max(abs(g - r) for g, r in zip(got, ref)) <= 1e-9, (got, ref)
+        assert (report.de_rham_targets, report.dolbeault_targets) == (dr_want, dol_want)
+        assert report.de_rham_pass == _within_tolerance(dr, dr_want, report.tolerance)
+        assert report.dolbeault_pass == _within_tolerance(dol, dol_want, report.tolerance)
+
+
+def _within_tolerance(got, want, tol):
+    return all(abs(g - w) <= tol * max(1.0, abs(w)) for g, w in zip(got, want))
