@@ -32,6 +32,7 @@ from typing import Dict, Optional, Tuple
 
 from mpmath import iv
 
+from .errors import InternalError
 from .field import GaussRat
 
 _MAX_PREC = 2048
@@ -269,7 +270,8 @@ def arg_angle(c: GaussRat) -> AngleExpr:
     o = _octant_index(c)
     w = c * _octant_rotations()[o]
     # w now has arg in (0, pi/4): normalize sign conventions
-    assert w.re > 0 and w.im > 0 and w.re > w.im, "octant reduction failed"
+    if not (w.re > 0 and w.im > 0 and w.re > w.im):
+        raise InternalError("internal error: octant reduction failed")
     return AngleExpr(Fraction(0), ((Fraction(1), w),)).shift_pi(Fraction(o, 4))
 
 

@@ -2,7 +2,7 @@
 
 One binary, subcommand style, JSON-only I/O with a versioned format
 field.  Exit codes: 0 success / property verified, 1 property violation
-(witnesses included in the report), 2 input error.
+(witnesses included in the report) or internal error, 2 input error.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from .betti import check_relation, check_stability
 from .connection import ReductionError, canonical_reduce
 from .correspondence import (CorrespondenceError, dR_to_Betti, dR_to_Dol,
                              expected_multiplier, rank1_monodromy_oracle)
+from .errors import InternalError
 from .jsonio import FORMAT, FormatError
 from .modelmetric import (MetricData, TPoly, curvature_e0, higgs_extraction,
                           pseudo_curvature, sl2_identity_suite,
@@ -341,6 +342,9 @@ def main(argv=None) -> int:
             ZeroDivisionError, PrecisionError) as exc:
         print(json.dumps({"format": FORMAT, "error": str(exc)}, sort_keys=True))
         return EXIT_INPUT
+    except InternalError as exc:
+        print(json.dumps({"format": FORMAT, "error": str(exc)}, sort_keys=True))
+        return EXIT_VIOLATION
 
 
 if __name__ == "__main__":

@@ -28,6 +28,9 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 import mpmath
+from mpmath.libmp import (fzero, from_int, mpc_add, mpc_div_mpf, mpc_expjpi,
+                          mpc_mul, mpc_mul_int, mpc_mul_mpf, mpc_pow_int,
+                          mpc_to_complex, mpf_add, mpf_mul_int, round_nearest)
 
 from .connection import IrregularType
 from .field import GaussRat
@@ -254,33 +257,65 @@ def rank1_monodromy_oracle(b, q: Optional[IrregularType] = None,
     exp(q) is single-valued on the circle, so the essential factor drops
     out of the multiplier, which equals exp(ORIENTATION * 2 pi i b).
     Fixed-step RK4 in mpmath; deterministic for fixed (steps, prec).
+
+    In the angle phi (in turns) the equation reads df/dphi = a(phi) f with
+    a(phi) = 2 pi i (z q'(z) + b) at z = exp(2 pi i phi).  a(phi) is
+    evaluated once per distinct angle (k2 and k3 share phi + h/2, and k4's
+    phi + h is the next step's phi) and once in all when q is None.  The
+    stages run on ``mpmath.libmp`` tuples: each makes the libmp call that
+    mpf/mpc operators make for ``f + h * k / 2`` and
+    ``f + h * (k1 + 2 * k2 + 2 * k3 + k4) / 6``, on the same operands at
+    the working precision, so the result is the operator form's to the bit.
     """
+    if steps < 1:
+        raise CorrespondenceError(f"oracle needs at least one step, got {steps}")
+    if prec < 1:
+        raise CorrespondenceError(f"oracle needs at least one bit of precision, got {prec}")
     b = b if isinstance(b, GaussRat) else GaussRat(Fraction(b))
     if q is not None and q.n != 1:
         raise CorrespondenceError("rank-1 oracle needs scalar irregular data")
     zq_terms = [] if q is None else [(-j, c * GaussRat(-j)) for j, (c,) in q.coeffs.items()]
     with mpmath.workprec(prec):
-        bc = to_mpc(b)
-        terms = [(e, to_mpc(c)) for e, c in zq_terms]
-
-        def rhs(phi, f):
-            z = mpmath.expjpi(2 * phi)  # phi in turns
-            zq = mpmath.mpc(0)
-            for e, c in terms:
-                zq += c * z**e
-            return 2j * mpmath.pi * (zq + bc) * f
-
-        f = mpmath.mpc(1)
+        wp, rnd = mpmath.mp.prec, round_nearest
+        bc = to_mpc(b)._mpc_
+        terms = [(e, to_mpc(c)._mpc_) for e, c in zq_terms]
+        two_pi_i = (2j * mpmath.pi)._mpc_
         h = mpmath.mpf(1) / steps
-        phi = mpmath.mpf(0)
+        half_h, h = (h / 2)._mpf_, h._mpf_
+        two, six = from_int(2), from_int(6)
+
+        def coeff(phi):
+            z = mpc_expjpi((mpf_mul_int(phi, 2, wp, rnd), fzero), wp, rnd)
+            zq = (fzero, fzero)
+            for e, c in terms:
+                zq = mpc_add(zq, mpc_mul(c, mpc_pow_int(z, e, wp, rnd), wp, rnd), wp, rnd)
+            return mpc_mul(two_pi_i, mpc_add(zq, bc, wp, rnd), wp, rnd)
+
+        def shifted(f, k, halve):
+            # f + h * k / 2 when halve, else f + h * k
+            dk = mpc_mul_mpf(k, h, wp, rnd)
+            if halve:
+                dk = mpc_div_mpf(dk, two, wp, rnd)
+            return mpc_add(f, dk, wp, rnd)
+
+        f = (from_int(1), fzero)
+        phi = fzero
+        a0 = a_mid = a1 = coeff(phi)
         for _ in range(steps):
-            k1 = rhs(phi, f)
-            k2 = rhs(phi + h / 2, f + h * k1 / 2)
-            k3 = rhs(phi + h / 2, f + h * k2 / 2)
-            k4 = rhs(phi + h, f + h * k3)
-            f = f + h * (k1 + 2 * k2 + 2 * k3 + k4) / 6
-            phi += h
-        return complex(f)
+            mid = mpf_add(phi, half_h, wp, rnd)
+            phi = mpf_add(phi, h, wp, rnd)
+            if terms:
+                a_mid, a1 = coeff(mid), coeff(phi)
+            k1 = mpc_mul(a0, f, wp, rnd)
+            k2 = mpc_mul(a_mid, shifted(f, k1, True), wp, rnd)
+            k3 = mpc_mul(a_mid, shifted(f, k2, True), wp, rnd)
+            k4 = mpc_mul(a1, shifted(f, k3, False), wp, rnd)
+            total = mpc_add(mpc_add(mpc_add(k1, mpc_mul_int(k2, 2, wp, rnd), wp, rnd),
+                                    mpc_mul_int(k3, 2, wp, rnd), wp, rnd), k4, wp, rnd)
+            f = mpc_add(f, mpc_div_mpf(mpc_mul_mpf(total, h, wp, rnd), six, wp, rnd),
+                        wp, rnd)
+            a0 = a1
+        return mpc_to_complex(f, False, rnd)
 
 
 def expected_multiplier(b, prec: int = 128) -> complex:

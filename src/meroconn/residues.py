@@ -27,6 +27,7 @@ from typing import List, Optional, Tuple
 import mpmath
 from mpmath.libmp import NoConvergence
 
+from .errors import InternalError
 from .field import GaussRat
 from .lmatrix import CMat
 
@@ -337,7 +338,7 @@ def sl2_complete(y: CMat) -> Sl2Data:
     h = p * h_std * p_inv
     data = Sl2Data(None, x, h, y, p)
     if not data.check_brackets():
-        raise RuntimeError("internal error: sl2 bracket relations failed")
+        raise InternalError("internal error: sl2 bracket relations failed")
     return data
 
 
@@ -364,7 +365,7 @@ def sl2_complete_blockwise(y: CMat, blocks: List[List[int]]) -> Sl2Data:
                 p_rows[i][j] = data.basis[a, b]
     data = Sl2Data(None, CMat(x_rows), CMat(h_rows), y, CMat(p_rows))
     if not data.check_brackets():
-        raise RuntimeError("internal error: sl2 bracket relations failed")
+        raise InternalError("internal error: sl2 bracket relations failed")
     return data
 
 
@@ -405,7 +406,7 @@ def _jordan_chains(y: CMat) -> List[List[List[GaussRat]]]:
                 spanning.append(list(v))
     total = sum(len(c) for c in chains)
     if total != n:
-        raise RuntimeError("internal error: Jordan chains do not span")
+        raise InternalError("internal error: Jordan chains do not span")
     return chains
 
 

@@ -198,13 +198,15 @@ class LaurentSeries:
             return NotImplemented
         other = _coerce_series(other)
         return (
-            self.order_min == other.order_min
-            and self.coeffs == other.coeffs
+            self.coeffs == other.coeffs
             and self.trunc == other.trunc
+            and (not self.coeffs or self.order_min == other.order_min)
         )
 
     def __hash__(self):
-        return hash((self.order_min, self.coeffs, self.trunc))
+        # a zero series keeps the order_min it was computed with; equality
+        # and the hash ignore it
+        return hash((self.order_min if self.coeffs else 0, self.coeffs, self.trunc))
 
     def agrees(self, other) -> bool:
         """Equal on all exponents below the common truncation."""

@@ -9,8 +9,8 @@ from meroconn.correspondence import (CorrespondenceError, DeRhamLocal,
                                      PiMatrixPoly, RootOfUnity, dR_to_Betti,
                                      dR_to_Dol, expected_multiplier,
                                      rank1_monodromy_oracle,
-                                     roundtrip_weight_check)
-from meroconn.field import gr
+                                     roundtrip_weight_check, to_mpc)
+from meroconn.field import GaussRat, gr
 from meroconn.lmatrix import CMat
 from meroconn.randomgen import rand_de_rham_local
 from meroconn.rootdata import Weight
@@ -141,3 +141,66 @@ def test_oracle_orientation_consistent():
 def test_oracle_rejects_matrix_input():
     with pytest.raises(CorrespondenceError):
         rank1_monodromy_oracle(F(1, 2), IrregularType(2, {1: (gr(1), gr(0))}))
+
+
+@pytest.mark.parametrize("steps, prec", [(0, 64), (-5, 64), (64, 0), (64, -3)])
+def test_oracle_rejects_bad_steps_and_precision(steps, prec):
+    with pytest.raises(CorrespondenceError, match=r"\S"):
+        rank1_monodromy_oracle(F(1, 2), steps=steps, prec=prec)
+
+
+def _reference_oracle(b, q=None, steps=8192, prec=128):
+    """The RK4 loop written with mpf/mpc operators, evaluating the
+    right-hand side at all four stages; the oracle must match it bit for bit."""
+    b = b if isinstance(b, GaussRat) else GaussRat(F(b))
+    zq_terms = [] if q is None else [(-j, c * GaussRat(-j)) for j, (c,) in q.coeffs.items()]
+    with mpmath.workprec(prec):
+        bc = to_mpc(b)
+        terms = [(e, to_mpc(c)) for e, c in zq_terms]
+
+        def rhs(phi, f):
+            z = mpmath.expjpi(2 * phi)  # phi in turns
+            zq = mpmath.mpc(0)
+            for e, c in terms:
+                zq += c * z**e
+            return 2j * mpmath.pi * (zq + bc) * f
+
+        f = mpmath.mpc(1)
+        h = mpmath.mpf(1) / steps
+        phi = mpmath.mpf(0)
+        for _ in range(steps):
+            k1 = rhs(phi, f)
+            k2 = rhs(phi + h / 2, f + h * k1 / 2)
+            k3 = rhs(phi + h / 2, f + h * k2 / 2)
+            k4 = rhs(phi + h, f + h * k3)
+            f = f + h * (k1 + 2 * k2 + 2 * k3 + k4) / 6
+            phi += h
+        return complex(f)
+
+
+def _oracle_cases():
+    rng = random.Random(73)
+
+    def c():
+        # complex, with nonzero real and imaginary parts
+        return gr(F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4)),
+                  F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4)))
+
+    qs = [None, IrregularType(1, {1: (c(),)}), IrregularType(1, {2: (c(),)}),
+          IrregularType(1, {3: (c(),)}), IrregularType(1, {1: (c(),), 3: (c(),)})]
+    bs = [F(0), F(1, 6), F(-1, 6), F(1), F(-1), F(5, 2), F(-6)]
+    cases = [(b, q, steps, prec) for steps, prec in ((1, 64), (7, 53))
+             for q in qs for b in bs]
+    # longer runs: every pole shape at least once, each b at least once
+    cases += [(F(5, 2), qs[0], 2048, 64), (F(-1, 6), qs[4], 2048, 64),
+              (F(1), qs[1], 1024, 64), (F(-6), qs[0], 1024, 64),
+              (F(0), qs[3], 512, 64), (F(1, 6), qs[2], 300, 113),
+              (F(-1), qs[0], 300, 113)]
+    return cases
+
+
+def test_oracle_bit_identical_to_reference_loop():
+    for b, q, steps, prec in _oracle_cases():
+        want = _reference_oracle(b, q, steps, prec)
+        assert rank1_monodromy_oracle(b, q, steps=steps, prec=prec) == want, \
+            (b, q, steps, prec)

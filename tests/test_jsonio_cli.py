@@ -146,6 +146,14 @@ def test_cli_oracle(capsys):
     assert code == 0 and doc["matches"] is True
 
 
+@pytest.mark.parametrize("flag, value", [("--steps", "0"), ("--steps", "-5"),
+                                         ("--precision", "0"), ("--precision", "-3")])
+def test_cli_oracle_rejects_bad_steps_and_precision(capsys, flag, value):
+    code, doc = run_cli("oracle-monodromy", "--b", "1/2", flag, value, capsys=capsys)
+    assert code == 2
+    assert set(doc) == {"format", "error"} and doc["error"]
+
+
 def test_cli_input_errors(tmp_path, capsys):
     code, doc = run_cli("canonical-form", "--input",
                         str(tmp_path / "missing.json"), capsys=capsys)
@@ -200,6 +208,46 @@ def test_cli_precision_error_is_an_input_error(monkeypatch, capsys):
                         str(DATA / "q_gl2.json"), capsys=capsys)
     assert code == 2
     assert doc == {"format": jsonio.FORMAT, "error": "angle comparison did not resolve"}
+
+
+def _break_sl2_brackets(monkeypatch):
+    from meroconn.residues import Sl2Data
+    monkeypatch.setattr(Sl2Data, "check_brackets", lambda self: False)
+
+
+def _break_jordan_chains(monkeypatch):
+    import meroconn.residues
+    monkeypatch.setattr(meroconn.residues, "_independent", lambda spanning, v: False)
+
+
+def _break_octant_reduction(monkeypatch):
+    import meroconn.angles
+    from meroconn.field import GaussRat
+    monkeypatch.setattr(meroconn.angles, "_octant_rotations", lambda: [GaussRat(-1)] * 8)
+
+
+@pytest.mark.parametrize("breakage, argv, message", [
+    (_break_sl2_brackets, ["translate", "--to", "betti", "--input", "local_nilpotent.json"],
+     "internal error: sl2 bracket relations failed"),
+    (_break_jordan_chains, ["translate", "--to", "betti", "--input", "local_nilpotent.json"],
+     "internal error: Jordan chains do not span"),
+    (_break_octant_reduction, ["antistokes", "--irregular-type", "q_gl2_oblique.json"],
+     "internal error: octant reduction failed"),
+])
+def test_cli_internal_error_is_a_json_document(tmp_path, monkeypatch, capsys,
+                                               breakage, argv, message):
+    # a broken invariant exits 1 with an error document, not a traceback
+    (tmp_path / "q_gl2_oblique.json").write_text(json.dumps(
+        {"n": 2, "coeffs": {"1": [{"re": "1", "im": "2"}, {"re": "0", "im": "0"}]}}))
+
+    def path(name):
+        return str(tmp_path / name if (tmp_path / name).exists() else DATA / name)
+
+    argv = [path(a) if a.endswith(".json") else a for a in argv]
+    breakage(monkeypatch)
+    code, doc = run_cli(*argv, capsys=capsys)
+    assert code == 1
+    assert doc == {"format": jsonio.FORMAT, "error": message}
 
 
 def test_cli_violation_exit_code(tmp_path, capsys):

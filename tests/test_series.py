@@ -99,3 +99,14 @@ def test_agrees_up_to_common_truncation():
     assert a.agrees(b)
     c = LS.from_dict({0: 1, 2: 1}, trunc=4)
     assert not a.agrees(c)
+
+
+def test_cancelled_zero_equals_zero():
+    # a - a keeps the order_min of a's window; equality and hash ignore it
+    a = LS.from_dict({0: 1, 1: 2})
+    diff = a - a
+    assert diff.is_zero() and diff == LS.zero() and LS.zero() == diff
+    assert hash(diff) == hash(LS.zero())
+    assert len({diff, LS.zero(), LS(5, [0, 0])}) == 1
+    assert diff != LS.zero(trunc=4)
+    assert LS.from_dict({2: 1}) != LS.from_dict({3: 1})
