@@ -20,7 +20,8 @@ Two moves are used at each grade:
 
 A connection whose polar part is merely *conjugate* to a diagonal one
 (e.g. after an arbitrary parahoric gauge) is first brought back to
-irregular-type shape by ``recover_irregular_shape``.
+irregular-type shape by ``recover_irregular_shape``.  The irregular type
+is read off that shape's diagonal polar part, which reduction never changes.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
+from .errors import InternalError
 from .field import GaussRat
 from .lmatrix import CMat, LaurentMatrix, mat_exp_sum, mat_inv, mat_mul
 from .residues import gaussian_eigenvalues, nullspace
@@ -154,6 +156,13 @@ class IrregularType:
                 rows[i][i] = rows[i][i] + LaurentSeries.monomial(ent[i] * GaussRat(-j), -j)
         return LaurentMatrix(rows)
 
+    @classmethod
+    def from_polar(cls, n: int, polar: Dict[int, CMat]) -> "IrregularType":
+        """The Q with dQ = sum_j B_-j z^-j dz/z on the diagonal, i.e.
+        Q_j = diag(B_-j) / -j; the inverse of ``polar_connection_part``."""
+        return cls(n, {j: tuple(m[i, i] / GaussRat(-j) for i in range(n))
+                       for j, m in polar.items()})
+
     def __eq__(self, other):
         if not isinstance(other, IrregularType):
             return NotImplemented
@@ -195,13 +204,7 @@ class CanonicalForm:
         return MeroConnection(LaurentMatrix(rows, trunc))
 
     def irregular_type(self) -> IrregularType:
-        return IrregularType(
-            self.n,
-            {
-                j: tuple(mat[i, i] / GaussRat(-j) for i in range(self.n))
-                for j, mat in self.polar.items()
-            },
-        )
+        return IrregularType.from_polar(self.n, self.polar)
 
     def check_invariants(self, theta: Optional[Weight] = None) -> bool:
         """Polar coefficients diagonal, everything pairwise commuting,
@@ -254,8 +257,13 @@ def gauge_orbit_equal(c1: MeroConnection, c2: MeroConnection, g: LaurentMatrix) 
 # graded bookkeeping helpers
 # ----------------------------------------------------------------------
 
-def _zero_weight(n: int) -> Weight:
-    return Weight([0] * n)
+def _resolve_weight(theta: Optional[Weight], n: int) -> Weight:
+    """theta, or the zero weight when it is None; its length must be n."""
+    if theta is None:
+        return Weight([0] * n)
+    if theta.n != n:
+        raise ValueError("weight dimension mismatch")
+    return theta
 
 
 def _grade(theta: Weight, a: int, b: int, m: int) -> Fraction:
@@ -312,10 +320,7 @@ def canonical_reduce(conn: MeroConnection, theta: Optional[Weight] = None,
     nonnegative part inside the theta-parahoric Lie algebra.
     """
     n = conn.n
-    if theta is None:
-        theta = _zero_weight(n)
-    if theta.n != n:
-        raise ValueError("weight dimension mismatch")
+    theta = _resolve_weight(theta, n)
     npole = conn.pole_order
     if npole < 1:
         raise ReductionError(
@@ -367,16 +372,8 @@ def _normalize_grade(cur, g_total, theta, mu, polar, T, W, cap):
         return cur, g_total
     # polar solves, leading coefficient first
     for j in sorted(polar, reverse=True):
-        d = polar[j]
-        piece = _piece(cur, slots)
-        rows = [[LaurentSeries.zero() for _ in range(n)] for _ in range(n)]
-        nonzero = False
-        for (a, b, m), c in piece.items():
-            if d[a] != d[b]:
-                rows[a][b] = rows[a][b] + LaurentSeries.monomial(c / (d[a] - d[b]), m)
-                nonzero = True
-        if nonzero:
-            v = LaurentMatrix(rows, W).shift(j)
+        v = _polar_solve(cur, slots, polar[j], j, W)
+        if v is not None:
             cur, g_total = _apply_gauge(cur, v, g_total, cap)
     # centralizer kill away from z-degree zero (the residue slot)
     guard = 0
@@ -396,8 +393,21 @@ def _normalize_grade(cur, g_total, theta, mu, polar, T, W, cap):
         cur, g_total = _apply_gauge(cur, u, g_total, cap)
         guard += 1
         if guard > T + 2:
-            raise ReductionError("internal error: centralizer kill did not terminate")
+            raise InternalError("internal error: centralizer kill did not terminate")
     return cur, g_total
+
+
+def _polar_solve(cur: LaurentMatrix, slots, d, j: int, W) -> Optional[LaurentMatrix]:
+    """V z^j, V_ab = piece_ab / (d_a - d_b) off ker ad(diag d): its exp
+    removes that part of the grade piece.  None if that part is zero."""
+    n = cur.n
+    rows = [[LaurentSeries.zero() for _ in range(n)] for _ in range(n)]
+    nonzero = False
+    for (a, b, m), c in _piece(cur, slots).items():
+        if d[a] != d[b]:
+            rows[a][b] = rows[a][b] + LaurentSeries.monomial(c / (d[a] - d[b]), m)
+            nonzero = True
+    return LaurentMatrix(rows, W).shift(j) if nonzero else None
 
 
 def _solve_kill(cur, theta, level, m, polar) -> CMat:
@@ -501,7 +511,7 @@ def _off_diagonal_in_nonneg_grades(B: LaurentMatrix, theta: Weight) -> bool:
 def _assert_reduced(cur: LaurentMatrix, canonical: CanonicalForm, T: int):
     diff = cur - canonical.as_connection(T).B
     if not diff.is_zero() and diff.val() < T:
-        raise ReductionError("internal error: reduction left residual terms")
+        raise InternalError("internal error: reduction left residual terms")
 
 
 # ----------------------------------------------------------------------
@@ -519,8 +529,7 @@ def recover_irregular_shape(conn: MeroConnection, theta: Optional[Weight] = None
     scale); eigenvalues are ordered canonically by (re, im).
     """
     n = conn.n
-    if theta is None:
-        theta = _zero_weight(n)
+    theta = _resolve_weight(theta, n)
     npole = conn.pole_order
     if npole < 1:
         raise ReductionError("trivial irregular type: nothing to recover")
@@ -555,15 +564,8 @@ def recover_irregular_shape(conn: MeroConnection, theta: Optional[Weight] = None
                     grades.add(mu)
     for mu in sorted(grades):
         slots = _grade_slots(theta, n, mu, -npole + 1, T)
-        piece = _piece(cur, slots)
-        rows = [[LaurentSeries.zero() for _ in range(n)] for _ in range(n)]
-        nonzero = False
-        for (a, b, m), c in piece.items():
-            if dlead[a] != dlead[b]:
-                rows[a][b] = rows[a][b] + LaurentSeries.monomial(c / (dlead[a] - dlead[b]), m)
-                nonzero = True
-        if nonzero:
-            v = LaurentMatrix(rows, W).shift(npole)
+        v = _polar_solve(cur, slots, dlead, npole, W)
+        if v is not None:
             cur, g_total = _apply_gauge(cur, v, g_total, cap)
     result = MeroConnection(cur)
     if not in_irregular_shape(result, theta):
@@ -579,9 +581,7 @@ def in_irregular_shape(conn: MeroConnection, theta: Optional[Weight] = None) -> 
     a parahoric tail.  This is the input shape canonical_reduce accepts
     (for boundary weights the tail may dip to z^-1 on slots with
     theta-difference one)."""
-    if theta is None:
-        theta = _zero_weight(conn.n)
-    return _off_diagonal_in_nonneg_grades(conn.B, theta)
+    return _off_diagonal_in_nonneg_grades(conn.B, _resolve_weight(theta, conn.n))
 
 
 def _diagonalizer(m: CMat) -> CMat:
@@ -607,15 +607,15 @@ def _diagonalizer(m: CMat) -> CMat:
 def extract_irregular_type(conn: MeroConnection, theta: Optional[Weight] = None,
                            trunc: Optional[int] = None) -> IrregularType:
     """The diagonal polar data Q with dQ = (polar part) dz/z, i.e.
-    Q = sum_j B_-j z^-j / (-j); a G_theta(K)-gauge invariant."""
-    n = conn.n
-    if conn.pole_order < 1:
-        return IrregularType(n, {})
+    Q = sum_j diag(B_-j) z^-j / (-j); a G_theta(K)-gauge invariant, read
+    off the polar part in irregular-type shape (recovered if needed).  No
+    reduction runs: Q ignores residue and tail, so only shape errors raise."""
+    theta = _resolve_weight(theta, conn.n)
     work = conn
-    if not in_irregular_shape(conn, theta):
+    if conn.pole_order >= 1 and not in_irregular_shape(conn, theta):
         work, _ = recover_irregular_shape(conn, theta, trunc)
-    canonical, _ = canonical_reduce(work, theta, trunc)
-    return canonical.irregular_type()
+    return IrregularType.from_polar(
+        conn.n, {j: work.polar_coeff(j) for j in range(1, work.pole_order + 1)})
 
 
 def connection_from_irregular_type(q: IrregularType, residue: CMat,

@@ -11,9 +11,10 @@ from meroconn.connection import (CanonicalForm, IrregularType, MeroConnection,
                                  recover_irregular_shape)
 from meroconn.field import gr
 from meroconn.lmatrix import CMat, LaurentMatrix as LM, mat_mul
-from meroconn.randomgen import (rand_connection, rand_parahoric_gauge,
-                                rand_small_weight)
+from meroconn.randomgen import (rand_connection, rand_invertible,
+                                rand_parahoric_gauge, rand_small_weight)
 from meroconn.rootdata import Weight, parahoric_member
+from meroconn.selftest import criterion_irregular_invariance
 from meroconn.series import LaurentSeries as LS
 
 D11 = CMat.diag([1, -1])
@@ -189,8 +190,19 @@ def test_resonant_residue_reported():
     b = (LM.monomial(CMat.diag([1, 1]), -1)
          + LM.from_const(CMat.diag([1, 0]))
          + LM.monomial(E21, 1))
+    conn = MeroConnection(b.truncate(8))
     with pytest.raises(ReductionError, match="resonant"):
-        canonical_reduce(MeroConnection(b.truncate(8)))
+        canonical_reduce(conn)
+    # the irregular type does not depend on the residue: no error there
+    assert extract_irregular_type(conn) == IrregularType(2, {1: (gr(-1), gr(-1))})
+
+
+@pytest.mark.parametrize("entry", [canonical_reduce, recover_irregular_shape,
+                                   in_irregular_shape, extract_irregular_type])
+@pytest.mark.parametrize("weight", [[0], [0, 0, 0]])
+def test_weight_length_checked(entry, weight):
+    with pytest.raises(ValueError, match="weight dimension mismatch"):
+        entry(gl2_example(), Weight(weight))
 
 
 # ---------------------------------------------------------------------
@@ -218,6 +230,54 @@ def test_extract_is_parahoric_gauge_invariant():
         moved = gauge_act(g, conn)
         assert extract_irregular_type(conn, theta, 10) == \
             extract_irregular_type(moved, theta, 10)
+
+
+def _extract_by_reduction(conn, theta, trunc):
+    """The former extraction path, kept as the reference: recover the
+    shape if needed, reduce, and take the canonical form's irregular type."""
+    if not in_irregular_shape(conn, theta):
+        conn, _ = recover_irregular_shape(conn, theta, trunc)
+    return canonical_reduce(conn, theta, trunc)[0].irregular_type()
+
+
+def _extract_cases(rng, trunc):
+    boundary = Weight([1, 0])
+    tail_pole = (LM.monomial(CMat.diag([2, 5]), -2)
+                 + LM.monomial(E12.scale(F(1, 3)), -1)
+                 + LM.from_const(CMat([[1, 4], [0, 7]]))
+                 + LM.monomial(E21, 1))
+    yield boundary, MeroConnection(tail_pole.truncate(trunc))
+    for n in (2, 3, 4):
+        for pole in (1, 2, 3):
+            for theta in (Weight([0] * n), rand_small_weight(rng, n)):
+                yield theta, rand_connection(rng, n, pole, trunc, theta)
+
+
+def test_extract_matches_reduction_oracle():
+    # each input as given, parahoric-gauged and constant-conjugated (the
+    # last two mostly need recover_irregular_shape first)
+    rng = random.Random(47)
+    trunc = 6
+    inputs = recovered = 0
+    for theta, conn in _extract_cases(rng, trunc):
+        inputs += 1
+        g = rand_parahoric_gauge(rng, theta, trunc + conn.pole_order)
+        p = LM.from_const(rand_invertible(rng, conn.n))
+        for c in (conn, gauge_act(g, conn), gauge_act(p, conn)):
+            recovered += not in_irregular_shape(c, theta)
+            assert extract_irregular_type(c, theta, trunc) == \
+                _extract_by_reduction(c, theta, trunc)
+    assert recovered >= inputs
+
+
+def test_irregular_invariance_criterion_does_not_reduce(monkeypatch):
+    import meroconn.connection
+
+    def no_reduction(*args, **kwargs):
+        raise AssertionError("canonical_reduce called")
+
+    monkeypatch.setattr(meroconn.connection, "canonical_reduce", no_reduction)
+    assert criterion_irregular_invariance(42, count=5)["passed"]
 
 
 def test_recover_irregular_shape_constant_conjugation():

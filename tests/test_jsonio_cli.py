@@ -226,6 +226,12 @@ def _break_octant_reduction(monkeypatch):
     monkeypatch.setattr(meroconn.angles, "_octant_rotations", lambda: [GaussRat(-1)] * 8)
 
 
+def _break_grade_normalization(monkeypatch):
+    import meroconn.connection
+    monkeypatch.setattr(meroconn.connection, "_normalize_grade",
+                        lambda cur, g_total, *rest: (cur, g_total))
+
+
 @pytest.mark.parametrize("breakage, argv, message", [
     (_break_sl2_brackets, ["translate", "--to", "betti", "--input", "local_nilpotent.json"],
      "internal error: sl2 bracket relations failed"),
@@ -233,12 +239,18 @@ def _break_octant_reduction(monkeypatch):
      "internal error: Jordan chains do not span"),
     (_break_octant_reduction, ["antistokes", "--irregular-type", "q_gl2_oblique.json"],
      "internal error: octant reduction failed"),
+    (_break_grade_normalization, ["canonical-form", "--input", "conn_gl2_tail.json"],
+     "internal error: reduction left residual terms"),
 ])
 def test_cli_internal_error_is_a_json_document(tmp_path, monkeypatch, capsys,
                                                breakage, argv, message):
     # a broken invariant exits 1 with an error document, not a traceback
     (tmp_path / "q_gl2_oblique.json").write_text(json.dumps(
         {"n": 2, "coeffs": {"1": [{"re": "1", "im": "2"}, {"re": "0", "im": "0"}]}}))
+    # diag(1, -1) z^-1 + E12 z: the z^1 term is left for the reduction
+    tail = LM.monomial(CMat.diag([1, -1]), -1) + LM.monomial(CMat.unit(2, 0, 1), 1)
+    (tmp_path / "conn_gl2_tail.json").write_text(json.dumps(
+        jsonio.enc_connection(MeroConnection(tail.truncate(12)))))
 
     def path(name):
         return str(tmp_path / name if (tmp_path / name).exists() else DATA / name)
