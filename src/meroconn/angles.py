@@ -208,7 +208,10 @@ class AngleExpr:
         return self.compare(other) == 0
 
     def __hash__(self):
-        # equality is semantic (compare == 0), so hashing must collapse
+        # Deliberately constant: equality is semantic (compare == 0), and
+        # equal angles can carry different term lists, so no hash of the
+        # terms is consistent with it.  Nothing in the package hashes
+        # angles; a set or dict of them degrades to linear lookups.
         return hash(())
 
 

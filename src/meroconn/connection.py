@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .errors import InternalError
 from .field import GaussRat
-from .lmatrix import CMat, LaurentMatrix, mat_exp_sum, mat_inv, mat_mul
+from .lmatrix import CMat, LaurentMatrix, mat_exp_pair, mat_inv, mat_mul, mat_mul_trunc
 from .residues import gaussian_eigenvalues, nullspace
 from .rootdata import Weight
 from .series import INF, LaurentSeries
@@ -237,20 +237,53 @@ class ReductionError(ValueError):
 
 def gauge_act(g: LaurentMatrix, conn: MeroConnection,
               g_inv: Optional[LaurentMatrix] = None) -> MeroConnection:
-    """g . (d + B dz/z) = d + (-z g' g^-1 + g B g^-1) dz/z."""
+    """g . (d + B dz/z) = d + (g B - z g') g^-1 dz/z.
+
+    One product by g^-1.  The result carries the truncation of
+    g B g^-1 - z g' g^-1 with the two products taken apart, so the
+    bound does not depend on cancellation in g B - z g'."""
     if g_inv is None:
         g_inv = mat_inv(g)
-    ad_part = mat_mul(mat_mul(g, conn.B), g_inv)
-    d_part = mat_mul(g.zdz(), g_inv)
-    return MeroConnection(ad_part - d_part)
+    gB = mat_mul(g, conn.B)
+    dz = g.zdz()
+    bound = min(mat_mul_trunc(gB, g_inv), mat_mul_trunc(dz, g_inv))
+    return MeroConnection(mat_mul(gB - dz, g_inv).truncate(bound))
 
 
 def gauge_orbit_equal(c1: MeroConnection, c2: MeroConnection, g: LaurentMatrix) -> bool:
-    """True iff g . c1 equals c2 entrywise up to the common truncation."""
+    """True iff g . c1 equals c2 entrywise up to the common truncation.
+
+    For an integral unit g (finite ``trunc``, no negative exponent,
+    invertible constant term) g and g^-1 are both integral, so
+    g . c1 = c2 mod z^b iff g B1 - z g' = B2 g mod z^b.  That is checked
+    without inverting g, at the b that ``gauge_act(g, c1).agrees(c2)``
+    would use (``mat_inv(g)`` has g's truncation and valuation 0).  Any
+    other g (poles, a singular constant term, exact), or a B2 g known
+    only below b, takes that path itself; a g that ``mat_inv`` rejects
+    is False."""
     try:
+        if _integral_unit(g):
+            gB = mat_mul(g, c1.B)
+            # z g' has g's truncation and valuation >= 1
+            b = min(gB.trunc, g.trunc + min(gB.val(), 0), c2.B.trunc)
+            b2g = mat_mul(c2.B, g)
+            if b2g.trunc >= b:
+                resid = gB - g.zdz() - b2g
+                return all(s.is_zero() or s.val() >= b for row in resid.rows for s in row)
         return gauge_act(g, c1).agrees(c2)
     except (ZeroDivisionError, ValueError):
         return False
+
+
+def _integral_unit(g: LaurentMatrix) -> bool:
+    """Finite truncation, no negative exponent, invertible constant term."""
+    if g.trunc == INF or g.val() < 0:
+        return False
+    try:
+        g.coeff(0).inv()
+    except ZeroDivisionError:
+        return False
+    return True
 
 
 # ----------------------------------------------------------------------
@@ -296,10 +329,10 @@ def _apply_gauge(cur: LaurentMatrix, u: LaurentMatrix, g_total: LaurentMatrix,
     """Gauge by exp(u) for u of a single positive grade; the exponential
     sums terminate inside the truncated window because powers climb in
     grade."""
-    g = mat_exp_sum(u, cap)
-    g_inv = mat_exp_sum(-u, cap)
-    if g is None or g_inv is None:
+    pair = mat_exp_pair(u, cap)
+    if pair is None:
         raise ReductionError("gauge exponential did not terminate (grading violated)")
+    g, g_inv = pair
     return gauge_act(g, MeroConnection(cur), g_inv).B, mat_mul(g, g_total)
 
 

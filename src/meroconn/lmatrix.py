@@ -3,13 +3,17 @@
 CMat is the workhorse for residues, Stokes factors and representation
 tuples; LaurentMatrix models elements of the loop group/algebra with a
 shared truncation order.  Both are immutable.
+
+There is one Laurent exponential loop, ``mat_exp_pair``: it returns
+exp(m) and exp(-m) from one sequence of powers m^k, so a gauge step
+gets its factor and that factor's inverse for the products of one.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from .field import GaussRat
 from .series import INF, LaurentSeries
@@ -382,9 +386,7 @@ def mat_mul(a: LaurentMatrix, b: LaurentMatrix) -> LaurentMatrix:
     """
     _check_dim(a, b)
     n = a.n
-    ta = a.trunc + b.val() if a.trunc != INF else INF
-    tb = b.trunc + a.val() if b.trunc != INF else INF
-    trunc = min(ta, tb)
+    trunc = mat_mul_trunc(a, b)
     zero = LaurentSeries.zero()
     rows = []
     for i in range(n):
@@ -404,6 +406,13 @@ def mat_mul(a: LaurentMatrix, b: LaurentMatrix) -> LaurentMatrix:
             row.append(zero if acc is None else acc)
         rows.append(row)
     return LaurentMatrix(rows, trunc)
+
+
+def mat_mul_trunc(a: LaurentMatrix, b: LaurentMatrix):
+    """The truncation of ``mat_mul(a, b)``."""
+    ta = a.trunc + b.val() if a.trunc != INF else INF
+    tb = b.trunc + a.val() if b.trunc != INF else INF
+    return min(ta, tb)
 
 
 def laurent_det(a: LaurentMatrix) -> LaurentSeries:
@@ -496,26 +505,30 @@ def mat_exp_nilpotent(m: LaurentMatrix) -> LaurentMatrix:
             raise ValueError(
                 "exponential of an exact non-nilpotent series is infinite; truncate first"
             )
-    return mat_exp_sum(m)
+    return mat_exp_pair(m)[0]
 
 
-def mat_exp_sum(m: LaurentMatrix, cap: Optional[int] = None) -> Optional[LaurentMatrix]:
-    """sum_k m^k / k!, each power clamped to m's truncation (the sum is
-    not known beyond it), up to the first power that vanishes.  The
-    caller vouches that one does; with a cap, None is returned instead
-    when m^cap does not vanish."""
-    out = LaurentMatrix.identity(m.n, m.trunc)
-    term = out
+def mat_exp_pair(m: LaurentMatrix, cap: Optional[int] = None
+                 ) -> Optional[Tuple[LaurentMatrix, LaurentMatrix]]:
+    """(exp(m), exp(-m)) as sum_k (+-m)^k / k! from one sequence of
+    powers m^k, each clamped to m's truncation (the sums are not known
+    beyond it), up to the first power that vanishes; odd terms enter
+    exp(-m) with a minus sign.  The caller vouches that a power
+    vanishes; with a cap, None is returned instead when m^cap does not."""
+    plus = minus = LaurentMatrix.identity(m.n, m.trunc)
+    term = plus
     k = 1
     fact = 1
     while True:
         term = mat_mul(term, m).truncate(m.trunc)
         if term.is_zero():
-            return out
+            return plus, minus
         if k == cap:
             return None
         fact *= k
-        out = out + term * GaussRat(Fraction(1, fact))
+        scaled = term * GaussRat(Fraction(1, fact))
+        plus = plus + scaled
+        minus = minus - scaled if k % 2 else minus + scaled
         k += 1
 
 

@@ -3,19 +3,22 @@ from fractions import Fraction as F
 
 import pytest
 
+import meroconn.connection
 from meroconn.connection import (CanonicalForm, IrregularType, MeroConnection,
-                                 ReductionError, canonical_reduce,
-                                 connection_from_irregular_type,
+                                 ReductionError, _apply_gauge, _grade_slots,
+                                 canonical_reduce, connection_from_irregular_type,
                                  extract_irregular_type, gauge_act,
                                  gauge_orbit_equal, in_irregular_shape,
                                  recover_irregular_shape)
 from meroconn.field import gr
-from meroconn.lmatrix import CMat, LaurentMatrix as LM, mat_mul
+from meroconn.lmatrix import (CMat, LaurentMatrix as LM, mat_exp_pair, mat_inv,
+                              mat_mul)
+from meroconn.selftest import criterion_canonical_suite
 from meroconn.randomgen import (rand_connection, rand_invertible,
                                 rand_parahoric_gauge, rand_small_weight)
 from meroconn.rootdata import Weight, parahoric_member
 from meroconn.selftest import criterion_irregular_invariance
-from meroconn.series import LaurentSeries as LS
+from meroconn.series import INF, LaurentSeries as LS
 
 D11 = CMat.diag([1, -1])
 E12 = CMat.unit(2, 0, 1)
@@ -73,6 +76,158 @@ def test_gauge_action_composition_law():
         lhs = gauge_act(g, gauge_act(h, conn))
         rhs = gauge_act(mat_mul(g, h), conn)
         assert lhs.B.agrees(rhs.B)
+
+
+def _gauge_act_two_products(g, conn, g_inv=None):
+    """The former gauge action, kept as the reference: g B g^-1 and
+    z g' g^-1 as two products, then their difference."""
+    if g_inv is None:
+        g_inv = mat_inv(g)
+    ad_part = mat_mul(mat_mul(g, conn.B), g_inv)
+    d_part = mat_mul(g.zdz(), g_inv)
+    return MeroConnection(ad_part - d_part)
+
+
+def _orbit_equal_by_inverse(c1, c2, g):
+    """The former orbit check, kept as the reference: act by g through
+    its inverse and compare."""
+    try:
+        return _gauge_act_two_products(g, c1).agrees(c2)
+    except (ZeroDivisionError, ValueError):
+        return False
+
+
+def _times_first_row(g, e):
+    """g with its first row multiplied by z^e."""
+    return LM([[x.shift(e) for x in row] if i == 0 else row
+               for i, row in enumerate(g.rows)], g.trunc)
+
+
+def _bump(m, e):
+    """m plus a 1/7 in the last slot at z^e (truncation kept)."""
+    n = m.n
+    return m + LM.monomial(CMat.unit(n, n - 1, 0, F(1, 7)), e)
+
+
+def _reduction_cases(rng, trunc):
+    """(theta, connection, canonical form, gauge) for seeded reductions:
+    n = 2-4, poles 1-3, zero and small weights, and the boundary weight
+    (1, 0) with and without a z^-1 tail entry."""
+    boundary = Weight([1, 0])
+    tail_pole = (LM.monomial(CMat.diag([2, 5]), -2)
+                 + LM.monomial(E12.scale(F(1, 3)), -1)
+                 + LM.from_const(CMat([[1, 4], [0, 7]]))
+                 + LM.monomial(E21, 1))
+    inputs = [(boundary, MeroConnection(tail_pole.truncate(trunc)))]
+    inputs += [(boundary, rand_connection(rng, 2, pole, trunc, boundary)) for pole in (1, 2)]
+    for n in (2, 3, 4):
+        for pole in (1, 2, 3):
+            for theta in (Weight([0] * n), rand_small_weight(rng, n)):
+                inputs.append((theta, rand_connection(rng, n, pole, trunc, theta)))
+    for theta, conn in inputs:
+        canonical, g = canonical_reduce(conn, theta, trunc)
+        yield theta, conn, canonical, g
+
+
+def _orbit_variants(conn, canonical, g, trunc):
+    """(c1, c2, g) triples around a reduction: the reduction itself, c2
+    and g each one coefficient off at z^(T-1) and z^T, c2 known further,
+    a pole-free non-unit g, g with a pole, an exact g, a zero g, and c1
+    truncated below T."""
+    form = canonical.as_connection(trunc)
+    longer = canonical.as_connection(trunc + canonical.pole_order)
+    yield conn, form, g
+    for e in (trunc - 1, trunc):
+        yield conn, MeroConnection(_bump(form.B, e)), g
+        yield conn, MeroConnection(_bump(longer.B, e)), g
+        yield conn, form, _bump(g, e)
+    yield conn, longer, g
+    yield conn, form, _times_first_row(g, 1)
+    yield conn, form, _times_first_row(g, -1)
+    yield conn, form, LM(g.rows, INF)
+    yield conn, form, LM.zero(g.n, g.trunc)
+    yield MeroConnection(conn.B.truncate(trunc - 2)), form, g
+
+
+def test_gauge_orbit_equal_matches_inverse_oracle():
+    rng = random.Random(48)
+    trunc = 6
+    verdicts = []
+    for _theta, conn, canonical, g in _reduction_cases(rng, trunc):
+        for c1, c2, h in _orbit_variants(conn, canonical, g, trunc):
+            want = _orbit_equal_by_inverse(c1, c2, h)
+            assert gauge_orbit_equal(c1, c2, h) == want
+            verdicts.append(want)
+    # both answers occur, so the comparison is not vacuous
+    assert verdicts.count(True) >= 20 and verdicts.count(False) >= 100
+
+
+def test_gauge_orbit_equal_needs_no_inverse_for_reductions(monkeypatch):
+    # the reducing gauges are integral units: they are verified, and the
+    # near misses refuted, without mat_inv
+    rng = random.Random(49)
+    trunc = 6
+    cases = list(_reduction_cases(rng, trunc))
+
+    def no_inverse(*args, **kwargs):
+        raise AssertionError("mat_inv called")
+
+    monkeypatch.setattr(meroconn.connection, "mat_inv", no_inverse)
+    for theta, conn, canonical, g in cases[1:]:
+        form = canonical.as_connection(trunc)
+        assert gauge_orbit_equal(conn, form, g)
+        assert not gauge_orbit_equal(conn, MeroConnection(_bump(form.B, trunc - 1)), g)
+        assert not gauge_orbit_equal(conn, form, _bump(g, trunc - 1))
+
+
+def test_canonical_criterion_runs_without_inverse(monkeypatch):
+    def no_inverse(*args, **kwargs):
+        raise AssertionError("mat_inv called")
+
+    monkeypatch.setattr(meroconn.connection, "mat_inv", no_inverse)
+    assert criterion_canonical_suite(42, count=10)["passed"]
+
+
+def _single_grade(rng, theta, mu, trunc):
+    """Random u of grade mu > 0 (the gauge generator of one reduction
+    step), with truncation trunc."""
+    n = theta.n
+    rows = [[LS.zero() for _ in range(n)] for _ in range(n)]
+    for a, b, m in _grade_slots(theta, n, mu, -1, trunc):
+        if rng.random() < 0.7:
+            rows[a][b] = LS.monomial(F(rng.randint(-5, 5), rng.randint(1, 4)), m)
+    return LM(rows, trunc)
+
+
+def test_gauge_act_matches_two_product_oracle():
+    rng = random.Random(50)
+    trunc = 8
+    for k in range(12):
+        n = 2 + k % 3
+        theta = Weight([0] * n) if k % 2 else rand_small_weight(rng, n)
+        conn = rand_connection(rng, n, 1 + k % 3, trunc, theta)
+        g = rand_parahoric_gauge(rng, theta, trunc + 2)
+        u = _single_grade(rng, theta, F(1 + k % 2), trunc + 2)
+        e, e_inv = mat_exp_pair(u)
+        # an exact unipotent g: exp(N z) for N strictly upper triangular
+        upper = CMat([[F(rng.randint(-3, 3), 2) if j > i else 0 for j in range(n)]
+                      for i in range(n)])
+        x, x_inv = mat_exp_pair(LM.monomial(upper, 1))
+        assert x.trunc == INF
+        for h, h_inv in ((g, None), (e, e_inv), (e, None), (_times_first_row(g, -1), None),
+                         (x, None), (x, x_inv)):
+            want = _gauge_act_two_products(h, conn, h_inv)
+            got = gauge_act(h, conn, h_inv)
+            assert got.B == want.B and got.B.trunc == want.B.trunc
+
+
+def test_apply_gauge_cap_overrun_raises():
+    # u = E12 z + E21 z is not nilpotent: its powers never vanish
+    u = LM.monomial(E12 + E21, 1, trunc=8)
+    cur = gl2_example().B.truncate(8)
+    with pytest.raises(ReductionError,
+                       match=r"^gauge exponential did not terminate \(grading violated\)$"):
+        _apply_gauge(cur, u, LM.identity(2, 9), 3)
 
 
 # ---------------------------------------------------------------------

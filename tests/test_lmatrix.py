@@ -3,9 +3,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from meroconn.field import gr
+from meroconn.field import GaussRat, gr
+from meroconn.jsonio import enc_lmatrix
 from meroconn.lmatrix import (CMat, LaurentMatrix as LM, mat_exp_nilpotent,
-                              mat_inv, mat_mul)
+                              mat_exp_pair, mat_inv, mat_mul)
 from meroconn.series import INF, LaurentSeries as LS
 
 
@@ -145,3 +146,61 @@ def test_exp_positive_valuation_series():
     m = LM(rows, 6)
     prod = mat_mul(mat_exp_nilpotent(m), mat_exp_nilpotent(-m))
     assert prod.agrees(LM.identity(2))
+
+
+def _exp_sum(m, cap=None):
+    """The former one-sided exponential loop, kept as the reference."""
+    out = LM.identity(m.n, m.trunc)
+    term = out
+    k = 1
+    fact = 1
+    while True:
+        term = mat_mul(term, m).truncate(m.trunc)
+        if term.is_zero():
+            return out
+        if k == cap:
+            return None
+        fact *= k
+        out = out + term * GaussRat(F(1, fact))
+        k += 1
+
+
+def _graded(rng, n, mu, trunc):
+    """Random u with entries c z^m at slot (a, b) only where
+    theta_a - theta_b + m = mu for theta = (1/2, 0, 1/2, 0, ...)."""
+    theta = [F(1, 2) if i % 2 == 0 else F(0) for i in range(n)]
+    rows = [[LS.zero() for _ in range(n)] for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            m = mu - theta[a] + theta[b]
+            if m.denominator == 1 and -1 <= m < trunc and rng.random() < 0.7:
+                rows[a][b] = LS.monomial(gr(F(rng.randint(-5, 5), rng.randint(1, 4)),
+                                            F(rng.randint(-2, 2), 3)), int(m))
+    return LM(rows, trunc)
+
+
+def test_exp_pair_matches_two_one_sided_sums():
+    rng = random.Random(79)
+    cases = 0
+    for k in range(30):
+        n = 2 + k % 3
+        mu = F(1 + k % 4, 2)
+        u = _graded(rng, n, mu, 6 + k % 5)
+        plus, minus = mat_exp_pair(u)
+        for got, want in ((plus, _exp_sum(u)), (minus, _exp_sum(-u))):
+            assert got == want and got.trunc == want.trunc
+            # zero entries keep the same order_min, so printed bytes agree too
+            assert enc_lmatrix(got) == enc_lmatrix(want)
+        assert mat_mul(plus, minus).agrees(LM.identity(n))
+        cases += not u.is_zero()
+    assert cases >= 25
+
+
+def test_exp_pair_cap_overrun():
+    # E12 z + E21 z is not nilpotent: its powers never vanish
+    u = LM.monomial(CMat([[0, 1], [1, 0]]), 1, trunc=8)
+    assert _exp_sum(u, 3) is None and _exp_sum(-u, 3) is None
+    assert mat_exp_pair(u, 3) is None
+    # the same u under a cap it stays within
+    plus, minus = mat_exp_pair(u, 9)
+    assert plus == _exp_sum(u, 9) and minus == _exp_sum(-u, 9)
