@@ -9,8 +9,17 @@ angle expressions decidable:
 * multiply the w_k out (integer exponents) to a single Gaussian
   rational u; the expression is a rational multiple of pi only if u
   lies on an axis or a diagonal;
-* the remaining integer branch is pinned by interval arithmetic
-  (mpmath.iv), refined until the enclosure is narrow enough.
+* the remaining integer branch is pinned by interval arithmetic,
+  refined until the enclosure is narrow enough.
+
+Enclosures are raw ``mpmath.libmp`` interval tuples ``(lo, hi)``, built
+with the same outward-rounded calls (``mpi_div``, ``mpi_mul``,
+``mpi_atan2``, ``mpi_add``) that the ``mpmath.iv`` context makes, so the
+endpoints are those of ``iv`` bit for bit without its object layer.
+``AngleExpr.interval`` wraps the tuple in an ``iv`` number for callers.
+The enclosure of each arg(w) is memoized per (w, precision).  Integer
+parts (branches, principal values) are read off endpoints with exact
+floors and ceilings, never through a float.
 
 Comparison is filtered.  Two rational multiples of pi compare by their
 coefficients.  Every other expression keeps one outward-rounded 64-bit
@@ -28,9 +37,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
 from mpmath import iv
+from mpmath.libmp import (
+    from_int, fzero, mpf_gt, mpf_lt, mpf_pi, mpi_add, mpi_atan2, mpi_cos,
+    mpi_div, mpi_mid, mpi_mul, mpi_sub, round_ceiling, round_floor, to_float,
+    to_int,
+)
 
 from .errors import InternalError
 from .field import GaussRat
@@ -102,19 +117,15 @@ class AngleExpr:
         """Integer B with sum den*q_k*arg(w_k) = (eighth/4)*pi + 2*pi*B."""
         prec = 64
         while prec <= _MAX_PREC:
-            old = iv.prec
-            iv.prec = prec
-            try:
-                total = iv.mpf(0)
-                for q, w in self.terms:
-                    total += _iv_rational(q * den) * _iv_arg_octant(w)
-                b = (total - _iv_rational(Fraction(eighth, 4)) * iv.pi) / (2 * iv.pi)
-                lo = _ceil_interval(b.a)
-                hi = _floor_interval(b.b)
-                if lo == hi:
-                    return lo
-            finally:
-                iv.prec = old
+            total = (fzero, fzero)
+            for q, w in self.terms:
+                total = mpi_add(total, mpi_mul(_mpi_rational(q * den, prec),
+                                               _arg_enclosure(w.t, prec), prec), prec)
+            rest = mpi_mul(_mpi_rational(Fraction(eighth, 4), prec), _mpi_pi(prec), prec)
+            lo, hi = mpi_div(mpi_sub(total, rest, prec), _mpi_two_pi(prec), prec)
+            lo, hi = to_int(lo, round_ceiling), to_int(hi, round_floor)
+            if lo == hi:
+                return lo
             prec *= 2
         raise PrecisionError("branch not pinned at maximum precision")
 
@@ -136,43 +147,40 @@ class AngleExpr:
         if not self.terms and not other.terms:
             d = self.pi_part - other.pi_part
             return (d > 0) - (d < 0)
-        a, b = self._enclosure(), other._enclosure()
-        if a.b < b.a:
+        (alo, ahi), (blo, bhi) = self._enclosure(), other._enclosure()
+        if mpf_lt(ahi, blo):
             return -1
-        if b.b < a.a:
+        if mpf_lt(bhi, alo):
             return 1
         diff = self - other
         if diff.is_zero():
             return 0
         prec = 64
         while prec <= _MAX_PREC:
-            ival = diff.interval(prec)
-            if ival.b < 0:
+            lo, hi = diff.interval(prec)._mpi_
+            if mpf_lt(hi, fzero):
                 return -1
-            if ival.a > 0:
+            if mpf_gt(lo, fzero):
                 return 1
             prec *= 2
         raise PrecisionError("comparison not resolved at maximum precision")
 
     def _enclosure(self):
-        """interval(64), computed once per instance and kept on it (the
-        fields are frozen)."""
-        cached = self.__dict__.get("_iv64")
+        """interval(64) as a libmp tuple, computed once per instance and
+        kept on it (the fields are frozen)."""
+        cached = self.__dict__.get("_enc64")
         if cached is None:
-            cached = self.interval(64)
-            object.__setattr__(self, "_iv64", cached)
+            cached = self.interval(64)._mpi_
+            object.__setattr__(self, "_enc64", cached)
         return cached
 
     def interval(self, prec: int = 64):
-        old = iv.prec
-        iv.prec = prec
-        try:
-            total = _iv_rational(self.pi_part) * iv.pi
-            for q, w in self.terms:
-                total += _iv_rational(q) * _iv_arg_octant(w)
-            return total
-        finally:
-            iv.prec = old
+        """Outward-rounded enclosure at ``prec`` bits, as an ``iv`` number."""
+        total = mpi_mul(_mpi_rational(self.pi_part, prec), _mpi_pi(prec), prec)
+        for q, w in self.terms:
+            total = mpi_add(total, mpi_mul(_mpi_rational(q, prec),
+                                           _arg_enclosure(w.t, prec), prec), prec)
+        return iv.make_mpf(total)
 
     def principal(self) -> "AngleExpr":
         """The representative in [0, 2*pi) modulo 2*pi."""
@@ -181,21 +189,16 @@ class AngleExpr:
             return AngleExpr.of_pi(r - 2 * (r // 2))
         prec = 64
         while prec <= _MAX_PREC:
-            old = iv.prec
-            iv.prec = prec
-            try:
-                b = self.interval(prec) / (2 * iv.pi)
-                lo = _floor_interval(b.a)
-                hi = _floor_interval(b.b)
-                if lo == hi:
-                    return self.shift_pi(Fraction(-2 * lo))
-            finally:
-                iv.prec = old
+            lo, hi = mpi_div(self.interval(prec)._mpi_, _mpi_two_pi(prec), prec)
+            lo, hi = to_int(lo, round_floor), to_int(hi, round_floor)
+            if lo == hi:
+                return self.shift_pi(Fraction(-2 * lo))
             prec *= 2
         raise PrecisionError("principal value not resolved")  # pragma: no cover
 
     def __float__(self):
-        return float(iv.mpf(self.interval(64).mid))
+        # the midpoint at 53 bits, the default precision of mpmath.iv
+        return to_float(mpi_mid(self.interval(64)._mpi_, 53))
 
     def __repr__(self):
         if not self.terms:
@@ -290,26 +293,32 @@ def _octant_index(c: GaussRat) -> int:
 
 
 # ----------------------------------------------------------------------
-# interval helpers
+# interval helpers (libmp (lo, hi) tuples)
 # ----------------------------------------------------------------------
 
-def _iv_rational(q: Fraction):
-    return iv.mpf(q.numerator) / iv.mpf(q.denominator)
+def _mpi_int(n: int, prec: int):
+    return from_int(n, prec, round_floor), from_int(n, prec, round_ceiling)
 
 
-def _iv_arg_octant(w: GaussRat):
-    re, im = w.re, w.im
-    y = _iv_rational(im)
-    x = _iv_rational(re)
-    return iv.atan2(y, x)
+def _mpi_rational(q: Fraction, prec: int):
+    return mpi_div(_mpi_int(q.numerator, prec), _mpi_int(q.denominator, prec), prec)
 
 
-def _floor_interval(x) -> int:
-    return math.floor(float(iv.mpf(x)))
+@lru_cache(maxsize=8)
+def _mpi_pi(prec: int):
+    return mpf_pi(prec, round_floor), mpf_pi(prec, round_ceiling)
 
 
-def _ceil_interval(x) -> int:
-    return math.ceil(float(iv.mpf(x)))
+@lru_cache(maxsize=8)
+def _mpi_two_pi(prec: int):
+    return mpi_mul(_mpi_int(2, prec), _mpi_pi(prec), prec)
+
+
+@lru_cache(maxsize=4096)
+def _arg_enclosure(t, prec: int):
+    """arg(w) for w = GaussRat.from_triple(t) in the open first octant."""
+    w = GaussRat.from_triple(t)
+    return mpi_atan2(_mpi_rational(w.im, prec), _mpi_rational(w.re, prec), prec)
 
 
 # ----------------------------------------------------------------------
@@ -323,15 +332,10 @@ def cos_sign(expr: AngleExpr) -> int:
         return 0
     prec = 64
     while prec <= _MAX_PREC:
-        old = iv.prec
-        iv.prec = prec
-        try:
-            c = iv.cos(expr.interval(prec))
-            if c.a > 0:
-                return 1
-            if c.b < 0:
-                return -1
-        finally:
-            iv.prec = old
+        lo, hi = mpi_cos(expr.interval(prec)._mpi_, prec)
+        if mpf_gt(lo, fzero):
+            return 1
+        if mpf_lt(hi, fzero):
+            return -1
         prec *= 2
     raise PrecisionError("cosine sign not resolved")  # pragma: no cover

@@ -379,10 +379,12 @@ def canonical_reduce(conn: MeroConnection, theta: Optional[Weight] = None,
     polar = {j: _diag_entries(conn.polar_coeff(j)) for j in range(1, npole + 1)}
     cap = _exp_cap(theta, T, npole)
 
+    _require_residue_window(cur)
     for mu in _grade_sequence(theta, n, T, Fraction(0)):
         cur, g_total = _normalize_grade(
             cur, g_total, theta, mu, polar, T, W, cap
         )
+        _require_residue_window(cur)
 
     canonical = CanonicalForm(
         polar={j: CMat.diag(polar[j]) for j in polar if any(not e.is_zero() for e in polar[j])},
@@ -390,6 +392,17 @@ def canonical_reduce(conn: MeroConnection, theta: Optional[Weight] = None,
     )
     _assert_reduced(cur, canonical, T)
     return canonical, g_total
+
+
+def _require_residue_window(cur: LaurentMatrix):
+    """Each gauge step can shorten the known window of ``cur``; once it no
+    longer reaches z^0 the residue is unknown, so stop rather than read
+    the zeros beyond the window."""
+    if cur.trunc <= 0:
+        raise ReductionError(
+            f"truncation window lost: the connection is known only below z^{cur.trunc}, "
+            "so the residue (the z^0 coefficient) is undetermined"
+        )
 
 
 def _normalize_grade(cur, g_total, theta, mu, polar, T, W, cap):

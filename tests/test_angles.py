@@ -1,10 +1,14 @@
 import functools
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from mpmath import iv
 
-from meroconn.angles import AngleExpr, arg_angle, cos_sign
+from meroconn.angles import (AngleExpr, PrecisionError, _axis_diag_eighths, arg_angle,
+                             cos_sign)
 from meroconn.field import gr
 
 
@@ -162,3 +166,261 @@ def test_filtered_compare_falls_back_below_enclosure_width():
     assert a.compare(b) == 1 == reference_compare(a, b)
     assert b.compare(a) == -1
     assert a.compare(a + AngleExpr.of_pi(0)) == 0
+
+
+def test_principal_below_negative_multiples_of_two_pi():
+    # x is about 1e-60 > 0, so -2k*pi - x lies just below a multiple of
+    # 2*pi; its principal value is 2*pi - x, not a negative angle
+    x = arg_angle(gr(10**30, 1)) - arg_angle(gr(10**30 + 1, 1))
+    assert x.compare(AngleExpr.of_pi(0)) == 1
+    for k in (-2, -4, -6, 0, 2):
+        a = AngleExpr.of_pi(k) - x
+        p = a.principal()
+        assert p.compare(AngleExpr.of_pi(0)) == 1
+        assert p.compare(AngleExpr.of_pi(2)) == -1
+        assert (p - (AngleExpr.of_pi(2) - x)).is_zero()
+        assert (a - p).pi_ratio() == k - 2
+
+
+# ---------------------------------------------------------------------
+# the mpmath.iv implementation of the enclosures, kept as an oracle
+# ---------------------------------------------------------------------
+
+def _iv_rational(q):
+    return iv.mpf(q.numerator) / iv.mpf(q.denominator)
+
+
+def _iv_arg_octant(w):
+    re, im = w.re, w.im
+    y = _iv_rational(im)
+    x = _iv_rational(re)
+    return iv.atan2(y, x)
+
+
+def _floor_interval(x):
+    return math.floor(float(iv.mpf(x)))
+
+
+def _ceil_interval(x):
+    return math.ceil(float(iv.mpf(x)))
+
+
+def iv_interval(expr, prec=64):
+    old = iv.prec
+    iv.prec = prec
+    try:
+        total = _iv_rational(expr.pi_part) * iv.pi
+        for q, w in expr.terms:
+            total += _iv_rational(q) * _iv_arg_octant(w)
+        return total
+    finally:
+        iv.prec = old
+
+
+def iv_branch(expr, den, eighth):
+    prec = 64
+    while prec <= 2048:
+        old = iv.prec
+        iv.prec = prec
+        try:
+            total = iv.mpf(0)
+            for q, w in expr.terms:
+                total += _iv_rational(q * den) * _iv_arg_octant(w)
+            b = (total - _iv_rational(F(eighth, 4)) * iv.pi) / (2 * iv.pi)
+            lo = _ceil_interval(b.a)
+            hi = _floor_interval(b.b)
+            if lo == hi:
+                return lo
+        finally:
+            iv.prec = old
+        prec *= 2
+    raise PrecisionError("branch not pinned at maximum precision")
+
+
+def iv_pi_ratio(expr):
+    if not expr.terms:
+        return expr.pi_part
+    den = 1
+    for q, _ in expr.terms:
+        den = math.lcm(den, q.denominator)
+    u = gr(1)
+    for q, w in expr.terms:
+        u = u * w ** int(q * den)
+    eighth = _axis_diag_eighths(u)
+    if eighth is None:
+        return None
+    branch = iv_branch(expr, den, eighth)
+    return (expr.pi_part * den + F(eighth, 4) + 2 * branch) / den
+
+
+def iv_compare(a, b):
+    if not a.terms and not b.terms:
+        d = a.pi_part - b.pi_part
+        return (d > 0) - (d < 0)
+    ea, eb = iv_interval(a, 64), iv_interval(b, 64)
+    if ea.b < eb.a:
+        return -1
+    if eb.b < ea.a:
+        return 1
+    diff = a - b
+    if iv_pi_ratio(diff) == 0:
+        return 0
+    prec = 64
+    while prec <= 2048:
+        ival = iv_interval(diff, prec)
+        if ival.b < 0:
+            return -1
+        if ival.a > 0:
+            return 1
+        prec *= 2
+    raise PrecisionError("comparison not resolved at maximum precision")
+
+
+def iv_principal(expr):
+    r = iv_pi_ratio(expr)
+    if r is not None:
+        return AngleExpr.of_pi(r - 2 * (r // 2))
+    prec = 64
+    while prec <= 2048:
+        old = iv.prec
+        iv.prec = prec
+        try:
+            b = iv_interval(expr, prec) / (2 * iv.pi)
+            lo = _floor_interval(b.a)
+            hi = _floor_interval(b.b)
+            if lo == hi:
+                return expr.shift_pi(F(-2 * lo))
+        finally:
+            iv.prec = old
+        prec *= 2
+    raise PrecisionError("principal value not resolved")
+
+
+def iv_float(expr):
+    return float(iv.mpf(iv_interval(expr, 64).mid))
+
+
+def iv_cos_sign(expr):
+    r = iv_pi_ratio(expr - AngleExpr.of_pi(F(1, 2)))
+    if r is not None and r.denominator == 1:
+        return 0
+    prec = 64
+    while prec <= 2048:
+        old = iv.prec
+        iv.prec = prec
+        try:
+            c = iv.cos(iv_interval(expr, prec))
+            if c.a > 0:
+                return 1
+            if c.b < 0:
+                return -1
+        finally:
+            iv.prec = old
+        prec *= 2
+    raise PrecisionError("cosine sign not resolved")
+
+
+def _edge_cases():
+    """A 1e-60 near-tie around multiples of pi/4 and of 2*pi, axis and
+    diagonal arguments, and equal angles written differently: pairs
+    among them need escalated enclosures or the exact test to compare."""
+    cases = []
+    tiny = arg_angle(gr(10**30, 1)) - arg_angle(gr(10**30 + 1, 1))
+    for k in (F(-4), F(-2), F(-1, 4), F(0), F(1, 4), F(1, 2), F(2), F(7, 4)):
+        cases += [AngleExpr.of_pi(k) + tiny, AngleExpr.of_pi(k) - tiny]
+    for c in (gr(1), gr(-1), gr(0, 1), gr(0, -1), gr(1, 1), gr(-1, 1),
+              gr(-1, -1), gr(1, -1), gr(10**30, 1), gr(1, 10**30)):
+        cases.append(arg_angle(c))
+        cases.append(arg_angle(c).scale(F(-3, 2)).shift_pi(F(5, 4)))
+    w1, w2 = gr(2, 1), gr(3, 1)
+    cases.append(arg_angle(w1) + arg_angle(w2))   # = pi/4, written with two args
+    cases.append(arg_angle(w1 * w2))
+    return cases
+
+
+def _oracle_cases(rng, count):
+    return [rand_angle(rng) for _ in range(count)] + _edge_cases()
+
+
+def test_enclosures_match_iv_oracle_bit_for_bit():
+    rng = random.Random(5213)
+    cases = _oracle_cases(rng, 120)
+    for i, a in enumerate(cases):
+        for prec in (64, 128, 256, 512, 1024, 2048) if i % 8 == 0 else (64, 128):
+            assert a.interval(prec)._mpi_ == iv_interval(a, prec)._mpi_
+        assert float(a) == iv_float(a)
+        assert a.pi_ratio() == iv_pi_ratio(a)
+        assert cos_sign(a) == iv_cos_sign(a)
+        b = cases[(7 * i + 3) % len(cases)]
+        assert a.compare(b) == iv_compare(a, b)
+        assert b.compare(a) == iv_compare(b, a)
+    edges = _edge_cases()
+    for a in edges:
+        for b in edges:
+            assert a.compare(b) == iv_compare(a, b)
+    assert iv.prec == 53
+
+
+def test_principal_matches_iv_oracle_off_the_repro_cases():
+    rng = random.Random(5214)
+    two_pi = AngleExpr.of_pi(2)
+    zero = AngleExpr.of_pi(0)
+    differ = 0
+    for a in _oracle_cases(rng, 150):
+        p, o = a.principal(), iv_principal(a)
+        assert zero.compare(p) <= 0 and p.compare(two_pi) < 0
+        if zero.compare(o) <= 0:
+            assert (p.pi_part, p.terms) == (o.pi_part, o.terms)
+        else:
+            # the float floor put o just below 0: one full turn apart
+            assert (p - o).pi_ratio() == 2
+            differ += 1
+    assert differ >= 2  # -2*pi - tiny and -4*pi - tiny among the cases
+
+
+# ---------------------------------------------------------------------
+# properties: compare is a total order, principal values lie in [0, 2pi)
+# ---------------------------------------------------------------------
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+_fractions = st.builds(F, st.integers(-9, 9), st.integers(1, 3))
+_gauss = st.builds(gr, _fractions, _fractions).filter(lambda c: not c.is_zero())
+_arg_terms = st.lists(st.tuples(_gauss, st.builds(F, st.integers(-3, 3), st.integers(1, 3))),
+                      max_size=3)
+
+
+def _build_angle(pi_part, terms):
+    expr = AngleExpr.of_pi(pi_part)
+    for c, q in terms:
+        expr = expr + arg_angle(c).scale(q)
+    return expr
+
+
+angles = st.one_of(
+    st.builds(_build_angle, st.builds(F, st.integers(-8, 8), st.integers(1, 4)), _arg_terms),
+    st.sampled_from(_edge_cases()),
+)
+
+
+@PROPERTY
+@given(angles, angles, angles)
+def test_compare_is_a_total_order(a, b, c):
+    assert a.compare(a) == 0
+    ab, bc, ac = a.compare(b), b.compare(c), a.compare(c)
+    assert b.compare(a) == -ab
+    assert ab == reference_compare(a, b)
+    if ab <= 0 and bc <= 0:
+        assert ac == min(ab, bc)
+    if ab == 0:
+        assert ac == bc
+
+
+@PROPERTY
+@given(angles)
+def test_principal_lies_in_one_turn(a):
+    p = a.principal()
+    assert AngleExpr.of_pi(0).compare(p) <= 0
+    assert p.compare(AngleExpr.of_pi(2)) == -1
+    r = (a - p).pi_ratio()
+    assert r is not None and r.denominator == 1 and r % 2 == 0

@@ -352,6 +352,28 @@ def test_resonant_residue_reported():
     assert extract_irregular_type(conn) == IrregularType(2, {1: (gr(-1), gr(-1))})
 
 
+def window_loss_example():
+    """Boundary weight (1, 0), polar part scalar on the pair (0, 1), a
+    z^-1 entry E12/3: each centralizer kill applies exp(w E12 z^-1) and
+    takes 2 off the known window of the connection."""
+    b = (LM.monomial(CMat.diag([1, 1]), -1)
+         + LM.monomial(E12.scale(F(1, 3)), -1)
+         + LM.from_const(CMat([[1, 4], [0, 7]]))
+         + LM.monomial(E21, 1))
+    return MeroConnection(b.truncate(8)), Weight([1, 0])
+
+
+def test_lost_window_is_a_reduction_error():
+    conn, theta = window_loss_example()
+    assert in_irregular_shape(conn, theta)
+    # the window falls 8 -> 6 -> 4 -> 2 -> 0: z^0 is no longer known
+    with pytest.raises(ReductionError, match="truncation window lost"):
+        canonical_reduce(conn, theta)
+    # a truncation that never covers z^0 is refused up front
+    with pytest.raises(ReductionError, match="known only below z\\^0"):
+        canonical_reduce(gl2_example(), trunc=0)
+
+
 @pytest.mark.parametrize("entry", [canonical_reduce, recover_irregular_shape,
                                    in_irregular_shape, extract_irregular_type])
 @pytest.mark.parametrize("weight", [[0], [0, 0, 0]])

@@ -262,6 +262,24 @@ def test_cli_internal_error_is_a_json_document(tmp_path, monkeypatch, capsys,
     assert doc == {"format": jsonio.FORMAT, "error": message}
 
 
+def test_cli_lost_reduction_window_exits_2(tmp_path, capsys):
+    # theta = (1, 0), B = diag(1,1) z^-1 + E12/3 z^-1 + [[1,4],[0,7]] + E21 z:
+    # the gauge steps use up the window before the residue is known
+    b = (LM.monomial(CMat.diag([1, 1]), -1)
+         + LM.monomial(CMat.unit(2, 0, 1).scale(F(1, 3)), -1)
+         + LM.from_const(CMat([[1, 4], [0, 7]]))
+         + LM.monomial(CMat.unit(2, 1, 0), 1))
+    conn = tmp_path / "conn.json"
+    conn.write_text(json.dumps(jsonio.enc_connection(MeroConnection(b.truncate(8)))))
+    weight = tmp_path / "weight.json"
+    weight.write_text(json.dumps(["1", "0"]))
+    code, doc = run_cli("canonical-form", "--input", str(conn), "--weight", str(weight),
+                        "--trunc", "8", capsys=capsys)
+    assert code == 2
+    assert set(doc) == {"format", "error"}
+    assert "truncation window lost" in doc["error"]
+
+
 def test_cli_violation_exit_code(tmp_path, capsys):
     # a representation violating the relation exits with code 1
     rep = rand_relation_rep(random.Random(93), 0, 1)

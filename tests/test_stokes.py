@@ -3,6 +3,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from meroconn.angles import AngleExpr, arg_angle
 from meroconn.connection import IrregularType
@@ -266,3 +267,30 @@ def test_one_sort_merge_matches_reference():
         shared += sum(len(sup) > 1 for _, _, _, sup in want)
         rational += sum(ratio is not None for ratio, _, _, _ in want)
     assert shared > 0 and rational > 0
+
+
+_gauss = st.builds(gr, st.builds(F, st.integers(-8, 8), st.integers(1, 4)),
+                   st.builds(F, st.integers(-8, 8), st.integers(1, 4)))
+
+
+@st.composite
+def _uniform_irregular_types(draw):
+    """One polar coefficient with distinct entries: every root has the
+    same leading order, the pole order."""
+    n = draw(st.integers(2, 3))
+    pole = draw(st.integers(1, 3))
+    lead = draw(st.lists(_gauss, min_size=n, max_size=n, unique_by=lambda c: c.t))
+    return IrregularType(n, {pole: tuple(lead)})
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(_uniform_irregular_types())
+def test_anti_stokes_directions_invariant_under_rotation(q):
+    d = anti_stokes(q)
+    assert d.uniform_k
+    step = F(1, d.k)
+    rotated = sorted((a.shift_pi(step).principal() for a in d.angles()),
+                     key=functools.cmp_to_key(lambda x, y: x.compare(y)))
+    assert len(rotated) == len(d.angles())
+    assert all(x.compare(y) == 0 for x, y in zip(rotated, d.angles()))
+    assert rotate_angle_set_invariant(d)
