@@ -47,14 +47,10 @@ from mpmath.libmp import (
     to_int,
 )
 
-from .errors import InternalError
+from .errors import InternalError, PrecisionError
 from .field import GaussRat
 
 _MAX_PREC = 2048
-
-
-class PrecisionError(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)

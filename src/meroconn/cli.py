@@ -3,28 +3,26 @@
 One binary, subcommand style, JSON-only I/O with a versioned format
 field.  Exit codes: 0 success / property verified, 1 property violation
 (witnesses included in the report) or internal error, 2 input error.
+
+Each subcommand imports the modules it runs when it is called, so a call
+loads only its own side of the library.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from . import __version__, jsonio
-from .angles import AngleExpr, PrecisionError
-from .betti import check_relation, check_stability
-from .connection import ReductionError, canonical_reduce
-from .correspondence import (CorrespondenceError, dR_to_Betti, dR_to_Dol,
-                             expected_multiplier, rank1_monodromy_oracle)
-from .errors import InternalError
-from .jsonio import FORMAT, FormatError
-from .modelmetric import (MetricData, TPoly, curvature_e0, higgs_extraction,
-                          pseudo_curvature, sl2_identity_suite,
-                          weight_jump_check)
-from .selftest import run_selftest
-from .stokes import StokesError, anti_stokes, half_periods, stokes_dim_check
+from .errors import InternalError, PrecisionError
+from .jsonio import FORMAT
+
+if TYPE_CHECKING:
+    from .angles import AngleExpr
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -47,8 +45,16 @@ class _InputError(Exception):
     pass
 
 
-def _emit(doc) -> None:
-    print(json.dumps(doc, indent=2, sort_keys=True))
+def _emit(doc, indent=2) -> None:
+    try:
+        print(json.dumps(doc, indent=indent, sort_keys=True))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe.  Point fd 1 at devnull so that the
+        # flush at interpreter exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _angle_doc(angle: AngleExpr):
@@ -64,6 +70,8 @@ def _angle_doc(angle: AngleExpr):
 # ----------------------------------------------------------------------
 
 def cmd_canonical_form(args) -> int:
+    from .connection import canonical_reduce
+
     conn = jsonio.dec_connection(_load(args.input))
     theta = None
     if args.weight:
@@ -81,6 +89,8 @@ def cmd_canonical_form(args) -> int:
 
 
 def cmd_antistokes(args) -> int:
+    from .stokes import anti_stokes
+
     q = jsonio.dec_irregular(_load(args.irregular_type))
     diagram = anti_stokes(q)
     doc = {
@@ -108,6 +118,8 @@ def cmd_antistokes(args) -> int:
 
 
 def cmd_stokes_dim(args) -> int:
+    from .stokes import anti_stokes, half_periods, stokes_dim_check
+
     q = jsonio.dec_irregular(_load(args.irregular_type))
     diagram = anti_stokes(q)
     half = half_periods(diagram)
@@ -126,6 +138,8 @@ def cmd_stokes_dim(args) -> int:
 
 
 def cmd_translate(args) -> int:
+    from .correspondence import dR_to_Betti, dR_to_Dol
+
     if args.source != "dR":
         raise _InputError("only translations out of the de Rham side are implemented")
     local = jsonio.dec_de_rham(_load(args.input))
@@ -167,6 +181,8 @@ def cmd_translate(args) -> int:
 
 
 def cmd_check_relation(args) -> int:
+    from .betti import check_relation
+
     rep = jsonio.dec_rep(_load(args.rep))
     holds = check_relation(rep)
     _emit({
@@ -178,6 +194,8 @@ def cmd_check_relation(args) -> int:
 
 
 def cmd_stability(args) -> int:
+    from .betti import check_stability
+
     rep_doc = _load(args.rep)
     weights_doc = _load(args.weights)
     filtered = jsonio.dec_filtered_rep(rep_doc, weights_doc)
@@ -199,6 +217,11 @@ def cmd_stability(args) -> int:
 
 
 def cmd_verify_metric(args) -> int:
+    from .correspondence import dR_to_Dol
+    from .modelmetric import (MetricData, TPoly, curvature_e0, higgs_extraction,
+                              pseudo_curvature, sl2_identity_suite,
+                              weight_jump_check)
+
     local = jsonio.dec_de_rham(_load(args.input))
     data = MetricData.from_de_rham(local)
     identities = sl2_identity_suite(data.triple)
@@ -233,6 +256,8 @@ def cmd_verify_metric(args) -> int:
 
 
 def cmd_oracle_monodromy(args) -> int:
+    from .correspondence import expected_multiplier, rank1_monodromy_oracle
+
     try:
         b = Fraction(args.b)
     except ValueError:
@@ -257,6 +282,8 @@ def cmd_oracle_monodromy(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from .selftest import run_selftest
+
     report = run_selftest(seed=args.seed, trunc=args.trunc, quick=args.quick)
     _emit(report)
     return EXIT_OK if report["passed"] else EXIT_VIOLATION
@@ -333,18 +360,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Every module's input error (FormatError, ReductionError,
+    # StokesError, CorrespondenceError, ...) is a ValueError.
     try:
         return args.fn(args)
-    except (_InputError, FormatError) as exc:
-        print(json.dumps({"format": FORMAT, "error": str(exc)}, sort_keys=True))
-        return EXIT_INPUT
-    except (ReductionError, StokesError, CorrespondenceError, ValueError,
-            ZeroDivisionError, PrecisionError) as exc:
-        print(json.dumps({"format": FORMAT, "error": str(exc)}, sort_keys=True))
-        return EXIT_INPUT
+    except (_InputError, ValueError, ZeroDivisionError, PrecisionError) as exc:
+        error, code = str(exc), EXIT_INPUT
     except InternalError as exc:
-        print(json.dumps({"format": FORMAT, "error": str(exc)}, sort_keys=True))
-        return EXIT_VIOLATION
+        error, code = str(exc), EXIT_VIOLATION
+    _emit({"format": FORMAT, "error": error}, indent=None)
+    return code
 
 
 if __name__ == "__main__":

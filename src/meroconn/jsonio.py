@@ -9,16 +9,20 @@ row-major.  Every top-level document carries a "format" field.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Any, Dict, List
+from typing import TYPE_CHECKING, Any, Dict, List
 
-from .betti import FilteredStokesRep, PunctureData, StokesRep
 from .connection import CanonicalForm, IrregularType, MeroConnection
-from .correspondence import DeRhamLocal
 from .field import GaussRat
 from .lmatrix import CMat, LaurentMatrix
 from .rootdata import Character, ParabolicSpec, Weight
 from .series import INF, LaurentSeries
-from .stokes import anti_stokes
+
+# The Betti, Stokes and dictionary modules are imported inside the
+# decoders that build their objects, so that encoding and decoding a
+# connection loads none of them.
+if TYPE_CHECKING:
+    from .betti import FilteredStokesRep, StokesRep
+    from .correspondence import DeRhamLocal
 
 FORMAT = "meroconn/1"
 
@@ -205,6 +209,9 @@ def enc_rep(rep: StokesRep) -> Dict[str, Any]:
 
 
 def dec_rep(obj) -> StokesRep:
+    from .betti import PunctureData, StokesRep
+    from .stokes import anti_stokes
+
     if not isinstance(obj, dict):
         raise FormatError("representation document must be a JSON object")
     try:
@@ -237,6 +244,8 @@ def dec_rep(obj) -> StokesRep:
 
 
 def dec_filtered_rep(rep_obj, weights_obj) -> FilteredStokesRep:
+    from .betti import FilteredStokesRep
+
     rep = dec_rep(rep_obj)
     if isinstance(weights_obj, dict):
         weights_obj = weights_obj.get("weights", weights_obj)
@@ -251,6 +260,8 @@ def dec_filtered_rep(rep_obj, weights_obj) -> FilteredStokesRep:
 # ----------------------------------------------------------------------
 
 def dec_de_rham(obj) -> DeRhamLocal:
+    from .correspondence import DeRhamLocal
+
     if not isinstance(obj, dict):
         raise FormatError("local-data document must be a JSON object")
     try:

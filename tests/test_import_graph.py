@@ -1,0 +1,94 @@
+"""The import graph stays lazy: a CLI call loads only the modules its
+subcommand runs, and ``import meroconn`` loads none.
+
+Each check runs in a fresh interpreter so that ``sys.modules`` holds
+only what the code under test imported.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+DATA = Path(__file__).parent / "data"
+
+
+def _run(script, *args):
+    proc = subprocess.run([sys.executable, "-c", script, *args], capture_output=True,
+                          text=True, env=dict(os.environ), check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+_LOADED = ("print(json.dumps(sorted(m for m in sys.modules"
+           " if m.startswith('meroconn.'))))\n")
+
+
+def test_canonical_form_loads_only_the_de_rham_side():
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from meroconn.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['canonical-form', '--input', sys.argv[1]]) == 0\n"
+        + _LOADED
+    )
+    loaded = set(_run(script, str(DATA / "conn_gl2.json")))
+    assert "meroconn.connection" in loaded
+    unwanted = {f"meroconn.{m}" for m in ("selftest", "randomgen", "modelmetric",
+                                          "correspondence", "stokes", "betti", "angles")}
+    assert not loaded & unwanted, sorted(loaded & unwanted)
+
+
+def test_import_meroconn_loads_no_submodule():
+    assert _run("import json, sys\nimport meroconn\n" + _LOADED) == []
+
+
+def test_public_names_resolve_lazily():
+    script = (
+        "import importlib, json\n"
+        "import meroconn\n"
+        "for name in meroconn.__all__:\n"
+        "    value = getattr(meroconn, name)\n"
+        "    if name != '__version__':\n"
+        "        home = importlib.import_module('meroconn.' + meroconn._SOURCE[name])\n"
+        "        assert value is getattr(home, name), name\n"
+        "space = {}\n"
+        "exec('from meroconn import *', space)\n"
+        "assert all(space[name] is getattr(meroconn, name) for name in meroconn.__all__)\n"
+        "assert set(meroconn.__all__) <= set(dir(meroconn))\n"
+        "from meroconn import betti, jsonio\n"
+        "assert betti.__name__ == 'meroconn.betti' and jsonio.__name__ == 'meroconn.jsonio'\n"
+        "try:\n"
+        "    meroconn.no_such_name\n"
+        "except AttributeError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise AssertionError('unknown name resolved')\n"
+        "from meroconn import angles, errors\n"
+        "assert angles.PrecisionError is errors.PrecisionError\n"
+        "print(json.dumps(len(meroconn.__all__)))\n"
+    )
+    assert _run(script) > 50
+
+
+def test_every_input_error_is_a_value_error():
+    # main() maps ValueError (and PrecisionError) to exit 2 and
+    # InternalError to exit 1; a new error class must fit that split
+    import importlib
+    import pkgutil
+
+    import meroconn
+    from meroconn.errors import InternalError, PrecisionError
+
+    classes = set()
+    for info in pkgutil.iter_modules(meroconn.__path__):
+        module = importlib.import_module(f"meroconn.{info.name}")
+        classes |= {v for v in vars(module).values()
+                    if isinstance(v, type) and issubclass(v, Exception)
+                    and v.__module__ == module.__name__}
+    others = {c.__name__ for c in classes if not issubclass(c, ValueError)}
+    assert others == {"InternalError", "PrecisionError", "_InputError"}
+    assert {"FormatError", "ReductionError", "StokesError",
+            "CorrespondenceError"} <= {c.__name__ for c in classes}
+    assert not issubclass(InternalError, ValueError)
+    assert not issubclass(PrecisionError, (ValueError, InternalError))

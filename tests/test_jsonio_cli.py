@@ -197,13 +197,14 @@ def test_cli_malformed_stokes_betti_inputs(tmp_path, capsys, command, flag, doc,
 
 
 def test_cli_precision_error_is_an_input_error(monkeypatch, capsys):
-    import meroconn.cli
+    import meroconn.stokes
     from meroconn.angles import PrecisionError
 
     def give_up(q):
         raise PrecisionError("angle comparison did not resolve")
 
-    monkeypatch.setattr(meroconn.cli, "anti_stokes", give_up)
+    # antistokes imports anti_stokes from meroconn.stokes when it runs
+    monkeypatch.setattr(meroconn.stokes, "anti_stokes", give_up)
     code, doc = run_cli("antistokes", "--irregular-type",
                         str(DATA / "q_gl2.json"), capsys=capsys)
     assert code == 2
@@ -303,6 +304,21 @@ def test_console_script_deterministic_output():
     second = subprocess.run(cmd, capture_output=True, env=env, check=True)
     assert first.stdout == second.stdout
     assert first.stdout.strip()
+
+
+def test_closed_stdout_pipe_exits_without_traceback():
+    # the reader is gone before the CLI starts, so every write to stdout fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "meroconn.cli", "canonical-form",
+                               "--input", str(DATA / "conn_gl2.json")],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              env=dict(os.environ), timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode in (0, 1, 2)
+    assert b"Traceback" not in proc.stderr, proc.stderr.decode()
 
 
 def test_translate_runs_without_sympy():

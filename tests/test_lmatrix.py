@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from meroconn.field import GaussRat, gr
 from meroconn.jsonio import enc_lmatrix
@@ -96,6 +97,62 @@ def test_inverse_random_units():
         n = 2 + k % 2
         m = rand_unit_matrix(rng, n, trunc=7)
         assert mat_mul(mat_inv(m), m).agrees(LM.identity(n))
+
+
+PROPERTY = settings(max_examples=20, deadline=None, derandomize=True, database=None)
+
+_small = st.builds(gr, st.builds(F, st.integers(-3, 3), st.integers(1, 3)),
+                   st.builds(F, st.integers(-3, 3), st.integers(1, 3)))
+
+
+@st.composite
+def units(draw):
+    """n = 2-4, trunc 2-6: L*U (unit-diagonal U, nonzero diagonal L) plus
+    a sparse tail z^1 .. z^(trunc-1), a unit of G(R)."""
+    n = draw(st.integers(2, 4))
+    trunc = draw(st.integers(2, 6))
+    lower = CMat([[draw(_small.filter(lambda c: not c.is_zero())) if i == j
+                   else draw(_small) if j < i else 0 for j in range(n)] for i in range(n)])
+    upper = CMat([[1 if i == j else draw(_small) if j > i else 0 for j in range(n)]
+                  for i in range(n)])
+    terms = [(lower * upper, 0)]
+    for e in range(1, trunc):
+        terms.append((CMat([[draw(st.one_of(st.just(gr(0)), _small)) for _ in range(n)]
+                            for _ in range(n)]), e))
+    return sum((LM.monomial(c, e) for c, e in terms[1:]),
+               LM.from_const(terms[0][0])).truncate(trunc)
+
+
+def _torus(exps):
+    return LM([[LS.monomial(1, e) if i == j else LS.zero() for j, _ in enumerate(exps)]
+               for i, e in enumerate(exps)])
+
+
+@PROPERTY
+@given(units())
+def test_inverse_of_a_unit_round_trips(m):
+    inv = mat_inv(m)
+    ident = LM.identity(m.n)
+    assert inv.trunc == m.trunc
+    assert mat_mul(m, inv).agrees(ident) and mat_mul(inv, m).agrees(ident)
+    back = mat_inv(inv)
+    assert back.trunc == m.trunc and back.agrees(m)
+
+
+@PROPERTY
+@given(units(), st.data())
+def test_inverse_pulls_off_torus_factors(u, data):
+    # z^r * u * z^c with exponents in [-2, 2]: the row and column
+    # valuations are divided out before the unit is inverted.  The
+    # product keeps one common truncation, so the spreads of r and c must
+    # stay below u's, or some entry of u loses its constant term.
+    exps = st.lists(st.integers(-2, 2), min_size=u.n, max_size=u.n)
+    r, c = data.draw(exps), data.draw(exps)
+    assume(max(r) - min(r) + max(c) - min(c) < u.trunc)
+    m = mat_mul(mat_mul(_torus(r), u), _torus(c))
+    inv = mat_inv(m)
+    ident = LM.identity(m.n)
+    assert mat_mul(m, inv).agrees(ident) and mat_mul(inv, m).agrees(ident)
 
 
 # ---------------------------------------------------------------------

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from meroconn.field import gr
 from meroconn.series import INF, LaurentSeries as LS, series_val
@@ -110,3 +111,78 @@ def test_cancelled_zero_equals_zero():
     assert len({diff, LS.zero(), LS(5, [0, 0])}) == 1
     assert diff != LS.zero(trunc=4)
     assert LS.from_dict({2: 1}) != LS.from_dict({3: 1})
+
+
+# ---------------------------------------------------------------------
+# properties: ring laws, with the truncation each operation propagates
+# ---------------------------------------------------------------------
+
+PROPERTY = settings(max_examples=50, deadline=None, derandomize=True, database=None)
+
+_fractions = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
+_coeffs = st.one_of(st.just(gr(0)), st.builds(gr, _fractions, _fractions))
+
+
+@st.composite
+def series(draw, exact=True):
+    """Windows of up to 7 coefficients from z^-3 on; trunc is INF (when
+    ``exact``) or anywhere from the window's start to 4 past its end."""
+    lo = draw(st.integers(-3, 3))
+    coeffs = draw(st.lists(_coeffs, max_size=7))
+    if exact and draw(st.booleans()):
+        return LS(lo, coeffs)
+    return LS(lo, coeffs, lo + draw(st.integers(0, len(coeffs) + 4)))
+
+
+def _nonzero(s):
+    return not s.is_zero()
+
+
+@PROPERTY
+@given(series(), series(), series())
+def test_addition_is_a_commutative_group_with_min_truncation(a, b, c):
+    assert a + b == b + a
+    assert (a + b) + c == a + (b + c)
+    assert (a + b).trunc == min(a.trunc, b.trunc)
+    assert a + LS.zero() == a
+    assert (a - a) == LS.zero(trunc=a.trunc)
+    assert -(-a) == a
+
+
+@PROPERTY
+@given(series(), series(), series())
+def test_multiplication_is_commutative_and_associative(a, b, c):
+    assert a * b == b * a
+    assert (a * b) * c == a * (b * c)
+    assert a * LS.const(1) == a
+
+
+@PROPERTY
+@given(series().filter(_nonzero), series().filter(_nonzero))
+def test_product_truncation_and_valuation(a, b):
+    # a nonzero factor is known past its valuation, so a product of two
+    # nonzero series is nonzero, and exact while both factors are
+    prod = a * b
+    assert prod.val() == a.val() + b.val()
+    assert prod.coeff(prod.val()) == a.coeff(a.val()) * b.coeff(b.val())
+    assert prod.trunc == min(a.trunc + b.val(), b.trunc + a.val())
+
+
+@PROPERTY
+@given(series(), series(), series())
+def test_distributivity_up_to_the_common_truncation(a, b, c):
+    # cancellation in b + c can only raise its valuation, so the left
+    # side is never known less far than the right
+    lhs, rhs = a * (b + c), a * b + a * c
+    assert lhs.agrees(rhs)
+    assert lhs.trunc >= rhs.trunc
+
+
+@PROPERTY
+@given(series(exact=False).filter(_nonzero))
+def test_inverse_is_exact_below_its_truncation(a):
+    v = a.val()
+    inv = a.inverse()
+    assert inv.trunc == a.trunc - 2 * v
+    assert inv.val() == -v
+    assert a * inv == LS.const(1, trunc=a.trunc - v)
