@@ -72,22 +72,64 @@ def qdiv(x, y):
 
 def qconv(xs, ys, nout):
     """Truncated convolution: out[k] = sum_{i+j=k} xs[i]*ys[j] for k < nout."""
-    out = [ZERO] * nout
-    nx = len(xs)
-    ny = len(ys)
-    for i in range(min(nx, nout)):
-        x = xs[i]
-        if x[0] == 0 and x[1] == 0:
+    return qconvsum(((0, xs, ys),), nout)
+
+
+def qconvsum(terms, nout):
+    """Truncated sum of shifted convolutions: for k < nout,
+    out[k] = sum over (s, xs, ys) in terms of sum_{s+i+j=k} xs[i]*ys[j].
+
+    One entry of a Laurent-matrix product is such a sum.  Each output
+    coefficient is accumulated unnormalized over a common denominator,
+    with a gcd only where a product's denominator differs from the
+    running one, and normalized once (delayed normalization: Henrici,
+    J. ACM 3 (1956); Knuth, TAOCP vol. 2, 4.5.1)."""
+    re = [0] * nout
+    im = [0] * nout
+    den = [1] * nout
+    for s, xs, ys in terms:
+        if s >= nout:
             continue
-        a1, b1, d1 = x
-        jmax = min(ny, nout - i)
-        for j in range(jmax):
-            y = ys[j]
-            if y[0] == 0 and y[1] == 0:
+        # nonzero coefficients only, as (output index, triple)
+        yk = [(s + j, y) for j, y in enumerate(ys[:nout - s]) if y[0] or y[1]]
+        if not yk:
+            continue
+        for i, (a1, b1, d1) in enumerate(xs[:nout - s]):
+            if not (a1 or b1):
                 continue
-            a2, b2, d2 = y
-            t = qnormalize(a1 * y[0] - b1 * y[1], a1 * y[1] + b1 * y[0], d1 * d2)
-            out[i + j] = qadd(out[i + j], t)
+            for k, (a2, b2, d2) in yk:
+                k += i
+                if k >= nout:
+                    break
+                if b1 or b2:
+                    pr = a1 * a2 - b1 * b2
+                    pi = a1 * b2 + b1 * a2
+                else:
+                    pr = a1 * a2
+                    pi = 0
+                d = d1 * d2
+                dk = den[k]
+                if d == dk:
+                    re[k] += pr
+                    im[k] += pi
+                elif re[k] or im[k]:
+                    g = gcd(dk, d)
+                    fa = d // g
+                    fp = dk // g
+                    re[k] = re[k] * fa + pr * fp
+                    im[k] = im[k] * fa + pi * fp
+                    den[k] = dk * fa
+                else:
+                    re[k] = pr
+                    im[k] = pi
+                    den[k] = d
+    out = [ZERO] * nout
+    for k in range(nout):
+        a, b = re[k], im[k]
+        if a or b:
+            d = den[k]
+            g = gcd(a, b, d)
+            out[k] = (a // g, b // g, d // g) if g > 1 else (a, b, d)
     return out
 
 

@@ -15,6 +15,7 @@ import math
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
+from . import _kernel as K
 from .field import GaussRat
 from .series import INF, LaurentSeries
 
@@ -226,7 +227,11 @@ def _check_dim(a, b):
 
 
 class LaurentMatrix:
-    """n x n matrix of Laurent series sharing a common truncation."""
+    """n x n matrix of Laurent series sharing a common truncation.
+
+    The truncation is the minimum of ``trunc`` (if given) and the
+    entries' own truncations, and every entry is cut to it: an entry is
+    never read beyond what it knows."""
 
     __slots__ = ("n", "rows", "trunc")
 
@@ -242,8 +247,7 @@ class LaurentMatrix:
             for x in row:
                 if not isinstance(x, LaurentSeries):
                     x = LaurentSeries.const(x)
-                if trunc is None:
-                    t = min(t, x.trunc)
+                t = min(t, x.trunc)
                 out_row.append(x)
             entries.append(out_row)
         norm = tuple(
@@ -256,6 +260,15 @@ class LaurentMatrix:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", norm)
         object.__setattr__(self, "trunc", t)
+
+    @classmethod
+    def _of(cls, rows, trunc):
+        """From lists of series that are already cut to ``trunc``."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "n", len(rows))
+        object.__setattr__(self, "rows", tuple(map(tuple, rows)))
+        object.__setattr__(self, "trunc", trunc)
+        return self
 
     def __setattr__(self, *a):
         raise AttributeError("LaurentMatrix is immutable")
@@ -371,7 +384,9 @@ class LaurentMatrix:
         return hash((self.trunc, self.rows))
 
     def truncate(self, trunc):
-        return LaurentMatrix(self.rows, min(self.trunc, trunc))
+        if trunc >= self.trunc:
+            return self
+        return LaurentMatrix(self.rows, trunc)
 
     def __repr__(self):
         return f"LaurentMatrix(n={self.n}, trunc={self.trunc})"
@@ -382,30 +397,48 @@ def mat_mul(a: LaurentMatrix, b: LaurentMatrix) -> LaurentMatrix:
 
     The result's truncation is min(a.trunc + val(b), b.trunc + val(a)):
     coefficients below that bound are fully determined by the known
-    windows of the factors.
+    windows of the factors.  Each entry sum_k a_ik b_kj is one kernel
+    call (``qconvsum``), which normalizes each output coefficient once.
     """
     _check_dim(a, b)
-    n = a.n
     trunc = mat_mul_trunc(a, b)
-    zero = LaurentSeries.zero()
+    cols = list(zip(*b.rows))
     rows = []
-    for i in range(n):
-        arow = a.rows[i]
+    for arow in a.rows:
         row = []
-        for j in range(n):
-            acc = None
-            for k in range(n):
-                left = arow[k]
-                if not left.coeffs:
-                    continue
-                right = b.rows[k][j]
-                if not right.coeffs:
-                    continue
-                term = left * right
-                acc = term if acc is None else acc + term
-            row.append(zero if acc is None else acc)
+        for bcol in cols:
+            pairs = [(x, y) for x, y in zip(arow, bcol) if x.coeffs and y.coeffs]
+            e = _fused([(x.order_min + y.order_min, x.coeffs, y.coeffs) for x, y in pairs],
+                       trunc)
+            if e is None:
+                # zero below trunc: the series sum, for the order_min it leaves
+                e = sum((x * y for x, y in pairs), LaurentSeries.zero())
+                e = LaurentSeries._raw(e.order_min, list(e.coeffs), trunc)
+            row.append(e)
         rows.append(row)
-    return LaurentMatrix(rows, trunc)
+    return LaurentMatrix._of(rows, trunc)
+
+
+def _fused(terms, trunc) -> Optional[LaurentSeries]:
+    """The sum of z^s * xs * ys over (s, xs, ys) in ``terms`` as a series
+    known below ``trunc``, or None when that sum is zero.
+
+    A zero entry is left to the caller: the series sums that the kernel
+    replaces give it a path-dependent order_min, which ``enc_series``
+    prints (a - a for a = 1 + 2z has order_min 2), so the caller
+    recomputes it along that path."""
+    if not terms:
+        return None
+    lo = min(s for s, _, _ in terms)
+    hi = max(s + len(xs) + len(ys) - 1 for s, xs, ys in terms)
+    if trunc != INF:
+        hi = min(hi, int(trunc))
+    if hi > lo:
+        e = LaurentSeries._raw(lo, K.qconvsum([(s - lo, xs, ys) for s, xs, ys in terms],
+                                              hi - lo), trunc)
+        if e.coeffs:
+            return e
+    return None
 
 
 def mat_mul_trunc(a: LaurentMatrix, b: LaurentMatrix):
@@ -446,7 +479,14 @@ def mat_inv(a: LaurentMatrix, _depth: int = 0) -> LaurentMatrix:
     """Inverse of a = z^r * (unit) * z^c with diagonal cocharacter
     factors z^r, z^c pulled off the rows and columns: the remaining
     valuation-0 part must be invertible over the field.  Covers units
-    of G(R) and torus monomials; raises 'not a unit in G(K)' otherwise."""
+    of G(R) and torus monomials; raises 'not a unit in G(K)' otherwise.
+
+    Known limit: z^r * u * z^c, for a unit u, cannot be inverted once
+    spread(r) + spread(c) (max minus min exponent of each) reaches
+    u.trunc.  A LaurentMatrix keeps one truncation for all its entries,
+    so forming that product cuts some entry of u to nothing below it,
+    and the inverse then raises 'zero matrix' or 'leading coefficient is
+    singular'."""
     v = a.val()
     if v == INF:
         raise ZeroDivisionError("not a unit in G(K): zero matrix")
@@ -480,14 +520,8 @@ def mat_inv(a: LaurentMatrix, _depth: int = 0) -> LaurentMatrix:
     bound = base.trunc
     if bound == INF and not nmat.is_zero() and not _is_nilpotent_series(nmat):
         raise ValueError("inverse of an exact series matrix is infinite; truncate first")
-    acc = ident.truncate(bound)
-    term = acc
-    mneg = -nmat
-    while True:
-        term = mat_mul(term, mneg).truncate(bound)
-        if term.is_zero():
-            break
-        acc = acc + term
+    powers = _powers(-nmat, bound)
+    acc = _power_sum(a.n, powers, [K.ONE] * len(powers), bound)
     inv_unit = mat_mul(acc, LaurentMatrix.from_const(c0_inv))
     return inv_unit.shift(-int(v))
 
@@ -515,21 +549,59 @@ def mat_exp_pair(m: LaurentMatrix, cap: Optional[int] = None
     beyond it), up to the first power that vanishes; odd terms enter
     exp(-m) with a minus sign.  The caller vouches that a power
     vanishes; with a cap, None is returned instead when m^cap does not."""
-    plus = minus = LaurentMatrix.identity(m.n, m.trunc)
-    term = plus
-    k = 1
+    powers = _powers(m, m.trunc, cap)
+    if powers is None:
+        return None
+    plus, minus = [], []
     fact = 1
-    while True:
-        term = mat_mul(term, m).truncate(m.trunc)
-        if term.is_zero():
-            return plus, minus
-        if k == cap:
-            return None
+    for k in range(1, len(powers) + 1):
         fact *= k
-        scaled = term * GaussRat(Fraction(1, fact))
-        plus = plus + scaled
-        minus = minus - scaled if k % 2 else minus + scaled
-        k += 1
+        plus.append((1, 0, fact))
+        minus.append((-1 if k % 2 else 1, 0, fact))
+    return (_power_sum(m.n, powers, plus, m.trunc),
+            _power_sum(m.n, powers, minus, m.trunc))
+
+
+def _powers(m: LaurentMatrix, trunc, cap: Optional[int] = None
+            ) -> Optional[List[LaurentMatrix]]:
+    """[m^1, m^2, ...], each power the product of the last with m clamped
+    to ``trunc``, up to the last that does not vanish; None if m^cap does
+    not vanish."""
+    out = []
+    term = LaurentMatrix.identity(m.n, trunc)
+    while True:
+        term = mat_mul(term, m).truncate(trunc)
+        if term.is_zero():
+            return out
+        if len(out) + 1 == cap:
+            return None
+        out.append(term)
+
+
+def _power_sum(n: int, powers: List[LaurentMatrix], scalars, start) -> LaurentMatrix:
+    """I + sum_k scalars[k] * powers[k] for kernel triples ``scalars``,
+    with I truncated at ``start``.  Each entry is one kernel call over all
+    the powers; the truncation is the least of ``start`` and the powers'."""
+    trunc = min([start] + [p.trunc for p in powers])
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            entries = [p.rows[i][j] for p in powers]
+            terms = [(x.order_min, x.coeffs, (c,)) for x, c in zip(entries, scalars)
+                     if x.coeffs]
+            if i == j:
+                terms.append((0, (K.ONE,), (K.ONE,)))
+            e = _fused(terms, trunc)
+            if e is None:
+                # zero below trunc: the per-power series sums, for the
+                # order_min they leave
+                e = LaurentSeries._raw(0, [K.ONE] if i == j else [], start)
+                for x, c in zip(entries, scalars):
+                    e = e + x.scale(GaussRat.from_triple(c))
+            row.append(e)
+        rows.append(row)
+    return LaurentMatrix._of(rows, trunc)
 
 
 def _diag_monomial(exps):

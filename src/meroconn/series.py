@@ -42,7 +42,7 @@ class LaurentSeries:
     # ------------------------------------------------------------------
     @classmethod
     def zero(cls, trunc=INF):
-        return cls(0, [], trunc)
+        return cls._raw(0, [], trunc)
 
     @classmethod
     def const(cls, c, trunc=INF):

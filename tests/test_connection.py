@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import meroconn.connection
 from meroconn.connection import (CanonicalForm, IrregularType, MeroConnection,
@@ -76,6 +77,47 @@ def test_gauge_action_composition_law():
         lhs = gauge_act(g, gauge_act(h, conn))
         rhs = gauge_act(mat_mul(g, h), conn)
         assert lhs.B.agrees(rhs.B)
+
+
+_small = st.builds(gr, st.builds(F, st.integers(-3, 3), st.integers(1, 3)),
+                   st.builds(F, st.integers(-3, 3), st.integers(1, 3)))
+_sparse = st.one_of(st.just(gr(0)), _small)
+
+
+@st.composite
+def _integral_unit(draw, n):
+    """L*U (nonzero diagonal L, unit-diagonal U) plus a sparse tail
+    z^1 .. z^(trunc-1), at trunc 2-6: no negative exponent, invertible
+    constant term."""
+    trunc = draw(st.integers(2, 6))
+    lower = CMat([[draw(_small.filter(lambda c: not c.is_zero())) if i == j
+                   else draw(_small) if j < i else 0 for j in range(n)] for i in range(n)])
+    upper = CMat([[1 if i == j else draw(_small) if j > i else 0 for j in range(n)]
+                  for i in range(n)])
+    out = LM.from_const(lower * upper)
+    for e in range(1, trunc):
+        out = out + LM.monomial(CMat([[draw(_sparse) for _ in range(n)] for _ in range(n)]), e)
+    return out.truncate(trunc)
+
+
+@st.composite
+def _composition_cases(draw):
+    """Two integral units and a connection with a pole of order 0-2,
+    known below z^2 .. z^8, at n = 2-3."""
+    n = draw(st.integers(2, 3))
+    lo = draw(st.integers(-2, 0))
+    rows = [[LS(lo, draw(st.lists(_sparse, max_size=6))) for _ in range(n)] for _ in range(n)]
+    conn = MeroConnection(LM(rows, draw(st.integers(2, 8))))
+    return draw(_integral_unit(n)), draw(_integral_unit(n)), conn
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(_composition_cases())
+def test_gauge_action_composition_law_for_integral_units(case):
+    g2, g1, conn = case
+    lhs = gauge_act(g2, gauge_act(g1, conn))
+    rhs = gauge_act(mat_mul(g2, g1), conn)
+    assert lhs.B.agrees(rhs.B)
 
 
 def _gauge_act_two_products(g, conn, g_inv=None):

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from meroconn.field import GaussRat, gr
-from meroconn.jsonio import enc_lmatrix
+from meroconn.jsonio import dec_lmatrix, enc_lmatrix
 from meroconn.lmatrix import (CMat, LaurentMatrix as LM, mat_exp_nilpotent,
-                              mat_exp_pair, mat_inv, mat_mul)
+                              mat_exp_pair, mat_inv, mat_mul, mat_mul_trunc)
 from meroconn.series import INF, LaurentSeries as LS
 
 
@@ -248,6 +248,9 @@ def test_exp_pair_matches_two_one_sided_sums():
             assert got == want and got.trunc == want.trunc
             # zero entries keep the same order_min, so printed bytes agree too
             assert enc_lmatrix(got) == enc_lmatrix(want)
+        by_powers = _exp_pair_by_powers(u)
+        _same(plus, by_powers[0])
+        _same(minus, by_powers[1])
         assert mat_mul(plus, minus).agrees(LM.identity(n))
         cases += not u.is_zero()
     assert cases >= 25
@@ -257,7 +260,183 @@ def test_exp_pair_cap_overrun():
     # E12 z + E21 z is not nilpotent: its powers never vanish
     u = LM.monomial(CMat([[0, 1], [1, 0]]), 1, trunc=8)
     assert _exp_sum(u, 3) is None and _exp_sum(-u, 3) is None
-    assert mat_exp_pair(u, 3) is None
+    assert mat_exp_pair(u, 3) is None and _exp_pair_by_powers(u, 3) is None
     # the same u under a cap it stays within
     plus, minus = mat_exp_pair(u, 9)
     assert plus == _exp_sum(u, 9) and minus == _exp_sum(-u, 9)
+
+
+# ---------------------------------------------------------------------
+# the fused kernel against the series arithmetic it replaced
+# ---------------------------------------------------------------------
+
+def _mat_mul_terms(a, b):
+    """The former product, kept as the reference: per entry, n series
+    products and their running series sum."""
+    n = a.n
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = None
+            for k in range(n):
+                left, right = a.rows[i][k], b.rows[k][j]
+                if left.coeffs and right.coeffs:
+                    term = left * right
+                    acc = term if acc is None else acc + term
+            row.append(LS.zero() if acc is None else acc)
+        rows.append(row)
+    return LM(rows, mat_mul_trunc(a, b))
+
+
+def _exp_pair_by_powers(m, cap=None):
+    """The former pair of exponential sums, kept as the reference: one
+    matrix add or subtract per power."""
+    plus = minus = LM.identity(m.n, m.trunc)
+    term = plus
+    k = 1
+    fact = 1
+    while True:
+        term = _mat_mul_terms(term, m).truncate(m.trunc)
+        if term.is_zero():
+            return plus, minus
+        if k == cap:
+            return None
+        fact *= k
+        scaled = term * GaussRat(F(1, fact))
+        plus = plus + scaled
+        minus = minus - scaled if k % 2 else minus + scaled
+        k += 1
+
+
+def _inverse_by_powers(a):
+    """The former ``mat_inv`` of a matrix of valuation 0 whose rows and
+    columns all have valuation 0: the Neumann series summed one matrix
+    add per power."""
+    c0_inv = a.coeff(0).inv()
+    ident = LM.identity(a.n)
+    mneg = -(_mat_mul_terms(LM.from_const(c0_inv), a) - ident)
+    acc = term = ident.truncate(a.trunc)
+    while True:
+        term = _mat_mul_terms(term, mneg).truncate(a.trunc)
+        if term.is_zero():
+            return _mat_mul_terms(acc, LM.from_const(c0_inv))
+        acc = acc + term
+
+
+def _same(got, want):
+    # values, trunc, and every entry's order_min (a cancelled zero keeps a
+    # path-dependent one, which enc_lmatrix prints)
+    assert got == want and got.trunc == want.trunc
+    assert enc_lmatrix(got) == enc_lmatrix(want)
+
+
+_sparse = st.one_of(st.just(gr(0)), st.just(gr(0)), _small)
+
+
+@st.composite
+def lmatrices(draw, n, lo=-2, exact=None):
+    """n x n, entries of up to 5 coefficients from z^lo .. z^(lo+4) on,
+    a third of them zero on average; trunc INF or finite, anywhere from
+    below the window to past it."""
+    rows = [[LS(draw(st.integers(lo, lo + 4)), draw(st.lists(_sparse, max_size=5)))
+             for _ in range(n)] for _ in range(n)]
+    if exact is None:
+        exact = draw(st.booleans())
+    return LM(rows, INF if exact else draw(st.integers(lo, lo + 10)))
+
+
+@st.composite
+def factor_pairs(draw):
+    n = draw(st.integers(1, 4))
+    return draw(lmatrices(n)), draw(lmatrices(n))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(factor_pairs())
+def test_mat_mul_matches_the_term_by_term_oracle(ab):
+    a, b = ab
+    _same(mat_mul(a, b), _mat_mul_terms(a, b))
+
+
+def test_mat_mul_cancelled_entry_keeps_the_series_order_min():
+    # (1 + 2z) * 1 + 1 * -(1 + 2z) cancels; the series sum leaves
+    # order_min 2 (one past the window), at INF and at a finite trunc
+    p = LS.from_dict({0: 1, 1: 2})
+    for trunc in (INF, 5):
+        a = LM([[p, LS.const(1)], [LS.zero(), LS.const(1)]], trunc)
+        b = LM([[LS.const(1), LS.zero()], [-p, LS.const(1)]], trunc)
+        got = mat_mul(a, b)
+        _same(got, _mat_mul_terms(a, b))
+        assert got.rows[0][0].is_zero() and got.rows[0][0].order_min == 2
+    # terms that lie wholly at or past the truncation are cut to zero
+    a = LM([[LS.monomial(1, 3), LS.monomial(1, -1)], [LS.zero(), LS.const(1)]], 3)
+    b = LM([[LS.const(1), LS.zero()], [LS.monomial(1, 5), LS.const(1)]], 8)
+    got = mat_mul(a, b)
+    _same(got, _mat_mul_terms(a, b))
+    assert got.rows[0][0].is_zero()
+
+
+# few values, so that entries of powers and of the sums cancel often
+_halves = st.sampled_from([0, 0, 1, -1, F(1, 2), F(-1, 2)])
+
+
+@st.composite
+def exponents(draw):
+    """m whose powers vanish: a nilpotent constant (strictly upper
+    triangular, trunc INF or finite) or positive valuation at a finite
+    trunc."""
+    n = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        c = CMat([[draw(_halves) if j > i else 0 for j in range(n)] for i in range(n)])
+        trunc = draw(st.one_of(st.just(INF), st.integers(1, 6)))
+        return LM.from_const(c, trunc)
+    rows = [[LS(draw(st.integers(1, 3)), draw(st.lists(_halves, max_size=4)))
+             for _ in range(n)] for _ in range(n)]
+    return LM(rows, draw(st.integers(1, 8)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(exponents())
+def test_exp_pair_matches_the_per_power_oracle(m):
+    plus, minus = mat_exp_pair(m)
+    want_plus, want_minus = _exp_pair_by_powers(m)
+    _same(plus, want_plus)
+    _same(minus, want_minus)
+
+
+def test_exp_pair_cancelled_entry_keeps_the_series_order_min():
+    # exp(N)_02 = -1/2 + (N^2)_02 / 2 = 0 for this N
+    nil = LM.from_const(CMat([[0, 1, F(-1, 2)], [0, 0, 1], [0, 0, 0]]), 6)
+    plus, minus = mat_exp_pair(nil)
+    want_plus, want_minus = _exp_pair_by_powers(nil)
+    _same(plus, want_plus)
+    _same(minus, want_minus)
+    assert plus.rows[0][2].is_zero() and plus.rows[0][2].order_min == 1
+
+
+@PROPERTY
+@given(units())
+def test_inverse_matches_the_per_power_oracle(m):
+    _same(mat_inv(m), _inverse_by_powers(m))
+
+
+# ---------------------------------------------------------------------
+# the constructor never extends an entry's precision
+# ---------------------------------------------------------------------
+
+def test_explicit_trunc_above_an_entry_is_clamped():
+    short = LS(0, [1, 1], 2)
+    m = LM([[short]], 12)
+    assert m.trunc == 2 and m.rows[0][0].trunc == 2
+    m = LM([[short, LS.const(1)], [LS.zero(), LS.monomial(1, 5)]], 12)
+    assert m.trunc == 2
+    assert all(x.trunc == 2 for row in m.rows for x in row)
+    assert m.rows[1][1].is_zero()
+    # an explicit trunc below the entries still cuts them
+    assert LM([[short]], 1).rows[0][0] == LS(0, [1], 1)
+    doc = {"n": 1, "trunc": 12,
+           "entries": [[{"order_min": 0, "coeffs": ["1", "1"], "trunc": 2}]]}
+    m = dec_lmatrix(doc)
+    assert m.trunc == 2 and m.rows[0][0] == short
+    assert enc_lmatrix(m)["trunc"] == 2
