@@ -133,6 +133,49 @@ def qconvsum(terms, nout):
     return out
 
 
+def qconvat(terms, k):
+    """Coefficient k of the sum of shifted convolutions that ``qconvsum``
+    forms: sum over (s, xs, ys) in terms of sum_{s+i+j=k} xs[i]*ys[j],
+    accumulated the same way and normalized once."""
+    re = im = 0
+    den = 1
+    for s, xs, ys in terms:
+        kk = k - s
+        top = min(len(xs), kk + 1)
+        for i in range(max(0, kk - len(ys) + 1), top):
+            a1, b1, d1 = xs[i]
+            if not (a1 or b1):
+                continue
+            a2, b2, d2 = ys[kk - i]
+            if not (a2 or b2):
+                continue
+            if b1 or b2:
+                pr = a1 * a2 - b1 * b2
+                pi = a1 * b2 + b1 * a2
+            else:
+                pr = a1 * a2
+                pi = 0
+            d = d1 * d2
+            if d == den:
+                re += pr
+                im += pi
+            elif re or im:
+                g = gcd(den, d)
+                fa = d // g
+                fp = den // g
+                re = re * fa + pr * fp
+                im = im * fa + pi * fp
+                den *= fa
+            else:
+                re = pr
+                im = pi
+                den = d
+    if not (re or im):
+        return ZERO
+    g = gcd(re, im, den)
+    return (re // g, im // g, den // g) if g > 1 else (re, im, den)
+
+
 def qvadd(xs, ys):
     """Elementwise sum of two aligned coefficient lists (padded to max len)."""
     n = max(len(xs), len(ys))

@@ -1,27 +1,20 @@
 """Formal meromorphic connections d + B(z) dz/z and canonical-form reduction.
 
-The reduction follows the graded normalization scheme: matrix units
-E_ab z^m are graded by (theta_a - theta_b) + m, gauge transformations
-exp(V z^j) with V in a single grade only modify the current grade (via
-the bracket with the polar coefficient z^-j term) and strictly higher
-grades.  Processing grades in ascending order therefore terminates at
-the truncation order.
-
-Two moves are used at each grade:
-
-* polar solve: for each polar coefficient B_-j (diagonal, entries b),
-  the component of the grade piece outside ker ad(B_-j) is removed by
-  exp(V z^j) with V_ab = piece_ab / (b_a - b_b);
-* centralizer kill: components commuting with every polar coefficient
-  at z-degree m >= 1 are removed by exp(W z^m) solving
-  (m + ad(R0)) W = piece against the committed Levi residue R0.
-  A singular system (resonance) is reported, never approximated; it
-  cannot occur when the polar part is regular semisimple.
+Matrix units E_ab z^m are graded by (theta_a - theta_b) + m.  The
+reduction solves g B - z g' = C g for a gauge g = I + (positive grade)
+and a canonical form C (diagonal polar part plus a commuting residue) in
+one pass, grade by grade: each equation fixes one unknown, either by a
+division by a difference of polar eigenvalues or, on the common
+centralizer of the polar part, by an (m + ad(R0)) solve against the Levi
+residue R0 (see ``_solve_gauge``).  A singular system (resonance) is
+reported, never approximated; it cannot occur when the polar part is
+regular semisimple.
 
 A connection whose polar part is merely *conjugate* to a diagonal one
 (e.g. after an arbitrary parahoric gauge) is first brought back to
-irregular-type shape by ``recover_irregular_shape``.  The irregular type
-is read off that shape's diagonal polar part, which reduction never changes.
+irregular-type shape by ``recover_irregular_shape``, one exponential
+gauge step per grade.  The irregular type is read off that shape's
+diagonal polar part, which reduction never changes.
 """
 
 from __future__ import annotations
@@ -31,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
+from . import _kernel as K
 from .errors import InternalError
 from .field import GaussRat
 from .lmatrix import CMat, LaurentMatrix, mat_exp_pair, mat_inv, mat_mul, mat_mul_trunc
@@ -348,9 +342,21 @@ def canonical_reduce(conn: MeroConnection, theta: Optional[Weight] = None,
                      trunc: Optional[int] = None) -> Tuple[CanonicalForm, LaurentMatrix]:
     """Reduce a connection in irregular-type shape to canonical form.
 
-    Returns (canonical form, gauge g) with g . conn = canonical up to the
-    truncation.  Preconditions: polar coefficients diagonal and the
-    nonnegative part inside the theta-parahoric Lie algebra.
+    Returns (canonical form C, gauge g) with g B - z g' = C g mod z^T, so
+    g . conn = C up to the truncation T.  Preconditions: polar
+    coefficients diagonal, an admissible weight, and the nonnegative part
+    inside the theta-parahoric Lie algebra.
+
+    g = I + (positive grade) and the residue are solved for in one pass,
+    grade by grade (see ``_solve_gauge``).  g is returned on the window
+    W = T + pole order.  With J_ab the depth at which the polar part
+    first separates a from b (0 on its common centralizer), the input
+    mod z^T determines g's coefficient at (a, b, z^m) only if
+    m - J_ab < T; every other coefficient is 0.  At a boundary weight, a
+    z^-1 entry also meets a free coefficient at z^T in the equation at
+    z^(T-1), so the coefficients at m - J_ab = T - 1 are computed with
+    that free one at 0; and T is the window left after the grade-zero
+    steps of ``_centralize_grade_zero``.
     """
     n = conn.n
     theta = _resolve_weight(theta, n)
@@ -360,6 +366,8 @@ def canonical_reduce(conn: MeroConnection, theta: Optional[Weight] = None,
             "trivial irregular type: input has no polar part "
             "(logarithmic reduction is out of scope)"
         )
+    if not theta.is_admissible():
+        raise ReductionError("precondition violation: weight violates r(theta) <= 1 for some root")
     T = _resolve_trunc(conn, trunc)
     if not _off_diagonal_in_nonneg_grades(conn.B, theta):
         if any(not conn.polar_coeff(j).is_diagonal() for j in range(1, npole + 1)):
@@ -375,28 +383,24 @@ def canonical_reduce(conn: MeroConnection, theta: Optional[Weight] = None,
 
     W = T + npole
     cur = conn.B.truncate(T)  # exact inputs are windowed to T
-    g_total = LaurentMatrix.identity(n, W)
     polar = {j: _diag_entries(conn.polar_coeff(j)) for j in range(1, npole + 1)}
-    cap = _exp_cap(theta, T, npole)
-
+    depth = _split_depth(polar, n)
     _require_residue_window(cur)
-    for mu in _grade_sequence(theta, n, T, Fraction(0)):
-        cur, g_total = _normalize_grade(
-            cur, g_total, theta, mu, polar, T, W, cap
-        )
-        _require_residue_window(cur)
-
+    cur, g0 = _centralize_grade_zero(cur, theta, polar, W)
+    _require_residue_window(cur)
+    g, residue = _solve_gauge(cur, theta, polar, depth, W)
+    if g0 is not None:
+        g = _drop_undetermined(mat_mul(g, g0), depth, int(cur.trunc))
     canonical = CanonicalForm(
         polar={j: CMat.diag(polar[j]) for j in polar if any(not e.is_zero() for e in polar[j])},
-        residue=cur.coeff(0),
+        residue=residue,
     )
-    _assert_reduced(cur, canonical, T)
-    return canonical, g_total
+    return canonical, g
 
 
 def _require_residue_window(cur: LaurentMatrix):
-    """Each gauge step can shorten the known window of ``cur``; once it no
-    longer reaches z^0 the residue is unknown, so stop rather than read
+    """Each z^-1 gauge step shortens the known window of ``cur``; once it
+    no longer reaches z^0 the residue is unknown, so stop rather than read
     the zeros beyond the window."""
     if cur.trunc <= 0:
         raise ReductionError(
@@ -405,42 +409,195 @@ def _require_residue_window(cur: LaurentMatrix):
         )
 
 
-def _normalize_grade(cur, g_total, theta, mu, polar, T, W, cap):
+def _split_depth(polar, n: int) -> List[List[int]]:
+    """J[a][b]: the largest j with d^j_a != d^j_b (d^j the diagonal of the
+    polar coefficient at z^-j), or 0 when (a, b) lies in the common
+    centralizer of the polar part."""
+    return [[max((j for j, d in polar.items() if d[a] != d[b]), default=0)
+             for b in range(n)] for a in range(n)]
+
+
+def _solve_gauge(B: LaurentMatrix, theta: Weight, polar, depth, W: int
+                 ) -> Tuple[LaurentMatrix, CMat]:
+    """Solve g B - z g' = C g mod z^T, T = B.trunc, for g = I + (positive
+    grade) known below z^W and the residue R of C = (polar part) + R.
+
+    This is the recursion of formal reduction theory (D. G. Babbitt and
+    V. S. Varadarajan, Pacific J. Math. 109, 1983; W. Balser, Formal
+    Power Series and Linear Systems of Meromorphic ODEs, Springer 2000).
+    The equation at slot (a, b) and z-degree e, of grade
+    theta_a - theta_b + e, fixes one unknown, with J = depth[a][b]:
+
+    * J > 0: g[a,b,e+J], by a division by d^J_a - d^J_b;
+    * J = 0, e != 0: g[a,b,e], by the (e + ad R0) solve on all slots of
+      that grade and level, R0 the Levi part of the residue; a singular
+      system (resonance) is reported, never approximated, and cannot
+      occur when the polar part is regular semisimple;
+    * J = 0, e = 0: the residue entry R[a,b].
+
+    Grades run in ascending order; inside a grade the centralizer levels
+    come first, since their unknowns reach the other slots of the grade
+    through B's grade-zero part.  Each right-hand side is the residual's
+    coefficient at its slot with that slot's unknown still 0.  It is
+    computed once, when the slot's turn comes, from the blocks of g and
+    R fixed before it, so the whole solve costs about one residual.
+    """
+    n = B.n
+    T = int(B.trunc)
+    # grades in units of 1/den, as integers
+    den = math.lcm(*(e.denominator for e in theta.entries))
+    th = [int(e * den) for e in theta.entries]
+    # B minus its polar part, from z^-1: tail[c][b][i] is the coefficient at z^(i-1)
+    tail = [[_window(B.rows[c][b], -1, T) for b in range(n)] for c in range(n)]
+    for c in range(n):
+        tail[c][c][0] = K.ZERO
+    y = [[[K.ONE if a == b else K.ZERO] + [K.ZERO] * (W - 1) for b in range(n)]
+         for a in range(n)]
+    res = [[K.ZERO] * n for _ in range(n)]
+    neg_res = [[K.ZERO] * n for _ in range(n)]
+    # per separated slot: (d^j_b - d^j_a) for 1 <= j < J, and d^J_a - d^J_b
+    lower = {}
+    pivot = {}
+    grades: Dict[int, list] = {}
+    for a in range(n):
+        for b in range(n):
+            J = depth[a][b]
+            if J:
+                lower[a, b] = [(j, (polar[j][b] - polar[j][a]).t) for j in range(1, J)
+                               if polar[j][b] != polar[j][a]]
+                pivot[a, b] = (polar[J][a] - polar[J][b]).t
+            diff = th[a] - th[b]
+            for e in range(0 if a == b else -1, T):
+                if diff + e * den >= 0:
+                    grades.setdefault(diff + e * den, []).append((a, b, e))
+
+    def residual(a, b, e):
+        row = y[a]
+        terms = [(0, row[c], tail[c][b]) for c in range(n)]
+        terms += [(1, (r,), y[c][b]) for c, r in enumerate(neg_res[a]) if r[0] or r[1]]
+        if depth[a][b]:
+            own = row[b]
+            if e > 0:
+                terms.append((e + 1, ((-e, 0, 1),), (own[e],)))
+            terms += [(e + 1, (w,), (own[e + j],)) for j, w in lower[a, b]]
+        return K.qconvat(terms, e + 1)
+
+    for mu in sorted(grades):
+        levels: Dict[int, list] = {}
+        split = []
+        for a, b, e in grades[mu]:
+            if depth[a][b]:
+                split.append((a, b, e))
+            else:
+                levels.setdefault(e, []).append((a, b))
+        for e in sorted(levels):
+            slots = levels[e]
+            rhs = [residual(a, b, e) for a, b in slots]
+            if e == 0:
+                for (a, b), r in zip(slots, rhs):
+                    res[a][b] = r
+                    neg_res[a][b] = K.qneg(r)
+            elif any(r[0] or r[1] for r in rhs):
+                for (a, b), x in zip(slots, _solve_level(e, res, slots, rhs)):
+                    y[a][b][e] = x
+        for a, b, e in split:
+            r = residual(a, b, e)
+            if r[0] or r[1]:
+                y[a][b][e + depth[a][b]] = K.qdiv(r, pivot[a, b])
+    g = LaurentMatrix._of([[LaurentSeries._raw(0, y[a][b], W) for b in range(n)]
+                           for a in range(n)], W)
+    return g, CMat([[GaussRat.from_triple(t) for t in row] for row in res])
+
+
+def _window(s: LaurentSeries, lo: int, hi: int) -> list:
+    """The coefficients of s at z^lo .. z^(hi-1) as kernel triples."""
+    out = [K.ZERO] * (hi - lo)
+    for i, t in enumerate(s.coeffs):
+        e = s.order_min + i
+        if lo <= e < hi:
+            out[e - lo] = t
+    return out
+
+
+def _solve_level(e: int, res, slots, rhs) -> list:
+    """Solve (e + ad(R0)) X = rhs on ``slots``: all (a, b) of one
+    theta-difference in the common centralizer of the polar part.  Only
+    the Levi part R0 of the residue ``res`` (kernel triples) meets these
+    slots.  Returns X on the slots as kernel triples."""
+    idx = {s: i for i, s in enumerate(slots)}
+    k = len(slots)
+    n = len(res)
+    op = [[GaussRat(0)] * k for _ in range(k)]
+    for i in range(k):
+        op[i][i] = GaussRat(e)
+    # ad(R0) E_ab = sum_c R0_ca E_cb - sum_c R0_bc E_ac
+    coupled = False
+    for (a, b), col in idx.items():
+        for c in range(n):
+            up = res[c][a]
+            if (up[0] or up[1]) and (c, b) in idx:
+                op[idx[c, b]][col] = op[idx[c, b]][col] + GaussRat.from_triple(up)
+                coupled = coupled or c != a
+            down = res[b][c]
+            if (down[0] or down[1]) and (a, c) in idx:
+                op[idx[a, c]][col] = op[idx[a, c]][col] - GaussRat.from_triple(down)
+                coupled = coupled or c != b
+    try:
+        if not coupled:
+            return [K.qdiv(r, op[i][i].t) for i, r in enumerate(rhs)]
+        inv = CMat(op).inv()
+    except ZeroDivisionError:
+        raise ReductionError(
+            "resonant residue: (m + ad(B0)) is singular on the centralizer; "
+            "canonical reduction needs a shearing transformation (out of scope)"
+        ) from None
+    return [x.t for x in inv.apply([GaussRat.from_triple(r) for r in rhs])]
+
+
+def _centralize_grade_zero(cur: LaurentMatrix, theta: Weight, polar, W: int
+                           ) -> Tuple[LaurentMatrix, Optional[LaurentMatrix]]:
+    """For a boundary weight, the common centralizer of the polar part
+    can hold grade-zero entries at z^-1 (theta-difference 1) and z^1
+    (theta-difference -1).  They are gauged away first, lowest z-degree
+    first, each by exp(w z^m) with (m + ad(R0)) w = (the entries at z^m),
+    until none is left inside the window.  Returns the gauged connection
+    and the product of the steps, or None when there are no such slots.
+
+    The steps interact (a z^1 step brings z^-1 terms back), and each z^-1
+    step takes two off the connection's window and one off the gauge's,
+    so the window can run out (``_require_residue_window``).  With these
+    entries gone, B's grade-zero part on the centralizer is R0 alone, and
+    ``_solve_gauge`` needs no further step of this kind."""
     n = cur.n
-    # off-diagonal tail entries sit at z-degrees >= -1 for admissible
-    # weights (theta differences at most 1); diagonal slots of grade
-    # mu >= 0 are at m = mu >= 0 anyway
-    slots = [
-        (a, b, m) for (a, b, m) in _grade_slots(theta, n, mu, -1, T)
-        if a != b or m >= 0
-    ]
+    th = theta.entries
+    slots = [(a, b, int(th[b] - th[a])) for a in range(n) for b in range(n)
+             if abs(th[a] - th[b]) == 1 and all(d[a] == d[b] for d in polar.values())]
     if not slots:
-        return cur, g_total
-    # polar solves, leading coefficient first
-    for j in sorted(polar, reverse=True):
-        v = _polar_solve(cur, slots, polar[j], j, W)
-        if v is not None:
-            cur, g_total = _apply_gauge(cur, v, g_total, cap)
-    # centralizer kill away from z-degree zero (the residue slot)
-    guard = 0
-    while True:
-        piece = _piece(cur, slots)
-        kill = {
-            (a, b, m): c
-            for (a, b, m), c in piece.items()
-            if m != 0 and all(d[a] == d[b] for d in polar.values())
-        }
-        if not kill:
-            break
-        m0 = min(m for (_, _, m) in kill)
-        level = {(a, b): c for (a, b, m), c in kill.items() if m == m0}
-        w = _solve_kill(cur, theta, level, m0, polar)
-        u = LaurentMatrix.monomial(w, m0, W)
-        cur, g_total = _apply_gauge(cur, u, g_total, cap)
-        guard += 1
-        if guard > T + 2:
-            raise InternalError("internal error: centralizer kill did not terminate")
-    return cur, g_total
+        return cur, None
+    T = int(cur.trunc)
+    cap = _exp_cap(theta, T, max(polar))
+    g0 = LaurentMatrix.identity(n, W)
+    for _ in range(T + 3):
+        piece = {(a, b, m): cur.rows[a][b].coeff(m).t for a, b, m in slots}
+        live = [m for (_, _, m), t in piece.items() if t[0] or t[1]]
+        if not live:
+            return cur, g0
+        m0 = min(live)
+        level = [(a, b) for a, b, m in slots if m == m0]
+        r0 = [[x.coeff(0).t for x in row] for row in cur.rows]
+        w = _solve_level(m0, r0, level, [piece[a, b, m0] for a, b in level])
+        rows = [[0] * n for _ in range(n)]
+        for (a, b), x in zip(level, w):
+            rows[a][b] = GaussRat.from_triple(x)
+        cur, g0 = _apply_gauge(cur, LaurentMatrix.monomial(CMat(rows), m0, W), g0, cap)
+    raise InternalError("internal error: centralizer kill did not terminate")
+
+
+def _drop_undetermined(g: LaurentMatrix, depth, T: int) -> LaurentMatrix:
+    """g with every coefficient at (a, b, z^m), m - J_ab >= T, set to 0."""
+    return LaurentMatrix._of([
+        [LaurentSeries._raw(s.order_min, list(s.coeffs[:max(T + J - s.order_min, 0)]), g.trunc)
+         for s, J in zip(row, depths)] for row, depths in zip(g.rows, depth)], g.trunc)
 
 
 def _polar_solve(cur: LaurentMatrix, slots, d, j: int, W) -> Optional[LaurentMatrix]:
@@ -454,73 +611,6 @@ def _polar_solve(cur: LaurentMatrix, slots, d, j: int, W) -> Optional[LaurentMat
             rows[a][b] = rows[a][b] + LaurentSeries.monomial(c / (d[a] - d[b]), m)
             nonzero = True
     return LaurentMatrix(rows, W).shift(j) if nonzero else None
-
-
-def _solve_kill(cur, theta, level, m, polar) -> CMat:
-    """Solve (m + ad(R0)) W = piece, where R0 is the committed Levi part
-    of the residue.  The solve runs on the full ad-invariant slot space:
-    all (a, b) with the same theta-difference as the piece and with equal
-    eigenvalues under every polar coefficient."""
-    n = cur.n
-    a0, b0 = next(iter(level))
-    diff = theta.entries[a0] - theta.entries[b0]
-    slots = [
-        (a, b)
-        for a in range(n)
-        for b in range(n)
-        if theta.entries[a] - theta.entries[b] == diff
-        and all(d[a] == d[b] for d in polar.values())
-    ]
-    idx = {s: i for i, s in enumerate(slots)}
-    r0 = _levi_residue(cur, theta)
-    k = len(slots)
-    op = [[GaussRat(0)] * k for _ in range(k)]
-    rhs = [GaussRat(0)] * k
-    for s, i in idx.items():
-        rhs[i] = level.get(s, GaussRat(0))
-        op[i][i] = GaussRat(m)
-    # ad(R0) E_ab = sum_c R0_ca E_cb - sum_c R0_bc E_ac
-    for (a, b), col in idx.items():
-        for c in range(n):
-            if (c, b) in idx and not r0[c, a].is_zero():
-                op[idx[(c, b)]][col] = op[idx[(c, b)]][col] + r0[c, a]
-            if (a, c) in idx and not r0[b, c].is_zero():
-                op[idx[(a, c)]][col] = op[idx[(a, c)]][col] - r0[b, c]
-    try:
-        sol = CMat(op).inv().apply(rhs)
-    except ZeroDivisionError:
-        raise ReductionError(
-            "resonant residue: (m + ad(B0)) is singular on the centralizer; "
-            "canonical reduction needs a shearing transformation (out of scope)"
-        ) from None
-    w_rows = [[GaussRat(0)] * n for _ in range(n)]
-    for (a, b), i in idx.items():
-        w_rows[a][b] = sol[i]
-    return CMat(w_rows)
-
-
-def _levi_residue(cur: LaurentMatrix, theta: Weight) -> CMat:
-    c0 = cur.coeff(0)
-    n = cur.n
-    return CMat([
-        [
-            c0[a, b] if theta.entries[a] == theta.entries[b] else GaussRat(0)
-            for b in range(n)
-        ]
-        for a in range(n)
-    ])
-
-
-def _grade_sequence(theta: Weight, n: int, T: int, start: Fraction):
-    grades = set()
-    for a in range(n):
-        for b in range(n):
-            diff = theta.entries[a] - theta.entries[b]
-            for m in range(0, T):
-                mu = diff + m
-                if mu >= start:
-                    grades.add(mu)
-    return sorted(grades)
 
 
 def _exp_cap(theta: Weight, T: int, npole: int) -> int:
@@ -552,12 +642,6 @@ def _off_diagonal_in_nonneg_grades(B: LaurentMatrix, theta: Weight) -> bool:
                 if _grade(theta, a, b, m) < 0:
                     return False
     return True
-
-
-def _assert_reduced(cur: LaurentMatrix, canonical: CanonicalForm, T: int):
-    diff = cur - canonical.as_connection(T).B
-    if not diff.is_zero() and diff.val() < T:
-        raise InternalError("internal error: reduction left residual terms")
 
 
 # ----------------------------------------------------------------------

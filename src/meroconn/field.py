@@ -29,6 +29,10 @@ class GaussRat:
     __slots__ = ("t",)
 
     def __init__(self, re=0, im=0):
+        if type(re) is int and type(im) is int:
+            # (re + im i) / 1 is already normalized
+            object.__setattr__(self, "t", (re, im, 1))
+            return
         if isinstance(re, GaussRat):
             if im == 0:
                 object.__setattr__(self, "t", re.t)

@@ -329,12 +329,9 @@ class LaurentMatrix:
     def __sub__(self, other):
         other = self._coerce(other)
         _check_dim(self, other)
-        return LaurentMatrix(
-            [
-                [self.rows[i][j] - other.rows[i][j] for j in range(self.n)]
-                for i in range(self.n)
-            ]
-        )
+        return LaurentMatrix._of(
+            [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
+            min(self.trunc, other.trunc))
 
     def __neg__(self):
         return LaurentMatrix([[-x for x in row] for row in self.rows], self.trunc)
@@ -405,40 +402,26 @@ def mat_mul(a: LaurentMatrix, b: LaurentMatrix) -> LaurentMatrix:
     cols = list(zip(*b.rows))
     rows = []
     for arow in a.rows:
-        row = []
-        for bcol in cols:
-            pairs = [(x, y) for x, y in zip(arow, bcol) if x.coeffs and y.coeffs]
-            e = _fused([(x.order_min + y.order_min, x.coeffs, y.coeffs) for x, y in pairs],
-                       trunc)
-            if e is None:
-                # zero below trunc: the series sum, for the order_min it leaves
-                e = sum((x * y for x, y in pairs), LaurentSeries.zero())
-                e = LaurentSeries._raw(e.order_min, list(e.coeffs), trunc)
-            row.append(e)
-        rows.append(row)
+        rows.append([
+            _fused([(x.order_min + y.order_min, x.coeffs, y.coeffs)
+                    for x, y in zip(arow, bcol) if x.coeffs and y.coeffs], trunc)
+            for bcol in cols])
     return LaurentMatrix._of(rows, trunc)
 
 
-def _fused(terms, trunc) -> Optional[LaurentSeries]:
+def _fused(terms, trunc) -> LaurentSeries:
     """The sum of z^s * xs * ys over (s, xs, ys) in ``terms`` as a series
-    known below ``trunc``, or None when that sum is zero.
-
-    A zero entry is left to the caller: the series sums that the kernel
-    replaces give it a path-dependent order_min, which ``enc_series``
-    prints (a - a for a = 1 + 2z has order_min 2), so the caller
-    recomputes it along that path."""
+    known below ``trunc``."""
     if not terms:
-        return None
+        return LaurentSeries.zero(trunc)
     lo = min(s for s, _, _ in terms)
     hi = max(s + len(xs) + len(ys) - 1 for s, xs, ys in terms)
     if trunc != INF:
         hi = min(hi, int(trunc))
-    if hi > lo:
-        e = LaurentSeries._raw(lo, K.qconvsum([(s - lo, xs, ys) for s, xs, ys in terms],
-                                              hi - lo), trunc)
-        if e.coeffs:
-            return e
-    return None
+    if hi <= lo:
+        return LaurentSeries.zero(trunc)
+    return LaurentSeries._raw(lo, K.qconvsum([(s - lo, xs, ys) for s, xs, ys in terms],
+                                             hi - lo), trunc)
 
 
 def mat_mul_trunc(a: LaurentMatrix, b: LaurentMatrix):
@@ -592,14 +575,7 @@ def _power_sum(n: int, powers: List[LaurentMatrix], scalars, start) -> LaurentMa
                      if x.coeffs]
             if i == j:
                 terms.append((0, (K.ONE,), (K.ONE,)))
-            e = _fused(terms, trunc)
-            if e is None:
-                # zero below trunc: the per-power series sums, for the
-                # order_min they leave
-                e = LaurentSeries._raw(0, [K.ONE] if i == j else [], start)
-                for x, c in zip(entries, scalars):
-                    e = e + x.scale(GaussRat.from_triple(c))
-            row.append(e)
+            row.append(_fused(terms, trunc))
         rows.append(row)
     return LaurentMatrix._of(rows, trunc)
 

@@ -73,6 +73,16 @@ def rand_connection(rng: random.Random, n: int, pole_order: int, trunc: int,
             c = rand_gauss(rng, 10, 10, complex_ok)
             if not c.is_zero():
                 rows[i][i] = rows[i][i] + LaurentSeries.monomial(c, -j)
+    _add_parahoric_tail(rng, rows, theta, trunc, complex_ok)
+    return MeroConnection(LaurentMatrix(rows, trunc))
+
+
+def _add_parahoric_tail(rng: random.Random, rows, theta: Weight, trunc: int,
+                        complex_ok: bool):
+    """Add to each entry random coefficients, each present with
+    probability 0.6, from its lowest exponent in the parahoric Lie
+    algebra of theta (at least z^0) up to z^(trunc-1)."""
+    n = len(rows)
     for i in range(n):
         for j in range(n):
             lo = max(0, m_r(theta, Root(i, j)) if i != j else 0)
@@ -82,6 +92,52 @@ def rand_connection(rng: random.Random, n: int, pole_order: int, trunc: int,
                     terms[m] = rand_gauss(rng, 10, 10, complex_ok)
             if terms:
                 rows[i][j] = rows[i][j] + LaurentSeries.from_dict(terms)
+
+
+def rand_connection_levi(rng: random.Random, n: int, pole_order: int, trunc: int,
+                         theta: Optional[Weight] = None, complex_ok: bool = False
+                         ) -> MeroConnection:
+    """Random connection in irregular-type shape whose polar part is not
+    regular: the leading coefficient repeats its entries on blocks of
+    indices (one block of size 2-3, the others of size 1-3, in random
+    positions), a lower polar coefficient may split some blocks, and the
+    tail is dense in the parahoric Lie algebra of theta, as in
+    ``rand_connection``.  The common centralizer of the polar part is
+    then a Levi subgroup larger than the torus."""
+    if theta is None:
+        theta = Weight([0] * n)
+    order = list(range(n))
+    rng.shuffle(order)
+    blocks = []
+    while order:
+        size = rng.randint(2, 3) if not blocks else rng.randint(1, 3)
+        blocks.append(order[:size])
+        order = order[size:]
+    rows = [[LaurentSeries.zero() for _ in range(n)] for _ in range(n)]
+    while True:
+        lead = [rand_gauss(rng, 10, 10, complex_ok, nonzero=True) for _ in blocks]
+        if len({e.t for e in lead}) == len(blocks):
+            break
+    polar = {pole_order: [lead[k] for k in range(len(blocks)) for _ in blocks[k]]}
+    index = [i for block in blocks for i in block]
+    for j in range(1, pole_order):
+        mode = rng.random()
+        if mode < 0.4:
+            continue
+        vals = [rand_gauss(rng, 10, 10, complex_ok) for _ in blocks]
+        if mode < 0.7:
+            # constant on each block
+            polar[j] = [vals[k] for k in range(len(blocks)) for _ in blocks[k]]
+        else:
+            # each entry takes one of two values of its block: some blocks split
+            alt = [rand_gauss(rng, 10, 10, complex_ok) for _ in blocks]
+            polar[j] = [rng.choice((vals[k], alt[k]))
+                        for k in range(len(blocks)) for _ in blocks[k]]
+    for j, ent in polar.items():
+        for i, c in zip(index, ent):
+            if not c.is_zero():
+                rows[i][i] = rows[i][i] + LaurentSeries.monomial(c, -j)
+    _add_parahoric_tail(rng, rows, theta, trunc, complex_ok)
     return MeroConnection(LaurentMatrix(rows, trunc))
 
 

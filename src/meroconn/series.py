@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 
 from . import _kernel as K
-from .field import GaussRat
+from .field import ZERO, GaussRat
 
 INF = math.inf
 
@@ -76,7 +76,7 @@ class LaurentSeries:
         i = e - self.order_min
         if 0 <= i < len(self.coeffs):
             return GaussRat.from_triple(self.coeffs[i])
-        return GaussRat(0)
+        return ZERO
 
     def items(self):
         for i, t in enumerate(self.coeffs):
@@ -106,10 +106,22 @@ class LaurentSeries:
         )
 
     def __sub__(self, other):
-        return self + (-_coerce_series(other))
+        other = _coerce_series(other)
+        trunc = min(self.trunc, other.trunc)
+        if other.is_zero():
+            return LaurentSeries._raw(self.order_min, list(self.coeffs), trunc)
+        if self.is_zero():
+            return LaurentSeries._raw(other.order_min, [K.qneg(t) for t in other.coeffs],
+                                      trunc)
+        lo = min(self.order_min, other.order_min)
+        a = [K.ZERO] * (self.order_min - lo) + list(self.coeffs)
+        b = [K.ZERO] * (other.order_min - lo) + list(other.coeffs)
+        a += [K.ZERO] * (len(b) - len(a))
+        b += [K.ZERO] * (len(a) - len(b))
+        return LaurentSeries._raw(lo, [K.qsub(x, y) for x, y in zip(a, b)], trunc)
 
     def __rsub__(self, other):
-        return _coerce_series(other) + (-self)
+        return _coerce_series(other) - self
 
     def __mul__(self, other):
         if isinstance(other, (GaussRat, int, Fraction)):
@@ -198,15 +210,13 @@ class LaurentSeries:
             return NotImplemented
         other = _coerce_series(other)
         return (
-            self.coeffs == other.coeffs
+            self.order_min == other.order_min
+            and self.coeffs == other.coeffs
             and self.trunc == other.trunc
-            and (not self.coeffs or self.order_min == other.order_min)
         )
 
     def __hash__(self):
-        # a zero series keeps the order_min it was computed with; equality
-        # and the hash ignore it
-        return hash((self.order_min if self.coeffs else 0, self.coeffs, self.trunc))
+        return hash((self.order_min, self.coeffs, self.trunc))
 
     def agrees(self, other) -> bool:
         """Equal on all exponents below the common truncation."""
@@ -217,7 +227,8 @@ class LaurentSeries:
 
     @classmethod
     def _raw(cls, order_min, coeffs, trunc):
-        """From kernel triples: drop exponents >= trunc, strip zero margins."""
+        """From kernel triples: drop exponents >= trunc, strip zero margins.
+        A zero series has order_min 0, however it was computed."""
         self = object.__new__(cls)
         if trunc != INF:
             keep = int(trunc) - order_min
@@ -228,7 +239,7 @@ class LaurentSeries:
         hi = len(coeffs)
         while hi > lo and coeffs[hi - 1][0] == 0 and coeffs[hi - 1][1] == 0:
             hi -= 1
-        object.__setattr__(self, "order_min", order_min + lo)
+        object.__setattr__(self, "order_min", order_min + lo if hi > lo else 0)
         object.__setattr__(self, "coeffs", tuple(coeffs[lo:hi]))
         object.__setattr__(self, "trunc", trunc)
         return self

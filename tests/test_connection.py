@@ -6,16 +6,20 @@ from hypothesis import given, settings, strategies as st
 
 import meroconn.connection
 from meroconn.connection import (CanonicalForm, IrregularType, MeroConnection,
-                                 ReductionError, _apply_gauge, _grade_slots,
+                                 ReductionError, _apply_gauge, _exp_cap, _grade_slots,
+                                 _piece, _polar_solve, _require_residue_window,
+                                 _resolve_trunc, _resolve_weight, _split_depth,
                                  canonical_reduce, connection_from_irregular_type,
                                  extract_irregular_type, gauge_act,
                                  gauge_orbit_equal, in_irregular_shape,
                                  recover_irregular_shape)
+from meroconn.errors import InternalError
 from meroconn.field import gr
+from meroconn.jsonio import enc_canonical
 from meroconn.lmatrix import (CMat, LaurentMatrix as LM, mat_exp_pair, mat_inv,
                               mat_mul)
 from meroconn.selftest import criterion_canonical_suite
-from meroconn.randomgen import (rand_connection, rand_invertible,
+from meroconn.randomgen import (rand_connection, rand_connection_levi, rand_invertible,
                                 rand_parahoric_gauge, rand_small_weight)
 from meroconn.rootdata import Weight, parahoric_member
 from meroconn.selftest import criterion_irregular_invariance
@@ -339,6 +343,15 @@ def test_reduce_rejects_tail_outside_parahoric():
         canonical_reduce(MeroConnection(b.truncate(8)), theta)
 
 
+def test_reduce_rejects_a_weight_that_is_not_admissible():
+    # theta = (2, 0) leaves E12 z^-2 at grade zero, below the z^-1 the
+    # reduction's window starts at
+    theta = Weight([2, 0], validate=False)
+    b = LM.monomial(D11, -1) + LM.monomial(E12, -2)
+    with pytest.raises(ReductionError, match=r"^precondition violation: weight violates"):
+        canonical_reduce(MeroConnection(b.truncate(8)), theta)
+
+
 def test_boundary_weight_pole_in_tail():
     """theta = (1, 0) puts the slot (0,1) at grade zero for z^-1: such a
     term is legal parahoric tail and must be absorbed into the form."""
@@ -522,3 +535,287 @@ def test_canonical_form_invariant_checker():
     assert good.check_invariants()
     bad = CanonicalForm(polar={1: D11}, residue=E12)
     assert not bad.check_invariants()
+
+
+# ---------------------------------------------------------------------
+# the former reduction, kept as the reference
+# ---------------------------------------------------------------------
+
+def _reduce_by_exponentials(conn, theta=None, trunc=None):
+    """The former canonical reduction: at each grade, one exponential
+    gauge step per polar coefficient and per centralizer level, each
+    pushed through the whole window; the gauge is their product."""
+    n = conn.n
+    theta = _resolve_weight(theta, n)
+    npole = conn.pole_order
+    if npole < 1:
+        raise ReductionError("trivial irregular type: input has no polar part "
+                             "(logarithmic reduction is out of scope)")
+    T = _resolve_trunc(conn, trunc)
+    if not in_irregular_shape(conn, theta):
+        if any(not conn.polar_coeff(j).is_diagonal() for j in range(1, npole + 1)):
+            raise ReductionError(
+                "input not in irregular-type shape: off-diagonal polar content "
+                "below grade zero; run recover_irregular_shape first "
+                "(ramified case out of scope)")
+        raise ReductionError("precondition violation: nonnegative part lies outside the "
+                             "parahoric Lie algebra of the given weight")
+    W = T + npole
+    cur = conn.B.truncate(T)
+    g_total = LM.identity(n, W)
+    polar = {j: [conn.polar_coeff(j)[i, i] for i in range(n)] for j in range(1, npole + 1)}
+    cap = _exp_cap(theta, T, npole)
+    _require_residue_window(cur)
+    grades = sorted({theta.entries[a] - theta.entries[b] + m
+                     for a in range(n) for b in range(n) for m in range(T)
+                     if theta.entries[a] - theta.entries[b] + m >= 0})
+    for mu in grades:
+        cur, g_total = _exponential_grade_step(cur, g_total, theta, mu, polar, T, W, cap)
+        _require_residue_window(cur)
+    canonical = CanonicalForm(
+        polar={j: CMat.diag(d) for j, d in polar.items() if any(not e.is_zero() for e in d)},
+        residue=cur.coeff(0))
+    diff = cur - canonical.as_connection(T).B
+    assert diff.is_zero() or diff.val() >= T
+    return canonical, g_total
+
+
+def _exponential_grade_step(cur, g_total, theta, mu, polar, T, W, cap):
+    n = cur.n
+    slots = [(a, b, m) for a, b, m in _grade_slots(theta, n, mu, -1, T) if a != b or m >= 0]
+    for j in sorted(polar, reverse=True):
+        v = _polar_solve(cur, slots, polar[j], j, W)
+        if v is not None:
+            cur, g_total = _apply_gauge(cur, v, g_total, cap)
+    for _ in range(T + 3):
+        kill = {(a, b, m): c for (a, b, m), c in _piece(cur, slots).items()
+                if m != 0 and all(d[a] == d[b] for d in polar.values())}
+        if not kill:
+            return cur, g_total
+        m0 = min(m for _, _, m in kill)
+        level = {(a, b): c for (a, b, m), c in kill.items() if m == m0}
+        w = _kill_by_exponential(cur, theta, level, m0, polar)
+        cur, g_total = _apply_gauge(cur, LM.monomial(w, m0, W), g_total, cap)
+    raise InternalError("internal error: centralizer kill did not terminate")
+
+
+def _kill_by_exponential(cur, theta, level, m, polar):
+    """Solve (m + ad(R0)) W = level on all slots of the level's
+    theta-difference in the common centralizer, R0 the Levi part of the
+    current residue."""
+    n = cur.n
+    th = theta.entries
+    a0, b0 = next(iter(level))
+    slots = [(a, b) for a in range(n) for b in range(n)
+             if th[a] - th[b] == th[a0] - th[b0] and all(d[a] == d[b] for d in polar.values())]
+    idx = {s: i for i, s in enumerate(slots)}
+    c0 = cur.coeff(0)
+    r0 = CMat([[c0[a, b] if th[a] == th[b] else 0 for b in range(n)] for a in range(n)])
+    op = [[gr(m) if i == k else gr(0) for k in range(len(slots))] for i in range(len(slots))]
+    for (a, b), col in idx.items():
+        for c in range(n):
+            if (c, b) in idx:
+                op[idx[c, b]][col] = op[idx[c, b]][col] + r0[c, a]
+            if (a, c) in idx:
+                op[idx[a, c]][col] = op[idx[a, c]][col] - r0[b, c]
+    try:
+        sol = CMat(op).inv().apply([level.get(s, gr(0)) for s in slots])
+    except ZeroDivisionError:
+        raise ReductionError(
+            "resonant residue: (m + ad(B0)) is singular on the centralizer; "
+            "canonical reduction needs a shearing transformation (out of scope)") from None
+    rows = [[gr(0)] * n for _ in range(n)]
+    for (a, b), i in idx.items():
+        rows[a][b] = sol[i]
+    return CMat(rows)
+
+
+RESONANT = ("resonant residue: (m + ad(B0)) is singular on the centralizer; "
+            "canonical reduction needs a shearing transformation (out of scope)")
+
+
+def _weights(rng, n):
+    """A zero, a small and a boundary weight (entries 0 and 1, both present)."""
+    return (Weight([0] * n), rand_small_weight(rng, n),
+            Weight([1] + [rng.choice([0, 1]) for _ in range(n - 2)] + [0]))
+
+
+def _with_tail_pole(rng, conn, theta):
+    """conn plus a random z^-1 entry on every slot of theta-difference 1."""
+    n = conn.n
+    th = theta.entries
+    extra = CMat([[F(rng.randint(-5, 5), rng.randint(1, 5)) if th[a] - th[b] == 1 else 0
+                   for b in range(n)] for a in range(n)])
+    return MeroConnection(conn.B + LM.monomial(extra, -1, conn.B.trunc))
+
+
+def _oracle_cases(rng):
+    """(theta, connection, trunc): regular and Levi polar parts at
+    n = 2-4 and poles 1-3 under zero, small and boundary weights; Levi
+    inputs with z^-1 entries at the boundary weight; the hand-built
+    boundary, window-loss and resonance examples."""
+    cases = []
+    for n in (2, 3, 4):
+        for pole in (1, 2, 3):
+            trunc = rng.choice([5, 6, 7])
+            for theta in _weights(rng, n):
+                cases.append((theta, rand_connection(rng, n, pole, trunc, theta), trunc))
+                cases.append((theta, rand_connection_levi(rng, n, pole, trunc, theta), trunc))
+            cases.append((theta, _with_tail_pole(
+                rng, rand_connection_levi(rng, n, pole, trunc, theta), theta), trunc))
+    boundary = Weight([1, 0])
+    tail_pole = (LM.monomial(CMat.diag([2, 5]), -2) + LM.monomial(E12.scale(F(1, 3)), -1)
+                 + LM.from_const(CMat([[1, 4], [0, 7]])) + LM.monomial(E21, 1))
+    cases.append((boundary, MeroConnection(tail_pole.truncate(8)), 8))
+    conn, theta = window_loss_example()
+    cases.append((theta, conn, None))
+    resonant = (LM.monomial(CMat.diag([1, 1]), -1) + LM.from_const(CMat.diag([1, 0]))
+                + LM.monomial(E21, 1))
+    cases.append((Weight([0, 0]), MeroConnection(resonant.truncate(8)), None))
+    return cases
+
+
+def _outcome(reduce, conn, theta, trunc):
+    try:
+        return reduce(conn, theta, trunc)
+    except ReductionError as exc:
+        return str(exc)
+
+
+def test_reduction_matches_the_exponential_oracle():
+    # the same refusals, byte-identical canonical forms, and the same
+    # gauge (and trunc) on every coefficient the input determines, 0 on
+    # the rest
+    rng = random.Random(60)
+    reduced = 0
+    refused = set()
+    for theta, conn, trunc in _oracle_cases(rng):
+        new = _outcome(canonical_reduce, conn, theta, trunc)
+        old = _outcome(_reduce_by_exponentials, conn, theta, trunc)
+        if isinstance(old, str) or isinstance(new, str):
+            assert new == old
+            refused.add(new.split(":")[0])
+            continue
+        (form, g), (want_form, want_g) = new, old
+        assert enc_canonical(form) == enc_canonical(want_form)
+        assert g.trunc == want_g.trunc
+        n, npole = conn.n, conn.pole_order
+        T = _resolve_trunc(conn, trunc)
+        # the z^-1 steps of a boundary weight cost two each off the window
+        window = T - 2 * (T + npole - g.trunc)
+        depth = _split_depth({j: [conn.polar_coeff(j)[i, i] for i in range(n)]
+                              for j in range(1, npole + 1)}, n)
+        # an off-diagonal z^-1 entry (boundary weight) also meets a free
+        # coefficient at z^window in the equation at z^(window-1)
+        z_inv = any(not conn.B.rows[a][b].coeff(-1).is_zero()
+                    for a in range(n) for b in range(n) if a != b)
+        for a in range(n):
+            for b in range(n):
+                for m in range(-1, int(g.trunc)):
+                    got = g.rows[a][b].coeff(m)
+                    level = m - depth[a][b]
+                    if level >= window:
+                        assert got.is_zero()
+                    elif level < window - 1 or not z_inv:
+                        assert got == want_g.rows[a][b].coeff(m)
+        reduced += 1
+    assert reduced >= 50 and refused == {"resonant residue", "truncation window lost"}
+
+
+def _levi_cases(rng, trunc):
+    for n in (2, 3, 4):
+        for pole in (1, 2, 3):
+            for theta in _weights(rng, n):
+                yield theta, rand_connection_levi(rng, n, pole, trunc, theta)
+
+
+def test_levi_reductions_hold_the_invariants():
+    # each input reduces to a form that passes the invariants, the gauge
+    # check and idempotence, or it is refused as resonant
+    rng = random.Random(61)
+    trunc = 8
+    outcomes = []
+    for theta, conn in _levi_cases(rng, trunc):
+        try:
+            canonical, g = canonical_reduce(conn, theta, trunc)
+        except ReductionError as exc:
+            assert str(exc) == RESONANT
+            outcomes.append("resonant")
+            continue
+        assert canonical.check_invariants(theta)
+        assert not canonical.polar[conn.pole_order].is_zero()
+        form = canonical.as_connection(trunc)
+        assert gauge_orbit_equal(conn, form, g)
+        again, g2 = canonical_reduce(form, theta, trunc)
+        assert g2.agrees(LM.identity(conn.n))
+        assert enc_canonical(again) == enc_canonical(canonical)
+        outcomes.append("reduced")
+    assert outcomes.count("reduced") >= 20 and outcomes.count("resonant") >= 1
+
+
+def test_levi_canonical_form_is_invariant_under_a_parahoric_gauge():
+    # h = I + z^p (k - I), k = rand_parahoric_gauge and p the pole order,
+    # is parahoric of grade >= p, so h . conn stays in irregular-type
+    # shape: it has conn's irregular type and canonical form, and g2 h
+    # reduces conn
+    rng = random.Random(62)
+    trunc = 8
+    checked = 0
+    for theta, conn in _levi_cases(rng, trunc):
+        p = conn.pole_order
+        k = rand_parahoric_gauge(rng, theta, trunc + p)
+        h = LM.identity(conn.n) + (k - LM.identity(conn.n)).shift(p)
+        moved = gauge_act(h, conn)
+        assert in_irregular_shape(moved, theta)
+        assert extract_irregular_type(moved, theta, trunc) == extract_irregular_type(conn, theta)
+        first = _outcome(canonical_reduce, conn, theta, trunc)
+        second = _outcome(canonical_reduce, moved, theta, trunc)
+        if isinstance(first, str):
+            assert second == first == RESONANT
+            continue
+        (form, _), (moved_form, g2) = first, second
+        assert enc_canonical(moved_form) == enc_canonical(form)
+        assert gauge_orbit_equal(conn, form.as_connection(trunc), mat_mul(g2, h))
+        checked += 1
+    assert checked >= 20
+
+
+def _resonant_input(rng, n, pole, m):
+    """A Levi polar part, a diagonal residue with s_b - s_a = m on a pair
+    (a, b) of its common centralizer, c E_ab z^m with c != 0, and a
+    random tail from z^(m+1) on: the centralizer solve at z^m is singular
+    and meets c, so the reduction must refuse."""
+    while True:
+        base = rand_connection_levi(rng, n, pole, 4)
+        polar = {j: [base.polar_coeff(j)[i, i] for i in range(n)] for j in range(1, pole + 1)}
+        pairs = [(a, b) for a in range(n) for b in range(n)
+                 if a != b and all(d[a] == d[b] for d in polar.values())]
+        if pairs:
+            break
+    a, b = rng.choice(pairs)
+    s = [F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)]
+    s[b] = s[a] + m
+    B = LM.from_const(CMat.diag(s)) + LM.monomial(CMat.unit(n, a, b, F(rng.randint(1, 5))), m)
+    for j, d in polar.items():
+        B = B + LM.monomial(CMat.diag(d), -j)
+    for e in range(m + 1, m + 4):
+        B = B + LM.monomial(CMat([[F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
+                                  for _ in range(n)]), e)
+    return MeroConnection(B.truncate(m + 4))
+
+
+def test_inputs_that_must_be_refused_get_the_exact_error():
+    rng = random.Random(63)
+    for n in (2, 3, 4):
+        for pole in (1, 2, 3):
+            conn = _resonant_input(rng, n, pole, 1 + (n + pole) % 3)
+            with pytest.raises(ReductionError) as exc:
+                canonical_reduce(conn)
+            assert str(exc.value) == RESONANT
+            # without its polar part the input has a trivial irregular type
+            polar_free = conn.B - sum((LM.monomial(conn.polar_coeff(j), -j)
+                                       for j in range(1, pole + 1)), LM.zero(n))
+            with pytest.raises(ReductionError) as exc:
+                canonical_reduce(MeroConnection(polar_free))
+            assert str(exc.value) == ("trivial irregular type: input has no polar part "
+                                      "(logarithmic reduction is out of scope)")

@@ -30,6 +30,10 @@ def test_normalization_makes_equality_structural():
     assert gr(F(2, 4)) == gr(F(1, 2))
     assert gr(F(2, 4), F(-6, 8)).t == gr(F(1, 2), F(-3, 4)).t
     assert hash(gr(F(2, 4))) == hash(gr(F(1, 2)))
+    # integer parts take a shortcut to the same triple as Fractions do
+    for re, im in ((0, 0), (3, 0), (-7, 2), (0, -1), (12, 18)):
+        assert gr(re, im).t == gr(F(re), F(im)).t == (re, im, 1)
+    assert gr(True).t == (1, 0, 1)
 
 
 def test_floats_rejected():

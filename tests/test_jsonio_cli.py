@@ -221,16 +221,16 @@ def _break_jordan_chains(monkeypatch):
     monkeypatch.setattr(meroconn.residues, "_independent", lambda spanning, v: False)
 
 
+def _break_centralizer_solve(monkeypatch):
+    import meroconn.connection
+    monkeypatch.setattr(meroconn.connection, "_solve_level",
+                        lambda e, res, slots, rhs: [(0, 0, 1)] * len(slots))
+
+
 def _break_octant_reduction(monkeypatch):
     import meroconn.angles
     from meroconn.field import GaussRat
     monkeypatch.setattr(meroconn.angles, "_octant_rotations", lambda: [GaussRat(-1)] * 8)
-
-
-def _break_grade_normalization(monkeypatch):
-    import meroconn.connection
-    monkeypatch.setattr(meroconn.connection, "_normalize_grade",
-                        lambda cur, g_total, *rest: (cur, g_total))
 
 
 @pytest.mark.parametrize("breakage, argv, message", [
@@ -240,18 +240,21 @@ def _break_grade_normalization(monkeypatch):
      "internal error: Jordan chains do not span"),
     (_break_octant_reduction, ["antistokes", "--irregular-type", "q_gl2_oblique.json"],
      "internal error: octant reduction failed"),
-    (_break_grade_normalization, ["canonical-form", "--input", "conn_gl2_tail.json"],
-     "internal error: reduction left residual terms"),
+    (_break_centralizer_solve, ["canonical-form", "--input", "conn_gl2_boundary.json",
+                                "--weight", "weight_boundary.json"],
+     "internal error: centralizer kill did not terminate"),
 ])
 def test_cli_internal_error_is_a_json_document(tmp_path, monkeypatch, capsys,
                                                breakage, argv, message):
     # a broken invariant exits 1 with an error document, not a traceback
     (tmp_path / "q_gl2_oblique.json").write_text(json.dumps(
         {"n": 2, "coeffs": {"1": [{"re": "1", "im": "2"}, {"re": "0", "im": "0"}]}}))
-    # diag(1, -1) z^-1 + E12 z: the z^1 term is left for the reduction
-    tail = LM.monomial(CMat.diag([1, -1]), -1) + LM.monomial(CMat.unit(2, 0, 1), 1)
-    (tmp_path / "conn_gl2_tail.json").write_text(json.dumps(
-        jsonio.enc_connection(MeroConnection(tail.truncate(12)))))
+    # theta = (1, 0), diag(1, 1) z^-1 + E21 z: the z^1 term is a grade-zero
+    # centralizer entry, gauged away before the grades are solved
+    tail = LM.monomial(CMat.diag([1, 1]), -1) + LM.monomial(CMat.unit(2, 1, 0), 1)
+    (tmp_path / "conn_gl2_boundary.json").write_text(json.dumps(
+        jsonio.enc_connection(MeroConnection(tail.truncate(8)))))
+    (tmp_path / "weight_boundary.json").write_text(json.dumps(["1", "0"]))
 
     def path(name):
         return str(tmp_path / name if (tmp_path / name).exists() else DATA / name)

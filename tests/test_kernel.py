@@ -5,7 +5,7 @@ from math import gcd, lcm
 
 from hypothesis import given, settings, strategies as st
 
-from meroconn._kernel import ZERO, qadd, qconv, qconvsum
+from meroconn._kernel import ZERO, qadd, qconv, qconvat, qconvsum
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -84,6 +84,8 @@ def test_qconvsum_matches_the_fraction_oracle_and_summed_qconvs(case):
     assert len(out) == nout
     assert out == _oracle(terms, nout)
     assert all(_normalized(t) for t in out)
+    # one coefficient at a time, accumulated the same way
+    assert [qconvat(terms, k) for k in range(nout)] == out
     # the same sum from one qconv per pair, shifted and added
     summed = [ZERO] * nout
     for s, xs, ys in terms:

@@ -325,8 +325,7 @@ def _inverse_by_powers(a):
 
 
 def _same(got, want):
-    # values, trunc, and every entry's order_min (a cancelled zero keeps a
-    # path-dependent one, which enc_lmatrix prints)
+    # values, trunc, and every entry's order_min, which enc_lmatrix prints
     assert got == want and got.trunc == want.trunc
     assert enc_lmatrix(got) == enc_lmatrix(want)
 
@@ -359,16 +358,16 @@ def test_mat_mul_matches_the_term_by_term_oracle(ab):
     _same(mat_mul(a, b), _mat_mul_terms(a, b))
 
 
-def test_mat_mul_cancelled_entry_keeps_the_series_order_min():
-    # (1 + 2z) * 1 + 1 * -(1 + 2z) cancels; the series sum leaves
-    # order_min 2 (one past the window), at INF and at a finite trunc
+def test_mat_mul_cancelled_entry_is_the_zero_series():
+    # (1 + 2z) * 1 + 1 * -(1 + 2z) cancels to the zero series, order_min 0,
+    # at INF and at a finite trunc
     p = LS.from_dict({0: 1, 1: 2})
     for trunc in (INF, 5):
         a = LM([[p, LS.const(1)], [LS.zero(), LS.const(1)]], trunc)
         b = LM([[LS.const(1), LS.zero()], [-p, LS.const(1)]], trunc)
         got = mat_mul(a, b)
         _same(got, _mat_mul_terms(a, b))
-        assert got.rows[0][0].is_zero() and got.rows[0][0].order_min == 2
+        assert got.rows[0][0] == LS.zero(trunc) and got.rows[0][0].order_min == 0
     # terms that lie wholly at or past the truncation are cut to zero
     a = LM([[LS.monomial(1, 3), LS.monomial(1, -1)], [LS.zero(), LS.const(1)]], 3)
     b = LM([[LS.const(1), LS.zero()], [LS.monomial(1, 5), LS.const(1)]], 8)
@@ -405,14 +404,14 @@ def test_exp_pair_matches_the_per_power_oracle(m):
     _same(minus, want_minus)
 
 
-def test_exp_pair_cancelled_entry_keeps_the_series_order_min():
+def test_exp_pair_cancelled_entry_is_the_zero_series():
     # exp(N)_02 = -1/2 + (N^2)_02 / 2 = 0 for this N
     nil = LM.from_const(CMat([[0, 1, F(-1, 2)], [0, 0, 1], [0, 0, 0]]), 6)
     plus, minus = mat_exp_pair(nil)
     want_plus, want_minus = _exp_pair_by_powers(nil)
     _same(plus, want_plus)
     _same(minus, want_minus)
-    assert plus.rows[0][2].is_zero() and plus.rows[0][2].order_min == 1
+    assert plus.rows[0][2] == LS.zero(6) and plus.rows[0][2].order_min == 0
 
 
 @PROPERTY

@@ -103,10 +103,11 @@ def test_agrees_up_to_common_truncation():
 
 
 def test_cancelled_zero_equals_zero():
-    # a - a keeps the order_min of a's window; equality and hash ignore it
+    # every zero series has order_min 0, however it was computed
     a = LS.from_dict({0: 1, 1: 2})
     diff = a - a
-    assert diff.is_zero() and diff == LS.zero() and LS.zero() == diff
+    assert diff.is_zero() and diff.order_min == 0 and (a.shift(3) - a.shift(3)).order_min == 0
+    assert diff == LS.zero() and LS.zero() == diff
     assert hash(diff) == hash(LS.zero())
     assert len({diff, LS.zero(), LS(5, [0, 0])}) == 1
     assert diff != LS.zero(trunc=4)
