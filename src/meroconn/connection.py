@@ -12,9 +12,10 @@ regular semisimple.
 
 A connection whose polar part is merely *conjugate* to a diagonal one
 (e.g. after an arbitrary parahoric gauge) is first brought back to
-irregular-type shape by ``recover_irregular_shape``, one exponential
-gauge step per grade.  The irregular type is read off that shape's
-diagonal polar part, which reduction never changes.
+irregular-type shape by ``recover_irregular_shape``: a constant
+diagonalization of the leading coefficient, then the same kind of graded
+solve below grade zero (see ``_solve_shape``).  The irregular type is
+read off that shape's diagonal polar part, which reduction never changes.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Dict, List, Optional, Tuple
 from . import _kernel as K
 from .errors import InternalError
 from .field import GaussRat
-from .lmatrix import CMat, LaurentMatrix, mat_exp_pair, mat_inv, mat_mul, mat_mul_trunc
+from .lmatrix import CMat, LaurentMatrix, mat_inv, mat_mul, mat_mul_trunc
 from .residues import gaussian_eigenvalues, nullspace
 from .rootdata import Weight
 from .series import INF, LaurentSeries
@@ -297,39 +298,6 @@ def _grade(theta: Weight, a: int, b: int, m: int) -> Fraction:
     return theta.entries[a] - theta.entries[b] + m
 
 
-def _grade_slots(theta: Weight, n: int, mu: Fraction, m_lo: int, m_hi: int):
-    """All (a, b, m) with grade mu and m in [m_lo, m_hi)."""
-    out = []
-    for a in range(n):
-        for b in range(n):
-            m = mu - theta.entries[a] + theta.entries[b]
-            if m.denominator == 1 and m_lo <= m < m_hi:
-                out.append((a, b, int(m)))
-    return out
-
-
-def _piece(B: LaurentMatrix, slots):
-    """{(a, b, m): coefficient} restricted to nonzero entries."""
-    out = {}
-    for a, b, m in slots:
-        c = B.rows[a][b].coeff(m)
-        if not c.is_zero():
-            out[(a, b, m)] = c
-    return out
-
-
-def _apply_gauge(cur: LaurentMatrix, u: LaurentMatrix, g_total: LaurentMatrix,
-                 cap: int) -> Tuple[LaurentMatrix, LaurentMatrix]:
-    """Gauge by exp(u) for u of a single positive grade; the exponential
-    sums terminate inside the truncated window because powers climb in
-    grade."""
-    pair = mat_exp_pair(u, cap)
-    if pair is None:
-        raise ReductionError("gauge exponential did not terminate (grading violated)")
-    g, g_inv = pair
-    return gauge_act(g, MeroConnection(cur), g_inv).B, mat_mul(g, g_total)
-
-
 def _diag_entries(m: CMat):
     return [m[i, i] for i in range(m.n)]
 
@@ -444,9 +412,7 @@ def _solve_gauge(B: LaurentMatrix, theta: Weight, polar, depth, W: int
     """
     n = B.n
     T = int(B.trunc)
-    # grades in units of 1/den, as integers
-    den = math.lcm(*(e.denominator for e in theta.entries))
-    th = [int(e * den) for e in theta.entries]
+    den, th = _integer_grades(theta)
     # B minus its polar part, from z^-1: tail[c][b][i] is the coefficient at z^(i-1)
     tail = [[_window(B.rows[c][b], -1, T) for b in range(n)] for c in range(n)]
     for c in range(n):
@@ -509,6 +475,13 @@ def _solve_gauge(B: LaurentMatrix, theta: Weight, polar, depth, W: int
     return g, CMat([[GaussRat.from_triple(t) for t in row] for row in res])
 
 
+def _integer_grades(theta: Weight) -> Tuple[int, List[int]]:
+    """(den, th): the least common denominator of theta's entries and
+    theta * den, so that grades in units of 1/den are integers."""
+    den = math.lcm(*(e.denominator for e in theta.entries))
+    return den, [int(e * den) for e in theta.entries]
+
+
 def _window(s: LaurentSeries, lo: int, hi: int) -> list:
     """The coefficients of s at z^lo .. z^(hi-1) as kernel triples."""
     out = [K.ZERO] * (hi - lo)
@@ -559,9 +532,12 @@ def _centralize_grade_zero(cur: LaurentMatrix, theta: Weight, polar, W: int
     """For a boundary weight, the common centralizer of the polar part
     can hold grade-zero entries at z^-1 (theta-difference 1) and z^1
     (theta-difference -1).  They are gauged away first, lowest z-degree
-    first, each by exp(w z^m) with (m + ad(R0)) w = (the entries at z^m),
-    until none is left inside the window.  Returns the gauged connection
-    and the product of the steps, or None when there are no such slots.
+    first, each by I + u, u = w z^m with (m + ad(R0)) w = (the entries at
+    z^m), until none is left inside the window.  All of u's entries have
+    the theta-difference -m, and an admissible weight has none of +-2, so
+    u^2 = 0: I + u = exp(u), with inverse I - u.  Returns the gauged
+    connection and the product of the steps, or None when there are no
+    such slots.
 
     The steps interact (a z^1 step brings z^-1 terms back), and each z^-1
     step takes two off the connection's window and one off the gauge's,
@@ -575,8 +551,8 @@ def _centralize_grade_zero(cur: LaurentMatrix, theta: Weight, polar, W: int
     if not slots:
         return cur, None
     T = int(cur.trunc)
-    cap = _exp_cap(theta, T, max(polar))
-    g0 = LaurentMatrix.identity(n, W)
+    ident = LaurentMatrix.identity(n, W)
+    g0 = ident
     for _ in range(T + 3):
         piece = {(a, b, m): cur.rows[a][b].coeff(m).t for a, b, m in slots}
         live = [m for (_, _, m), t in piece.items() if t[0] or t[1]]
@@ -589,7 +565,10 @@ def _centralize_grade_zero(cur: LaurentMatrix, theta: Weight, polar, W: int
         rows = [[0] * n for _ in range(n)]
         for (a, b), x in zip(level, w):
             rows[a][b] = GaussRat.from_triple(x)
-        cur, g0 = _apply_gauge(cur, LaurentMatrix.monomial(CMat(rows), m0, W), g0, cap)
+        u = LaurentMatrix.monomial(CMat(rows), m0, W)
+        g = ident + u
+        cur = gauge_act(g, MeroConnection(cur), ident - u).B
+        g0 = mat_mul(g, g0)
     raise InternalError("internal error: centralizer kill did not terminate")
 
 
@@ -598,26 +577,6 @@ def _drop_undetermined(g: LaurentMatrix, depth, T: int) -> LaurentMatrix:
     return LaurentMatrix._of([
         [LaurentSeries._raw(s.order_min, list(s.coeffs[:max(T + J - s.order_min, 0)]), g.trunc)
          for s, J in zip(row, depths)] for row, depths in zip(g.rows, depth)], g.trunc)
-
-
-def _polar_solve(cur: LaurentMatrix, slots, d, j: int, W) -> Optional[LaurentMatrix]:
-    """V z^j, V_ab = piece_ab / (d_a - d_b) off ker ad(diag d): its exp
-    removes that part of the grade piece.  None if that part is zero."""
-    n = cur.n
-    rows = [[LaurentSeries.zero() for _ in range(n)] for _ in range(n)]
-    nonzero = False
-    for (a, b, m), c in _piece(cur, slots).items():
-        if d[a] != d[b]:
-            rows[a][b] = rows[a][b] + LaurentSeries.monomial(c / (d[a] - d[b]), m)
-            nonzero = True
-    return LaurentMatrix(rows, W).shift(j) if nonzero else None
-
-
-def _exp_cap(theta: Weight, T: int, npole: int) -> int:
-    den = 1
-    for e in theta.entries:
-        den = den * e.denominator // math.gcd(den, e.denominator)
-    return den * (T + npole + 2) + 4
 
 
 def _resolve_trunc(conn: MeroConnection, trunc: Optional[int]) -> int:
@@ -652,11 +611,40 @@ def recover_irregular_shape(conn: MeroConnection, theta: Optional[Weight] = None
                             trunc: Optional[int] = None
                             ) -> Tuple[MeroConnection, LaurentMatrix]:
     """Bring a connection whose polar part is conjugate to a diagonal one
-    back to irregular-type shape (diagonal polar coefficients).
+    back to irregular-type shape (diagonal polar coefficients, every
+    off-diagonal entry at grade >= 0).  Returns (g . conn, g), g the
+    constant diagonalizer followed by the I + X of ``_solve_shape``.
 
     Supported when the leading polar coefficient is regular semisimple
     with Gaussian-rational eigenvalues (the unramified case at desk
     scale); eigenvalues are ordered canonically by (re, im).
+    """
+    cur, s_inv, x, _ = _solve_shape(conn, theta, trunc)
+    g = x if s_inv is None else mat_mul(x, LaurentMatrix.from_const(s_inv, x.trunc))
+    return gauge_act(x, MeroConnection(cur)), g
+
+
+def _solve_shape(conn: MeroConnection, theta: Optional[Weight], trunc: Optional[int]):
+    """Conjugate B by the diagonalizer S of its leading coefficient L (if
+    L is not diagonal), then solve (I + X) B - z X' = C (I + X) below
+    grade zero, mod z^T, for X of grade in (0, pole order) known below
+    z^W, W = T + pole order, and C diagonal below grade zero.
+
+    z X' has X's grades, all positive, so it never enters.  The equation
+    at slot (a, b) and z-degree e, of grade mu in [-pole order, 0),
+    fixes one unknown:
+
+    * a = b: the polar entry C[a,a,e];
+    * a != b, L_a != L_b and mu > -pole order: X[a,b,e+pole order], by a
+      division by L_a - L_b;
+    * otherwise none, so a nonzero right-hand side means the polar part
+      is not recoverable.
+
+    Grades run in ascending order; the unknowns of one grade enter only
+    the equations of higher grades.  Each right-hand side is the
+    residual's coefficient at its slot with that slot's unknown still 0,
+    one ``_kernel.qconvat`` call as in ``_solve_gauge``.  Returns
+    (S^-1 B S mod z^T, S^-1 or None, I + X, C's polar part {j: C_-j}).
     """
     n = conn.n
     theta = _resolve_weight(theta, n)
@@ -665,45 +653,51 @@ def recover_irregular_shape(conn: MeroConnection, theta: Optional[Weight] = None
         raise ReductionError("trivial irregular type: nothing to recover")
     T = _resolve_trunc(conn, trunc)
     W = T + npole
-    cap = _exp_cap(theta, T, npole)
-
-    g_total = LaurentMatrix.identity(n, W)
-    cur = conn.B.truncate(T)
-
-    lead = cur.coeff(-npole)
-    if not lead.is_diagonal():
-        s = _diagonalizer(lead)
-        s_l = LaurentMatrix.from_const(s, W)
-        s_inv = LaurentMatrix.from_const(s.inv(), W)
-        cur = mat_mul(mat_mul(s_inv, cur), s_l)
-        g_total = mat_mul(s_inv, g_total)
-    lead = cur.coeff(-npole)
-    dlead = _diag_entries(lead)
-
-    # kill off-kernel-of-the-leading-coefficient parts at every grade
-    # below zero (these include both non-diagonal polar coefficients and
-    # nonnegative-degree entries that a parahoric gauge pushed below
-    # grade zero), grade ascending
-    grades = set()
+    if W <= 0:
+        raise ReductionError(
+            f"truncation window lost: the connection is known only below z^{T}, "
+            f"so the leading polar coefficient (at z^-{npole}) is undetermined"
+        )
+    B = conn.B.truncate(T)
+    s_inv = None
+    if not B.coeff(-npole).is_diagonal():
+        s = _diagonalizer(B.coeff(-npole))
+        s_inv = s.inv()
+        B = mat_mul(mat_mul(LaurentMatrix.from_const(s_inv, W), B),
+                    LaurentMatrix.from_const(s, W))
+    den, th = _integer_grades(theta)
+    lam = [B.rows[a][a].coeff(-npole).t for a in range(n)]
+    # B from z^-npole: win[c][b][i] is the coefficient at z^(i-npole)
+    win = [[_window(B.rows[c][b], -npole, T) for b in range(n)] for c in range(n)]
+    y = [[[K.ONE if a == b else K.ZERO] + [K.ZERO] * (W - 1) for b in range(n)]
+         for a in range(n)]
+    # -C's diagonal below grade zero: neg_c[a][i] is the coefficient at z^(i-npole)
+    neg_c = [[K.qneg(lam[a])] + [K.ZERO] * (npole - 1) for a in range(n)]
+    grades: Dict[int, list] = {}
     for a in range(n):
         for b in range(n):
-            diff = theta.entries[a] - theta.entries[b]
-            for m in range(-npole + 1, T):
-                mu = diff + m
-                if -npole < mu < 0:
-                    grades.add(mu)
+            for e in range(1 - npole, 0 if a == b else T):
+                mu = th[a] - th[b] + e * den
+                if -npole * den <= mu < 0:
+                    grades.setdefault(mu, []).append((a, b, e))
     for mu in sorted(grades):
-        slots = _grade_slots(theta, n, mu, -npole + 1, T)
-        v = _polar_solve(cur, slots, dlead, npole, W)
-        if v is not None:
-            cur, g_total = _apply_gauge(cur, v, g_total, cap)
-    result = MeroConnection(cur)
-    if not in_irregular_shape(result, theta):
-        raise ReductionError(
-            "polar part not recoverable: residual content below grade zero "
-            "(nested splitting out of scope)"
-        )
-    return result, g_total
+        for a, b, e in grades[mu]:
+            terms = [(0, y[a][c], win[c][b]) for c in range(n)] + [(0, neg_c[a], y[a][b])]
+            r = K.qconvat(terms, e + npole)
+            if a == b:
+                neg_c[a][e + npole] = K.qneg(r)
+            elif r[0] or r[1]:
+                if lam[a] == lam[b] or mu == -npole * den:
+                    raise ReductionError(
+                        "polar part not recoverable: residual content below grade zero "
+                        "(nested splitting out of scope)"
+                    )
+                y[a][b][e + npole] = K.qdiv(r, K.qsub(lam[a], lam[b]))
+    x = LaurentMatrix._of([[LaurentSeries._raw(0, y[a][b], W) for b in range(n)]
+                           for a in range(n)], W)
+    polar = {j: CMat.diag([GaussRat.from_triple(K.qneg(c[npole - j])) for c in neg_c])
+             for j in range(1, npole + 1)}
+    return B, s_inv, x, polar
 
 
 def in_irregular_shape(conn: MeroConnection, theta: Optional[Weight] = None) -> bool:
@@ -738,14 +732,15 @@ def extract_irregular_type(conn: MeroConnection, theta: Optional[Weight] = None,
                            trunc: Optional[int] = None) -> IrregularType:
     """The diagonal polar data Q with dQ = (polar part) dz/z, i.e.
     Q = sum_j diag(B_-j) z^-j / (-j); a G_theta(K)-gauge invariant, read
-    off the polar part in irregular-type shape (recovered if needed).  No
+    off the polar part in irregular-type shape, or off the shape solve's
+    polar part when the shape is not there.  No gauge is applied and no
     reduction runs: Q ignores residue and tail, so only shape errors raise."""
     theta = _resolve_weight(theta, conn.n)
-    work = conn
     if conn.pole_order >= 1 and not in_irregular_shape(conn, theta):
-        work, _ = recover_irregular_shape(conn, theta, trunc)
-    return IrregularType.from_polar(
-        conn.n, {j: work.polar_coeff(j) for j in range(1, work.pole_order + 1)})
+        polar = _solve_shape(conn, theta, trunc)[3]
+    else:
+        polar = {j: conn.polar_coeff(j) for j in range(1, conn.pole_order + 1)}
+    return IrregularType.from_polar(conn.n, polar)
 
 
 def connection_from_irregular_type(q: IrregularType, residue: CMat,

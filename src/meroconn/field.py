@@ -46,13 +46,6 @@ class GaussRat:
         object.__setattr__(self, "t", t)
         return self
 
-    @classmethod
-    def parse(cls, text):
-        """Parse 'p/q' (real) or a {'re': 'p/q', 'im': 'p/q'} mapping."""
-        if isinstance(text, dict):
-            return cls(Fraction(text["re"]), Fraction(text["im"]))
-        return cls(Fraction(text))
-
     @property
     def re(self) -> Fraction:
         a, _, d = self.t

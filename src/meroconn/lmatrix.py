@@ -5,15 +5,17 @@ tuples; LaurentMatrix models elements of the loop group/algebra with a
 shared truncation order.  Both are immutable.
 
 There is one Laurent exponential loop, ``mat_exp_pair``: it returns
-exp(m) and exp(-m) from one sequence of powers m^k, so a gauge step
-gets its factor and that factor's inverse for the products of one.
+exp(m) and exp(-m) from one sequence of powers m^k, and
+``mat_exp_nilpotent`` keeps the first.  No gauge is built from it: the
+reduction and the shape recovery in ``connection`` solve for their
+gauges grade by grade.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from . import _kernel as K
 from .field import GaussRat
@@ -525,16 +527,13 @@ def mat_exp_nilpotent(m: LaurentMatrix) -> LaurentMatrix:
     return mat_exp_pair(m)[0]
 
 
-def mat_exp_pair(m: LaurentMatrix, cap: Optional[int] = None
-                 ) -> Optional[Tuple[LaurentMatrix, LaurentMatrix]]:
+def mat_exp_pair(m: LaurentMatrix) -> Tuple[LaurentMatrix, LaurentMatrix]:
     """(exp(m), exp(-m)) as sum_k (+-m)^k / k! from one sequence of
     powers m^k, each clamped to m's truncation (the sums are not known
     beyond it), up to the first power that vanishes; odd terms enter
     exp(-m) with a minus sign.  The caller vouches that a power
-    vanishes; with a cap, None is returned instead when m^cap does not."""
-    powers = _powers(m, m.trunc, cap)
-    if powers is None:
-        return None
+    vanishes."""
+    powers = _powers(m, m.trunc)
     plus, minus = [], []
     fact = 1
     for k in range(1, len(powers) + 1):
@@ -545,19 +544,15 @@ def mat_exp_pair(m: LaurentMatrix, cap: Optional[int] = None
             _power_sum(m.n, powers, minus, m.trunc))
 
 
-def _powers(m: LaurentMatrix, trunc, cap: Optional[int] = None
-            ) -> Optional[List[LaurentMatrix]]:
+def _powers(m: LaurentMatrix, trunc) -> List[LaurentMatrix]:
     """[m^1, m^2, ...], each power the product of the last with m clamped
-    to ``trunc``, up to the last that does not vanish; None if m^cap does
-    not vanish."""
+    to ``trunc``, up to the last that does not vanish."""
     out = []
     term = LaurentMatrix.identity(m.n, trunc)
     while True:
         term = mat_mul(term, m).truncate(trunc)
         if term.is_zero():
             return out
-        if len(out) + 1 == cap:
-            return None
         out.append(term)
 
 

@@ -368,17 +368,6 @@ def sl2_complete_blockwise(y: CMat, blocks: List[List[int]]) -> Sl2Data:
     return Sl2Data(None, CMat(x_rows), CMat(h_rows), y, CMat(p_rows))
 
 
-def residue_structure(m: CMat, blocks: Optional[List[List[int]]] = None) -> Sl2Data:
-    """Jordan decomposition followed by sl2 completion of the nilpotent
-    part.  When ``blocks`` is given the completion respects it."""
-    s, y = jordan_decompose(m)
-    if blocks is None:
-        data = sl2_complete(y)
-    else:
-        data = sl2_complete_blockwise(y, blocks)
-    return Sl2Data(s, data.X, data.H, data.Y, data.basis)
-
-
 def _jordan_chains(y: CMat) -> List[List[List[GaussRat]]]:
     """Jordan chains of a nilpotent matrix, each as [v, Yv, ..., Y^(k-1)v]."""
     n = y.n

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from meroconn.field import GaussRat, gr
+from meroconn.field import gr
 
 
 def rand_gauss(rng, nonzero=False):
@@ -22,8 +22,6 @@ def test_construction_and_parts():
     a = gr(F(1, 2), F(-3, 4))
     assert a.re == F(1, 2) and a.im == F(-3, 4)
     assert gr(5).is_real()
-    assert GaussRat.parse("7/3") == gr(F(7, 3))
-    assert GaussRat.parse({"re": "1/2", "im": "-2"}) == gr(F(1, 2), -2)
 
 
 def test_normalization_makes_equality_structural():

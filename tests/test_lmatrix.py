@@ -205,7 +205,7 @@ def test_exp_positive_valuation_series():
     assert prod.agrees(LM.identity(2))
 
 
-def _exp_sum(m, cap=None):
+def _exp_sum(m):
     """The former one-sided exponential loop, kept as the reference."""
     out = LM.identity(m.n, m.trunc)
     term = out
@@ -215,8 +215,6 @@ def _exp_sum(m, cap=None):
         term = mat_mul(term, m).truncate(m.trunc)
         if term.is_zero():
             return out
-        if k == cap:
-            return None
         fact *= k
         out = out + term * GaussRat(F(1, fact))
         k += 1
@@ -256,14 +254,15 @@ def test_exp_pair_matches_two_one_sided_sums():
     assert cases >= 25
 
 
-def test_exp_pair_cap_overrun():
-    # E12 z + E21 z is not nilpotent: its powers never vanish
+def test_exp_pair_of_a_non_nilpotent_matrix_stops_at_the_truncation():
+    # E12 z + E21 z is not nilpotent, but its powers climb in z, so the
+    # sums end where u^8 leaves the window
     u = LM.monomial(CMat([[0, 1], [1, 0]]), 1, trunc=8)
-    assert _exp_sum(u, 3) is None and _exp_sum(-u, 3) is None
-    assert mat_exp_pair(u, 3) is None and _exp_pair_by_powers(u, 3) is None
-    # the same u under a cap it stays within
-    plus, minus = mat_exp_pair(u, 9)
-    assert plus == _exp_sum(u, 9) and minus == _exp_sum(-u, 9)
+    plus, minus = mat_exp_pair(u)
+    assert plus == _exp_sum(u) and minus == _exp_sum(-u)
+    _same(plus, _exp_pair_by_powers(u)[0])
+    _same(minus, _exp_pair_by_powers(u)[1])
+    assert plus.coeff(7) == CMat([[0, 1], [1, 0]]).scale(F(1, 5040))
 
 
 # ---------------------------------------------------------------------
@@ -289,7 +288,7 @@ def _mat_mul_terms(a, b):
     return LM(rows, mat_mul_trunc(a, b))
 
 
-def _exp_pair_by_powers(m, cap=None):
+def _exp_pair_by_powers(m):
     """The former pair of exponential sums, kept as the reference: one
     matrix add or subtract per power."""
     plus = minus = LM.identity(m.n, m.trunc)
@@ -300,8 +299,6 @@ def _exp_pair_by_powers(m, cap=None):
         term = _mat_mul_terms(term, m).truncate(m.trunc)
         if term.is_zero():
             return plus, minus
-        if k == cap:
-            return None
         fact *= k
         scaled = term * GaussRat(F(1, fact))
         plus = plus + scaled

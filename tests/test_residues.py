@@ -7,7 +7,7 @@ from meroconn.field import gr
 from meroconn.lmatrix import CMat
 from meroconn.randomgen import rand_invertible, rand_nilpotent
 from meroconn.residues import (EigenvalueError, Sl2Data, gaussian_eigenvalues,
-                               jordan_decompose, nullspace, residue_structure,
+                               jordan_decompose, nullspace,
                                sl2_complete, sl2_complete_blockwise)
 
 
@@ -117,14 +117,6 @@ def test_sl2_blockwise_commutes_with_block_scalars():
     assert s.bracket(d.X).is_zero()
     with pytest.raises(ValueError):
         sl2_complete_blockwise(CMat.unit(3, 2, 0), [[0, 1], [2]])
-
-
-def test_residue_structure_combines():
-    m = CMat([[2, 1], [0, 2]])
-    d = residue_structure(m)
-    assert d.s == CMat.diag([2, 2])
-    assert d.Y == CMat.unit(2, 0, 1)
-    assert d.check_brackets()
 
 
 def test_nullspace_deterministic():
