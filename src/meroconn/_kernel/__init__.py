@@ -7,12 +7,12 @@ rest of the library while calls between kernel functions stay inside
 the kernel.
 """
 
-from ._pykernel import (ONE, ZERO, qadd, qconv, qconvat, qconvsum, qdiv, qinv,
-                        qmul, qneg, qnormalize, qsub, qvadd, qvscale)
+from ._pykernel import (ONE, ZERO, qadd, qconv, qconvat, qconvsum, qdiv, qdot,
+                        qinv, qmul, qneg, qnormalize, qsub, qvadd, qvscale)
 
 __all__ = [
     "qnormalize", "qadd", "qsub", "qneg", "qmul", "qinv", "qdiv",
-    "qconv", "qconvsum", "qconvat", "qvadd", "qvscale", "ZERO", "ONE", "active_backend",
+    "qconv", "qconvsum", "qconvat", "qdot", "qvadd", "qvscale", "ZERO", "ONE", "active_backend",
 ]
 
 

@@ -176,6 +176,12 @@ def qconvat(terms, k):
     return (re // g, im // g, den // g) if g > 1 else (re, im, den)
 
 
+def qdot(xs, ys):
+    """sum_i xs[i]*ys[i] over two equal-length lists, normalized once: coefficient
+    len - 1 of the convolution of xs with ys reversed."""
+    return qconvat(((0, xs, ys[::-1]),), len(xs) - 1)
+
+
 def qvadd(xs, ys):
     """Elementwise sum of two aligned coefficient lists (padded to max len)."""
     n = max(len(xs), len(ys))

@@ -76,7 +76,7 @@ class IrregularType:
     """Diagonal polar data Q = sum_j diag(c_j) z^-j (class of t(K)/t(R)).
 
     ``degree`` is the pole order of Q as a function; a trivial Q (no
-    negative part) is allowed but flagged, matching the logarithmic case.
+    negative part) is allowed, matching the logarithmic case.
     """
 
     __slots__ = ("n", "coeffs")
@@ -101,10 +101,6 @@ class IrregularType:
     @property
     def degree(self) -> int:
         return max(self.coeffs, default=0)
-
-    @property
-    def is_trivial(self) -> bool:
-        return not self.coeffs
 
     def entry(self, i: int) -> Dict[int, GaussRat]:
         """The scalar q_i as {exponent: coefficient} with negative exponents."""
@@ -624,6 +620,20 @@ def recover_irregular_shape(conn: MeroConnection, theta: Optional[Weight] = None
     return gauge_act(x, MeroConnection(cur)), g
 
 
+def _polar_window(conn: MeroConnection, trunc: Optional[int]):
+    """(B cut to the resolved truncation T, T).  Coefficients at z^T and
+    above are unknown and read as 0; refuses once the leading polar
+    coefficient lies among them."""
+    T = _resolve_trunc(conn, trunc)
+    npole = conn.pole_order
+    if T + npole <= 0:
+        raise ReductionError(
+            f"truncation window lost: the connection is known only below z^{T}, "
+            f"so the leading polar coefficient (at z^-{npole}) is undetermined"
+        )
+    return conn.B.truncate(T), T
+
+
 def _solve_shape(conn: MeroConnection, theta: Optional[Weight], trunc: Optional[int]):
     """Conjugate B by the diagonalizer S of its leading coefficient L (if
     L is not diagonal), then solve (I + X) B - z X' = C (I + X) below
@@ -651,14 +661,8 @@ def _solve_shape(conn: MeroConnection, theta: Optional[Weight], trunc: Optional[
     npole = conn.pole_order
     if npole < 1:
         raise ReductionError("trivial irregular type: nothing to recover")
-    T = _resolve_trunc(conn, trunc)
+    B, T = _polar_window(conn, trunc)
     W = T + npole
-    if W <= 0:
-        raise ReductionError(
-            f"truncation window lost: the connection is known only below z^{T}, "
-            f"so the leading polar coefficient (at z^-{npole}) is undetermined"
-        )
-    B = conn.B.truncate(T)
     s_inv = None
     if not B.coeff(-npole).is_diagonal():
         s = _diagonalizer(B.coeff(-npole))
@@ -733,13 +737,19 @@ def extract_irregular_type(conn: MeroConnection, theta: Optional[Weight] = None,
     """The diagonal polar data Q with dQ = (polar part) dz/z, i.e.
     Q = sum_j diag(B_-j) z^-j / (-j); a G_theta(K)-gauge invariant, read
     off the polar part in irregular-type shape, or off the shape solve's
-    polar part when the shape is not there.  No gauge is applied and no
-    reduction runs: Q ignores residue and tail, so only shape errors raise."""
+    polar part when the shape is not there.  Either way only coefficients
+    below z^trunc are known (``_polar_window``).  No gauge is applied and no
+    reduction runs: Q ignores residue and tail, so only shape and window
+    errors raise."""
     theta = _resolve_weight(theta, conn.n)
-    if conn.pole_order >= 1 and not in_irregular_shape(conn, theta):
-        polar = _solve_shape(conn, theta, trunc)[3]
+    npole = conn.pole_order
+    if npole < 1:
+        polar = {}
+    elif in_irregular_shape(conn, theta):
+        B = _polar_window(conn, trunc)[0]
+        polar = {j: B.coeff(-j) for j in range(1, npole + 1)}
     else:
-        polar = {j: conn.polar_coeff(j) for j in range(1, conn.pole_order + 1)}
+        polar = _solve_shape(conn, theta, trunc)[3]
     return IrregularType.from_polar(conn.n, polar)
 
 

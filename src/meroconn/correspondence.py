@@ -24,6 +24,7 @@ library-wide convention (ORIENTATION = +1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -249,6 +250,45 @@ def roundtrip_weight_check(d: DeRhamLocal) -> bool:
 # rank-1 monodromy oracle
 # ----------------------------------------------------------------------
 
+def _step(steps: int, wp: int):
+    """h = 1/steps and h/2 in turns, as libmp values at precision ``wp``."""
+    with mpmath.workprec(wp):
+        h = mpmath.mpf(1) / steps
+        return h._mpf_, (h / 2)._mpf_
+
+
+# Largest steps * (number of exponents) whose angle table is kept (about
+# 1.4 MB at 128 bits); longer runs stream the powers instead.
+_TABLE_POWERS = 2048
+
+
+def _angle_powers(steps: int, wp: int, exps: tuple):
+    """Yield the tuple of z^e, e in ``exps``, at each of the 2 steps + 1
+    angles the oracle visits, in visiting order: phi = 0, then each step's
+    midpoint phi + h/2 and end phi + h, with phi accumulated by
+    ``mpf_add``.  One ``mpc_expjpi`` per angle, as the oracle made."""
+    rnd = round_nearest
+    h, half_h = _step(steps, wp)
+
+    def powers(phi):
+        z = mpc_expjpi((mpf_mul_int(phi, 2, wp, rnd), fzero), wp, rnd)
+        return tuple(mpc_pow_int(z, e, wp, rnd) for e in exps)
+
+    phi = fzero
+    yield powers(phi)
+    for _ in range(steps):
+        yield powers(mpf_add(phi, half_h, wp, rnd))
+        phi = mpf_add(phi, h, wp, rnd)
+        yield powers(phi)
+
+
+@lru_cache(maxsize=1)
+def _angle_table(steps: int, wp: int, exps: tuple) -> tuple:
+    """``_angle_powers`` kept for the last (steps, wp, exps): the angles
+    depend only on (steps, wp), so repeated oracle calls of one shape share it."""
+    return tuple(_angle_powers(steps, wp, exps))
+
+
 def rank1_monodromy_oracle(b, q: Optional[IrregularType] = None,
                            steps: int = 8192, prec: int = 128) -> complex:
     """Numerically continue a solution of f' = (q'(z) + b/z) f around the
@@ -262,6 +302,12 @@ def rank1_monodromy_oracle(b, q: Optional[IrregularType] = None,
     a(phi) = 2 pi i (z q'(z) + b) at z = exp(2 pi i phi).  a(phi) is
     evaluated once per distinct angle (k2 and k3 share phi + h/2, and k4's
     phi + h is the next step's phi) and once in all when q is None.  The
+    powers z^e at those angles depend only on (steps, prec) and the
+    exponents of q; the last such table is kept for later calls of the same
+    shape when steps * (number of exponents) <= ``_TABLE_POWERS``
+    (``_angle_table``) and streamed otherwise (``_angle_powers``); a cold
+    call makes the per-angle libmp calls it made without the table, and
+    neither way changes a bit.  The
     stages run on ``mpmath.libmp`` tuples: each makes the libmp call that
     mpf/mpc operators make for ``f + h * k / 2`` and
     ``f + h * (k1 + 2 * k2 + 2 * k3 + k4) / 6``, on the same operands at
@@ -278,18 +324,26 @@ def rank1_monodromy_oracle(b, q: Optional[IrregularType] = None,
     with mpmath.workprec(prec):
         wp, rnd = mpmath.mp.prec, round_nearest
         bc = to_mpc(b)._mpc_
-        terms = [(e, to_mpc(c)._mpc_) for e, c in zq_terms]
+        exps = tuple(e for e, _ in zq_terms)
+        cs = [to_mpc(c)._mpc_ for _, c in zq_terms]
+        if not cs:
+            angles = iter(())
+        elif steps * len(exps) <= _TABLE_POWERS:
+            angles = iter(_angle_table(steps, wp, exps))
+        else:
+            angles = _angle_powers(steps, wp, exps)
         two_pi_i = (2j * mpmath.pi)._mpc_
-        h = mpmath.mpf(1) / steps
-        half_h, h = (h / 2)._mpf_, h._mpf_
+        h, _ = _step(steps, wp)
         two, six = from_int(2), from_int(6)
 
-        def coeff(phi):
-            z = mpc_expjpi((mpf_mul_int(phi, 2, wp, rnd), fzero), wp, rnd)
-            zq = (fzero, fzero)
-            for e, c in terms:
-                zq = mpc_add(zq, mpc_mul(c, mpc_pow_int(z, e, wp, rnd), wp, rnd), wp, rnd)
-            return mpc_mul(two_pi_i, mpc_add(zq, bc, wp, rnd), wp, rnd)
+        def coeff(zs):
+            # a at the angle with powers zs; the sum starts at the first
+            # product, which 0 + product at precision wp reproduces to the bit
+            zq = None
+            for z, c in zip(zs, cs):
+                t = mpc_mul(c, z, wp, rnd)
+                zq = t if zq is None else mpc_add(zq, t, wp, rnd)
+            return mpc_mul(two_pi_i, bc if zq is None else mpc_add(zq, bc, wp, rnd), wp, rnd)
 
         def shifted(f, k, halve):
             # f + h * k / 2 when halve, else f + h * k
@@ -299,13 +353,10 @@ def rank1_monodromy_oracle(b, q: Optional[IrregularType] = None,
             return mpc_add(f, dk, wp, rnd)
 
         f = (from_int(1), fzero)
-        phi = fzero
-        a0 = a_mid = a1 = coeff(phi)
+        a0 = a_mid = a1 = coeff(next(angles, ()))
         for _ in range(steps):
-            mid = mpf_add(phi, half_h, wp, rnd)
-            phi = mpf_add(phi, h, wp, rnd)
-            if terms:
-                a_mid, a1 = coeff(mid), coeff(phi)
+            if cs:
+                a_mid, a1 = coeff(next(angles)), coeff(next(angles))
             k1 = mpc_mul(a0, f, wp, rnd)
             k2 = mpc_mul(a_mid, shifted(f, k1, True), wp, rnd)
             k3 = mpc_mul(a_mid, shifted(f, k2, True), wp, rnd)

@@ -69,33 +69,34 @@ class CMat:
         i, j = ij
         return self.rows[i][j]
 
+    @classmethod
+    def _of(cls, rows):
+        """From rows of ``GaussRat``s, unchecked."""
+        self = object.__new__(cls)
+        rows = tuple(map(tuple, rows))
+        object.__setattr__(self, "n", len(rows))
+        object.__setattr__(self, "rows", rows)
+        return self
+
     def __add__(self, other):
         _check_dim(self, other)
-        return CMat([
-            [self.rows[i][j] + other.rows[i][j] for j in range(self.n)]
-            for i in range(self.n)
-        ])
+        return CMat._of([[x + y for x, y in zip(r, s)] for r, s in zip(self.rows, other.rows)])
 
     def __sub__(self, other):
         _check_dim(self, other)
-        return CMat([
-            [self.rows[i][j] - other.rows[i][j] for j in range(self.n)]
-            for i in range(self.n)
-        ])
+        return CMat._of([[x - y for x, y in zip(r, s)] for r, s in zip(self.rows, other.rows)])
 
     def __neg__(self):
-        return CMat([[-x for x in row] for row in self.rows])
+        return CMat._of([[-x for x in row] for row in self.rows])
 
     def __mul__(self, other):
+        """Each entry of a product is one exact dot product, normalized once."""
         if isinstance(other, CMat):
             _check_dim(self, other)
-            n = self.n
-            return CMat([
-                [
-                    sum((self.rows[i][k] * other.rows[k][j] for k in range(n)), GaussRat(0))
-                    for j in range(n)
-                ]
-                for i in range(n)
+            cols = [[x.t for x in col] for col in zip(*other.rows)]
+            return CMat._of([
+                [GaussRat.from_triple(K.qdot(row, col)) for col in cols]
+                for row in ([x.t for x in r] for r in self.rows)
             ])
         return self.scale(other)
 
@@ -104,16 +105,16 @@ class CMat:
 
     def scale(self, c):
         c = _as_gr(c)
-        return CMat([[x * c for x in row] for row in self.rows])
+        return CMat._of([[x * c for x in row] for row in self.rows])
 
     def bracket(self, other) -> "CMat":
         return self * other - other * self
 
     def transpose(self) -> "CMat":
-        return CMat([[self.rows[j][i] for j in range(self.n)] for i in range(self.n)])
+        return CMat._of(zip(*self.rows))
 
     def conjugate(self) -> "CMat":
-        return CMat([[x.conjugate() for x in row] for row in self.rows])
+        return CMat._of([[x.conjugate() for x in row] for row in self.rows])
 
     def trace(self) -> GaussRat:
         return sum((self.rows[i][i] for i in range(self.n)), GaussRat(0))
@@ -176,7 +177,7 @@ class CMat:
                 if r != col and not aug[r][col].is_zero():
                     f = aug[r][col]
                     aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-        return CMat([row[n:] for row in aug])
+        return CMat._of([row[n:] for row in aug])
 
     def exp_nilpotent_terms(self) -> List["CMat"]:
         """The terms N^k / k! of exp(N), from k = 0 to the last nonzero
@@ -197,10 +198,10 @@ class CMat:
 
     def apply(self, vec):
         """Matrix times column vector (list of GaussRat)."""
-        return [
-            sum((self.rows[i][k] * vec[k] for k in range(self.n)), GaussRat(0))
-            for i in range(self.n)
-        ]
+        if len(vec) != self.n:
+            raise ValueError(f"dimension mismatch: {self.n} vs vector of {len(vec)}")
+        vec = [_as_gr(x).t for x in vec]
+        return [GaussRat.from_triple(K.qdot([x.t for x in row], vec)) for row in self.rows]
 
     def __eq__(self, other):
         if not isinstance(other, CMat):

@@ -72,15 +72,6 @@ class Weight:
         es = self.entries
         return all(a - b <= 1 for a in es for b in es)
 
-    def is_small(self) -> bool:
-        es = self.entries
-        return all(
-            es[i] - es[j] < 1
-            for i in range(len(es))
-            for j in range(len(es))
-            if i != j
-        )
-
     def is_zero(self) -> bool:
         return all(e == 0 for e in self.entries)
 
@@ -154,9 +145,6 @@ class ParabolicSpec:
 
     def block_of(self, i: int) -> int:
         return self._block_of[i]
-
-    def is_proper(self) -> bool:
-        return len(self.blocks) >= 2
 
     def root_subset(self):
         """All roots r with U_r inside the parabolic."""

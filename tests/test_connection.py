@@ -436,9 +436,9 @@ def test_weight_length_checked(entry, weight):
 def test_extract_examples():
     q = extract_irregular_type(gl2_example())
     assert q == IrregularType(2, {1: (gr(-1), gr(1))})
-    # logarithmic: trivial, flagged
+    # logarithmic: trivial
     log_conn = MeroConnection(LM.from_const(CMat.diag([1, 2])).truncate(8))
-    assert extract_irregular_type(log_conn).is_trivial
+    assert extract_irregular_type(log_conn) == IrregularType(2, {})
     # polar diag(2,0) z^-2 -> Q = -diag(1,0) z^-2
     conn = MeroConnection(LM.monomial(CMat.diag([2, 0]), -2).truncate(8))
     assert extract_irregular_type(conn) == IrregularType(2, {2: (gr(-1), gr(0))})
@@ -551,6 +551,26 @@ def test_recovery_refuses_a_window_below_the_leading_coefficient():
             entry(moved, trunc=-1)
 
 
+def test_extraction_reads_the_same_window_as_given_and_recovered():
+    # diag(1, -1) z^-2 + diag(3, 5) z^-1 + E12: at trunc -1 only the z^-2
+    # coefficient is known, whether the input is in shape or conjugated
+    # out of it; at trunc -2 neither path knows the leading one.  The
+    # recovery orders the diagonal by eigenvalue, which swaps it here.
+    base = MeroConnection(LM.monomial(CMat.diag([1, -1]), -2) + LM.monomial(CMat.diag([3, 5]), -1)
+                          + LM.from_const(E12))
+    moved = gauge_act(LM.from_const(CMat([[1, 1], [1, 2]])), base)
+    assert in_irregular_shape(base) and not in_irregular_shape(moved)
+    both = {2: (gr(F(-1, 2)), gr(F(1, 2))), 1: (gr(-3), gr(-5))}
+    for conn, perm in ((base, (0, 1)), (moved, (1, 0))):
+        def q(js):
+            return IrregularType(2, {j: tuple(both[j][i] for i in perm) for j in js})
+        assert extract_irregular_type(conn, trunc=6) == q((1, 2))
+        assert extract_irregular_type(conn, trunc=-1) == q((2,))
+        with pytest.raises(ReductionError, match=r"^truncation window lost: .* below z\^-2, "
+                           r"so the leading polar coefficient \(at z\^-2\) is undetermined$"):
+            extract_irregular_type(conn, trunc=-2)
+
+
 def test_recover_irregular_shape_constant_conjugation():
     p = CMat([[1, 1], [1, 2]])
     base = gl2_example()
@@ -566,7 +586,7 @@ def test_irregular_type_round_trip():
     conn = connection_from_irregular_type(q, CMat.diag([1, 2]), trunc=10)
     assert extract_irregular_type(conn) == q
     assert q.half().coeffs[2] == (gr(F(1, 2)), gr(F(-1, 2)))
-    assert q.degree == 2 and not q.is_trivial
+    assert q.degree == 2
 
 
 def test_canonical_form_invariant_checker():

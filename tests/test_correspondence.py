@@ -6,8 +6,8 @@ import pytest
 
 from meroconn.connection import IrregularType
 from meroconn.correspondence import (CorrespondenceError, DeRhamLocal,
-                                     PiMatrixPoly, RootOfUnity, dR_to_Betti,
-                                     dR_to_Dol, expected_multiplier,
+                                     PiMatrixPoly, RootOfUnity, _angle_table,
+                                     dR_to_Betti, dR_to_Dol, expected_multiplier,
                                      rank1_monodromy_oracle,
                                      roundtrip_weight_check, to_mpc)
 from meroconn.field import GaussRat, gr
@@ -196,11 +196,24 @@ def _oracle_cases():
               (F(1), qs[1], 1024, 64), (F(-6), qs[0], 1024, 64),
               (F(0), qs[3], 512, 64), (F(1, 6), qs[2], 300, 113),
               (F(-1), qs[0], 300, 113)]
+    # the angle table holds one (steps, prec, exponents) shape: each q runs
+    # through every precision in turn, so a table reused across precisions
+    # gives wrong bits, and the short runs take two b per shape to hit it
+    q1 = IrregularType(1, {1: (c(),)})
+    q12 = IrregularType(1, {1: (c(),), 2: (c(),)})
+    for steps in (1, 3, 256, 1024):
+        for q in (None, q1, q12):
+            for prec in (53, 64, 128):
+                cases += [(b, q, steps, prec) for b in bs[2:3 if steps > 3 else 4]]
     return cases
 
 
 def test_oracle_bit_identical_to_reference_loop():
+    _angle_table.cache_clear()
     for b, q, steps, prec in _oracle_cases():
         want = _reference_oracle(b, q, steps, prec)
         assert rank1_monodromy_oracle(b, q, steps=steps, prec=prec) == want, \
             (b, q, steps, prec)
+    # the table was built, reused and replaced; (2048, two exponents) streamed
+    info = _angle_table.cache_info()
+    assert info.hits > 0 and info.misses > 1 and info.currsize == info.maxsize == 1

@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from meroconn.field import gr
+from meroconn.field import GaussRat, gr
 
 
 def rand_gauss(rng, nonzero=False):
@@ -69,6 +71,36 @@ def test_inverses_random():
         assert (one / a) * a == one
         assert a / a == one
         assert a + (-a) == gr(0)
+
+
+# parts with shared factors, large denominators and zeros, so that sums
+# and products cancel and reduce often
+_part = st.one_of(st.just(F(0)), st.builds(F, st.integers(-40, 40), st.integers(1, 36)),
+                  st.builds(F, st.integers(-10**12, 10**12), st.integers(1, 10**9)))
+_gauss = st.builds(gr, _part, _part)
+
+
+def _normalized(x):
+    a, b, d = x.t
+    return d > 0 and gcd(a, b, d) == 1 and x.is_zero() == (x.t == (0, 0, 1))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_gauss, _gauss, _gauss)
+def test_field_laws(a, b, c):
+    zero, one = gr(0), gr(1)
+    assert (a + b) + c == a + (b + c) and (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c and (a + b) * c == a * c + b * c
+    assert a + b == b + a and a * b == b * a
+    assert a + zero == a and a * one == a and a - a == zero and a * zero == zero
+    assert a + (-a) == zero and -(-a) == a
+    if not a.is_zero():
+        assert a * a.inv() == one and (b / a) * a == b
+    # every result is a normalized triple, so (0, 0, 1) is the only zero
+    for x in (a, b, a + b, a - b, a * b, a * c - c * a, a - a, a * zero, -a):
+        assert type(x) is GaussRat and _normalized(x)
+    if not a.is_zero():
+        assert _normalized(a.inv()) and _normalized(b / a)
 
 
 def test_division_by_zero():

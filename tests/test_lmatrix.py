@@ -418,6 +418,78 @@ def test_inverse_matches_the_per_power_oracle(m):
 
 
 # ---------------------------------------------------------------------
+# constant matrices: one dot product per entry against term-by-term sums
+# ---------------------------------------------------------------------
+
+def _dot_terms(xs, ys):
+    """The former entry of a product, kept as the reference: a running
+    sum of GaussRat products, normalized at every step."""
+    return sum((x * y for x, y in zip(xs, ys)), GaussRat(0))
+
+
+def _cmat_mul_terms(a, b):
+    cols = list(zip(*b.rows))
+    return CMat([[_dot_terms(row, col) for col in cols] for row in a.rows])
+
+
+def _cmat_pow_terms(a, k):
+    out = CMat.identity(a.n)
+    for _ in range(k):
+        out = _cmat_mul_terms(out, a)
+    return out
+
+
+@st.composite
+def cmat_entries(draw, n, count):
+    """``count`` entries for n x n data: real or complex, over one shared
+    denominator or mixed ones, with a zero row and column of an n x n
+    matrix now and then."""
+    real = draw(st.booleans())
+    den = draw(st.one_of(st.none(), st.integers(1, 12)))
+    part = st.builds(F, st.integers(-9, 9), st.just(den) if den else st.integers(1, 12))
+    entry = st.builds(gr, part, st.just(0) if real else part)
+    return [draw(st.one_of(st.just(gr(0)), entry)) for _ in range(count)]
+
+
+@st.composite
+def cmats(draw, n):
+    flat = draw(cmat_entries(n, n * n))
+    rows = [flat[i * n:(i + 1) * n] for i in range(n)]
+    if draw(st.booleans()):
+        z = draw(st.integers(0, n - 1))
+        rows = [[gr(0) if z in (i, j) else x for j, x in enumerate(row)]
+                for i, row in enumerate(rows)]
+    return CMat(rows)
+
+
+@st.composite
+def cmat_pairs(draw):
+    n = draw(st.integers(1, 5))
+    return draw(cmats(n)), draw(cmats(n)), draw(cmat_entries(n, n))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(cmat_pairs(), st.integers(0, 4))
+def test_cmat_products_match_the_term_by_term_oracle(abv, k):
+    a, b, v = abv
+    got = a * b
+    assert got.rows == _cmat_mul_terms(a, b).rows
+    assert all(type(x) is GaussRat for row in got.rows for x in row)
+    assert a.apply(v) == [_dot_terms(row, v) for row in a.rows]
+    assert (a ** k).rows == _cmat_pow_terms(a, k).rows
+    ab, ba = _cmat_mul_terms(a, b), _cmat_mul_terms(b, a)
+    assert a.bracket(b).rows == tuple(tuple(x - y for x, y in zip(r, s))
+                                      for r, s in zip(ab.rows, ba.rows))
+
+
+def test_cmat_apply_rejects_a_vector_of_the_wrong_length():
+    with pytest.raises(ValueError):
+        CMat.identity(2).apply([gr(1)])
+    with pytest.raises(ValueError):
+        CMat.identity(2).apply([gr(1)] * 3)
+
+
+# ---------------------------------------------------------------------
 # the constructor never extends an entry's precision
 # ---------------------------------------------------------------------
 

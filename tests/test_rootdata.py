@@ -24,8 +24,6 @@ def test_weight_admissibility():
         Weight([2, 0])
     w = Weight([2, 0], validate=False)
     assert not w.is_admissible()
-    assert Weight([F(1, 2), 0]).is_small()
-    assert not Weight([1, 0]).is_small()
 
 
 def test_m_r_examples():
@@ -152,7 +150,7 @@ def test_enumerated_parabolics_root_subsets():
         roots = set(all_roots(n))
         seen = set()
         for p in enumerate_parabolics_containing_T(n):
-            assert p.is_proper()
+            assert len(p.blocks) >= 2
             assert p not in seen
             seen.add(p)
             rp = p.root_subset()
