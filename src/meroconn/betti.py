@@ -25,7 +25,7 @@ from typing import List, Sequence, Tuple
 from .lmatrix import CMat
 from .rootdata import (Character, ParabolicSpec, Weight,
                        enumerate_parabolics_containing_T,
-                       parabolic_from_weight, pairing)
+                       parabolic_from_weight, parahoric_degree)
 from .stokes import StokesDiagram, stokes_factor_defect
 
 
@@ -180,7 +180,7 @@ def degree_loc(f: FilteredStokesRep, p: ParabolicSpec, chi: Character) -> Fracti
     for b in p.blocks:
         if len({chi.entries[i] for i in b}) != 1:
             raise BettiError("character is not constant on the Levi blocks")
-    return sum((pairing(w, chi) for w in f.weights), Fraction(0))
+    return parahoric_degree(0, f.weights, chi)
 
 
 def degree_zero(f: FilteredStokesRep) -> bool:
@@ -191,16 +191,12 @@ def degree_zero(f: FilteredStokesRep) -> bool:
     ) == 0
 
 
-def check_stability(f: FilteredStokesRep, center: str = "G") -> StabilityVerdict:
-    """R-stability over invariant compatible proper parabolics.
-
-    ``center`` selects the triviality constraint on characters; for the
-    matrix model both the center of G and the center of any proper
-    parabolic are the scalars, so the two cones coincide and the flag is
-    kept for interface clarity only.
-    """
-    if center not in ("G", "P"):
-        raise ValueError("center must be 'G' or 'P'")
+def check_stability(f: FilteredStokesRep) -> StabilityVerdict:
+    """R-stability over invariant compatible proper parabolics: the sign
+    of the degree at each fundamental cut character of each compatible
+    parabolic.  Compatibility is checked once per parabolic and the cut
+    characters are constant on its blocks, so the degree is taken without
+    ``degree_loc``'s checks."""
     n = f.rep.n
     if n > 5:
         raise BettiError("stability guard: dimension > 5")
@@ -210,7 +206,7 @@ def check_stability(f: FilteredStokesRep, center: str = "G") -> StabilityVerdict
         if not is_compatible(f, p):
             continue
         for chi in p.fundamental_cut_characters():
-            d = degree_loc(f, p, chi)
+            d = parahoric_degree(0, f.weights, chi)
             if d < 0:
                 neg.append((p, chi, d))
             elif d == 0:

@@ -199,7 +199,7 @@ def cmd_stability(args) -> int:
     rep_doc = _load(args.rep)
     weights_doc = _load(args.weights)
     filtered = jsonio.dec_filtered_rep(rep_doc, weights_doc)
-    verdict = check_stability(filtered, center=args.center)
+    verdict = check_stability(filtered)
     _emit({
         "format": FORMAT,
         "command": "stability",
@@ -333,7 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stability", help="R-stability of a filtered representation")
     p.add_argument("--rep", required=True)
     p.add_argument("--weights", required=True)
-    p.add_argument("--center", default="G", choices=["G", "P"])
     p.set_defaults(fn=cmd_stability)
 
     p = sub.add_parser("verify-metric", help="model-metric lemma checks")

@@ -24,14 +24,13 @@ library-wide convention (ORIENTATION = +1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 import mpmath
 from mpmath.libmp import (fzero, from_int, mpc_add, mpc_div_mpf, mpc_expjpi,
                           mpc_mul, mpc_mul_int, mpc_mul_mpf, mpc_pow_int,
-                          mpc_to_complex, mpf_add, mpf_mul_int, round_nearest)
+                          mpc_to_complex, mpf_mul_int, round_nearest)
 
 from .connection import IrregularType
 from .field import GaussRat
@@ -250,45 +249,6 @@ def roundtrip_weight_check(d: DeRhamLocal) -> bool:
 # rank-1 monodromy oracle
 # ----------------------------------------------------------------------
 
-def _step(steps: int, wp: int):
-    """h = 1/steps and h/2 in turns, as libmp values at precision ``wp``."""
-    with mpmath.workprec(wp):
-        h = mpmath.mpf(1) / steps
-        return h._mpf_, (h / 2)._mpf_
-
-
-# Largest steps * (number of exponents) whose angle table is kept (about
-# 1.4 MB at 128 bits); longer runs stream the powers instead.
-_TABLE_POWERS = 2048
-
-
-def _angle_powers(steps: int, wp: int, exps: tuple):
-    """Yield the tuple of z^e, e in ``exps``, at each of the 2 steps + 1
-    angles the oracle visits, in visiting order: phi = 0, then each step's
-    midpoint phi + h/2 and end phi + h, with phi accumulated by
-    ``mpf_add``.  One ``mpc_expjpi`` per angle, as the oracle made."""
-    rnd = round_nearest
-    h, half_h = _step(steps, wp)
-
-    def powers(phi):
-        z = mpc_expjpi((mpf_mul_int(phi, 2, wp, rnd), fzero), wp, rnd)
-        return tuple(mpc_pow_int(z, e, wp, rnd) for e in exps)
-
-    phi = fzero
-    yield powers(phi)
-    for _ in range(steps):
-        yield powers(mpf_add(phi, half_h, wp, rnd))
-        phi = mpf_add(phi, h, wp, rnd)
-        yield powers(phi)
-
-
-@lru_cache(maxsize=1)
-def _angle_table(steps: int, wp: int, exps: tuple) -> tuple:
-    """``_angle_powers`` kept for the last (steps, wp, exps): the angles
-    depend only on (steps, wp), so repeated oracle calls of one shape share it."""
-    return tuple(_angle_powers(steps, wp, exps))
-
-
 def rank1_monodromy_oracle(b, q: Optional[IrregularType] = None,
                            steps: int = 8192, prec: int = 128) -> complex:
     """Numerically continue a solution of f' = (q'(z) + b/z) f around the
@@ -296,22 +256,26 @@ def rank1_monodromy_oracle(b, q: Optional[IrregularType] = None,
 
     exp(q) is single-valued on the circle, so the essential factor drops
     out of the multiplier, which equals exp(ORIENTATION * 2 pi i b).
-    Fixed-step RK4 in mpmath; deterministic for fixed (steps, prec).
+    Fixed-step RK4 in mpmath; deterministic for fixed (steps, prec), and
+    nothing is kept between calls.
 
     In the angle phi (in turns) the equation reads df/dphi = a(phi) f with
-    a(phi) = 2 pi i (z q'(z) + b) at z = exp(2 pi i phi).  a(phi) is
-    evaluated once per distinct angle (k2 and k3 share phi + h/2, and k4's
-    phi + h is the next step's phi) and once in all when q is None.  The
-    powers z^e at those angles depend only on (steps, prec) and the
-    exponents of q; the last such table is kept for later calls of the same
-    shape when steps * (number of exponents) <= ``_TABLE_POWERS``
-    (``_angle_table``) and streamed otherwise (``_angle_powers``); a cold
-    call makes the per-angle libmp calls it made without the table, and
-    neither way changes a bit.  The
-    stages run on ``mpmath.libmp`` tuples: each makes the libmp call that
-    mpf/mpc operators make for ``f + h * k / 2`` and
-    ``f + h * (k1 + 2 * k2 + 2 * k3 + k4) / 6``, on the same operands at
-    the working precision, so the result is the operator form's to the bit.
+    a(phi) = 2 pi i b + sum_e t_e(phi), t_e = 2 pi i c_e z^e for the terms
+    c_e z^e of z q'(z), at z = exp(2 pi i phi).  Both paths share one RK4
+    step, which reads a at phi, phi + h/2 and phi + h:
+
+    - q None: a is constant, so a step multiplies f by the same P (RK4's
+      stability polynomial at h a) and the result is P ** steps, with P
+      the step taken from f = 1: O(log steps) products.
+    - q present: each half step multiplies t_e by the fixed rotation
+      exp(pi i e h); no angle is evaluated inside the loop.  The rounding
+      of the repeated rotation drifts t_e by about steps * 2**-prec.
+
+    The stages run on ``mpmath.libmp`` tuples: each makes the libmp call
+    that mpf/mpc operators make for ``f + h * k / 2``,
+    ``f + h * (k1 + 2 * k2 + 2 * k3 + k4) / 6``, ``t * rho`` and
+    ``P ** steps``, on the same operands at the working precision, so the
+    result is the operator form's to the bit.
     """
     if steps < 1:
         raise CorrespondenceError(f"oracle needs at least one step, got {steps}")
@@ -323,27 +287,9 @@ def rank1_monodromy_oracle(b, q: Optional[IrregularType] = None,
     zq_terms = [] if q is None else [(-j, c * GaussRat(-j)) for j, (c,) in q.coeffs.items()]
     with mpmath.workprec(prec):
         wp, rnd = mpmath.mp.prec, round_nearest
-        bc = to_mpc(b)._mpc_
-        exps = tuple(e for e, _ in zq_terms)
-        cs = [to_mpc(c)._mpc_ for _, c in zq_terms]
-        if not cs:
-            angles = iter(())
-        elif steps * len(exps) <= _TABLE_POWERS:
-            angles = iter(_angle_table(steps, wp, exps))
-        else:
-            angles = _angle_powers(steps, wp, exps)
         two_pi_i = (2j * mpmath.pi)._mpc_
-        h, _ = _step(steps, wp)
+        h = (mpmath.mpf(1) / steps)._mpf_
         two, six = from_int(2), from_int(6)
-
-        def coeff(zs):
-            # a at the angle with powers zs; the sum starts at the first
-            # product, which 0 + product at precision wp reproduces to the bit
-            zq = None
-            for z, c in zip(zs, cs):
-                t = mpc_mul(c, z, wp, rnd)
-                zq = t if zq is None else mpc_add(zq, t, wp, rnd)
-            return mpc_mul(two_pi_i, bc if zq is None else mpc_add(zq, bc, wp, rnd), wp, rnd)
 
         def shifted(f, k, halve):
             # f + h * k / 2 when halve, else f + h * k
@@ -352,19 +298,40 @@ def rank1_monodromy_oracle(b, q: Optional[IrregularType] = None,
                 dk = mpc_div_mpf(dk, two, wp, rnd)
             return mpc_add(f, dk, wp, rnd)
 
-        f = (from_int(1), fzero)
-        a0 = a_mid = a1 = coeff(next(angles, ()))
-        for _ in range(steps):
-            if cs:
-                a_mid, a1 = coeff(next(angles)), coeff(next(angles))
+        def step(f, a0, a_mid, a1):
+            # one RK4 step from f, with a at phi, phi + h/2 and phi + h
             k1 = mpc_mul(a0, f, wp, rnd)
             k2 = mpc_mul(a_mid, shifted(f, k1, True), wp, rnd)
             k3 = mpc_mul(a_mid, shifted(f, k2, True), wp, rnd)
             k4 = mpc_mul(a1, shifted(f, k3, False), wp, rnd)
             total = mpc_add(mpc_add(mpc_add(k1, mpc_mul_int(k2, 2, wp, rnd), wp, rnd),
                                     mpc_mul_int(k3, 2, wp, rnd), wp, rnd), k4, wp, rnd)
-            f = mpc_add(f, mpc_div_mpf(mpc_mul_mpf(total, h, wp, rnd), six, wp, rnd),
-                        wp, rnd)
+            return mpc_add(f, mpc_div_mpf(mpc_mul_mpf(total, h, wp, rnd), six, wp, rnd),
+                           wp, rnd)
+
+        one = (from_int(1), fzero)
+        a_b = mpc_mul(two_pi_i, to_mpc(b)._mpc_, wp, rnd)
+        if not zq_terms:
+            return mpc_to_complex(mpc_pow_int(step(one, a_b, a_b, a_b), steps, wp, rnd),
+                                  False, rnd)
+        ts = [mpc_mul(two_pi_i, to_mpc(c)._mpc_, wp, rnd) for _, c in zq_terms]
+        rhos = [mpc_expjpi((mpf_mul_int(h, e, wp, rnd), fzero), wp, rnd)
+                for e, _ in zq_terms]
+
+        def coeff(ts):
+            a = a_b
+            for t in ts:
+                a = mpc_add(a, t, wp, rnd)
+            return a
+
+        f, a0 = one, coeff(ts)
+        for _ in range(steps):
+            # every t_e half a step on, twice: z^e turns by exp(pi i e h)
+            ts = [mpc_mul(t, r, wp, rnd) for t, r in zip(ts, rhos)]
+            a_mid = coeff(ts)
+            ts = [mpc_mul(t, r, wp, rnd) for t, r in zip(ts, rhos)]
+            a1 = coeff(ts)
+            f = step(f, a0, a_mid, a1)
             a0 = a1
         return mpc_to_complex(f, False, rnd)
 

@@ -252,9 +252,3 @@ def test_stability_diagonal_zero_weights_semistable():
     assert verdict.witnesses  # saturating pairs recorded
     assert not irreducible(rep)
 
-
-def test_stability_center_flag_equivalent():
-    rep = diag_rep([2, 3])
-    f = FilteredStokesRep(rep, (Weight([F(1, 4), 0]), Weight([0, 0])))
-    assert check_stability(f, center="G").status == \
-        check_stability(f, center="P").status

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import mpmath
@@ -6,7 +7,7 @@ import pytest
 
 from meroconn.connection import IrregularType
 from meroconn.correspondence import (CorrespondenceError, DeRhamLocal,
-                                     PiMatrixPoly, RootOfUnity, _angle_table,
+                                     PiMatrixPoly, RootOfUnity,
                                      dR_to_Betti, dR_to_Dol, expected_multiplier,
                                      rank1_monodromy_oracle,
                                      roundtrip_weight_check, to_mpc)
@@ -150,31 +151,41 @@ def test_oracle_rejects_bad_steps_and_precision(steps, prec):
 
 
 def _reference_oracle(b, q=None, steps=8192, prec=128):
-    """The RK4 loop written with mpf/mpc operators, evaluating the
-    right-hand side at all four stages; the oracle must match it bit for bit."""
+    """The oracle written with mpf/mpc operators: P ** steps for q None,
+    the rotation loop otherwise; the oracle must match it bit for bit."""
     b = b if isinstance(b, GaussRat) else GaussRat(F(b))
     zq_terms = [] if q is None else [(-j, c * GaussRat(-j)) for j, (c,) in q.coeffs.items()]
     with mpmath.workprec(prec):
-        bc = to_mpc(b)
-        terms = [(e, to_mpc(c)) for e, c in zq_terms]
-
-        def rhs(phi, f):
-            z = mpmath.expjpi(2 * phi)  # phi in turns
-            zq = mpmath.mpc(0)
-            for e, c in terms:
-                zq += c * z**e
-            return 2j * mpmath.pi * (zq + bc) * f
-
-        f = mpmath.mpc(1)
+        two_pi_i = 2j * mpmath.pi
         h = mpmath.mpf(1) / steps
-        phi = mpmath.mpf(0)
+
+        def step(f, a0, a_mid, a1):
+            k1 = a0 * f
+            k2 = a_mid * (f + h * k1 / 2)
+            k3 = a_mid * (f + h * k2 / 2)
+            k4 = a1 * (f + h * k3)
+            return f + h * (k1 + 2 * k2 + 2 * k3 + k4) / 6
+
+        a_b = two_pi_i * to_mpc(b)
+        if not zq_terms:
+            return complex(step(mpmath.mpc(1), a_b, a_b, a_b) ** steps)
+        ts = [two_pi_i * to_mpc(c) for _, c in zq_terms]
+        rhos = [mpmath.expjpi(e * h) for e, _ in zq_terms]
+
+        def coeff(ts):
+            a = a_b
+            for t in ts:
+                a = a + t
+            return a
+
+        f, a0 = mpmath.mpc(1), coeff(ts)
         for _ in range(steps):
-            k1 = rhs(phi, f)
-            k2 = rhs(phi + h / 2, f + h * k1 / 2)
-            k3 = rhs(phi + h / 2, f + h * k2 / 2)
-            k4 = rhs(phi + h, f + h * k3)
-            f = f + h * (k1 + 2 * k2 + 2 * k3 + k4) / 6
-            phi += h
+            ts = [t * r for t, r in zip(ts, rhos)]
+            a_mid = coeff(ts)
+            ts = [t * r for t, r in zip(ts, rhos)]
+            a1 = coeff(ts)
+            f = step(f, a0, a_mid, a1)
+            a0 = a1
         return complex(f)
 
 
@@ -196,9 +207,8 @@ def _oracle_cases():
               (F(1), qs[1], 1024, 64), (F(-6), qs[0], 1024, 64),
               (F(0), qs[3], 512, 64), (F(1, 6), qs[2], 300, 113),
               (F(-1), qs[0], 300, 113)]
-    # the angle table holds one (steps, prec, exponents) shape: each q runs
-    # through every precision in turn, so a table reused across precisions
-    # gives wrong bits, and the short runs take two b per shape to hit it
+    # each q runs through every precision in turn, so anything carried
+    # from one call to the next shows as wrong bits
     q1 = IrregularType(1, {1: (c(),)})
     q12 = IrregularType(1, {1: (c(),), 2: (c(),)})
     for steps in (1, 3, 256, 1024):
@@ -209,11 +219,25 @@ def _oracle_cases():
 
 
 def test_oracle_bit_identical_to_reference_loop():
-    _angle_table.cache_clear()
     for b, q, steps, prec in _oracle_cases():
         want = _reference_oracle(b, q, steps, prec)
         assert rank1_monodromy_oracle(b, q, steps=steps, prec=prec) == want, \
             (b, q, steps, prec)
-    # the table was built, reused and replaced; (2048, two exponents) streamed
-    info = _angle_table.cache_info()
-    assert info.hits > 0 and info.misses > 1 and info.currsize == info.maxsize == 1
+
+
+def test_oracle_rotation_drift_stays_small():
+    # 2 * 16384 rounded rotations per term at 53 bits
+    q = IrregularType(1, {1: (gr(F(1, 2), F(-1, 3)),), 2: (gr(F(-2, 3), F(1, 4)),)})
+    got = rank1_monodromy_oracle(F(1, 3), q, steps=16384, prec=53)
+    assert abs(got - expected_multiplier(F(1, 3))) < 1e-8
+
+
+def test_oracle_keeps_no_memory_between_calls():
+    q = IrregularType(1, {2: (gr(F(1, 2), F(-1, 3)),)})
+    tracemalloc.start()
+    try:
+        rank1_monodromy_oracle(F(1, 3), q, steps=2048, prec=64)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept < 64 * 1024, kept

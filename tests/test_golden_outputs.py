@@ -51,7 +51,7 @@ CLI_DIGESTS = [
     ("verify-metric --input local_semisimple.json --numeric",
      "e056e32ca3ba66f8cf3986f9ee4ff4d3226a925517b8e1390b0cecc67661bafe"),
     ("oracle-monodromy --b 1/3 --steps 512 --precision 64",
-     "39c18297e975c9e32e6fb9968386586fac30a22db70d08d5e09ebdd4f29a08c9"),
+     "3643fd1cba37cd5141eed383840ed38189dbd0d54a924cb37baff86e057c7a07"),
     ("oracle-monodromy --b 1/3 --irregular-type q_gl1.json --steps 512 --precision 64",
      "3643fd1cba37cd5141eed383840ed38189dbd0d54a924cb37baff86e057c7a07"),
 ]
