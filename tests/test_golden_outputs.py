@@ -54,6 +54,8 @@ CLI_DIGESTS = [
      "3643fd1cba37cd5141eed383840ed38189dbd0d54a924cb37baff86e057c7a07"),
     ("oracle-monodromy --b 1/3 --irregular-type q_gl1.json --steps 512 --precision 64",
      "3643fd1cba37cd5141eed383840ed38189dbd0d54a924cb37baff86e057c7a07"),
+    ("oracle-monodromy --b=-5/6 --irregular-type q_gl1_two_terms.json --steps 1024 --precision 64",
+     "c100b21232bee89a798dde148002a073032f877622fb1adf62231b3b67f55300"),
 ]
 
 GOLDEN_EXAMPLES_DIGEST = "fb5e8bdce8979a697c52fbf8dd64e1fc616e5e88147284d482c06781e9ccf3e7"

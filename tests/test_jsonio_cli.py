@@ -146,6 +146,15 @@ def test_cli_oracle(capsys):
     assert code == 0 and doc["matches"] is True
 
 
+def test_cli_oracle_overflow_prints_infinities(capsys):
+    # 2 pi b / 4 is about 1.6e400 per step: the multiplier overflows a
+    # double, and the document reports it instead of a traceback
+    code, doc = run_cli("oracle-monodromy", "--b", "1e400", "--steps", "4",
+                        capsys=capsys)
+    assert code == 1 and doc["matches"] is False
+    assert doc["multiplier"] == ["inf", "-inf"] and doc["abs_error"] == "inf"
+
+
 @pytest.mark.parametrize("flag, value", [("--steps", "0"), ("--steps", "-5"),
                                          ("--precision", "0"), ("--precision", "-3")])
 def test_cli_oracle_rejects_bad_steps_and_precision(capsys, flag, value):
