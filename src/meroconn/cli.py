@@ -266,7 +266,7 @@ def cmd_oracle_monodromy(args) -> int:
     if args.irregular_type:
         q = jsonio.dec_irregular(_load(args.irregular_type))
     got = rank1_monodromy_oracle(b, q, steps=args.steps, prec=args.precision)
-    want = expected_multiplier(b, prec=args.precision)
+    want = expected_multiplier(b)
     err = abs(got - want)
     _emit({
         "format": FORMAT,

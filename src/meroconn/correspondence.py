@@ -28,9 +28,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 import mpmath
-from mpmath.libmp import (fzero, from_int, mpc_add, mpc_div_mpf, mpc_expjpi,
-                          mpc_mul, mpc_mul_int, mpc_mul_mpf, mpc_pow_int,
-                          mpc_to_complex, mpf_mul_int, round_nearest)
+from mpmath.libmp import from_man_exp, mpc_to_complex, round_nearest
 
 from .connection import IrregularType
 from .field import GaussRat
@@ -249,33 +247,53 @@ def roundtrip_weight_check(d: DeRhamLocal) -> bool:
 # rank-1 monodromy oracle
 # ----------------------------------------------------------------------
 
+def _rk4_factor(a0, a_mid, a1, steps: int, fbits: int):
+    """RK4's factor for one step of df/dphi = a f (a at phi, phi + h/2 and
+    phi + h), as (x, y, -fbits); (x, y) is (x + i y) 2**-fbits, all floored."""
+    (x0, y0), (xm, ym), (x1, y1) = a0, a_mid, a1
+    one, half, six = 1 << fbits, 2 * steps, 6 * steps
+    # u2 = a_mid (1 + h u1 / 2), u3 = a_mid (1 + h u2 / 2), u4 = a1 (1 + h u3)
+    wx, wy = one + x0 // half, y0 // half
+    x2, y2 = (xm * wx - ym * wy) >> fbits, (xm * wy + ym * wx) >> fbits
+    wx, wy = one + x2 // half, y2 // half
+    x3, y3 = (xm * wx - ym * wy) >> fbits, (xm * wy + ym * wx) >> fbits
+    wx, wy = one + x3 // steps, y3 // steps
+    x4, y4 = (x1 * wx - y1 * wy) >> fbits, (x1 * wy + y1 * wx) >> fbits
+    return one + (x0 + 2 * (x2 + x3) + x4) // six, (y0 + 2 * (y2 + y3) + y4) // six, -fbits
+
+
+def _times(f, g, fbits: int):
+    """f * g on (x, y, e) = (x + i y) * 2**e, mantissas floored (or shifted
+    up) to fbits bits."""
+    (fx, fy, fe), (gx, gy, ge) = f, g
+    x, y = fx * gx - fy * gy, fx * gy + fy * gx
+    k = max(abs(x), abs(y)).bit_length() - fbits
+    return (x >> k, y >> k, fe + ge + k) if k >= 0 else (x << -k, y << -k, fe + ge + k)
+
+
 def rank1_monodromy_oracle(b, q: Optional[IrregularType] = None,
                            steps: int = 8192, prec: int = 128) -> complex:
     """Numerically continue a solution of f' = (q'(z) + b/z) f around the
     unit circle (counterclockwise) and return the multiplier.
 
-    exp(q) is single-valued on the circle, so the essential factor drops
-    out of the multiplier, which equals exp(ORIENTATION * 2 pi i b).
-    Fixed-step RK4 in mpmath; deterministic for fixed (steps, prec), and
-    nothing is kept between calls.
+    exp(q) is single-valued on the circle, so the multiplier equals
+    exp(ORIENTATION * 2 pi i b).  Fixed-step RK4, deterministic for fixed
+    (steps, prec); nothing is kept between calls.
 
     In the angle phi (in turns) the equation reads df/dphi = a(phi) f with
     a(phi) = 2 pi i b + sum_e t_e(phi), t_e = 2 pi i c_e z^e for the terms
-    c_e z^e of z q'(z), at z = exp(2 pi i phi).  Both paths share one RK4
-    step, which reads a at phi, phi + h/2 and phi + h:
+    c_e z^e of z q'(z), at z = exp(2 pi i phi).  A step multiplies f by
+    ``_rk4_factor`` G.  For q None, a is constant and the result is
+    G ** steps, by squaring; otherwise each half step turns t_e by the
+    fixed rotation exp(pi i e h), so no angle is evaluated in the loop.
 
-    - q None: a is constant, so a step multiplies f by the same P (RK4's
-      stability polynomial at h a) and the result is P ** steps, with P
-      the step taken from f = 1: O(log steps) products.
-    - q present: each half step multiplies t_e by the fixed rotation
-      exp(pi i e h); no angle is evaluated inside the loop.  The rounding
-      of the repeated rotation drifts t_e by about steps * 2**-prec.
-
-    The stages run on ``mpmath.libmp`` tuples: each makes the libmp call
-    that mpf/mpc operators make for ``f + h * k / 2``,
-    ``f + h * (k1 + 2 * k2 + 2 * k3 + k4) / 6``, ``t * rho`` and
-    ``P ** steps``, on the same operands at the working precision, so the
-    result is the operator form's to the bit.
+    Gaussian integers carry the numbers at the binary point F = prec +
+    steps.bit_length() + 4: 2 pi and the rotations (mpmath at F + 32 bits),
+    2 pi b, 2 pi c_e and every product and quotient are floored to 2**-F.
+    f is a mantissa pair and an exponent, floored to F bits per product, so
+    a large or small exp(Re q) keeps its relative precision.  The result is
+    within 2**-(prec - 4) * max(1, |f|) of the exact RK4 value before its
+    round-to-nearest to a complex double (infinities on overflow).
     """
     if steps < 1:
         raise CorrespondenceError(f"oracle needs at least one step, got {steps}")
@@ -284,56 +302,38 @@ def rank1_monodromy_oracle(b, q: Optional[IrregularType] = None,
     b = b if isinstance(b, GaussRat) else GaussRat(Fraction(b))
     if q is not None and q.n != 1:
         raise CorrespondenceError("rank-1 oracle needs scalar irregular data")
-    zq_terms = [] if q is None else [(-j, c * GaussRat(-j)) for j, (c,) in q.coeffs.items()]
-    with mpmath.workprec(prec):
-        wp, rnd = mpmath.mp.prec, round_nearest
-        two_pi_i = (2j * mpmath.pi)._mpc_
-        h = (mpmath.mpf(1) / steps)._mpf_
-        two, six = from_int(2), from_int(6)
-
-        def shifted(f, k, halve):
-            # f + h * k / 2 when halve, else f + h * k
-            dk = mpc_mul_mpf(k, h, wp, rnd)
-            if halve:
-                dk = mpc_div_mpf(dk, two, wp, rnd)
-            return mpc_add(f, dk, wp, rnd)
-
-        def step(f, a0, a_mid, a1):
-            # one RK4 step from f, with a at phi, phi + h/2 and phi + h
-            k1 = mpc_mul(a0, f, wp, rnd)
-            k2 = mpc_mul(a_mid, shifted(f, k1, True), wp, rnd)
-            k3 = mpc_mul(a_mid, shifted(f, k2, True), wp, rnd)
-            k4 = mpc_mul(a1, shifted(f, k3, False), wp, rnd)
-            total = mpc_add(mpc_add(mpc_add(k1, mpc_mul_int(k2, 2, wp, rnd), wp, rnd),
-                                    mpc_mul_int(k3, 2, wp, rnd), wp, rnd), k4, wp, rnd)
-            return mpc_add(f, mpc_div_mpf(mpc_mul_mpf(total, h, wp, rnd), six, wp, rnd),
-                           wp, rnd)
-
-        one = (from_int(1), fzero)
-        a_b = mpc_mul(two_pi_i, to_mpc(b)._mpc_, wp, rnd)
-        if not zq_terms:
-            return mpc_to_complex(mpc_pow_int(step(one, a_b, a_b, a_b), steps, wp, rnd),
-                                  False, rnd)
-        ts = [mpc_mul(two_pi_i, to_mpc(c)._mpc_, wp, rnd) for _, c in zq_terms]
-        rhos = [mpc_expjpi((mpf_mul_int(h, e, wp, rnd), fzero), wp, rnd)
-                for e, _ in zq_terms]
-
-        def coeff(ts):
-            a = a_b
-            for t in ts:
-                a = mpc_add(a, t, wp, rnd)
-            return a
-
-        f, a0 = one, coeff(ts)
+    zq = {} if q is None else {-j: c * GaussRat(-j) for j, (c,) in q.coeffs.items()}
+    fbits = prec + steps.bit_length() + 4
+    with mpmath.workprec(fbits + 32):
+        def grid(z):
+            return tuple(int(mpmath.floor(mpmath.ldexp(x, fbits))) for x in (z.real, z.imag))
+        two_pi = grid(2 * mpmath.pi)[0]
+        rhos = [grid(mpmath.expjpi(mpmath.mpf(e) / steps)) for e in zq]
+    # 2 pi i b and the t_e at phi = 0
+    a_b, *ts = [(two_pi * -c.im.numerator // c.im.denominator,
+                 two_pi * c.re.numerator // c.re.denominator) for c in (b, *zq.values())]
+    if not ts:
+        f = g = _rk4_factor(a_b, a_b, a_b, steps, fbits)
+        for bit in bin(steps)[3:]:
+            f = _times(f, f, fbits)
+            if bit == "1":
+                f = _times(f, g, fbits)
+    else:
+        f, a0 = (1 << fbits, 0, -fbits), tuple(map(sum, zip(a_b, *ts)))
         for _ in range(steps):
             # every t_e half a step on, twice: z^e turns by exp(pi i e h)
-            ts = [mpc_mul(t, r, wp, rnd) for t, r in zip(ts, rhos)]
-            a_mid = coeff(ts)
-            ts = [mpc_mul(t, r, wp, rnd) for t, r in zip(ts, rhos)]
-            a1 = coeff(ts)
-            f = step(f, a0, a_mid, a1)
+            (mx, my), (ex, ey), turned = a_b, a_b, []
+            for (tx, ty), (rx, ry) in zip(ts, rhos):
+                tx, ty = (tx * rx - ty * ry) >> fbits, (tx * ry + ty * rx) >> fbits
+                mx, my = mx + tx, my + ty
+                tx, ty = (tx * rx - ty * ry) >> fbits, (tx * ry + ty * rx) >> fbits
+                ex, ey = ex + tx, ey + ty
+                turned.append((tx, ty))
+            ts, a1 = turned, (ex, ey)
+            f = _times(f, _rk4_factor(a0, (mx, my), a1, steps, fbits), fbits)
             a0 = a1
-        return mpc_to_complex(f, False, rnd)
+    x, y, e = f
+    return mpc_to_complex((from_man_exp(x, e), from_man_exp(y, e)), False, round_nearest)
 
 
 def expected_multiplier(b, prec: int = 128) -> complex:

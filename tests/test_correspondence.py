@@ -1,3 +1,4 @@
+import math
 import random
 import tracemalloc
 from fractions import Fraction as F
@@ -151,8 +152,9 @@ def test_oracle_rejects_bad_steps_and_precision(steps, prec):
 
 
 def _reference_oracle(b, q=None, steps=8192, prec=128):
-    """The oracle written with mpf/mpc operators: P ** steps for q None,
-    the rotation loop otherwise; the oracle must match it bit for bit."""
+    """The oracle's RK4 scheme on mpf/mpc operators at ``prec`` bits: P **
+    steps for q None, the rotation loop otherwise.  Run at prec + 80 it
+    stands in for the exact RK4 value."""
     b = b if isinstance(b, GaussRat) else GaussRat(F(b))
     zq_terms = [] if q is None else [(-j, c * GaussRat(-j)) for j, (c,) in q.coeffs.items()]
     with mpmath.workprec(prec):
@@ -168,7 +170,7 @@ def _reference_oracle(b, q=None, steps=8192, prec=128):
 
         a_b = two_pi_i * to_mpc(b)
         if not zq_terms:
-            return complex(step(mpmath.mpc(1), a_b, a_b, a_b) ** steps)
+            return step(mpmath.mpc(1), a_b, a_b, a_b) ** steps
         ts = [two_pi_i * to_mpc(c) for _, c in zq_terms]
         rhos = [mpmath.expjpi(e * h) for e, _ in zq_terms]
 
@@ -186,7 +188,95 @@ def _reference_oracle(b, q=None, steps=8192, prec=128):
             a1 = coeff(ts)
             f = step(f, a0, a_mid, a1)
             a0 = a1
-        return complex(f)
+        return f
+
+
+class _Fixed:
+    """x + i y at the binary point 2**-fbits; products and quotients are
+    floored."""
+
+    def __init__(self, x, y, fbits):
+        self.x, self.y, self.fbits = x, y, fbits
+
+    def __add__(self, other):
+        return _Fixed(self.x + other.x, self.y + other.y, self.fbits)
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return _Fixed(self.x * other, self.y * other, self.fbits)
+        x = (self.x * other.x - self.y * other.y) >> self.fbits
+        y = (self.x * other.y + self.y * other.x) >> self.fbits
+        return _Fixed(x, y, self.fbits)
+
+    __rmul__ = __mul__
+
+    def __floordiv__(self, n):
+        return _Fixed(self.x // n, self.y // n, self.fbits)
+
+
+def _integer_oracle(b, q=None, steps=8192, prec=128):
+    """The oracle's specification on plain integers in operator form:
+    2 pi, the rotations and every stage floored to 2**-F with
+    F = prec + steps.bit_length() + 4, and f as a mantissa pair with an
+    exponent, floored to F bits after each product.  The oracle must match
+    it bit for bit."""
+    fb = prec + steps.bit_length() + 4
+    b = b if isinstance(b, GaussRat) else GaussRat(F(b))
+    zq_terms = [] if q is None else [(-j, c * GaussRat(-j)) for j, (c,) in q.coeffs.items()]
+    with mpmath.workprec(fb + 32):
+        two_pi = int(mpmath.floor(2 * mpmath.pi * 2 ** fb))
+        rhos = [mpmath.expjpi(mpmath.mpf(e) / steps) for e, _ in zq_terms]
+        rhos = [_Fixed(int(mpmath.floor(r.real * 2 ** fb)),
+                       int(mpmath.floor(r.imag * 2 ** fb)), fb) for r in rhos]
+
+    def two_pi_i(c):
+        return _Fixed(two_pi * -c.im.numerator // c.im.denominator,
+                      two_pi * c.re.numerator // c.re.denominator, fb)
+
+    one = _Fixed(1 << fb, 0, fb)
+
+    def factor(a0, a_mid, a1):
+        k1 = a0
+        k2 = a_mid * (one + k1 // (2 * steps))
+        k3 = a_mid * (one + k2 // (2 * steps))
+        k4 = a1 * (one + k3 // steps)
+        return one + (k1 + 2 * k2 + 2 * k3 + k4) // (6 * steps)
+
+    def times(f, g):
+        # f * g on (x, y, e) = (x + i y) 2**e, mantissas floored to F bits
+        x, y = f[0] * g[0] - f[1] * g[1], f[0] * g[1] + f[1] * g[0]
+        k = max(abs(x), abs(y)).bit_length() - fb
+        if k >= 0:
+            return x >> k, y >> k, f[2] + g[2] + k
+        return x << -k, y << -k, f[2] + g[2] + k
+
+    a_b = two_pi_i(b)
+    ts = [two_pi_i(c) for _, c in zq_terms]
+    if not ts:
+        g = factor(a_b, a_b, a_b)
+        f = g = (g.x, g.y, -fb)
+        for bit in format(steps, "b")[1:]:
+            f = times(f, f)
+            if bit == "1":
+                f = times(f, g)
+    else:
+        def coeff(ts):
+            a = a_b
+            for t in ts:
+                a = a + t
+            return a
+
+        f, a0 = (1 << fb, 0, -fb), coeff(ts)
+        for _ in range(steps):
+            ts = [t * r for t, r in zip(ts, rhos)]
+            a_mid = coeff(ts)
+            ts = [t * r for t, r in zip(ts, rhos)]
+            a1 = coeff(ts)
+            g = factor(a0, a_mid, a1)
+            f = times(f, (g.x, g.y, -fb))
+            a0 = a1
+    x, y, e = f
+    return complex(float(F(x) * F(2) ** e), float(F(y) * F(2) ** e))
 
 
 def _oracle_cases():
@@ -220,9 +310,23 @@ def _oracle_cases():
 
 def test_oracle_bit_identical_to_reference_loop():
     for b, q, steps, prec in _oracle_cases():
-        want = _reference_oracle(b, q, steps, prec)
+        want = _integer_oracle(b, q, steps, prec)
         assert rank1_monodromy_oracle(b, q, steps=steps, prec=prec) == want, \
             (b, q, steps, prec)
+
+
+def test_oracle_within_its_error_bound_of_exact_rk4():
+    # the error bound of the docstring, against the mpf scheme at 80 more
+    # bits, plus the final rounding to a complex double
+    for b, q, steps, prec in _oracle_cases():
+        assert prec >= 53
+        got = rank1_monodromy_oracle(b, q, steps=steps, prec=prec)
+        with mpmath.workprec(prec + 80):
+            ref = _reference_oracle(b, q, steps, prec + 80)
+            err = abs(mpmath.mpc(got) - ref)
+            size = abs(ref)
+            bound = mpmath.mpf(2) ** -(prec - 4) * max(1, size) + math.ulp(float(size))
+            assert err <= bound, (b, q, steps, prec, err / bound)
 
 
 def test_oracle_rotation_drift_stays_small():

@@ -12,6 +12,7 @@ import pytest
 from meroconn import jsonio
 from meroconn.cli import main
 from meroconn.connection import IrregularType, MeroConnection
+from meroconn.correspondence import expected_multiplier
 from meroconn.field import gr
 from meroconn.lmatrix import CMat, LaurentMatrix as LM
 from meroconn.randomgen import rand_connection, rand_relation_rep
@@ -144,6 +145,17 @@ def test_cli_oracle(capsys):
     code, doc = run_cli("oracle-monodromy", "--b", "1/2", "--steps", "1024",
                         "--precision", "64", capsys=capsys)
     assert code == 0 and doc["matches"] is True
+
+
+def test_cli_oracle_expected_value_ignores_precision(capsys):
+    # at 4 bits the oracle is coarse, but the table value exp(2 pi i / 3)
+    # and the error against it are not
+    code, doc = run_cli("oracle-monodromy", "--b", "1/3", "--steps", "64",
+                        "--precision", "4", capsys=capsys)
+    assert doc["expected"] == ["-0.5", "0.8660254037844386"]
+    got = complex(*map(float, doc["multiplier"]))
+    assert doc["abs_error"] == repr(abs(got - expected_multiplier(F(1, 3))))
+    assert code == 1 and doc["matches"] is False
 
 
 def test_cli_oracle_overflow_prints_infinities(capsys):
