@@ -27,9 +27,12 @@ enclosure, computed on first use, and two angles whose enclosures are
 disjoint are ordered from those alone.  Only where the enclosures
 overlap does ``compare`` run the exact Niven test on the difference
 and, off zero, refine the difference's enclosure until its sign is
-certain.  Coincidence and ordering of directions therefore never depend
-on floating noise; intervals decide only where the answer is already
-known to be off the degenerate set.
+certain.  ``cos_sign`` is filtered the same way: a 64-bit enclosure of
+the cosine with a strict sign decides it, and only an enclosure that
+contains 0 runs the exact test for pi/2 mod pi.  Coincidence, ordering
+and decay signs therefore never depend on floating noise; intervals
+decide only where the answer is already known to be off the degenerate
+set.
 """
 
 from __future__ import annotations
@@ -323,9 +326,12 @@ def _arg_enclosure(t, prec: int):
 
 def cos_sign(expr: AngleExpr) -> int:
     """Sign of cos(expr); returns 0 exactly when expr is congruent to
-    pi/2 mod pi (decided exactly, not numerically)."""
-    if (expr - AngleExpr.of_pi(Fraction(1, 2))).is_multiple_of_pi(1):
-        return 0
+    pi/2 mod pi (decided exactly, not numerically).
+
+    The 64-bit enclosure of cos(expr) comes first: one of strict sign
+    proves cos(expr) != 0 and gives the sign.  Only an enclosure that
+    contains 0 runs the Niven test for pi/2 mod pi, and off zero the
+    enclosure is refined until its sign is certain."""
     prec = 64
     while prec <= _MAX_PREC:
         lo, hi = mpi_cos(expr.interval(prec)._mpi_, prec)
@@ -333,5 +339,7 @@ def cos_sign(expr: AngleExpr) -> int:
             return 1
         if mpf_lt(hi, fzero):
             return -1
+        if prec == 64 and (expr - AngleExpr.of_pi(Fraction(1, 2))).is_multiple_of_pi(1):
+            return 0
         prec *= 2
     raise PrecisionError("cosine sign not resolved")  # pragma: no cover

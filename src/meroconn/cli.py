@@ -2,7 +2,8 @@
 
 One binary, subcommand style, JSON-only I/O with a versioned format
 field.  Exit codes: 0 success / property verified, 1 property violation
-(witnesses included in the report) or internal error, 2 input error.
+(witnesses included in the report) or internal error, 2 input error,
+usage errors included.
 
 Each subcommand imports the modules it runs when it is called, so a call
 loads only its own side of the library.
@@ -293,8 +294,39 @@ def cmd_selftest(args) -> int:
 # parser
 # ----------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose usage errors reach ``main`` as input errors, so
+    they end in a JSON document and exit 2 like every other one.  The
+    usage text still goes to stderr."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise _InputError(f"{self.prog}: {message}")
+
+
+def _glue_negative_values(argv):
+    """argparse reads a negative value such as -1/2 or -1e3 after an
+    option as an option of its own; pass it as --opt=-1/2 instead."""
+    out = []
+    for tok in argv:
+        if (out and out[-1].startswith("--") and "=" not in out[-1]
+                and tok.startswith("-") and _is_number(tok)):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
+def _is_number(tok: str) -> bool:
+    try:
+        Fraction(tok)
+    except ValueError:
+        return False
+    return True
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="meroconn",
         description="Exact computations for formal meromorphic connections: "
                     "canonical forms, Stokes data, local correspondences and "
@@ -358,10 +390,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
     # Every module's input error (FormatError, ReductionError,
-    # StokesError, CorrespondenceError, ...) is a ValueError.
+    # StokesError, CorrespondenceError, ...) is a ValueError; argparse's
+    # usage errors arrive as _InputError.
     try:
+        args = parser.parse_args(_glue_negative_values(argv))
         return args.fn(args)
     except (_InputError, ValueError, ZeroDivisionError, PrecisionError) as exc:
         error, code = str(exc), EXIT_INPUT

@@ -6,9 +6,15 @@ convention lives in the connection module and the CLI translates.
 
 A root r with most singular term c/z^k supports the directions
 phi = (arg(c) - pi + 2*pi*m)/k, m = 0..k-1 (where c/z^k is real and
-negative, i.e. exp(q_r) has maximal decay).  Directions arising from
-different roots are merged by one stable sort under exact angle
-comparison.
+negative, i.e. exp(q_r) has maximal decay).  Their principal values
+come from the octant form of arg(c), (o/4)*pi + arg(w) with arg(w) in
+(0, pi/4): phi lies strictly between two consecutive multiples of
+pi/(4k), so its branch mod 2*pi is read off the rational part exactly,
+without an interval.  Directions arising from different roots are
+merged by one stable sort under exact angle comparison.
+
+The decay sign of -r along a direction is minus that of r (q_{-r} =
+-q_r), so half-periods evaluate one root of each opposite pair.
 """
 
 from __future__ import annotations
@@ -102,8 +108,7 @@ def anti_stokes(q: IrregularType) -> StokesDiagram:
     for r, k_r, c_r in per_root:
         base = arg_angle(c_r)
         for m in range(k_r):
-            phi = (base + AngleExpr.of_pi(2 * m - 1)).scale(Fraction(1, k_r)).principal()
-            raw.append((phi, r, k_r, c_r))
+            raw.append((_direction(base, k_r, m), r, k_r, c_r))
     # Stable sort: each run of equal angles starts with its first raw
     # representative, whose expression the merged direction keeps.
     raw.sort(key=functools.cmp_to_key(lambda a, b: a[0].compare(b[0])))
@@ -119,6 +124,18 @@ def anti_stokes(q: IrregularType) -> StokesDiagram:
     ]
     orders = {k_r for _, k_r, _ in per_root}
     return StokesDiagram(q, directions, max(orders), len(orders) == 1)
+
+
+def _direction(base: AngleExpr, k_r: int, m: int) -> AngleExpr:
+    """(base + (2m - 1)*pi)/k_r in [0, 2*pi), for base = arg_angle(c).
+
+    base is p0*pi with p0 a multiple of 1/4, or (o/4)*pi + arg(w) with
+    arg(w) in (0, pi/4).  With p = (p0 + 2m - 1)/k_r the angle lies in
+    [p*pi, p*pi + pi/(4k_r)), whose ends are consecutive multiples of
+    pi/(4k_r); no multiple of 2*pi lies strictly inside, so the branch
+    is floor(p/2) exactly."""
+    p = (base.pi_part + 2 * m - 1) / k_r
+    return AngleExpr(p - 2 * (p // 2), tuple((q / k_r, w) for q, w in base.terms))
 
 
 def stokes_group_basis(diag: StokesDiagram, d: int) -> List[Root]:
@@ -166,7 +183,9 @@ def half_periods(diag: StokesDiagram, d1: int = 0) -> HalfPeriodData:
     if gap.is_zero():
         gap = AngleExpr.of_pi(2)
 
-    roots = [(r, k_r, arg_angle(c_r)) for r, k_r, c_r in _root_leading_data(diag.q)]
+    # one root of each opposite pair: -r decays exactly where r grows
+    roots = [(r, k_r, arg_angle(c_r)) for r, k_r, c_r in _root_leading_data(diag.q)
+             if r.i < r.j]
     for attempt in range(16):
         delta = (last + gap.scale(Fraction(1, 2 + attempt))).principal()
         signs = _decay_signs(roots, delta)
@@ -175,8 +194,11 @@ def half_periods(diag: StokesDiagram, d1: int = 0) -> HalfPeriodData:
     else:
         raise StokesError("could not certify a generic test direction")
 
-    r_plus = {r for (r, _, _), sign in zip(roots, signs) if sign < 0}
-    r_minus = {r for (r, _, _), sign in zip(roots, signs) if sign > 0}
+    r_plus, r_minus = set(), set()
+    for (r, _, _), sign in zip(roots, signs):
+        decays, grows = (r, -r) if sign < 0 else (-r, r)
+        r_plus.add(decays)
+        r_minus.add(grows)
     order = _order_blocks(diag.q.levi_blocks(), r_plus)
     p_plus = ParabolicSpec(order)
     p_minus = ParabolicSpec(list(reversed(order)))
@@ -302,17 +324,6 @@ def groupoid_presentation(genus: int, diagrams: List[StokesDiagram]
 # ----------------------------------------------------------------------
 # Stokes factors
 # ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class StokesFactor:
-    """A unipotent matrix supported exactly on the roots R(d)."""
-
-    direction: int
-    matrix: CMat
-
-    def validate(self, diag: StokesDiagram) -> bool:
-        return stokes_factor_defect(diag, self.direction, self.matrix) is None
-
 
 def stokes_factor_defect(diag: StokesDiagram, d: int, m: CMat) -> Optional[str]:
     """None when m lies in Sto_d (unipotent and supported on the roots

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import iv
+from mpmath.libmp import fzero, mpf_gt, mpf_lt, mpi_cos
 
 from meroconn.angles import (AngleExpr, PrecisionError, _axis_diag_eighths, arg_angle,
                              cos_sign)
@@ -80,6 +81,60 @@ def test_cos_sign_with_exactness_escape():
     assert cos_sign(arg_angle(gr(-1, 2))) == -1     # angle in (pi/2, pi)
     # pi/2 shifted by an irrational-of-pi angle is never on the grid
     assert cos_sign(arg_angle(gr(1, 2)) + AngleExpr.of_pi(F(1, 2))) == -1
+
+
+def reference_cos_sign(expr):
+    """cos_sign with the exact test first: 0 on pi/2 mod pi, otherwise
+    the cosine's enclosure refined until its sign is certain."""
+    if (expr - AngleExpr.of_pi(F(1, 2))).is_multiple_of_pi(1):
+        return 0
+    prec = 64
+    while prec <= 2048:
+        lo, hi = mpi_cos(expr.interval(prec)._mpi_, prec)
+        if mpf_gt(lo, fzero):
+            return 1
+        if mpf_lt(hi, fzero):
+            return -1
+        prec *= 2
+    raise AssertionError("reference cosine sign did not resolve")
+
+
+def _cos_enclosure_straddles_zero(expr):
+    lo, hi = mpi_cos(expr.interval(64)._mpi_, 64)
+    return not mpf_gt(lo, fzero) and not mpf_lt(hi, fzero)
+
+
+def _exact_cos_zeros(rng):
+    """pi/2 + k*pi written with arg terms that cancel only exactly."""
+    half = AngleExpr.of_pi(F(1, 2))
+    zeros = [arg_angle(gr(2, 1)) + arg_angle(gr(3, 1)) + AngleExpr.of_pi(F(1, 4))]
+    for _ in range(30):
+        w1, w2 = rand_gauss(rng), rand_gauss(rng)
+        k = rng.randint(-3, 3)
+        zeros.append(arg_angle(w1) + arg_angle(w2) - arg_angle(w1 * w2) + half.shift_pi(k))
+        zeros.append((arg_angle(w1).scale(2) - arg_angle(w1 * w1)).shift_pi(F(2 * k + 1, 2)))
+    # keep those written with arg terms, not as a bare multiple of pi
+    return [z for z in zeros if z.terms]
+
+
+def test_cos_sign_matches_exact_first_reference():
+    rng = random.Random(4109)
+    zeros = _exact_cos_zeros(rng)
+    assert zeros[0].pi_ratio() == F(1, 2) and len(zeros) > 40
+    for z in zeros:
+        assert _cos_enclosure_straddles_zero(z)  # so the exact test decides
+        assert cos_sign(z) == 0 == reference_cos_sign(z)
+    # within 1e-60 of pi/2 + k*pi: the 64-bit enclosure straddles 0, the
+    # exact test says nonzero and refinement gives the sign
+    tiny = arg_angle(gr(10**30, 1)) - arg_angle(gr(10**30 + 1, 1))
+    for k in (-1, 0, 1, 2):
+        for near in (AngleExpr.of_pi(F(2 * k + 1, 2)) + tiny,
+                     AngleExpr.of_pi(F(2 * k + 1, 2)) - tiny):
+            assert _cos_enclosure_straddles_zero(near)
+            assert cos_sign(near) == reference_cos_sign(near) != 0
+    for _ in range(400):
+        a = rand_angle(rng)
+        assert cos_sign(a) == reference_cos_sign(a)
 
 
 def test_scale_and_arith():

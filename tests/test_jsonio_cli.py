@@ -185,6 +185,39 @@ def test_cli_input_errors(tmp_path, capsys):
     assert code == 2 and "line 1" in doc["error"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["canonical-form"],                          # --input missing
+    ["antistokes", "--irregular-type"],          # an option without its value
+    ["oracle-monodromy", "--b", "1/2", "--steps", "many"],
+    ["oracle-monodromy", "--b", "1/2", "--quick"],
+    ["no-such-command"],
+    [],
+])
+def test_cli_usage_errors_print_json(capsys, argv):
+    code, doc = run_cli(*argv, capsys=capsys)
+    assert code == 2
+    assert set(doc) == {"format", "error"} and doc["format"] == "meroconn/1"
+    assert doc["error"].startswith("meroconn")
+
+
+def test_cli_usage_error_on_the_command_line():
+    proc = subprocess.run([sys.executable, "-m", "meroconn.cli", "canonical-form"],
+                          capture_output=True, text=True, env=dict(os.environ))
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout) == {
+        "format": "meroconn/1",
+        "error": "meroconn canonical-form: the following arguments are required: --input"}
+    assert proc.stderr.startswith("usage: meroconn canonical-form")
+
+
+def test_cli_oracle_negative_rational_exponent(capsys):
+    rest = ("--steps", "256", "--precision", "64")
+    code, doc = run_cli("oracle-monodromy", "--b", "-1/2", *rest, capsys=capsys)
+    assert code == 0 and doc["b"] == "-1/2" and doc["matches"] is True
+    assert run_cli("oracle-monodromy", "--b=-1/2", *rest, capsys=capsys) == (code, doc)
+    assert run_cli("oracle-monodromy", "--b", "-0.5", *rest, capsys=capsys) == (code, doc)
+
+
 SERIES_Z_INV = {"order_min": -1, "coeffs": [{"re": "1", "im": "0"}], "trunc": 4}
 
 

@@ -5,14 +5,15 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from meroconn.angles import AngleExpr, arg_angle
+from meroconn.angles import AngleExpr, arg_angle, cos_sign
 from meroconn.connection import IrregularType
 from meroconn.field import gr
-from meroconn.rootdata import Root
-from meroconn.stokes import (StokesError, anti_stokes, groupoid_presentation,
-                             half_periods, rotate_angle_set_invariant,
-                             stokes_dim_check, stokes_factor_matrix,
-                             stokes_group_basis, StokesFactor)
+from meroconn.rootdata import ParabolicSpec, Root
+from meroconn.stokes import (StokesError, _direction, _order_blocks, _root_leading_data,
+                             anti_stokes, groupoid_presentation, half_periods,
+                             rotate_angle_set_invariant, stokes_dim_check,
+                             stokes_factor_defect, stokes_factor_matrix,
+                             stokes_group_basis)
 
 Q_GL2_POLE2 = IrregularType(2, {2: (gr(1), gr(-1))})
 Q_GL2_POLE1 = IrregularType(2, {1: (gr(1), gr(0))})
@@ -183,8 +184,9 @@ def test_groupoid_presentation_counts():
 def test_stokes_factor_support_validation():
     d = anti_stokes(Q_GL2_POLE2)
     s = stokes_factor_matrix(d, 0, {Root(1, 0): gr(3)})
-    assert StokesFactor(0, s).validate(d)
-    assert not StokesFactor(1, s).validate(d)  # wrong direction support
+    assert stokes_factor_defect(d, 0, s) is None
+    # wrong direction support
+    assert stokes_factor_defect(d, 1, s) == "supported outside its root set"
     with pytest.raises(StokesError):
         stokes_factor_matrix(d, 0, {Root(0, 1): gr(1)})
 
@@ -246,9 +248,10 @@ def _rand_lead(rng, n, kind):
                F(rng.randint(-8, 8), rng.randint(1, 3))) for _ in range(n)]
 
 
-def test_one_sort_merge_matches_reference():
+def _merge_cases():
+    """36 irregular types, n = 2..5 and pole orders 1..4, with generic,
+    axis and collinear leading coefficients and random lower terms."""
     rng = random.Random(5309)
-    shared = rational = 0
     for case in range(36):
         n = 2 + case % 4
         pole = 1 + (case // 4) % 4
@@ -257,7 +260,12 @@ def test_one_sort_merge_matches_reference():
         for j in range(1, pole):
             if rng.random() < 0.5:
                 coeffs[j] = tuple(_rand_lead(rng, n, "generic"))
-        q = IrregularType(n, coeffs)
+        yield IrregularType(n, coeffs)
+
+
+def test_one_sort_merge_matches_reference():
+    shared = rational = 0
+    for q in _merge_cases():
         want = reference_directions(q)
         if not want:
             with pytest.raises(StokesError):
@@ -294,3 +302,111 @@ def test_anti_stokes_directions_invariant_under_rotation(q):
     assert len(rotated) == len(d.angles())
     assert all(x.compare(y) == 0 for x, y in zip(rotated, d.angles()))
     assert rotate_angle_set_invariant(d)
+
+
+# ---------------------------------------------------------------------
+# raw directions from the octant form against the principal() chain
+# ---------------------------------------------------------------------
+
+def _principal_chain(base, k_r, m):
+    return (base + AngleExpr.of_pi(2 * m - 1)).scale(F(1, k_r)).principal()
+
+
+_small = st.integers(-6, 6)
+
+
+@st.composite
+def _leading_row(draw, n):
+    """n entries whose differences are generic, on one axis or diagonal
+    (x*u for a shared unit u), or collinear (a + m*d); or two values
+    repeated, so that some differences vanish."""
+    kind = draw(st.sampled_from(["generic", "axis", "collinear", "repeated"]))
+    if kind == "generic":
+        return [draw(_gauss) for _ in range(n)]
+    if kind == "repeated":
+        pair = draw(st.lists(_gauss, min_size=2, max_size=2, unique_by=lambda c: c.t))
+        return pair + [pair[draw(st.integers(0, 1))] for _ in range(n - 2)]
+    if kind == "axis":
+        u = draw(st.sampled_from([gr(1), gr(0, 1), gr(1, 1), gr(1, -1)]))
+        return [u * gr(draw(_small)) for _ in range(n)]
+    a, d = gr(draw(_small), draw(_small)), gr(draw(st.integers(1, 4)), draw(_small))
+    steps = draw(st.lists(_small, min_size=n, max_size=n, unique=True))
+    return [a + d * gr(m) for m in steps]
+
+
+@st.composite
+def _mixed_irregular_types(draw):
+    """Pole orders 1..4, the order below the pole always present and the
+    others at random: roots whose leading entries coincide fall to a
+    lower k_r, so orders mix."""
+    n = draw(st.integers(2, 4))
+    pole = draw(st.integers(1, 4))
+    coeffs = {pole: tuple(draw(_leading_row(n)))}
+    for k in range(1, pole):
+        if k == pole - 1 or draw(st.booleans()):
+            coeffs[k] = tuple(draw(_leading_row(n)))
+    return IrregularType(n, coeffs)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_mixed_irregular_types())
+def test_direction_from_octant_form_matches_principal_chain(q):
+    for _r, k_r, c_r in _root_leading_data(q):
+        base = arg_angle(c_r)
+        for m in range(k_r):
+            got, want = _direction(base, k_r, m), _principal_chain(base, k_r, m)
+            assert got.pi_part == want.pi_part
+            assert [(c, w.t) for c, w in got.terms] == [(c, w.t) for c, w in want.terms]
+
+
+# ---------------------------------------------------------------------
+# half-periods: one sign per opposite pair against every root
+# ---------------------------------------------------------------------
+
+def reference_half_periods(diag, d1=0):
+    """half_periods with a cosine sign taken for every root, -r included."""
+    l = diag.l
+    if l is None:
+        raise StokesError("half-period structure undefined for mixed leading orders")
+    num = diag.num_directions
+    last = diag.directions[(d1 + l - 1) % num].angle
+    nxt = diag.directions[(d1 + l) % num].angle
+    gap = (nxt - last).principal()
+    if gap.is_zero():
+        gap = AngleExpr.of_pi(2)
+    roots = [(r, k_r, arg_angle(c_r)) for r, k_r, c_r in _root_leading_data(diag.q)]
+    for attempt in range(16):
+        delta = (last + gap.scale(F(1, 2 + attempt))).principal()
+        signs = [cos_sign(arg - delta.scale(k_r)) for _, k_r, arg in roots]
+        if 0 not in signs:
+            break
+    else:
+        raise StokesError("could not certify a generic test direction")
+    r_plus = {r for (r, _, _), sign in zip(roots, signs) if sign < 0}
+    r_minus = {r for (r, _, _), sign in zip(roots, signs) if sign > 0}
+    order = _order_blocks(diag.q.levi_blocks(), r_plus)
+    return r_plus, r_minus, ParabolicSpec(order), ParabolicSpec(list(reversed(order))), delta
+
+
+def test_half_periods_match_all_roots_reference():
+    compared = 0
+    for q in _merge_cases():
+        try:
+            diag = anti_stokes(q)
+        except StokesError:
+            continue
+        if diag.l is None:
+            with pytest.raises(StokesError):
+                half_periods(diag)
+            continue
+        for d1 in (0, diag.num_directions - 1):
+            half = half_periods(diag, d1)
+            r_plus, r_minus, p_plus, p_minus, delta = reference_half_periods(diag, d1)
+            assert half.u_plus == r_plus and half.u_minus == r_minus
+            assert half.p_plus.blocks == p_plus.blocks
+            assert half.p_minus.blocks == p_minus.blocks
+            assert half.delta.pi_part == delta.pi_part
+            assert [(c, w.t) for c, w in half.delta.terms] == \
+                [(c, w.t) for c, w in delta.terms]
+            compared += 1
+    assert compared >= 20
