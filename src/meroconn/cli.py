@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -306,23 +307,15 @@ class _Parser(argparse.ArgumentParser):
 
 def _glue_negative_values(argv):
     """argparse reads a negative value such as -1/2 or -1e3 after an
-    option as an option of its own; pass it as --opt=-1/2 instead."""
+    option as an option of its own; pass it as --opt=-1/2 instead (no
+    meroconn option starts with a digit)."""
     out = []
     for tok in argv:
-        if (out and out[-1].startswith("--") and "=" not in out[-1]
-                and tok.startswith("-") and _is_number(tok)):
+        if out and out[-1].startswith("--") and "=" not in out[-1] and re.match(r"-\.?\d", tok):
             out[-1] += "=" + tok
         else:
             out.append(tok)
     return out
-
-
-def _is_number(tok: str) -> bool:
-    try:
-        Fraction(tok)
-    except ValueError:
-        return False
-    return True
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -7,11 +7,12 @@ convention lives in the connection module and the CLI translates.
 A root r with most singular term c/z^k supports the directions
 phi = (arg(c) - pi + 2*pi*m)/k, m = 0..k-1 (where c/z^k is real and
 negative, i.e. exp(q_r) has maximal decay).  Their principal values
-come from the octant form of arg(c), (o/4)*pi + arg(w) with arg(w) in
-(0, pi/4): phi lies strictly between two consecutive multiples of
-pi/(4k), so its branch mod 2*pi is read off the rational part exactly,
-without an interval.  Directions arising from different roots are
-merged by one stable sort under exact angle comparison.
+come from the octant form of arg(c), a multiple of pi/4 or (o/4)*pi +
+arg(w) with arg(w) in (0, pi/4): phi lies at a multiple of pi/(4k) or
+strictly before the next one, so its branch mod 2*pi is read off the
+rational part exactly, without an interval.  Directions arising from
+different roots are merged by one stable sort under exact angle
+comparison.
 
 The decay sign of -r along a direction is minus that of r (q_{-r} =
 -q_r), so half-periods evaluate one root of each opposite pair.
@@ -194,11 +195,8 @@ def half_periods(diag: StokesDiagram, d1: int = 0) -> HalfPeriodData:
     else:
         raise StokesError("could not certify a generic test direction")
 
-    r_plus, r_minus = set(), set()
-    for (r, _, _), sign in zip(roots, signs):
-        decays, grows = (r, -r) if sign < 0 else (-r, r)
-        r_plus.add(decays)
-        r_minus.add(grows)
+    r_plus = {r if sign < 0 else -r for (r, _, _), sign in zip(roots, signs)}
+    r_minus = {-r for r in r_plus}
     order = _order_blocks(diag.q.levi_blocks(), r_plus)
     p_plus = ParabolicSpec(order)
     p_minus = ParabolicSpec(list(reversed(order)))
