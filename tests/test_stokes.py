@@ -195,6 +195,11 @@ def test_stokes_factor_support_validation():
 # one-sort merge against the merge-then-sort reference
 # ---------------------------------------------------------------------
 
+def _principal_chain(base, k_r, m):
+    """A raw direction as (base + (2m - 1)pi)/k_r reduced by principal()."""
+    return (base + AngleExpr.of_pi(2 * m - 1)).scale(F(1, k_r)).principal()
+
+
 def reference_directions(q):
     """The quadratic merge: scan every merged angle for each raw
     direction, then sort the merged angles."""
@@ -208,8 +213,7 @@ def reference_directions(q):
             c_r = series[-k_r]
             base = arg_angle(c_r)
             for m in range(k_r):
-                phi = (base + AngleExpr.of_pi(2 * m - 1)).scale(F(1, k_r)).principal()
-                raw.append((phi, Root(i, j), k_r, c_r))
+                raw.append((_principal_chain(base, k_r, m), Root(i, j), k_r, c_r))
     merged = []
     for phi, r, k_r, c_r in raw:
         for angle, sup in merged:
@@ -307,10 +311,6 @@ def test_anti_stokes_directions_invariant_under_rotation(q):
 # ---------------------------------------------------------------------
 # raw directions from the octant form against the principal() chain
 # ---------------------------------------------------------------------
-
-def _principal_chain(base, k_r, m):
-    return (base + AngleExpr.of_pi(2 * m - 1)).scale(F(1, k_r)).principal()
-
 
 _small = st.integers(-6, 6)
 
