@@ -27,12 +27,16 @@ enclosure, computed on first use, and two angles whose enclosures are
 disjoint are ordered from those alone.  Only where the enclosures
 overlap does ``compare`` run the exact Niven test on the difference
 and, off zero, refine the difference's enclosure until its sign is
-certain.  ``cos_sign`` is filtered the same way: a 64-bit enclosure of
-the cosine with a strict sign decides it, and only an enclosure that
-contains 0 runs the exact test for pi/2 mod pi.  Coincidence, ordering
-and decay signs therefore never depend on floating noise; intervals
-decide only where the answer is already known to be off the degenerate
-set.
+certain.  A list of angles is sorted and merged the same way:
+``exact_runs`` sweeps their enclosures once in order of lower bound,
+cuts the list into clusters wherever a lower bound exceeds every upper
+bound before it, and calls ``compare`` only inside a cluster of
+overlapping enclosures.  ``cos_sign`` is filtered likewise: a 64-bit
+enclosure of the cosine with a strict sign decides it, and only an
+enclosure that contains 0 runs the exact test for pi/2 mod pi.
+Coincidence, ordering and decay signs therefore never depend on
+floating noise; intervals decide only where the answer is already known
+to be off the degenerate set.
 """
 
 from __future__ import annotations
@@ -40,8 +44,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Dict, Optional, Tuple
+from functools import cmp_to_key, lru_cache
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from mpmath import iv
 from mpmath.libmp import (
@@ -230,6 +234,53 @@ def _merge(terms):
     )
 
 
+def exact_runs(angles: Sequence[AngleExpr], enclosures=None) -> List[List[int]]:
+    """The indices of ``angles`` in runs of equal angles, the runs in
+    ascending order and each run in ascending index order: what a stable
+    sort under ``compare`` followed by a merge of equal neighbours gives.
+
+    ``enclosures`` holds a 64-bit libmp enclosure of each angle (by
+    default its cached ``interval(64)``); any enclosure that contains
+    the angle will do.  Keyed by their outward-rounded float bounds and
+    swept once in order of lower bound, the list is cut wherever a lower
+    bound exceeds every upper bound before it: each angle after the cut
+    is then provably larger than each before it, and equal angles always
+    share a cluster.  Inside a cluster the members are stable-sorted in
+    index order with ``compare``, which a stable sort under a total
+    preorder makes unique."""
+    if enclosures is None:
+        enclosures = [a._enclosure() for a in angles]
+    bounds = sorted(
+        (to_float(lo, rnd=round_floor), to_float(hi, rnd=round_ceiling), i)
+        for i, (lo, hi) in enumerate(enclosures)
+    )
+    runs: List[List[int]] = []
+    cluster: List[int] = []
+    top = -math.inf
+    for lo, hi, i in bounds:
+        if lo > top and cluster:
+            runs += _cluster_runs(angles, cluster)
+            cluster = []
+        cluster.append(i)
+        top = max(top, hi)
+    if cluster:
+        runs += _cluster_runs(angles, cluster)
+    return runs
+
+
+def _cluster_runs(angles, members: List[int]) -> List[List[int]]:
+    if len(members) == 1:
+        return [members]
+    members = sorted(sorted(members), key=cmp_to_key(lambda i, j: angles[i].compare(angles[j])))
+    runs = [[members[0]]]
+    for i in members[1:]:
+        if angles[runs[-1][0]].compare(angles[i]) == 0:
+            runs[-1].append(i)
+        else:
+            runs.append([i])
+    return runs
+
+
 # ----------------------------------------------------------------------
 # principal argument of a Gaussian rational
 # ----------------------------------------------------------------------
@@ -318,6 +369,23 @@ def _arg_enclosure(t, prec: int):
     """arg(w) for w = GaussRat.from_triple(t) in the open first octant."""
     w = GaussRat.from_triple(t)
     return mpi_atan2(_mpi_rational(w.im, prec), _mpi_rational(w.re, prec), prec)
+
+
+@lru_cache(maxsize=256)
+def pi_enclosure(p: Fraction):
+    """The 64-bit enclosure of p*pi (that of ``interval(64)``), for the
+    few multiples of pi/(4k) that directions and arguments take."""
+    return mpi_mul(_mpi_rational(p, 64), _mpi_pi(64), 64)
+
+
+def terms_enclosure(terms):
+    """A 64-bit enclosure of sum q*arg(w) over ``terms``; added to
+    ``pi_enclosure`` it encloses the angle, though not always with the
+    bits of ``interval(64)``, which adds the terms in another order."""
+    total = (fzero, fzero)
+    for q, w in terms:
+        total = mpi_add(total, mpi_mul(_mpi_rational(q, 64), _arg_enclosure(w.t, 64), 64), 64)
+    return total
 
 
 # ----------------------------------------------------------------------

@@ -11,11 +11,15 @@ come from the octant form of arg(c), a multiple of pi/4 or (o/4)*pi +
 arg(w) with arg(w) in (0, pi/4): phi lies at a multiple of pi/(4k) or
 strictly before the next one, so its branch mod 2*pi is read off the
 rational part exactly, without an interval.  Directions arising from
-different roots are merged by one stable sort under exact angle
-comparison.
+different roots are sorted and merged by one sweep over 64-bit
+enclosures (``angles.exact_runs``): exact comparison runs only among
+directions whose enclosures overlap.
 
-The decay sign of -r along a direction is minus that of r (q_{-r} =
--q_r), so half-periods evaluate one root of each opposite pair.
+Opposite roots pair up: q_{-r} = -q_r, so c_{-r} = -c_r, whose argument
+differs from arg(c_r) by pi and is written with the same arg(w) up to a
+factor 4 in w.  The leading data are evaluated for one root of each
+pair, the irrational part of the direction enclosures is computed once
+per pair, and the decay sign of -r along a direction is minus that of r.
 """
 
 from __future__ import annotations
@@ -25,7 +29,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .angles import AngleExpr, arg_angle, cos_sign
+from mpmath.libmp import from_int, fzero, mpf_gt, mpf_lt, mpi_add, mpi_cos, mpi_mul, mpi_sub
+
+from .angles import (AngleExpr, arg_angle, cos_sign, exact_runs, pi_enclosure,
+                     terms_enclosure)
 from .connection import IrregularType
 from .field import GaussRat
 from .lmatrix import CMat
@@ -105,38 +112,46 @@ def anti_stokes(q: IrregularType) -> StokesDiagram:
             "trivial irregular type for the adjoint action "
             "(all q_r vanish; no anti-Stokes directions)"
         )
-    raw: List[Tuple[AngleExpr, Root, int, GaussRat]] = []
+    raw: List[AngleExpr] = []
+    enclosures = []
+    sources: List[Tuple[Root, int, GaussRat]] = []
+    pair_terms = {}
     for r, k_r, c_r in per_root:
-        base = arg_angle(c_r)
-        for m in range(k_r):
-            raw.append((_direction(base, k_r, m), r, k_r, c_r))
-    # Stable sort: each run of equal angles starts with its first raw
-    # representative, whose expression the merged direction keeps.
-    raw.sort(key=functools.cmp_to_key(lambda a, b: a[0].compare(b[0])))
-    merged: List[Tuple[AngleExpr, list]] = []
-    for phi, r, k_r, c_r in raw:
-        if merged and merged[-1][0].compare(phi) == 0:
-            merged[-1][1].append((r, k_r, c_r))
-        else:
-            merged.append((phi, [(r, k_r, c_r)]))
+        phis = _directions(arg_angle(c_r), k_r)
+        # e_i - e_j with i < j comes first; -r reuses its arg-term enclosure
+        if r.i < r.j:
+            pair_terms[r.i, r.j] = terms_enclosure(phis[0].terms)
+        terms = pair_terms[min(r.i, r.j), max(r.i, r.j)]
+        for phi in phis:
+            raw.append(phi)
+            enclosures.append(mpi_add(pi_enclosure(phi.pi_part), terms, 64))
+            sources.append((r, k_r, c_r))
+    # Each run of equal angles starts with its first raw representative,
+    # whose expression the merged direction keeps.
     directions = [
-        AntiStokesDirection(angle, tuple(sorted(sup, key=lambda t: (t[0].i, t[0].j))))
-        for angle, sup in merged
+        AntiStokesDirection(raw[run[0]], tuple(sorted(
+            (sources[i] for i in run), key=lambda t: (t[0].i, t[0].j))))
+        for run in exact_runs(raw, enclosures)
     ]
     orders = {k_r for _, k_r, _ in per_root}
     return StokesDiagram(q, directions, max(orders), len(orders) == 1)
 
 
-def _direction(base: AngleExpr, k_r: int, m: int) -> AngleExpr:
-    """(base + (2m - 1)*pi)/k_r in [0, 2*pi), for base = arg_angle(c).
+def _directions(base: AngleExpr, k_r: int) -> List[AngleExpr]:
+    """(base + (2m - 1)*pi)/k_r in [0, 2*pi) for m = 0..k_r-1, for
+    base = arg_angle(c).
 
     base is p0*pi with p0 a multiple of 1/4, or (o/4)*pi + arg(w) with
     arg(w) in (0, pi/4).  With p = (p0 + 2m - 1)/k_r the angle lies in
     [p*pi, p*pi + pi/(4k_r)), whose ends are consecutive multiples of
     pi/(4k_r); no multiple of 2*pi lies strictly inside, so the branch
     is floor(p/2) exactly."""
-    p = (base.pi_part + 2 * m - 1) / k_r
-    return AngleExpr(p - 2 * (p // 2), tuple((q / k_r, w) for q, w in base.terms))
+    terms = tuple((q / k_r, w) for q, w in base.terms)
+    out = []
+    for m in range(k_r):
+        p = (base.pi_part + 2 * m - 1) / k_r
+        out.append(AngleExpr(p - 2 * (p // 2), terms))
+    return out
 
 
 def stokes_group_basis(diag: StokesDiagram, d: int) -> List[Root]:
@@ -152,11 +167,11 @@ def rotate_angle_set_invariant(diag: StokesDiagram) -> bool:
         return False
     step = Fraction(1, diag.k)
     angles = diag.angles()
-    for a in angles:
-        shifted = a.shift_pi(step).principal()
-        if not any(shifted.compare(b) == 0 for b in angles):
-            return False
-    return True
+    shifted = [a.shift_pi(step).principal() for a in angles]
+    # both lists hold distinct angles in [0, 2*pi): equal as sets iff
+    # equal term by term once sorted
+    order = [i for run in exact_runs(shifted) for i in run]
+    return all(shifted[i].compare(b) == 0 for i, b in zip(order, angles))
 
 
 # ----------------------------------------------------------------------
@@ -185,8 +200,7 @@ def half_periods(diag: StokesDiagram, d1: int = 0) -> HalfPeriodData:
         gap = AngleExpr.of_pi(2)
 
     # one root of each opposite pair: -r decays exactly where r grows
-    roots = [(r, k_r, arg_angle(c_r)) for r, k_r, c_r in _root_leading_data(diag.q)
-             if r.i < r.j]
+    roots = [(r, k_r, arg_angle(c_r)) for r, k_r, c_r in _upper_leading_data(diag.q)]
     for attempt in range(16):
         delta = (last + gap.scale(Fraction(1, 2 + attempt))).principal()
         signs = _decay_signs(roots, delta)
@@ -213,29 +227,52 @@ def half_periods(diag: StokesDiagram, d1: int = 0) -> HalfPeriodData:
 def _decay_signs(roots, delta: AngleExpr) -> Optional[List[int]]:
     """The sign of cos(arg(c_r) - k_r delta), i.e. of Re(q_r) along
     delta, for each (r, k_r, arg(c_r)); None as soon as one is 0 (delta
-    is not generic)."""
+    is not generic).  A 64-bit enclosure of the cosine with a strict
+    sign decides it; only one that contains 0 builds the exact
+    expression for ``cos_sign``."""
+    delta_enc = delta.interval(64)._mpi_
     signs = []
     for _, k_r, arg in roots:
-        sign = cos_sign(arg - delta.scale(k_r))
-        if sign == 0:
-            return None
+        arg_enc = mpi_add(pi_enclosure(arg.pi_part), terms_enclosure(arg.terms), 64)
+        k_delta = mpi_mul((from_int(k_r), from_int(k_r)), delta_enc, 64)
+        lo, hi = mpi_cos(mpi_sub(arg_enc, k_delta, 64), 64)
+        if mpf_gt(lo, fzero):
+            sign = 1
+        elif mpf_lt(hi, fzero):
+            sign = -1
+        else:
+            sign = cos_sign(arg - delta.scale(k_r))
+            if sign == 0:
+                return None
         signs.append(sign)
     return signs
 
 
 def _root_leading_data(q: IrregularType) -> List[Tuple[Root, int, GaussRat]]:
     """(r, k_r, c_r) for every root with q_r != 0: the order and the
-    coefficient of the most singular term of q_r."""
+    coefficient of the most singular term of q_r, for e_i - e_j in the
+    order of i, then j.  -r has (k_r, -c_r), since q_{-r} = -q_r."""
+    upper = {(r.i, r.j): (k_r, c_r) for r, k_r, c_r in _upper_leading_data(q)}
     out = []
     for i in range(q.n):
         for j in range(q.n):
-            if i == j:
-                continue
+            if (i, j) in upper:
+                out.append((Root(i, j),) + upper[i, j])
+            elif (j, i) in upper:
+                k_r, c_r = upper[j, i]
+                out.append((Root(i, j), k_r, -c_r))
+    return out
+
+
+def _upper_leading_data(q: IrregularType) -> List[Tuple[Root, int, GaussRat]]:
+    """(r, k_r, c_r) for the roots e_i - e_j with i < j and q_r != 0."""
+    out = []
+    for i in range(q.n):
+        for j in range(i + 1, q.n):
             series = q.root_series(i, j)
-            if not series:
-                continue
-            lead = min(series)
-            out.append((Root(i, j), -lead, series[lead]))
+            if series:
+                lead = min(series)
+                out.append((Root(i, j), -lead, series[lead]))
     return out
 
 

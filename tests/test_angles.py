@@ -9,7 +9,7 @@ from mpmath import iv
 from mpmath.libmp import fzero, mpf_gt, mpf_lt, mpi_cos
 
 from meroconn.angles import (AngleExpr, PrecisionError, _axis_diag_eighths, arg_angle,
-                             cos_sign)
+                             cos_sign, exact_runs)
 from meroconn.field import gr
 
 
@@ -479,3 +479,96 @@ def test_principal_lies_in_one_turn(a):
     assert p.compare(AngleExpr.of_pi(2)) == -1
     r = (a - p).pi_ratio()
     assert r is not None and r.denominator == 1 and r % 2 == 0
+
+
+# ---------------------------------------------------------------------
+# exact_runs: one enclosure sweep against the stable comparison sort
+# ---------------------------------------------------------------------
+
+def reference_runs(angles):
+    """A stable sort of the indices under compare, then a merge of equal
+    neighbours."""
+    order = sorted(range(len(angles)),
+                   key=functools.cmp_to_key(lambda i, j: angles[i].compare(angles[j])))
+    runs = []
+    for i in order:
+        if runs and angles[runs[-1][0]].compare(angles[i]) == 0:
+            runs[-1].append(i)
+        else:
+            runs.append([i])
+    return runs
+
+
+def _enc(lo, hi):
+    return iv.mpf([lo, hi])._mpi_
+
+
+def test_exact_runs_wide_enclosure_around_two_narrow_ones():
+    # a lies near 2.51 but its enclosure spans [0, 3]; b and c have
+    # narrow disjoint enclosures near 0.46 and 2.09.  A cut at the gap
+    # between b and c (a midpoint, or no overlap of neighbours) would put
+    # a before c.
+    a, b, c = AngleExpr.of_pi(F(4, 5)), arg_angle(gr(2, 1)), AngleExpr.of_pi(F(2, 3))
+    angles = [a, b, c]
+    runs = exact_runs(angles, [_enc(0, 3), _enc(0.4, 0.5), _enc(2.0, 2.2)])
+    assert runs == [[1], [2], [0]] == reference_runs(angles)
+
+
+def test_exact_runs_touching_endpoints_share_a_cluster():
+    # two expressions of 0 whose enclosures meet only at 0
+    zero = AngleExpr.of_pi(0)
+    also_zero = (arg_angle(gr(2, 1)) + arg_angle(gr(2, -1))).shift_pi(-2)
+    assert exact_runs([zero, also_zero], [_enc(-1, 0), _enc(0, 1)]) == [[0, 1]]
+    # unequal angles touching at 0.8
+    x, y = AngleExpr.of_pi(F(1, 4)), arg_angle(gr(3, 5))
+    assert exact_runs([y, x], [_enc(0.8, 1.1), _enc(0.5, 0.8)]) == [[1], [0]]
+
+
+def test_exact_runs_ties_keep_raw_order():
+    quarter = arg_angle(gr(2, 1)) + arg_angle(gr(3, 1))  # pi/4 with two args
+    angles = [AngleExpr.of_pi(F(1, 2)), quarter, AngleExpr.of_pi(F(1, 4)),
+              AngleExpr(quarter.pi_part, quarter.terms)]
+    # lower bounds sorted against the raw order of the three equal angles
+    encs = [_enc(1.5, 1.6), _enc(0.78, 0.79), _enc(0.7, 0.9), _enc(0.6, 0.9)]
+    assert exact_runs(angles, encs) == [[1, 2, 3], [0]] == reference_runs(angles)
+    assert exact_runs(angles) == [[1, 2, 3], [0]]
+
+
+def test_exact_runs_one_element_and_all_rational():
+    assert exact_runs([]) == []
+    assert exact_runs([arg_angle(gr(1, 2))]) == [[0]]
+    assert exact_runs([AngleExpr.of_pi(3)], [_enc(9, 10)]) == [[0]]
+    rational = [AngleExpr.of_pi(q) for q in (F(1), F(0), F(2, 2), F(3, 2), F(0), F(-1, 3))]
+    assert exact_runs(rational) == [[5], [1, 4], [0, 2], [3]] == reference_runs(rational)
+
+
+_sweep_angles = st.builds(
+    _build_angle, st.builds(F, st.integers(-8, 8), st.integers(1, 4)),
+    st.lists(st.tuples(_gauss, st.builds(F, st.integers(-3, 3), st.integers(1, 3))),
+             max_size=2))
+
+
+@st.composite
+def _angle_lists(draw):
+    """Rational, one-term and two-term angles plus forced coincidences:
+    fresh copies, arg(w1) + arg(w2) beside arg(w1*w2), and the near-ties
+    and rewritten angles of _edge_cases."""
+    angles = draw(st.lists(_sweep_angles, min_size=1, max_size=6))
+    for _ in range(draw(st.integers(0, 3))):
+        a = draw(st.sampled_from(angles))
+        angles.append(AngleExpr(a.pi_part, a.terms))
+    for w1, w2 in draw(st.lists(st.tuples(_gauss, _gauss), max_size=2)):
+        angles += [(arg_angle(w1) + arg_angle(w2)).principal(), arg_angle(w1 * w2)]
+    angles += draw(st.lists(st.sampled_from(_edge_cases()), max_size=3))
+    return draw(st.permutations(angles))
+
+
+@PROPERTY
+@given(_angle_lists(), st.lists(st.sampled_from([0, 0.001, 0.5, 3.0]), min_size=2,
+                                max_size=2))
+def test_exact_runs_matches_stable_sort_and_merge(angles, widen):
+    assert exact_runs(angles) == reference_runs(angles)
+    # any enclosure containing each angle gives the same runs
+    wide = [(a.interval(64) + iv.mpf([-widen[i % 2], widen[(i + 1) % 2]]))._mpi_
+            for i, a in enumerate(angles)]
+    assert exact_runs(angles, wide) == reference_runs(angles)

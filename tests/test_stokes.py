@@ -9,7 +9,8 @@ from meroconn.angles import AngleExpr, arg_angle, cos_sign
 from meroconn.connection import IrregularType
 from meroconn.field import gr
 from meroconn.rootdata import ParabolicSpec, Root
-from meroconn.stokes import (StokesError, _direction, _order_blocks, _root_leading_data,
+from meroconn.stokes import (StokesDiagram, StokesError, _decay_signs, _directions,
+                             _order_blocks, _root_leading_data, _upper_leading_data,
                              anti_stokes, groupoid_presentation, half_periods,
                              rotate_angle_set_invariant, stokes_dim_check,
                              stokes_factor_defect, stokes_factor_matrix,
@@ -353,8 +354,8 @@ def _mixed_irregular_types(draw):
 def test_direction_from_octant_form_matches_principal_chain(q):
     for _r, k_r, c_r in _root_leading_data(q):
         base = arg_angle(c_r)
-        for m in range(k_r):
-            got, want = _direction(base, k_r, m), _principal_chain(base, k_r, m)
+        for m, got in enumerate(_directions(base, k_r)):
+            want = _principal_chain(base, k_r, m)
             assert got.pi_part == want.pi_part
             assert [(c, w.t) for c, w in got.terms] == [(c, w.t) for c, w in want.terms]
 
@@ -410,3 +411,104 @@ def test_half_periods_match_all_roots_reference():
                 [(c, w.t) for c, w in delta.terms]
             compared += 1
     assert compared >= 20
+
+
+# ---------------------------------------------------------------------
+# leading data from one root per opposite pair
+# ---------------------------------------------------------------------
+
+def reference_root_leading_data(q):
+    """root_series evaluated for every ordered pair i != j."""
+    out = []
+    for i in range(q.n):
+        for j in range(q.n):
+            if i == j:
+                continue
+            series = q.root_series(i, j)
+            if not series:
+                continue
+            lead = min(series)
+            out.append((Root(i, j), -lead, series[lead]))
+    return out
+
+
+def test_paired_root_leading_data_matches_all_pairs_loop():
+    for q in _merge_cases():
+        want = [(r, k_r, c_r.t) for r, k_r, c_r in reference_root_leading_data(q)]
+        assert [(r, k_r, c_r.t) for r, k_r, c_r in _root_leading_data(q)] == want
+        assert [(r, k_r, c_r.t) for r, k_r, c_r in _upper_leading_data(q)] == \
+            [t for t in want if t[0].i < t[0].j]
+
+
+# ---------------------------------------------------------------------
+# decay signs: cosine enclosure first against cos_sign for every root
+# ---------------------------------------------------------------------
+
+def reference_decay_signs(roots, delta):
+    signs = [cos_sign(arg - delta.scale(k_r)) for _, k_r, arg in roots]
+    return None if 0 in signs else signs
+
+
+def test_decay_signs_match_cos_sign_reference():
+    tiny = arg_angle(gr(10**30, 1)) - arg_angle(gr(10**30 + 1, 1))  # about 1e-60
+    rng = random.Random(5310)
+    nongeneric = 0
+    for q in _merge_cases():
+        roots = [(r, k_r, arg_angle(c_r)) for r, k_r, c_r in _upper_leading_data(q)]
+        if not roots:
+            continue
+        deltas = [AngleExpr.of_pi(F(rng.randint(0, 47), 24)) +
+                  arg_angle(gr(rng.randint(1, 9), rng.randint(1, 9))).scale(F(1, 3))
+                  for _ in range(3)]
+        # cos(arg(c_r) - k_r delta) = 0 exactly for the root picked, and
+        # 1e-60 away from 0 once delta is moved by tiny
+        _r, k_r, arg = rng.choice(roots)
+        zero = (arg - AngleExpr.of_pi(F(1, 2))).scale(F(1, k_r)).principal()
+        deltas += [zero, zero + tiny, zero - tiny]
+        for delta in deltas:
+            assert _decay_signs(roots, delta) == reference_decay_signs(roots, delta)
+        assert _decay_signs(roots, zero) is None
+        assert _decay_signs(roots, zero + tiny) is not None
+        nongeneric += 1
+    assert nongeneric >= 30
+
+
+# ---------------------------------------------------------------------
+# rotation invariance through the sweep against the quadratic scan
+# ---------------------------------------------------------------------
+
+def reference_rotate_invariant(diag):
+    """Each rotated direction looked up among all directions."""
+    if not diag.uniform_k:
+        return False
+    step = F(1, diag.k)
+    angles = diag.angles()
+    for a in angles:
+        shifted = a.shift_pi(step).principal()
+        if not any(shifted.compare(b) == 0 for b in angles):
+            return False
+    return True
+
+
+def test_rotate_invariant_matches_quadratic_scan():
+    seen = {True: 0, False: 0}
+    mixed = 0
+    for q in _merge_cases():
+        try:
+            diag = anti_stokes(q)
+        except StokesError:
+            continue
+        mixed += not diag.uniform_k
+        variants = [
+            diag,
+            # mixed orders checked as if uniform
+            StokesDiagram(q, diag.directions, diag.k, True),
+            # one direction dropped, and rotation by pi/(2k): not invariant
+            StokesDiagram(q, diag.directions[1:], diag.k, True),
+            StokesDiagram(q, diag.directions, 2 * diag.k, True),
+        ]
+        for v in variants:
+            got = rotate_angle_set_invariant(v)
+            assert got == reference_rotate_invariant(v)
+            seen[got] += 1
+    assert seen[True] >= 10 and seen[False] >= 10 and mixed > 0
