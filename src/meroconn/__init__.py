@@ -16,11 +16,11 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "_kernel": ["active_backend"],
-    "field": ["GaussRat", "gr"],
+    "field": ["CMat", "GaussRat", "gr"],
     "series": ["INF", "LaurentSeries", "series_val"],
-    "lmatrix": ["CMat", "LaurentMatrix", "mat_exp_nilpotent", "mat_inv", "mat_mul"],
-    "rootdata": ["Character", "ParabolicSpec", "Root", "Weight"],
-    "connection": ["CanonicalForm", "IrregularType", "MeroConnection",
+    "lmatrix": ["LaurentMatrix", "mat_exp_nilpotent", "mat_inv", "mat_mul"],
+    "rootdata": ["Character", "IrregularType", "ParabolicSpec", "Root", "Weight"],
+    "connection": ["CanonicalForm", "MeroConnection",
                    "canonical_reduce", "extract_irregular_type", "gauge_act",
                    "gauge_orbit_equal", "recover_irregular_shape"],
     "residues": ["Sl2Data", "jordan_decompose", "sl2_complete"],

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
-from .lmatrix import CMat
+from .field import CMat
 from .rootdata import (Character, ParabolicSpec, Weight,
                        enumerate_parabolics_containing_T,
                        parabolic_from_weight, parahoric_degree)

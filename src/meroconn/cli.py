@@ -6,7 +6,12 @@ field.  Exit codes: 0 success / property verified, 1 property violation
 usage errors included.
 
 Each subcommand imports the modules it runs when it is called, so a call
-loads only its own side of the library.
+loads only its own side of the library: ``jsonio`` brings the field and
+the torus data (``field``, ``rootdata``), ``canonical-form`` adds the
+Laurent layers and ``connection``, the Stokes and Betti commands add
+``angles``, ``stokes`` and ``betti``, and the dictionary commands add
+``correspondence`` and ``residues``.  Only the commands that need
+numerics load mpmath.
 """
 
 from __future__ import annotations

@@ -27,10 +27,9 @@ from typing import Dict, List, Optional, Tuple
 
 from . import _kernel as K
 from .errors import InternalError
-from .field import GaussRat
-from .lmatrix import CMat, LaurentMatrix, mat_inv, mat_mul, mat_mul_trunc
-from .residues import gaussian_eigenvalues, nullspace
-from .rootdata import Weight
+from .field import CMat, GaussRat
+from .lmatrix import LaurentMatrix, mat_inv, mat_mul, mat_mul_trunc
+from .rootdata import IrregularType, Weight
 from .series import INF, LaurentSeries
 
 DEFAULT_TRUNC = 12
@@ -70,100 +69,6 @@ class MeroConnection:
 
     def __repr__(self):
         return f"MeroConnection(n={self.n}, pole_order={self.pole_order}, trunc={self.B.trunc})"
-
-
-class IrregularType:
-    """Diagonal polar data Q = sum_j diag(c_j) z^-j (class of t(K)/t(R)).
-
-    ``degree`` is the pole order of Q as a function; a trivial Q (no
-    negative part) is allowed, matching the logarithmic case.
-    """
-
-    __slots__ = ("n", "coeffs")
-
-    def __init__(self, n: int, coeffs: Dict[int, Tuple[GaussRat, ...]]):
-        clean = {}
-        for j, ent in coeffs.items():
-            j = int(j)
-            if j < 1:
-                raise ValueError("irregular type stores exponents z^-j with j >= 1")
-            ent = tuple(e if isinstance(e, GaussRat) else GaussRat(e) for e in ent)
-            if len(ent) != n:
-                raise ValueError("coefficient length mismatch")
-            if any(not e.is_zero() for e in ent):
-                clean[j] = ent
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "coeffs", dict(sorted(clean.items())))
-
-    def __setattr__(self, *a):
-        raise AttributeError("IrregularType is immutable")
-
-    @property
-    def degree(self) -> int:
-        return max(self.coeffs, default=0)
-
-    def entry(self, i: int) -> Dict[int, GaussRat]:
-        """The scalar q_i as {exponent: coefficient} with negative exponents."""
-        return {-j: ent[i] for j, ent in self.coeffs.items()}
-
-    def levi_blocks(self, *finer) -> List[List[int]]:
-        """Index blocks on which Q's diagonal entries, and each sequence
-        in ``finer``, are constant, in order of their first index: the
-        stabilizer H = Z_G(Q) is block-diagonal for the blocks of Q."""
-        blocks: Dict[tuple, List[int]] = {}
-        for i in range(self.n):
-            key = (tuple(ent[i] for ent in self.coeffs.values()),) + tuple(f[i] for f in finer)
-            blocks.setdefault(key, []).append(i)
-        return list(blocks.values())
-
-    def root_series(self, i: int, k: int) -> Dict[int, GaussRat]:
-        """q_r = r(Q) for the root e_i - e_k."""
-        out = {}
-        for j, ent in self.coeffs.items():
-            c = ent[i] - ent[k]
-            if not c.is_zero():
-                out[-j] = c
-        return out
-
-    def half(self) -> "IrregularType":
-        half = GaussRat(Fraction(1, 2))
-        return IrregularType(
-            self.n, {j: tuple(e * half for e in ent) for j, ent in self.coeffs.items()}
-        )
-
-    def scale(self, c) -> "IrregularType":
-        c = c if isinstance(c, GaussRat) else GaussRat(c)
-        return IrregularType(
-            self.n, {j: tuple(e * c for e in ent) for j, ent in self.coeffs.items()}
-        )
-
-    def polar_connection_part(self) -> LaurentMatrix:
-        """The polar matrix P with dQ = P dz/z, i.e. P = sum (-j c_j) z^-j."""
-        rows = [
-            [LaurentSeries.zero() for _ in range(self.n)] for _ in range(self.n)
-        ]
-        for j, ent in self.coeffs.items():
-            for i in range(self.n):
-                rows[i][i] = rows[i][i] + LaurentSeries.monomial(ent[i] * GaussRat(-j), -j)
-        return LaurentMatrix(rows)
-
-    @classmethod
-    def from_polar(cls, n: int, polar: Dict[int, CMat]) -> "IrregularType":
-        """The Q with dQ = sum_j B_-j z^-j dz/z on the diagonal, i.e.
-        Q_j = diag(B_-j) / -j; the inverse of ``polar_connection_part``."""
-        return cls(n, {j: tuple(m[i, i] / GaussRat(-j) for i in range(n))
-                       for j, m in polar.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, IrregularType):
-            return NotImplemented
-        return self.n == other.n and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.n, tuple(sorted(self.coeffs.items()))))
-
-    def __repr__(self):
-        return f"IrregularType(n={self.n}, degree={self.degree})"
 
 
 @dataclass(frozen=True)
@@ -715,6 +620,9 @@ def in_irregular_shape(conn: MeroConnection, theta: Optional[Weight] = None) -> 
 def _diagonalizer(m: CMat) -> CMat:
     """Columns are eigenvectors of m, eigenvalues sorted by (re, im);
     requires distinct Gaussian-rational eigenvalues."""
+    # Only shape recovery needs eigenvalues; reduction loads no residues.
+    from .residues import gaussian_eigenvalues, nullspace
+
     eigs = gaussian_eigenvalues(m)
     if any(mult != 1 for _, mult in eigs):
         raise ReductionError(

@@ -30,11 +30,9 @@ from typing import Dict, List, Optional, Tuple
 import mpmath
 from mpmath.libmp import from_man_exp, mpc_to_complex, round_nearest
 
-from .connection import IrregularType
-from .field import GaussRat
-from .lmatrix import CMat
+from .field import CMat, GaussRat
 from .residues import Sl2Data, jordan_decompose, sl2_complete_blockwise
-from .rootdata import Weight
+from .rootdata import IrregularType, Weight
 
 ORIENTATION = +1
 

@@ -1,15 +1,20 @@
-"""Gaussian rationals: the exact coefficient field.
+"""Gaussian rationals, the exact coefficient field, and constant matrices over it.
 
 Every algebraic identity in the library is tested with ``==`` rather
 than a tolerance, so the scalar type must be an exact field.  A value
 is stored as a normalized integer triple ``(a, b, d)`` for
 ``(a + b*i)/d``; arithmetic is delegated to the kernel.
+
+``CMat``, the dense constant matrix, lives here too: it needs only
+``GaussRat`` and the kernel's dot product, and residues, Stokes factors
+and representation tuples use it without any Laurent series.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import List
 
 from . import _kernel as K
 
@@ -146,3 +151,214 @@ I = GaussRat(0, 1)
 def gr(re, im=0) -> GaussRat:
     """Shorthand constructor used heavily in tests and fixtures."""
     return GaussRat(re, im)
+
+
+# ----------------------------------------------------------------------
+# constant matrices
+# ----------------------------------------------------------------------
+
+def _as_gr(x) -> GaussRat:
+    if isinstance(x, GaussRat):
+        return x
+    return GaussRat(x)
+
+
+class CMat:
+    """Dense n x n matrix over the Gaussian rationals."""
+
+    __slots__ = ("n", "rows")
+
+    def __init__(self, rows):
+        rows = tuple(tuple(_as_gr(x) for x in row) for row in rows)
+        n = len(rows)
+        if any(len(r) != n for r in rows):
+            raise ValueError("CMat must be square")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "rows", rows)
+
+    def __setattr__(self, *a):
+        raise AttributeError("CMat is immutable")
+
+    @classmethod
+    def zero(cls, n):
+        return cls([[0] * n for _ in range(n)])
+
+    @classmethod
+    def identity(cls, n):
+        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+
+    @classmethod
+    def diag(cls, entries):
+        entries = list(entries)
+        n = len(entries)
+        return cls([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
+
+    @classmethod
+    def unit(cls, n, i, j, c=1):
+        """c * E_ij with 0-based indices."""
+        rows = [[0] * n for _ in range(n)]
+        rows[i][j] = c
+        return cls(rows)
+
+    def __getitem__(self, ij):
+        i, j = ij
+        return self.rows[i][j]
+
+    @classmethod
+    def _of(cls, rows):
+        """From rows of ``GaussRat``s, unchecked."""
+        self = object.__new__(cls)
+        rows = tuple(map(tuple, rows))
+        object.__setattr__(self, "n", len(rows))
+        object.__setattr__(self, "rows", rows)
+        return self
+
+    def __add__(self, other):
+        _check_dim(self, other)
+        return CMat._of([[x + y for x, y in zip(r, s)] for r, s in zip(self.rows, other.rows)])
+
+    def __sub__(self, other):
+        _check_dim(self, other)
+        return CMat._of([[x - y for x, y in zip(r, s)] for r, s in zip(self.rows, other.rows)])
+
+    def __neg__(self):
+        return CMat._of([[-x for x in row] for row in self.rows])
+
+    def __mul__(self, other):
+        """Each entry of a product is one exact dot product, normalized once."""
+        if isinstance(other, CMat):
+            _check_dim(self, other)
+            cols = [[x.t for x in col] for col in zip(*other.rows)]
+            return CMat._of([
+                [GaussRat.from_triple(K.qdot(row, col)) for col in cols]
+                for row in ([x.t for x in r] for r in self.rows)
+            ])
+        return self.scale(other)
+
+    def __rmul__(self, other):
+        return self.scale(other)
+
+    def scale(self, c):
+        c = _as_gr(c)
+        return CMat._of([[x * c for x in row] for row in self.rows])
+
+    def bracket(self, other) -> "CMat":
+        return self * other - other * self
+
+    def transpose(self) -> "CMat":
+        return CMat._of(zip(*self.rows))
+
+    def conjugate(self) -> "CMat":
+        return CMat._of([[x.conjugate() for x in row] for row in self.rows])
+
+    def trace(self) -> GaussRat:
+        return sum((self.rows[i][i] for i in range(self.n)), GaussRat(0))
+
+    def is_zero(self) -> bool:
+        return all(x.is_zero() for row in self.rows for x in row)
+
+    def is_diagonal(self) -> bool:
+        return all(
+            self.rows[i][j].is_zero()
+            for i in range(self.n)
+            for j in range(self.n)
+            if i != j
+        )
+
+    def is_block_diagonal(self, blocks) -> bool:
+        """Entries between different blocks of the partition vanish."""
+        block_of = {i: b for b, idxs in enumerate(blocks) for i in idxs}
+        return all(
+            self.rows[i][j].is_zero()
+            for i in range(self.n)
+            for j in range(self.n)
+            if block_of[i] != block_of[j]
+        )
+
+    def __pow__(self, k: int):
+        out = CMat.identity(self.n)
+        base = self
+        while k:
+            if k & 1:
+                out = out * base
+            base = base * base
+            k >>= 1
+        return out
+
+    def is_nilpotent(self) -> bool:
+        p = self
+        for _ in range(self.n):
+            if p.is_zero():
+                return True
+            p = p * self
+        return p.is_zero()
+
+    def inv(self) -> "CMat":
+        """Exact inverse by Gauss-Jordan elimination."""
+        n = self.n
+        aug = [
+            [self.rows[i][j] for j in range(n)]
+            + [GaussRat(1) if i == j else GaussRat(0) for j in range(n)]
+            for i in range(n)
+        ]
+        for col in range(n):
+            piv = next((r for r in range(col, n) if not aug[r][col].is_zero()), None)
+            if piv is None:
+                raise ZeroDivisionError("matrix not invertible")
+            aug[col], aug[piv] = aug[piv], aug[col]
+            inv_p = aug[col][col].inv()
+            aug[col] = [x * inv_p for x in aug[col]]
+            for r in range(n):
+                if r != col and not aug[r][col].is_zero():
+                    f = aug[r][col]
+                    aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+        return CMat._of([row[n:] for row in aug])
+
+    def exp_nilpotent_terms(self) -> List["CMat"]:
+        """The terms N^k / k! of exp(N), from k = 0 to the last nonzero
+        power; raises ValueError unless N is nilpotent (N^n = 0)."""
+        terms = [CMat.identity(self.n)]
+        power = terms[0]
+        for k in range(1, self.n + 1):
+            power = power * self
+            if power.is_zero():
+                return terms
+            terms.append(power.scale(Fraction(1, math.factorial(k))))
+        raise ValueError("exp_nilpotent requires a nilpotent matrix")
+
+    def exp_nilpotent(self) -> "CMat":
+        """Exact exp of a nilpotent matrix (finite sum)."""
+        terms = self.exp_nilpotent_terms()
+        return sum(terms[1:], terms[0])
+
+    def apply(self, vec):
+        """Matrix times column vector (list of GaussRat)."""
+        if len(vec) != self.n:
+            raise ValueError(f"dimension mismatch: {self.n} vs vector of {len(vec)}")
+        vec = [_as_gr(x).t for x in vec]
+        return [GaussRat.from_triple(K.qdot([x.t for x in row], vec)) for row in self.rows]
+
+    def __eq__(self, other):
+        if not isinstance(other, CMat):
+            return NotImplemented
+        return self.n == other.n and self.rows == other.rows
+
+    def __hash__(self):
+        return hash(self.rows)
+
+    def __repr__(self):
+        body = "; ".join(
+            " ".join(_short(x) for x in row) for row in self.rows
+        )
+        return f"CMat[{body}]"
+
+
+def _short(x: GaussRat) -> str:
+    if x.im == 0:
+        return str(x.re)
+    return f"({x.re}+{x.im}i)"
+
+
+def _check_dim(a, b):
+    if a.n != b.n:
+        raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")

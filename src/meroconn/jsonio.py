@@ -4,6 +4,9 @@ Rationals are "p/q" strings ("p" when the denominator is 1); Gaussian
 rationals are {"re": .., "im": ..}; series carry order_min, a row of
 coefficients and a truncation (integer or "inf"); matrices are
 row-major.  Every top-level document carries a "format" field.
+
+At import the module loads only ``field`` and ``rootdata``; each codec
+imports the rest of the library it needs when it runs.
 """
 
 from __future__ import annotations
@@ -11,18 +14,16 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Dict, List
 
-from .connection import CanonicalForm, IrregularType, MeroConnection
-from .field import GaussRat
-from .lmatrix import CMat, LaurentMatrix
-from .rootdata import Character, ParabolicSpec, Weight
-from .series import INF, LaurentSeries
+from .field import CMat, GaussRat
+from .rootdata import Character, IrregularType, ParabolicSpec, Weight
 
-# The Betti, Stokes and dictionary modules are imported inside the
-# decoders that build their objects, so that encoding and decoding a
-# connection loads none of them.
+# For annotations only: the codecs import these modules when they run.
 if TYPE_CHECKING:
     from .betti import FilteredStokesRep, StokesRep
+    from .connection import CanonicalForm, MeroConnection
     from .correspondence import DeRhamLocal
+    from .lmatrix import LaurentMatrix
+    from .series import LaurentSeries
 
 FORMAT = "meroconn/1"
 
@@ -44,6 +45,8 @@ def dec_fraction(s) -> Fraction:
         return Fraction(s)
     except (ValueError, TypeError) as exc:
         raise FormatError(f"bad rational {s!r}") from exc
+    except ZeroDivisionError as exc:
+        raise FormatError(f"bad rational {s!r}: zero denominator") from exc
 
 
 def enc_gauss(g: GaussRat) -> Dict[str, str]:
@@ -63,6 +66,8 @@ def dec_gauss(obj) -> GaussRat:
 # ----------------------------------------------------------------------
 
 def enc_series(s: LaurentSeries) -> Dict[str, Any]:
+    from .series import INF
+
     return {
         "order_min": s.order_min,
         "coeffs": [enc_gauss(GaussRat.from_triple(t)) for t in s.coeffs],
@@ -71,6 +76,8 @@ def enc_series(s: LaurentSeries) -> Dict[str, Any]:
 
 
 def dec_series(obj) -> LaurentSeries:
+    from .series import INF, LaurentSeries
+
     if not isinstance(obj, dict):
         raise FormatError(f"bad series object {obj!r}")
     try:
@@ -84,6 +91,8 @@ def dec_series(obj) -> LaurentSeries:
 
 
 def enc_lmatrix(m: LaurentMatrix) -> Dict[str, Any]:
+    from .series import INF
+
     return {
         "n": m.n,
         "trunc": "inf" if m.trunc == INF else int(m.trunc),
@@ -92,6 +101,9 @@ def enc_lmatrix(m: LaurentMatrix) -> Dict[str, Any]:
 
 
 def dec_lmatrix(obj) -> LaurentMatrix:
+    from .lmatrix import LaurentMatrix
+    from .series import INF
+
     if not isinstance(obj, dict):
         raise FormatError("matrix must be an object with 'entries'")
     try:
@@ -154,12 +166,21 @@ def enc_irregular(q: IrregularType) -> Dict[str, Any]:
 def dec_irregular(obj) -> IrregularType:
     if not isinstance(obj, dict) or not isinstance(obj.get("coeffs", {}), dict):
         raise FormatError("irregular type must be an object with a 'coeffs' object")
+    n = obj.get("n")
+    # bool is a subclass of int, and int() would truncate 2.5 or read "2"
+    if type(n) is not int or n < 1:
+        raise FormatError(f"irregular type field 'n' must be a positive integer, not {n!r}")
+    coeffs = {}
+    for j, ent in obj.get("coeffs", {}).items():
+        if not isinstance(ent, list):
+            raise FormatError(f"irregular type field 'coeffs'[{j!r}] must be a list, not {ent!r}")
+        try:
+            coeffs[int(j)] = tuple(dec_gauss(e) for e in ent)
+        except ValueError as exc:
+            raise FormatError(f"bad irregular type field 'coeffs'[{j!r}]: {exc}") from exc
     try:
-        return IrregularType(
-            int(obj["n"]),
-            {int(j): tuple(dec_gauss(e) for e in ent) for j, ent in obj.get("coeffs", {}).items()},
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        return IrregularType(n, coeffs)
+    except ValueError as exc:
         raise FormatError(f"bad irregular type: {exc}") from exc
 
 
@@ -168,6 +189,8 @@ def enc_connection(c: MeroConnection) -> Dict[str, Any]:
 
 
 def dec_connection(obj) -> MeroConnection:
+    from .connection import MeroConnection
+
     if not isinstance(obj, dict) or "B" not in obj:
         raise FormatError("connection document needs a 'B' matrix")
     conn = MeroConnection(dec_lmatrix(obj["B"]))

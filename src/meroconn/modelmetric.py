@@ -23,12 +23,11 @@ from typing import Dict, List, Tuple
 
 import mpmath
 
-from .connection import IrregularType
 from .correspondence import to_mpc
-from .field import GaussRat
-from .lmatrix import CMat, LaurentMatrix
+from .field import CMat, GaussRat
+from .lmatrix import LaurentMatrix
 from .residues import Sl2Data
-from .rootdata import Weight
+from .rootdata import IrregularType, Weight
 
 
 class MetricError(ValueError):

@@ -12,11 +12,11 @@ from fractions import Fraction
 from typing import List, Optional
 
 from .betti import PunctureData, StokesRep
-from .connection import IrregularType, MeroConnection
+from .connection import MeroConnection
 from .correspondence import DeRhamLocal
-from .field import GaussRat
-from .lmatrix import CMat, LaurentMatrix, mat_mul
-from .rootdata import Weight, m_r, Root
+from .field import CMat, GaussRat
+from .lmatrix import LaurentMatrix, mat_mul
+from .rootdata import IrregularType, Weight, m_r, Root
 from .series import LaurentSeries
 from .stokes import StokesDiagram, anti_stokes, stokes_factor_matrix
 

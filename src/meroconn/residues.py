@@ -28,8 +28,7 @@ import mpmath
 from mpmath.libmp import NoConvergence
 
 from .errors import InternalError
-from .field import GaussRat
-from .lmatrix import CMat
+from .field import CMat, GaussRat
 
 
 class EigenvalueError(ValueError):

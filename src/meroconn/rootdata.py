@@ -8,6 +8,12 @@ are integer vectors constant on the blocks.
 The group is modeled concretely as GL_n: SL_n is handled by restricting
 characters to sum zero, which is also the "trivial on scalars" condition
 used by the stability checkers.
+
+An irregular type Q in t(K)/t(R) is torus data too: ``IrregularType``
+stores its diagonal polar coefficients, ``root_series`` gives r(Q) and
+``levi_blocks`` the blocks of its stabilizer.  The module loads no
+Laurent series or matrices at import, so the Stokes and Betti sides
+read irregular types without them.
 """
 
 from __future__ import annotations
@@ -16,10 +22,15 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
-from .lmatrix import CMat, LaurentMatrix, laurent_det
-from .series import INF
+from .field import GaussRat
+
+# Laurent series and matrices are imported inside the functions that
+# build or test them.
+if TYPE_CHECKING:
+    from .field import CMat
+    from .lmatrix import LaurentMatrix
 
 
 @dataclass(frozen=True)
@@ -216,6 +227,103 @@ class ParabolicSpec:
         return f"ParabolicSpec({[list(b) for b in self.blocks]})"
 
 
+class IrregularType:
+    """Diagonal polar data Q = sum_j diag(c_j) z^-j (class of t(K)/t(R)).
+
+    ``degree`` is the pole order of Q as a function; a trivial Q (no
+    negative part) is allowed, matching the logarithmic case.
+    """
+
+    __slots__ = ("n", "coeffs")
+
+    def __init__(self, n: int, coeffs: Dict[int, Tuple[GaussRat, ...]]):
+        clean = {}
+        for j, ent in coeffs.items():
+            j = int(j)
+            if j < 1:
+                raise ValueError("irregular type stores exponents z^-j with j >= 1")
+            ent = tuple(e if isinstance(e, GaussRat) else GaussRat(e) for e in ent)
+            if len(ent) != n:
+                raise ValueError("coefficient length mismatch")
+            if any(not e.is_zero() for e in ent):
+                clean[j] = ent
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "coeffs", dict(sorted(clean.items())))
+
+    def __setattr__(self, *a):
+        raise AttributeError("IrregularType is immutable")
+
+    @property
+    def degree(self) -> int:
+        return max(self.coeffs, default=0)
+
+    def entry(self, i: int) -> Dict[int, GaussRat]:
+        """The scalar q_i as {exponent: coefficient} with negative exponents."""
+        return {-j: ent[i] for j, ent in self.coeffs.items()}
+
+    def levi_blocks(self, *finer) -> List[List[int]]:
+        """Index blocks on which Q's diagonal entries, and each sequence
+        in ``finer``, are constant, in order of their first index: the
+        stabilizer H = Z_G(Q) is block-diagonal for the blocks of Q."""
+        blocks: Dict[tuple, List[int]] = {}
+        for i in range(self.n):
+            key = (tuple(ent[i] for ent in self.coeffs.values()),) + tuple(f[i] for f in finer)
+            blocks.setdefault(key, []).append(i)
+        return list(blocks.values())
+
+    def root_series(self, i: int, k: int) -> Dict[int, GaussRat]:
+        """q_r = r(Q) for the root e_i - e_k."""
+        out = {}
+        for j, ent in self.coeffs.items():
+            c = ent[i] - ent[k]
+            if not c.is_zero():
+                out[-j] = c
+        return out
+
+    def half(self) -> "IrregularType":
+        half = GaussRat(Fraction(1, 2))
+        return IrregularType(
+            self.n, {j: tuple(e * half for e in ent) for j, ent in self.coeffs.items()}
+        )
+
+    def scale(self, c) -> "IrregularType":
+        c = c if isinstance(c, GaussRat) else GaussRat(c)
+        return IrregularType(
+            self.n, {j: tuple(e * c for e in ent) for j, ent in self.coeffs.items()}
+        )
+
+    def polar_connection_part(self) -> LaurentMatrix:
+        """The polar matrix P with dQ = P dz/z, i.e. P = sum (-j c_j) z^-j."""
+        from .lmatrix import LaurentMatrix
+        from .series import LaurentSeries
+
+        rows = [
+            [LaurentSeries.zero() for _ in range(self.n)] for _ in range(self.n)
+        ]
+        for j, ent in self.coeffs.items():
+            for i in range(self.n):
+                rows[i][i] = rows[i][i] + LaurentSeries.monomial(ent[i] * GaussRat(-j), -j)
+        return LaurentMatrix(rows)
+
+    @classmethod
+    def from_polar(cls, n: int, polar: Dict[int, CMat]) -> "IrregularType":
+        """The Q with dQ = sum_j B_-j z^-j dz/z on the diagonal, i.e.
+        Q_j = diag(B_-j) / -j; the inverse of ``polar_connection_part``."""
+        return cls(n, {j: tuple(m[i, i] / GaussRat(-j) for i in range(n))
+                       for j, m in polar.items()})
+
+    def __eq__(self, other):
+        if not isinstance(other, IrregularType):
+            return NotImplemented
+        return self.n == other.n and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash((self.n, tuple(sorted(self.coeffs.items()))))
+
+    def __repr__(self):
+        return f"IrregularType(n={self.n}, degree={self.degree})"
+
+
 # ----------------------------------------------------------------------
 # operations
 # ----------------------------------------------------------------------
@@ -239,6 +347,8 @@ def parahoric_degree(deg_l: int, thetas: Sequence[Weight], chi: Character) -> Fr
 
 def lie_parahoric_member(a: LaurentMatrix, theta: Weight) -> bool:
     """Entrywise: val(a_ij) + theta_i - theta_j >= 0."""
+    from .series import INF
+
     for i in range(a.n):
         for j in range(a.n):
             v = a.rows[i][j].val()
@@ -254,6 +364,9 @@ def parahoric_member(g: LaurentMatrix, theta: Weight) -> bool:
     bounded as z -> 0 (same entrywise valuation test), and det g a unit
     of R, i.e. of valuation 0 with a nonzero constant term known at the
     series' truncation."""
+    from .lmatrix import laurent_det
+    from .series import INF
+
     det = laurent_det(g)
     if det.is_zero():
         if g.trunc == INF:

@@ -13,13 +13,13 @@ from typing import Callable, Dict, List
 
 from .betti import (FilteredStokesRep, PunctureData, StokesRep, check_relation,
                     check_stability, group_act, irreducible)
-from .connection import (IrregularType, MeroConnection, canonical_reduce,
-                         extract_irregular_type, gauge_act, gauge_orbit_equal)
+from .connection import (MeroConnection, canonical_reduce, extract_irregular_type,
+                         gauge_act, gauge_orbit_equal)
 from .correspondence import (DeRhamLocal, dR_to_Betti, dR_to_Dol,
                              expected_multiplier, rank1_monodromy_oracle,
                              roundtrip_weight_check, to_mpc)
-from .field import GaussRat
-from .lmatrix import CMat, LaurentMatrix
+from .field import CMat, GaussRat
+from .lmatrix import LaurentMatrix
 from .modelmetric import (MetricData, TPoly, curvature_e0, higgs_extraction,
                           pseudo_curvature, sl2_identity_suite)
 from .randomgen import (gl2_four_direction_diagram, rand_connection,
@@ -27,10 +27,9 @@ from .randomgen import (gl2_four_direction_diagram, rand_connection,
                         rand_nilpotent, rand_parahoric_gauge, rand_relation_rep,
                         rand_small_weight)
 from .residues import Sl2Data, sl2_complete
-from .rootdata import Weight
+from .rootdata import IrregularType, Root, Weight
 from .stokes import (anti_stokes, rotate_angle_set_invariant,
                      stokes_dim_check, stokes_factor_matrix)
-from .rootdata import Root
 
 
 def criterion_canonical_suite(seed: int, trunc: int = 12, count: int = 50) -> Dict:

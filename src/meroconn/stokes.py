@@ -33,10 +33,8 @@ from mpmath.libmp import from_int, fzero, mpf_gt, mpf_lt, mpi_add, mpi_cos, mpi_
 
 from .angles import (AngleExpr, arg_angle, cos_sign, exact_runs, pi_enclosure,
                      terms_enclosure)
-from .connection import IrregularType
-from .field import GaussRat
-from .lmatrix import CMat
-from .rootdata import ParabolicSpec, Root
+from .field import CMat, GaussRat
+from .rootdata import IrregularType, ParabolicSpec, Root
 
 
 class StokesError(ValueError):
@@ -106,12 +104,14 @@ class StokesDiagram:
 
 def anti_stokes(q: IrregularType) -> StokesDiagram:
     """Enumerate the anti-Stokes directions of q with exact angles."""
-    per_root = _root_leading_data(q)
-    if not per_root:
+    # Every q_r vanishes exactly when Q is scalar; that takes O(n) to
+    # see, where the root scan below takes O(n^2).
+    if all(len(set(ent)) == 1 for ent in q.coeffs.values()):
         raise StokesError(
             "trivial irregular type for the adjoint action "
             "(all q_r vanish; no anti-Stokes directions)"
         )
+    per_root = _root_leading_data(q)
     raw: List[AngleExpr] = []
     enclosures = []
     sources: List[Tuple[Root, int, GaussRat]] = []

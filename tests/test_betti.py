@@ -7,12 +7,10 @@ from meroconn.betti import (BettiError, FilteredStokesRep, PunctureData,
                             StokesRep, check_relation, check_stability,
                             degree_loc, degree_zero, group_act, irreducible,
                             is_compatible)
-from meroconn.connection import IrregularType
-from meroconn.field import gr
-from meroconn.lmatrix import CMat
+from meroconn.field import CMat, gr
 from meroconn.randomgen import (gl2_four_direction_diagram, rand_invertible,
                                 rand_relation_rep, solvable_gl2_puncture)
-from meroconn.rootdata import Character, ParabolicSpec, Root, Weight
+from meroconn.rootdata import Character, IrregularType, ParabolicSpec, Root, Weight
 from meroconn.stokes import anti_stokes, stokes_factor_matrix
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import meroconn.connection
 import meroconn.selftest
-from meroconn.connection import (CanonicalForm, IrregularType, MeroConnection,
+from meroconn.connection import (CanonicalForm, MeroConnection,
                                  ReductionError, _diagonalizer, _require_residue_window,
                                  _resolve_trunc, _resolve_weight, _split_depth,
                                  canonical_reduce, connection_from_irregular_type,
@@ -14,15 +14,14 @@ from meroconn.connection import (CanonicalForm, IrregularType, MeroConnection,
                                  gauge_orbit_equal, in_irregular_shape,
                                  recover_irregular_shape)
 from meroconn.errors import InternalError
-from meroconn.field import gr
+from meroconn.field import CMat, gr
 from meroconn.jsonio import enc_canonical
-from meroconn.lmatrix import (CMat, LaurentMatrix as LM, mat_exp_pair, mat_inv,
-                              mat_mul)
+from meroconn.lmatrix import LaurentMatrix as LM, mat_exp_pair, mat_inv, mat_mul
 from meroconn.selftest import criterion_canonical_suite
 from meroconn.randomgen import (rand_connection, rand_connection_levi, rand_invertible,
                                 rand_parahoric_gauge, rand_small_weight)
 from meroconn.residues import EigenvalueError
-from meroconn.rootdata import Weight, parahoric_member
+from meroconn.rootdata import IrregularType, Weight, parahoric_member
 from meroconn.selftest import criterion_irregular_invariance
 from meroconn.series import INF, LaurentSeries as LS
 

@@ -6,16 +6,14 @@ from fractions import Fraction as F
 import mpmath
 import pytest
 
-from meroconn.connection import IrregularType
 from meroconn.correspondence import (CorrespondenceError, DeRhamLocal,
                                      PiMatrixPoly, RootOfUnity,
                                      dR_to_Betti, dR_to_Dol, expected_multiplier,
                                      rank1_monodromy_oracle,
                                      roundtrip_weight_check, to_mpc)
-from meroconn.field import GaussRat, gr
-from meroconn.lmatrix import CMat
+from meroconn.field import CMat, GaussRat, gr
 from meroconn.randomgen import rand_de_rham_local
-from meroconn.rootdata import Weight
+from meroconn.rootdata import IrregularType, Weight
 
 Q_TRIV = IrregularType(2, {})
 

@@ -12,8 +12,7 @@ from fractions import Fraction as F
 import pytest
 
 from meroconn import residues
-from meroconn.field import GaussRat, gr
-from meroconn.lmatrix import CMat
+from meroconn.field import CMat, GaussRat, gr
 from meroconn.randomgen import rand_gauss, rand_invertible
 from meroconn.residues import EigenvalueError, charpoly, gaussian_eigenvalues
 

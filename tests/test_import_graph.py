@@ -7,9 +7,12 @@ only what the code under test imported.
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 DATA = Path(__file__).parent / "data"
 
@@ -24,19 +27,52 @@ _LOADED = ("print(json.dumps(sorted(m for m in sys.modules"
            " if m.startswith('meroconn.'))))\n")
 
 
-def test_canonical_form_loads_only_the_de_rham_side():
-    script = (
-        "import contextlib, io, json, sys\n"
-        "from meroconn.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    assert main(['canonical-form', '--input', sys.argv[1]]) == 0\n"
-        + _LOADED
-    )
-    loaded = set(_run(script, str(DATA / "conn_gl2.json")))
-    assert "meroconn.connection" in loaded
-    unwanted = {f"meroconn.{m}" for m in ("selftest", "randomgen", "modelmetric",
-                                          "correspondence", "stokes", "betti", "angles")}
-    assert not loaded & unwanted, sorted(loaded & unwanted)
+# meroconn.* modules each call loads, by side.  The kernel and the
+# torus data (field, rootdata) load on every call through jsonio.
+_CODECS = {"jsonio", "field", "rootdata", "_kernel", "_kernel._pykernel"}
+_CLI = _CODECS | {"cli", "errors"}
+_STOKES = _CLI | {"angles", "stokes"}
+_DICTIONARY = _CLI | {"correspondence", "residues"}
+_LAURENT = {"lmatrix", "series"}
+
+CLOSURES = [
+    # (CLI arguments or None for a bare ``import meroconn.jsonio``,
+    #  modules loaded, whether mpmath is loaded)
+    (None, _CODECS, False),
+    ("canonical-form --input conn_gl2.json", _CLI | _LAURENT | {"connection"}, False),
+    ("antistokes --irregular-type q_gl2.json", _STOKES, True),
+    ("stokes-dim --irregular-type q_gl3.json", _STOKES, True),
+    ("check-relation --rep rep_gl2.json", _STOKES | {"betti"}, True),
+    ("stability --rep rep_gl2.json --weights weights_zero.json", _STOKES | {"betti"}, True),
+    ("translate --to dol --input local_nilpotent.json", _DICTIONARY, True),
+    ("translate --to betti --input local_semisimple.json", _DICTIONARY, True),
+    ("oracle-monodromy --b 1/3 --irregular-type q_gl1.json --steps 512 --precision 64",
+     _DICTIONARY, True),
+    ("verify-metric --input local_nilpotent.json", _DICTIONARY | _LAURENT | {"modelmetric"},
+     True),
+]
+
+
+@pytest.mark.parametrize("command, modules, mpmath", CLOSURES,
+                         ids=[re.split(r" --(?:input|irregular-type|rep) ", c)[0] if c
+                              else "import jsonio" for c, _, _ in CLOSURES])
+def test_each_call_loads_only_its_own_side(command, modules, mpmath):
+    if command is None:
+        script = "import meroconn.jsonio\n"
+        argv = []
+    else:
+        script = ("import contextlib, io\n"
+                  "from meroconn.cli import main\n"
+                  "with contextlib.redirect_stdout(io.StringIO()):\n"
+                  "    assert main(sys.argv[1:]) == 0\n")
+        argv = [str(DATA / a) if a.endswith(".json") else a for a in command.split()]
+    loaded, has_mpmath = _run(
+        "import json, sys\n" + script
+        + "print(json.dumps([sorted(m[len('meroconn.'):] for m in sys.modules"
+          " if m.startswith('meroconn.')), 'mpmath' in sys.modules]))\n",
+        *argv)
+    assert set(loaded) == modules
+    assert has_mpmath is mpmath
 
 
 def test_import_meroconn_loads_no_submodule():

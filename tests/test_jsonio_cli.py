@@ -11,11 +11,12 @@ import pytest
 
 from meroconn import jsonio
 from meroconn.cli import main
-from meroconn.connection import IrregularType, MeroConnection
+from meroconn.connection import MeroConnection
 from meroconn.correspondence import expected_multiplier
-from meroconn.field import gr
-from meroconn.lmatrix import CMat, LaurentMatrix as LM
+from meroconn.field import CMat, gr
+from meroconn.lmatrix import LaurentMatrix as LM
 from meroconn.randomgen import rand_connection, rand_relation_rep
+from meroconn.rootdata import IrregularType
 from meroconn.series import INF, LaurentSeries as LS
 
 DATA = Path(__file__).parent / "data"
@@ -223,6 +224,18 @@ SERIES_Z_INV = {"order_min": -1, "coeffs": [{"re": "1", "im": "0"}], "trunc": 4}
 
 @pytest.mark.parametrize("command, flag, doc, match", [
     ("antistokes", "--irregular-type", {"n": 2, "coeffs": [1, 2]}, "irregular type"),
+    ("antistokes", "--irregular-type", {"n": 2.5, "coeffs": {"1": ["1", "2"]}},
+     "field 'n' must be a positive integer, not 2.5"),
+    ("antistokes", "--irregular-type", {"n": True, "coeffs": {"1": ["1"]}},
+     "field 'n' must be a positive integer, not True"),
+    ("antistokes", "--irregular-type", {"n": 0, "coeffs": {}},
+     "field 'n' must be a positive integer, not 0"),
+    ("antistokes", "--irregular-type", {"n": -1, "coeffs": {}},
+     "field 'n' must be a positive integer, not -1"),
+    ("antistokes", "--irregular-type", {"n": 2, "coeffs": {"1": "12"}},
+     "field 'coeffs'['1'] must be a list, not '12'"),
+    ("antistokes", "--irregular-type", {"n": 2, "coeffs": {"1": ["1/0", "1"]}},
+     "field 'coeffs'['1']: bad rational '1/0': zero denominator"),
     ("check-relation", "--rep", [], "representation"),
     ("check-relation", "--rep", {}, "handle or a puncture"),
     ("check-relation", "--rep", {"handles": 5}, "representation"),

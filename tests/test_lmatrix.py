@@ -4,10 +4,10 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from meroconn.field import GaussRat, gr
+from meroconn.field import CMat, GaussRat, gr
 from meroconn.jsonio import dec_lmatrix, enc_lmatrix
-from meroconn.lmatrix import (CMat, LaurentMatrix as LM, mat_exp_nilpotent,
-                              mat_exp_pair, mat_inv, mat_mul, mat_mul_trunc)
+from meroconn.lmatrix import (LaurentMatrix as LM, mat_exp_nilpotent, mat_exp_pair,
+                              mat_inv, mat_mul, mat_mul_trunc)
 from meroconn.series import INF, LaurentSeries as LS
 
 

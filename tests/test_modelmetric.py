@@ -8,10 +8,8 @@ import pytest
 
 from meroconn import jsonio
 
-from meroconn.connection import IrregularType
 from meroconn.correspondence import DeRhamLocal, dR_to_Dol
-from meroconn.field import gr
-from meroconn.lmatrix import CMat
+from meroconn.field import CMat, gr
 from meroconn.modelmetric import (HiggsOperators, MetricData, MetricError,
                                   TPoly, chern_coefficient,
                                   chern_curvature_from_coefficient,
@@ -20,7 +18,7 @@ from meroconn.modelmetric import (HiggsOperators, MetricData, MetricError,
                                   weight_jump_check)
 from meroconn.randomgen import rand_de_rham_local, rand_nilpotent
 from meroconn.residues import Sl2Data, sl2_complete
-from meroconn.rootdata import Weight
+from meroconn.rootdata import IrregularType, Weight
 
 
 def standard_data(n=2):

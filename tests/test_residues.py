@@ -3,8 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from meroconn.field import gr
-from meroconn.lmatrix import CMat
+from meroconn.field import CMat, gr
 from meroconn.randomgen import rand_invertible, rand_nilpotent
 from meroconn.residues import (EigenvalueError, Sl2Data, gaussian_eigenvalues,
                                jordan_decompose, nullspace,

@@ -3,8 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from meroconn.field import gr
-from meroconn.lmatrix import CMat, LaurentMatrix as LM, mat_mul
+from meroconn.field import CMat, gr
+from meroconn.lmatrix import LaurentMatrix as LM, mat_mul
 from meroconn.rootdata import (Character, ParabolicSpec, Root, Weight,
                                all_roots, enumerate_parabolics_containing_T,
                                lie_parahoric_member, m_r, pairing,

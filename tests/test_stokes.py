@@ -1,14 +1,14 @@
 import functools
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from meroconn.angles import AngleExpr, arg_angle, cos_sign
-from meroconn.connection import IrregularType
 from meroconn.field import gr
-from meroconn.rootdata import ParabolicSpec, Root
+from meroconn.rootdata import IrregularType, ParabolicSpec, Root
 from meroconn.stokes import (StokesDiagram, StokesError, _decay_signs, _directions,
                              _order_blocks, _root_leading_data, _upper_leading_data,
                              anti_stokes, groupoid_presentation, half_periods,
@@ -39,9 +39,16 @@ def test_anti_stokes_pole2_example():
     assert d.directions[1].support == ((Root(0, 1), 2, gr(2)),)
 
 
-def test_anti_stokes_central_rejected():
+@pytest.mark.parametrize("q", [IrregularType(2, {1: (gr(5), gr(5))}),
+                               IrregularType(10**6, {}),
+                               IrregularType(10**4, {2: (gr(F(1, 3), 2),) * 10**4})],
+                         ids=["gl2", "no-coeffs", "scalar"])
+def test_anti_stokes_central_rejected(q):
+    # refused before the O(n^2) root scan, which would take hours at the large n
+    t0 = time.perf_counter()
     with pytest.raises(StokesError, match="trivial irregular type"):
-        anti_stokes(IrregularType(2, {1: (gr(5), gr(5))}))
+        anti_stokes(q)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_anti_stokes_pole1_example():
