@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "_kernel": ["active_backend"],
     "field": ["CMat", "GaussRat", "gr"],
-    "series": ["INF", "LaurentSeries", "series_val"],
+    "series": ["INF", "LaurentSeries"],
     "lmatrix": ["LaurentMatrix", "mat_exp_nilpotent", "mat_inv", "mat_mul"],
     "rootdata": ["Character", "IrregularType", "ParabolicSpec", "Root", "Weight"],
     "connection": ["CanonicalForm", "MeroConnection",

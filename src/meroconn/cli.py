@@ -10,8 +10,9 @@ loads only its own side of the library: ``jsonio`` brings the field and
 the torus data (``field``, ``rootdata``), ``canonical-form`` adds the
 Laurent layers and ``connection``, the Stokes and Betti commands add
 ``angles``, ``stokes`` and ``betti``, and the dictionary commands add
-``correspondence`` and ``residues``.  Only the commands that need
-numerics load mpmath.
+``correspondence``, with ``residues`` for ``translate`` and
+``verify-metric`` (``oracle-monodromy`` needs no residue structure).
+Only the commands that need numerics load mpmath.
 """
 
 from __future__ import annotations
@@ -146,9 +147,6 @@ def cmd_stokes_dim(args) -> int:
 
 def cmd_translate(args) -> int:
     from .correspondence import dR_to_Betti, dR_to_Dol
-
-    if args.source != "dR":
-        raise _InputError("only translations out of the de Rham side are implemented")
     local = jsonio.dec_de_rham(_load(args.input))
     if args.to == "dol":
         dol = dR_to_Dol(local)

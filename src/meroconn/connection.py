@@ -27,9 +27,9 @@ from typing import Dict, List, Optional, Tuple
 
 from . import _kernel as K
 from .errors import InternalError
-from .field import CMat, GaussRat
+from .field import CMat, GaussRat, nullspace, rref
 from .lmatrix import LaurentMatrix, mat_inv, mat_mul, mat_mul_trunc
-from .rootdata import IrregularType, Weight
+from .rootdata import IrregularType, Weight, parabolic_from_weight
 from .series import INF, LaurentSeries
 
 DEFAULT_TRUNC = 12
@@ -115,12 +115,7 @@ class CanonicalForm:
             for b in mats:
                 if not a.bracket(b).is_zero():
                     return False
-        if theta is not None:
-            for i in range(self.n):
-                for k in range(self.n):
-                    if theta.entries[i] < theta.entries[k] and not self.residue[i, k].is_zero():
-                        return False
-        return True
+        return theta is None or parabolic_from_weight(theta).contains_matrix(self.residue)
 
 
 class ReductionError(ValueError):
@@ -416,16 +411,16 @@ def _solve_level(e: int, res, slots, rhs) -> list:
             if (down[0] or down[1]) and (a, c) in idx:
                 op[idx[a, c]][col] = op[idx[a, c]][col] - GaussRat.from_triple(down)
                 coupled = coupled or c != b
-    try:
-        if not coupled:
-            return [K.qdiv(r, op[i][i].t) for i, r in enumerate(rhs)]
-        inv = CMat(op).inv()
-    except ZeroDivisionError:
-        raise ReductionError(
-            "resonant residue: (m + ad(B0)) is singular on the centralizer; "
-            "canonical reduction needs a shearing transformation (out of scope)"
-        ) from None
-    return [x.t for x in inv.apply([GaussRat.from_triple(r) for r in rhs])]
+    if coupled:
+        rows, pivots = rref([row + [GaussRat.from_triple(r)] for row, r in zip(op, rhs)])
+        if pivots == list(range(k)):
+            return [row[k].t for row in rows]
+    elif all(not op[i][i].is_zero() for i in range(k)):
+        return [K.qdiv(r, op[i][i].t) for i, r in enumerate(rhs)]
+    raise ReductionError(
+        "resonant residue: (m + ad(B0)) is singular on the centralizer; "
+        "canonical reduction needs a shearing transformation (out of scope)"
+    )
 
 
 def _centralize_grade_zero(cur: LaurentMatrix, theta: Weight, polar, W: int
@@ -621,7 +616,7 @@ def _diagonalizer(m: CMat) -> CMat:
     """Columns are eigenvectors of m, eigenvalues sorted by (re, im);
     requires distinct Gaussian-rational eigenvalues."""
     # Only shape recovery needs eigenvalues; reduction loads no residues.
-    from .residues import gaussian_eigenvalues, nullspace
+    from .residues import gaussian_eigenvalues
 
     eigs = gaussian_eigenvalues(m)
     if any(mult != 1 for _, mult in eigs):

@@ -25,14 +25,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import mpmath
 from mpmath.libmp import from_man_exp, mpc_to_complex, round_nearest
 
 from .field import CMat, GaussRat
-from .residues import Sl2Data, jordan_decompose, sl2_complete_blockwise
 from .rootdata import IrregularType, Weight
+
+if TYPE_CHECKING:
+    from .residues import Sl2Data
 
 ORIENTATION = +1
 
@@ -90,6 +92,9 @@ class DeRhamLocal:
         cached = self.__dict__.get("_structure")
         if cached is not None:
             return cached
+        # Only the structure needs residues; oracle-monodromy never loads it.
+        from .residues import Sl2Data, jordan_decompose, sl2_complete_blockwise
+
         s, y = jordan_decompose(self.residue)
         if not s.is_diagonal():
             raise CorrespondenceError(
@@ -119,9 +124,6 @@ class RootOfUnity:
     def mp(self, prec: int = 53):
         with mpmath.workprec(prec):
             return mpmath.expjpi(mpmath.mpf(-2 * self.p) / self.q)
-
-    def numeric(self, prec: int = 53) -> complex:
-        return complex(self.mp(prec))
 
 
 class PiMatrixPoly:
@@ -153,9 +155,6 @@ class PiMatrixPoly:
                         if not c.is_zero():
                             out[i][j] += to_mpc(c) * w
             return out
-
-    def numeric(self, prec: int = 53) -> List[List[complex]]:
-        return [[complex(x) for x in row] for row in self.mp(prec)]
 
     def __eq__(self, other):
         if not isinstance(other, PiMatrixPoly):

@@ -7,14 +7,16 @@ is stored as a normalized integer triple ``(a, b, d)`` for
 
 ``CMat``, the dense constant matrix, lives here too: it needs only
 ``GaussRat`` and the kernel's dot product, and residues, Stokes factors
-and representation tuples use it without any Laurent series.
+and representation tuples use it without any Laurent series.  So does
+``rref``, the library's one Gauss-Jordan elimination, behind inverses,
+kernels, ranks and the centralizer solve of the canonical reduction.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import List
+from typing import List, Tuple
 
 from . import _kernel as K
 
@@ -294,25 +296,13 @@ class CMat:
         return p.is_zero()
 
     def inv(self) -> "CMat":
-        """Exact inverse by Gauss-Jordan elimination."""
+        """Exact inverse: the right half of ``rref([M | I])``."""
         n = self.n
-        aug = [
-            [self.rows[i][j] for j in range(n)]
-            + [GaussRat(1) if i == j else GaussRat(0) for j in range(n)]
-            for i in range(n)
-        ]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if not aug[r][col].is_zero()), None)
-            if piv is None:
-                raise ZeroDivisionError("matrix not invertible")
-            aug[col], aug[piv] = aug[piv], aug[col]
-            inv_p = aug[col][col].inv()
-            aug[col] = [x * inv_p for x in aug[col]]
-            for r in range(n):
-                if r != col and not aug[r][col].is_zero():
-                    f = aug[r][col]
-                    aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-        return CMat._of([row[n:] for row in aug])
+        rows, pivots = rref([[*row, *(ONE if i == j else ZERO for j in range(n))]
+                             for i, row in enumerate(self.rows)])
+        if pivots != list(range(n)):
+            raise ZeroDivisionError("matrix not invertible")
+        return CMat._of([row[n:] for row in rows])
 
     def exp_nilpotent_terms(self) -> List["CMat"]:
         """The terms N^k / k! of exp(N), from k = 0 to the last nonzero
@@ -362,3 +352,43 @@ def _short(x: GaussRat) -> str:
 def _check_dim(a, b):
     if a.n != b.n:
         raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
+
+
+def rref(rows: List[List[GaussRat]]) -> Tuple[List[List[GaussRat]], List[int]]:
+    """Reduced row echelon form; returns (rows, pivot columns)."""
+    rows = [list(r) for r in rows]
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, nrows) if not rows[i][c].is_zero()), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = rows[r][c].inv()
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(nrows):
+            if i != r and not rows[i][c].is_zero():
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows, pivots
+
+
+def nullspace(m: CMat) -> List[List[GaussRat]]:
+    """Basis of the kernel (as column vectors), deterministic."""
+    rows, pivots = rref([list(r) for r in m.rows])
+    n = m.n
+    free = [c for c in range(n) if c not in pivots]
+    basis = []
+    for fc in free:
+        vec = [GaussRat(0)] * n
+        vec[fc] = GaussRat(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -rows[r][fc]
+        basis.append(vec)
+    return basis

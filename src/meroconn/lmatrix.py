@@ -104,13 +104,6 @@ class LaurentMatrix:
     def is_zero(self) -> bool:
         return all(x.is_zero() for row in self.rows for x in row)
 
-    def exponents(self):
-        es = set()
-        for row in self.rows:
-            for x in row:
-                es.update(e for e, _ in x.items())
-        return sorted(es)
-
     # ------------------------------------------------------------------
     def __add__(self, other):
         other = self._coerce(other)

@@ -374,6 +374,7 @@ def _conj_exp(poly: TPoly, nilp: CMat) -> TPoly:
 # ----------------------------------------------------------------------
 
 _FIT_PREC = 113  # bits; the fitted exponents are rounded to floats
+_FIT_TOL = 0.02  # relative error allowed between fitted and target exponents
 
 
 @dataclass(frozen=True)
@@ -401,7 +402,7 @@ def _within(got, want, tol) -> bool:
     return all(abs(g - w) <= tol * max(1.0, abs(w)) for g, w in zip(got, want))
 
 
-def weight_jump_check(data: MetricData, tolerance: float = 0.02) -> WeightJumpReport:
+def weight_jump_check(data: MetricData) -> WeightJumpReport:
     """Fit the |z|-power of the metric's diagonal entries at radii
     10^-3 .. 10^-8 and compare with 2*beta (connection frame) and
     s + s-bar (holomorphic Higgs frame).
@@ -428,7 +429,7 @@ def weight_jump_check(data: MetricData, tolerance: float = 0.02) -> WeightJumpRe
         de_rham_targets=tuple(2 * float(b) for b in beta),
         dolbeault_exponents=tuple(map(_fit_exponent, diag_dol, s_re)),
         dolbeault_targets=tuple(2 * float(sr) for sr in s_re),
-        tolerance=tolerance,
+        tolerance=_FIT_TOL,
     )
 
 

@@ -239,8 +239,7 @@ def rand_relation_rep(rng: random.Random, genus: int = 0, punctures: int = 1
     return StokesRep(genus, tuple(handles), ps)
 
 
-def rand_de_rham_local(rng: random.Random, n: int, with_q: bool = True
-                       ) -> DeRhamLocal:
+def rand_de_rham_local(rng: random.Random, n: int) -> DeRhamLocal:
     """Random local de Rham data satisfying the type invariants: pick a
     block partition; beta, s and Q are constant on blocks; Y is a random
     strictly lower-triangular nilpotent inside the blocks."""
@@ -257,7 +256,7 @@ def rand_de_rham_local(rng: random.Random, n: int, with_q: bool = True
         for i in idxs:
             beta_entries[i] = bval
             s_entries[i] = sval
-    if with_q and rng.random() < 0.8:
+    if rng.random() < 0.8:
         for j in (1, 2):
             if rng.random() < 0.7:
                 vals = [GaussRat(0)] * n

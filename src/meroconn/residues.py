@@ -28,55 +28,11 @@ import mpmath
 from mpmath.libmp import NoConvergence
 
 from .errors import InternalError
-from .field import CMat, GaussRat
+from .field import CMat, GaussRat, nullspace, rref
 
 
 class EigenvalueError(ValueError):
     pass
-
-
-# ----------------------------------------------------------------------
-# exact linear algebra helpers
-# ----------------------------------------------------------------------
-
-def rref(rows: List[List[GaussRat]]) -> Tuple[List[List[GaussRat]], List[int]]:
-    """Reduced row echelon form; returns (rows, pivot columns)."""
-    rows = [list(r) for r in rows]
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if not rows[i][c].is_zero()), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][c].inv()
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
-
-
-def nullspace(m: CMat) -> List[List[GaussRat]]:
-    """Basis of the kernel (as column vectors), deterministic."""
-    rows, pivots = rref([list(r) for r in m.rows])
-    n = m.n
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [GaussRat(0)] * n
-        vec[fc] = GaussRat(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -rows[r][fc]
-        basis.append(vec)
-    return basis
 
 
 def charpoly(m: CMat) -> List[GaussRat]:
@@ -398,10 +354,8 @@ def _jordan_chains(y: CMat) -> List[List[List[GaussRat]]]:
 
 
 def _independent(spanning: List[List[GaussRat]], v: List[GaussRat]) -> bool:
-    if not spanning:
-        return any(not x.is_zero() for x in v)
-    rows = [list(w) for w in spanning] + [list(v)]
-    _, pivots = rref(rows)
+    """v is outside the span of ``spanning``, an independent list."""
+    _, pivots = rref(spanning + [v])
     return len(pivots) == len(spanning) + 1
 
 

@@ -259,8 +259,3 @@ def _coerce_series(x) -> LaurentSeries:
     if isinstance(x, (GaussRat, int, Fraction)):
         return LaurentSeries.const(x)
     raise TypeError(f"cannot coerce {type(x).__name__} to LaurentSeries")
-
-
-def series_val(s: LaurentSeries):
-    """Valuation: smallest exponent with nonzero coefficient, INF if zero."""
-    return s.val()

@@ -62,7 +62,6 @@ class HalfPeriodData:
     u_plus: frozenset
     u_minus: frozenset
     delta: AngleExpr
-    base_index: int
 
 
 class StokesDiagram:
@@ -220,7 +219,6 @@ def half_periods(diag: StokesDiagram, d1: int = 0) -> HalfPeriodData:
         u_plus=frozenset(r_plus),
         u_minus=frozenset(r_minus),
         delta=delta,
-        base_index=d1,
     )
 
 

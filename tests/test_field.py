@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from meroconn.field import GaussRat, gr
+from meroconn.field import CMat, GaussRat, gr, rref
 
 
 def rand_gauss(rng, nonzero=False):
@@ -117,3 +117,63 @@ def test_powers_and_conjugation():
     assert a ** -1 == a.inv()
     assert a.conjugate() == gr(1, -2)
     assert (a * a.conjugate()).is_real()
+
+
+# ---------------------------------------------------------------------
+# Gauss-Jordan elimination
+# ---------------------------------------------------------------------
+
+_small = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
+_coeff = st.builds(gr, _small, _small)
+_entry = st.one_of(st.just(gr(0)), _coeff)
+
+
+@st.composite
+def _low_rank_rows(draw):
+    """Rectangular matrices whose rows are combinations of at most
+    ``rank`` drawn rows, some columns a multiple of the one before (the
+    first one zero), so rank deficiency, zero rows, columns without a
+    pivot before columns with one, and cancellation are common."""
+    nrows, ncols = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    rank = draw(st.integers(0, min(nrows, ncols)))
+    base = [[draw(_entry) for _ in range(ncols)] for _ in range(rank)]
+    for j in sorted(draw(st.sets(st.integers(0, ncols - 1), max_size=2))):
+        c = draw(_entry)
+        for row in base:
+            row[j] = row[j - 1] * c if j else gr(0)
+    rows = []
+    for _ in range(nrows):
+        coeffs = [draw(_coeff) for _ in base]
+        rows.append([sum((c * b[j] for c, b in zip(coeffs, base)), gr(0))
+                     for j in range(ncols)])
+    return rows
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_low_rank_rows())
+def test_rref_matches_sympy(rows):
+    sympy = pytest.importorskip("sympy")
+
+    def to_sympy(x):
+        a, b, d = x.t
+        return sympy.Rational(a, d) + sympy.Rational(b, d) * sympy.I
+
+    def from_sympy(x):
+        re, im = sympy.expand_complex(x).as_real_imag()
+        return gr(F(int(re.p), int(re.q)), F(int(im.p), int(im.q)))
+
+    want, want_pivots = sympy.Matrix([[to_sympy(x) for x in r] for r in rows]).rref()
+    got, pivots = rref(rows)
+    assert pivots == list(want_pivots)
+    assert got == [[from_sympy(want[i, j]) for j in range(want.cols)]
+                   for i in range(want.rows)]
+
+
+def test_cmat_inv_of_singular_and_empty_matrices():
+    # a zero first column, a dependent last column, proportional rows
+    for rows in ([[0, 1], [0, 1]], [[1, 0, 1], [0, 1, 1], [0, 0, 0]], [[1, 2], [2, 4]]):
+        with pytest.raises(ZeroDivisionError, match="^matrix not invertible$"):
+            CMat(rows).inv()
+    assert CMat([]).inv() == CMat([])
+    m = CMat([[gr(1, 1), 2], [gr(0, 3), gr(F(1, 2))]])
+    assert m * m.inv() == CMat.identity(2) == m.inv() * m

@@ -47,7 +47,7 @@ CLOSURES = [
     ("translate --to dol --input local_nilpotent.json", _DICTIONARY, True),
     ("translate --to betti --input local_semisimple.json", _DICTIONARY, True),
     ("oracle-monodromy --b 1/3 --irregular-type q_gl1.json --steps 512 --precision 64",
-     _DICTIONARY, True),
+     _CLI | {"correspondence"}, True),
     ("verify-metric --input local_nilpotent.json", _DICTIONARY | _LAURENT | {"modelmetric"},
      True),
 ]

@@ -124,9 +124,14 @@ def test_cli_translate_both_sides(capsys):
     assert doc["semisimple_factor"][0] == {"root_of_unity": "1/2"}
 
 
-def test_cli_check_relation_and_stability(capsys):
+def test_cli_check_relation_and_stability(tmp_path, capsys):
     code, doc = run_cli("check-relation", "--rep", str(DATA / "rep_gl2.json"),
                         capsys=capsys)
+    assert code == 0 and doc["holds"] is True
+    # rank 0: the empty matrices invert, and the relation holds
+    rank0 = tmp_path / "rep_rank0.json"
+    rank0.write_text(json.dumps({"genus": 1, "handles": [[[], []]], "punctures": []}))
+    code, doc = run_cli("check-relation", "--rep", str(rank0), capsys=capsys)
     assert code == 0 and doc["holds"] is True
     code, doc = run_cli("stability", "--rep", str(DATA / "rep_gl2.json"),
                         "--weights", str(DATA / "weights_zero.json"),

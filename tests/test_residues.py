@@ -3,11 +3,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from meroconn.field import CMat, gr
+from meroconn.field import CMat, gr, nullspace
 from meroconn.randomgen import rand_invertible, rand_nilpotent
 from meroconn.residues import (EigenvalueError, Sl2Data, gaussian_eigenvalues,
-                               jordan_decompose, nullspace,
-                               sl2_complete, sl2_complete_blockwise)
+                               jordan_decompose, sl2_complete, sl2_complete_blockwise)
 
 
 # ---------------------------------------------------------------------

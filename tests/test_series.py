@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from meroconn.field import gr
-from meroconn.series import INF, LaurentSeries as LS, series_val
+from meroconn.series import INF, LaurentSeries as LS
 
 
 # ---------------------------------------------------------------------
@@ -15,12 +15,12 @@ from meroconn.series import INF, LaurentSeries as LS, series_val
 
 def test_series_val_examples():
     # z^-2 + 3z -> -2
-    assert series_val(LS.from_dict({-2: 1, 1: 3})) == -2
+    assert LS.from_dict({-2: 1, 1: 3}).val() == -2
     # zero series -> +inf
-    assert series_val(LS.zero()) == INF
-    assert series_val(LS.zero(trunc=5)) == INF
+    assert LS.zero().val() == INF
+    assert LS.zero(trunc=5).val() == INF
     # z^3 truncated at 5 -> 3 (truncation does not hide the leading term)
-    assert series_val(LS.from_dict({3: 1}, trunc=5)) == 3
+    assert LS.from_dict({3: 1}, trunc=5).val() == 3
 
 
 def test_leading_zeros_stripped():
