@@ -250,9 +250,9 @@ def cmd_verify_metric(args) -> int:
     if args.numeric:
         report = weight_jump_check(data)
         doc["weight_jump"] = {
-            "de_rham_exponents": [repr(x) for x in report.de_rham_exponents],
+            "de_rham_exponents": [jsonio.enc_fraction(x) for x in report.de_rham_exponents],
             "de_rham_pass": report.de_rham_pass,
-            "dolbeault_exponents": [repr(x) for x in report.dolbeault_exponents],
+            "dolbeault_exponents": [jsonio.enc_fraction(x) for x in report.dolbeault_exponents],
             "dolbeault_pass": report.dolbeault_pass,
         }
         checks["weight_jump"] = report.all_pass
@@ -365,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-metric", help="model-metric lemma checks")
     p.add_argument("--input", required=True, help="local de Rham data JSON")
-    p.add_argument("--numeric", action="store_true", help="include the weight-jump fit")
+    p.add_argument("--numeric", action="store_true", help="include the exact weight-jump report")
     p.set_defaults(fn=cmd_verify_metric)
 
     p = sub.add_parser("oracle-monodromy", help="rank-1 numeric monodromy oracle")

@@ -4,9 +4,9 @@ All |z|- and log-dependence is reduced to the single formal variable
 t = 1/ln|z|^2 with the derivation rule  z-bar d/dz-bar : t -> -t^2,
 plus (-ln|z|^2) = -1/t for the log-power conjugations.  The curvature
 and pseudo-curvature lemmas then become finite exact algebra over the
-Gaussian rationals.  The only numerics are the diagnostic weight-jump
-fit: the metric's diagonal entries are exact in L = -ln|z|^2, and mpmath
-evaluates and fits them at one fixed precision.
+Gaussian rationals.  The weight-jump diagnostic is exact too: the
+metric's diagonal entries are finite sums of powers of L = -ln|z|^2, and
+their exponents are compared with the Jordan type of Y using ==.
 
 Conjugate quantities (s-bar, the dz-bar side operators) are formed
 entrywise from the exact data; the conjugate-transpose pairing between
@@ -16,14 +16,10 @@ the raising and lowering elements of the triple is structural
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import ClassVar, Dict, List, Optional, Tuple
 
-import mpmath
-
-from .correspondence import to_mpc
 from .field import CMat, GaussRat
 from .lmatrix import LaurentMatrix
 from .residues import Sl2Data
@@ -370,105 +366,90 @@ def _conj_exp(poly: TPoly, nilp: CMat) -> TPoly:
 
 
 # ----------------------------------------------------------------------
-# numeric weight-jump diagnostic
+# exact weight-jump diagnostic
 # ----------------------------------------------------------------------
-
-_FIT_PREC = 113  # bits; the fitted exponents are rounded to floats
-_FIT_TOL = 0.02  # relative error allowed between fitted and target exponents
-
 
 @dataclass(frozen=True)
 class WeightJumpReport:
-    de_rham_exponents: Tuple[float, ...]
-    de_rham_targets: Tuple[float, ...]
-    dolbeault_exponents: Tuple[float, ...]
-    dolbeault_targets: Tuple[float, ...]
-    tolerance: float
+    """Per vector of the triple's basis: the |z|-exponents 2*beta
+    (connection frame) and 2*Re s (Higgs frame), the connection-frame
+    diagonal entry as an exact {L-exponent: coefficient} map and the
+    leading L-exponent of the Higgs-frame entry."""
 
-    @property
-    def de_rham_pass(self) -> bool:
-        return _within(self.de_rham_exponents, self.de_rham_targets, self.tolerance)
-
-    @property
-    def dolbeault_pass(self) -> bool:
-        return _within(self.dolbeault_exponents, self.dolbeault_targets, self.tolerance)
+    de_rham_exponents: Tuple[Fraction, ...]
+    dolbeault_exponents: Tuple[Fraction, ...]
+    de_rham_l_powers: Tuple[Dict[Fraction, GaussRat], ...]
+    dolbeault_leading: Tuple[Optional[Fraction], ...]
+    de_rham_pass: bool
+    dolbeault_pass: bool
+    tolerance: ClassVar[float] = 0.0  # read by perfbench; the exponents are exact
 
     @property
     def all_pass(self) -> bool:
         return self.de_rham_pass and self.dolbeault_pass
 
 
-def _within(got, want, tol) -> bool:
-    return all(abs(g - w) <= tol * max(1.0, abs(w)) for g, w in zip(got, want))
-
-
 def weight_jump_check(data: MetricData) -> WeightJumpReport:
-    """Fit the |z|-power of the metric's diagonal entries at radii
-    10^-3 .. 10^-8 and compare with 2*beta (connection frame) and
-    s + s-bar (holomorphic Higgs frame).
+    """The weight jump beta -> Re s, exactly, in the triple's basis p.
 
-    The fit model is ln h = a ln r + c ln(-ln r^2) + b, i.e. power law
-    with the documented log correction.  Each diagonal entry is an exact
-    Gaussian-rational combination of half-integer powers of L = -ln r^2,
-    evaluated and fitted in mpmath at ``_FIT_PREC`` bits; diagnostics
-    only."""
+    With L = -ln|z|^2 the metric is |z|^2beta L^(H/2) e^-Y e^-X L^(H/2) in
+    the connection frame and |z|^2s e^Y L^H e^X in the Higgs frame, where
+    L^(cH) = p L^(cD) p^-1 with D = diag(h).  The blocks are the connected
+    components of the nonzero pattern of p^-1 Y p; in a block of size m,
+    the connection-frame entries are single L-powers with exponents
+    exactly m-1, m-3, ..., 1-m, and every Higgs-frame entry has leading
+    L-exponent m-1; all coefficients involved are positive rationals."""
     t = data.triple
     n = t.H.n
     p, p_inv, h = _h_frame(t)
     h = [e.re for e in h]
-    beta = data.beta.entries
-    s_re = [t.s[i, i].re for i in range(n)]
-    # h0 = |z|^2beta L^(H/2) e^-Y e^-X L^(H/2) and h2 = |z|^2s e^Y L^H e^X,
-    # where L^(cH) = p L^(cD) p^-1 with D = diag(h)
-    mid = p_inv * (-t.Y).exp_nilpotent() * (-t.X).exp_nilpotent() * p
-    diag_dr = _diagonal_l_powers(p, mid, p_inv, h)
-    diag_dol = _diagonal_l_powers(t.Y.exp_nilpotent() * p, CMat.identity(n),
-                                  p_inv * t.X.exp_nilpotent(), h)
+    y, x = p_inv * t.Y * p, p_inv * t.X * p
+    # the diagonal of L^(D/2) M L^(D/2) equals that of M L^D
+    diag_dr = _diagonal_l_powers((-y).exp_nilpotent() * (-x).exp_nilpotent(),
+                                 CMat.identity(n), h)
+    diag_dol = _diagonal_l_powers(y.exp_nilpotent(), x.exp_nilpotent(), h)
+    leading = tuple(max(m, default=None) for m in diag_dol)
+    de_rham_pass = dolbeault_pass = True
+    for idxs in _components(y):
+        top = len(idxs) - 1
+        dr = [diag_dr[i] for i in idxs]
+        de_rham_pass &= (all(len(m) == 1 and _positive(*m.values()) for m in dr)
+                         and sorted(e for m in dr for e in m) == list(range(-top, top + 1, 2)))
+        dolbeault_pass &= all(leading[i] == top and _positive(diag_dol[i][top]) for i in idxs)
     return WeightJumpReport(
-        de_rham_exponents=tuple(map(_fit_exponent, diag_dr, beta)),
-        de_rham_targets=tuple(2 * float(b) for b in beta),
-        dolbeault_exponents=tuple(map(_fit_exponent, diag_dol, s_re)),
-        dolbeault_targets=tuple(2 * float(sr) for sr in s_re),
-        tolerance=_FIT_TOL,
+        de_rham_exponents=tuple(2 * b for b in data.beta.entries),
+        dolbeault_exponents=tuple(2 * t.s[i, i].re for i in range(n)),
+        de_rham_l_powers=tuple(diag_dr),
+        dolbeault_leading=leading,
+        de_rham_pass=de_rham_pass,
+        dolbeault_pass=dolbeault_pass,
     )
 
 
-def _fit_exponent(terms: Dict[Fraction, GaussRat], w: Fraction) -> float:
-    """Least-squares |z|-exponent of |z|^(2w) * sum_e c_e L^e over the radii."""
-    ln_r, sqrt_l, first_row = _fit_design()
-    with mpmath.workprec(_FIT_PREC):
-        two_w = 2 * mpmath.mpf(w.numerator) / w.denominator
-        powers = [(int(2 * e), to_mpc(c)) for e, c in terms.items()]
-        logs = [two_w * x + mpmath.ln(abs(mpmath.fsum(c * rt ** k for k, c in powers)))
-                for x, rt in zip(ln_r, sqrt_l)]
-        return float(mpmath.fdot(first_row, logs))
+def _components(m: CMat) -> List[List[int]]:
+    """Connected components of the nonzero pattern of m."""
+    label = list(range(m.n))
+    for i in range(m.n):
+        for j in range(m.n):
+            if not m[i, j].is_zero() and label[i] != label[j]:
+                old = label[j]
+                label = [label[i] if b == old else b for b in label]
+    return [[i for i in range(m.n) if label[i] == b] for b in sorted(set(label))]
 
 
-@functools.lru_cache(maxsize=None)
-def _fit_design():
-    """ln r and sqrt(L) at the radii, and the first row of the
-    pseudo-inverse of the design [ln r, ln L, 1]: the functional that maps
-    the log values to the least-squares |z|-exponent."""
-    with mpmath.workprec(_FIT_PREC):
-        ln_r = tuple(-e * mpmath.ln10 for e in range(3, 9))  # radii 10^-3 .. 10^-8
-        ln_l = [mpmath.ln(-2 * x) for x in ln_r]
-        design = mpmath.matrix([[x, y, 1] for x, y in zip(ln_r, ln_l)])
-        pinv = mpmath.inverse(design.T * design) * design.T
-        first_row = tuple(pinv[0, k] for k in range(pinv.cols))
-        return ln_r, tuple(mpmath.exp(y / 2) for y in ln_l), first_row
+def _positive(c: GaussRat) -> bool:
+    return c.im == 0 and c.re > 0
 
 
-def _diagonal_l_powers(a: CMat, m: CMat, c: CMat, h) -> List[Dict[Fraction, GaussRat]]:
-    """Diagonal of a L^(D/2) m L^(D/2) c with D = diag(h), entry by entry
-    as exact {exponent of L: coefficient} maps."""
+def _diagonal_l_powers(a: CMat, c: CMat, h) -> List[Dict[Fraction, GaussRat]]:
+    """Diagonal of a L^D c with D = diag(h), entry by entry as exact
+    {exponent of L: coefficient} maps."""
     out = []
     for i in range(a.n):
         acc: Dict[Fraction, GaussRat] = {}
         for j in range(a.n):
-            for k in range(a.n):
-                coef = a[i, j] * m[j, k] * c[k, i]
-                if not coef.is_zero():
-                    e = (h[j] + h[k]) / 2
-                    acc[e] = acc[e] + coef if e in acc else coef
+            coef = a[i, j] * c[j, i]
+            if not coef.is_zero():
+                acc[h[j]] = acc[h[j]] + coef if h[j] in acc else coef
         out.append(acc)
     return out

@@ -47,9 +47,9 @@ CLI_DIGESTS = [
     ("verify-metric --input local_semisimple.json",
      "b694209145a302a2be7c46034ae0a07f45efa948c5b7286d7dd6960c7a70884b"),
     ("verify-metric --input local_nilpotent.json --numeric",
-     "9eac5229906ddaa68728f70f29a01e7f899002b56b966713cae24d8cf0919114"),
+     "fe2785c0f1a8d7c8727132174262fd280d82fe3345860e8e523e2213508be91a"),
     ("verify-metric --input local_semisimple.json --numeric",
-     "e056e32ca3ba66f8cf3986f9ee4ff4d3226a925517b8e1390b0cecc67661bafe"),
+     "2c41983a38bb02fe20d89b7d30220351e83393082fde7d63e1dbff978407bc26"),
     ("oracle-monodromy --b 1/3 --steps 512 --precision 64",
      "3643fd1cba37cd5141eed383840ed38189dbd0d54a924cb37baff86e057c7a07"),
     ("oracle-monodromy --b 1/3 --irregular-type q_gl1.json --steps 512 --precision 64",

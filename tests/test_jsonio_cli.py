@@ -398,7 +398,8 @@ def test_closed_stdout_pipe_exits_without_traceback():
 
 def test_translate_runs_without_sympy():
     """translate and verify-metric --numeric load neither sympy (a test
-    oracle) nor numpy/scipy, and mpmath is the only runtime dependency."""
+    oracle) nor numpy/scipy, mpmath is the only runtime dependency, and
+    modelmetric imports neither mpmath nor correspondence."""
     script = (
         "import sys\n"
         "from meroconn.cli import main\n"
@@ -415,6 +416,9 @@ def test_translate_runs_without_sympy():
     imports = re.compile(r"^\s*(import|from)\s+(sympy|numpy|scipy)\b", re.M)
     src = root / "src" / "meroconn"
     assert not [p.name for p in src.rglob("*.py") if imports.search(p.read_text())]
+    # the model-metric side is exact: no numerics, not even through correspondence
+    numeric = re.compile(r"^\s*(import\s+mpmath|from\s+(mpmath|\.correspondence)\b)", re.M)
+    assert not numeric.search((src / "modelmetric.py").read_text())
     tomllib = pytest.importorskip("tomllib")
     with open(root / "pyproject.toml", "rb") as fh:
         deps = tomllib.load(fh)["project"]["dependencies"]

@@ -3,7 +3,6 @@ import random
 from fractions import Fraction as F
 from pathlib import Path
 
-import mpmath
 import pytest
 
 from meroconn import jsonio
@@ -14,8 +13,8 @@ from meroconn.modelmetric import (HiggsOperators, MetricData, MetricError,
                                   TPoly, chern_coefficient,
                                   chern_curvature_from_coefficient,
                                   curvature_e0, higgs_extraction,
-                                  pseudo_curvature, sl2_identity_suite,
-                                  weight_jump_check)
+                                  _h_frame, pseudo_curvature,
+                                  sl2_identity_suite, weight_jump_check)
 from meroconn.randomgen import rand_de_rham_local, rand_nilpotent
 from meroconn.residues import Sl2Data, sl2_complete
 from meroconn.rootdata import IrregularType, Weight
@@ -192,82 +191,91 @@ def test_higgs_residue_matches_dictionary_random():
 
 
 # ---------------------------------------------------------------------
-# numeric weight-jump diagnostic
+# exact weight-jump diagnostic
 # ---------------------------------------------------------------------
 
 def test_weight_jump_power_law():
     d = DeRhamLocal(Weight([F(1, 2), 0]), CMat.zero(2), IrregularType(2, {}))
     report = weight_jump_check(MetricData.from_de_rham(d))
-    assert report.de_rham_targets == (1.0, 0.0)
+    assert report.de_rham_exponents == (F(1), F(0))
+    assert report.de_rham_l_powers == ({0: 1}, {0: 1})
     assert report.de_rham_pass and report.all_pass
 
 
 def test_weight_jump_log_corrections_only():
-    data = standard_data(2)  # beta = 0, nontrivial triple
+    data = standard_data(3)  # beta = 0, one Jordan block of size 3
     report = weight_jump_check(data)
-    assert report.de_rham_targets == (0.0, 0.0)
-    assert report.de_rham_pass
+    assert report.de_rham_exponents == (F(0),) * 3
+    assert sorted(e for m in report.de_rham_l_powers for e in m) == [-2, 0, 2]
+    assert report.dolbeault_leading == (2, 2, 2)
+    assert report.all_pass
 
 
 def test_weight_jump_dolbeault_exponent():
     d = DeRhamLocal(Weight([F(1, 4), F(1, 4)]),
                     CMat.diag([gr(F(1, 3)), gr(0)]), IrregularType(2, {}))
     report = weight_jump_check(MetricData.from_de_rham(d))
-    assert report.dolbeault_targets == (2 / 3, 0.0)
+    assert report.dolbeault_exponents == (F(2, 3), F(0))
+    assert report.dolbeault_leading == (0, 0)
     assert report.dolbeault_pass
 
 
-def _weight_jump_reference(data):
-    """The float weight-jump fit, step by step: the matrices converted to
-    floats, the metric evaluated with matrix exponentials (mpmath.expm in
-    place of scipy.linalg.expm) at each radius, and one 6x3 least-squares
-    solve (mpmath.qr_solve in place of numpy.linalg.lstsq) per entry."""
-    t = data.triple
-    n = t.H.n
-
-    def num(m):
-        return mpmath.matrix([[complex(m[i, j]) for j in range(n)] for i in range(n)])
-
-    h_num, x_num, y_num = num(t.H), num(t.X), num(t.Y)
-    beta = [float(b) for b in data.beta.entries]
-    s_re = [float(t.s[i, i].re) for i in range(n)]
-    radii = [10.0 ** (-e) for e in range(3, 9)]
-    exp_my, exp_mx = mpmath.expm(-y_num), mpmath.expm(-x_num)
-    exp_y, exp_x = mpmath.expm(y_num), mpmath.expm(x_num)
-    rows_dr, rows_dol = [], []
-    for r in radii:
-        big_l = -mpmath.log(r * r)
-        logpow_half = mpmath.expm(h_num * (mpmath.log(big_l) / 2))
-        logpow_one = mpmath.expm(h_num * mpmath.log(big_l))
-        h0 = mpmath.diag([r ** (2 * b) for b in beta]) * logpow_half * exp_my * exp_mx * logpow_half
-        h2 = mpmath.diag([r ** (2 * sr) for sr in s_re]) * exp_y * logpow_one * exp_x
-        rows_dr.append([abs(h0[i, i]) for i in range(n)])
-        rows_dol.append([abs(h2[i, i]) for i in range(n)])
-    design = mpmath.matrix([[mpmath.log(r), mpmath.log(-mpmath.log(r * r)), 1] for r in radii])
-
-    def fit(rows):
-        return tuple(float(mpmath.qr_solve(design, [mpmath.log(row[i]) for row in rows])[0][0])
-                     for i in range(n))
-
-    return fit(rows_dr), fit(rows_dol), tuple(2 * b for b in beta), tuple(2 * s for s in s_re)
+def test_weight_jump_exact_maps_on_the_nilpotent_fixture():
+    data = MetricData.from_de_rham(jsonio.dec_de_rham(
+        json.loads((Path(__file__).parent / "data" / "local_nilpotent.json").read_text())))
+    report = weight_jump_check(data)
+    assert report.de_rham_l_powers == ({1: 1}, {-1: 2})
+    assert report.dolbeault_leading == (1, 1)
+    assert report.all_pass
 
 
-def test_weight_jump_matches_float_reference():
-    data_dir = Path(__file__).parent / "data"
-    cases = [MetricData.from_de_rham(jsonio.dec_de_rham(json.loads((data_dir / f).read_text())))
-             for f in ("local_nilpotent.json", "local_semisimple.json")]
+def test_weight_jump_is_read_in_the_triple_basis():
+    """In the standard frame a diagonal entry of this datum mixes L-powers;
+    in the triple's basis each entry is one L-power, exponents 2, 0, -2, 0."""
     rng = random.Random(11)
-    cases += [MetricData.from_de_rham(rand_de_rham_local(rng, n)) for n in (2, 3, 4, 2, 3, 4)]
-    for data in cases:
-        report = weight_jump_check(data)
-        with mpmath.workprec(53):
-            dr, dol, dr_want, dol_want = _weight_jump_reference(data)
-        for got, ref in ((report.de_rham_exponents, dr), (report.dolbeault_exponents, dol)):
-            assert max(abs(g - r) for g, r in zip(got, ref)) <= 1e-9, (got, ref)
-        assert (report.de_rham_targets, report.dolbeault_targets) == (dr_want, dol_want)
-        assert report.de_rham_pass == _within_tolerance(dr, dr_want, report.tolerance)
-        assert report.dolbeault_pass == _within_tolerance(dol, dol_want, report.tolerance)
+    d = [rand_de_rham_local(rng, n) for n in (2, 3, 4)][2]
+    data = MetricData.from_de_rham(d)
+    t = data.triple
+    p, p_inv, h = _h_frame(t)
+    h = [e.re for e in h]
+    mid = p_inv * (-t.Y).exp_nilpotent() * (-t.X).exp_nilpotent() * p
+    standard = [{} for _ in range(4)]
+    for i in range(4):
+        for j in range(4):
+            for k in range(4):
+                c = p[i, j] * mid[j, k] * p_inv[k, i]
+                e = (h[j] + h[k]) / 2
+                standard[i][e] = standard[i].get(e, gr(0)) + c
+    assert any(len([c for c in m.values() if not c.is_zero()]) > 1 for m in standard)
+    report = weight_jump_check(data)
+    assert report.de_rham_l_powers == ({2: 1}, {0: 3}, {-2: 4}, {0: 1})
+    assert report.dolbeault_leading == (2, 2, 2, 0)
+    assert report.de_rham_exponents == (F(1),) * 4
+    assert report.all_pass
 
 
-def _within_tolerance(got, want, tol):
-    return all(abs(g - w) <= tol * max(1.0, abs(w)) for g, w in zip(got, want))
+def test_weight_jump_detects_corruption():
+    data = standard_data(2)
+    t = data.triple
+    bad_h = Sl2Data(t.s, t.X, t.H + CMat.unit(2, 0, 0), t.Y, t.basis)
+    report = weight_jump_check(MetricData(data.beta, bad_h, data.q, validate=False))
+    assert report.de_rham_l_powers == ({2: 1}, {-1: 2})
+    assert not report.de_rham_pass and not report.dolbeault_pass
+    no_y = Sl2Data(t.s, t.X, t.H, CMat.zero(2), t.basis)
+    report = weight_jump_check(MetricData(data.beta, no_y, data.q, validate=False))
+    assert not report.de_rham_pass and not report.dolbeault_pass
+    # i*X keeps every exponent but makes the coefficients non-real
+    i_x = Sl2Data(t.s, t.X.scale(gr(0, 1)), t.H, t.Y, t.basis)
+    report = weight_jump_check(MetricData(data.beta, i_x, data.q, validate=False))
+    assert report.de_rham_l_powers == ({1: 1}, {-1: gr(1, 1)})
+    assert report.dolbeault_leading == (1, 1)
+    assert not report.de_rham_pass and not report.dolbeault_pass
+
+
+def test_weight_jump_holds_on_random_data():
+    rng = random.Random(26)
+    for _ in range(45):
+        d = rand_de_rham_local(rng, rng.randint(2, 4))
+        report = weight_jump_check(MetricData.from_de_rham(d))
+        assert report.de_rham_exponents == tuple(2 * b for b in d.beta.entries)
+        assert report.all_pass, d
