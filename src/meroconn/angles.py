@@ -15,11 +15,14 @@ angle expressions decidable:
 Enclosures are raw ``mpmath.libmp`` interval tuples ``(lo, hi)``, built
 with the same outward-rounded calls (``mpi_div``, ``mpi_mul``,
 ``mpi_atan2``, ``mpi_add``) that the ``mpmath.iv`` context makes, so the
-endpoints are those of ``iv`` bit for bit without its object layer.
-``AngleExpr.interval`` wraps the tuple in an ``iv`` number for callers.
-The enclosure of each arg(w) is memoized per (w, precision).  Integer
-parts (branches, principal values) are read off endpoints with exact
-floors and ceilings, never through a float.
+endpoints are those of ``iv`` bit for bit without its object layer;
+``AngleExpr.interval`` returns the tuple.  The enclosure of each arg(w)
+is memoized per (w, precision).  Every integer part of an angle x is
+read one way, never through a float: x lies in the open turn
+k*u*pi < x < (k + 1)*u*pi once the exact floor and ceiling of its
+enclosure over u*pi show it, and one precision ladder refines the
+enclosure until they do (u = 2 for principal values and, shifted by pi,
+the branch of ``pi_ratio``; u = 1/2 for ``cos_sign``).
 
 Comparison is filtered.  Two rational multiples of pi compare by their
 coefficients.  Every other expression keeps one outward-rounded 64-bit
@@ -32,8 +35,9 @@ certain.  A list of angles is sorted and merged the same way:
 cuts the list into clusters wherever a lower bound exceeds every upper
 bound before it, and calls ``compare`` only inside a cluster of
 overlapping enclosures.  ``cos_sign`` is filtered likewise: a 64-bit
-enclosure of the cosine with a strict sign decides it, and only an
-enclosure that contains 0 runs the exact test for pi/2 mod pi.
+enclosure inside one open quarter turn decides the sign (positive for
+k mod 4 in {0, 3}), and only one that meets a multiple of pi/2 computes
+the exact ratio to pi, which decides every rational multiple of pi.
 Coincidence, ordering and decay signs therefore never depend on
 floating noise; intervals decide only where the answer is already known
 to be off the degenerate set.
@@ -47,17 +51,16 @@ from fractions import Fraction
 from functools import cmp_to_key, lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from mpmath import iv
 from mpmath.libmp import (
-    from_int, fzero, mpf_gt, mpf_lt, mpf_pi, mpi_add, mpi_atan2, mpi_cos,
-    mpi_div, mpi_mid, mpi_mul, mpi_sub, round_ceiling, round_floor, to_float,
-    to_int,
+    from_int, fzero, mpf_lt, mpf_pi, mpi_add, mpi_atan2, mpi_div, mpi_mid,
+    mpi_mul, round_ceiling, round_floor, to_float, to_int,
 )
 
 from .errors import InternalError, PrecisionError
 from .field import GaussRat
 
-_MAX_PREC = 2048
+# the precision ladder: 64, 128, ..., 2048 bits
+_PRECISIONS = tuple(64 << i for i in range(6))
 
 
 @dataclass(frozen=True)
@@ -117,36 +120,22 @@ class AngleExpr:
         return (self.pi_part * den + Fraction(eighth, 4) + 2 * branch) / den
 
     def _branch(self, den: int, eighth: int) -> int:
-        """Integer B with sum den*q_k*arg(w_k) = (eighth/4)*pi + 2*pi*B."""
-        prec = 64
-        while prec <= _MAX_PREC:
-            total = (fzero, fzero)
-            for q, w in self.terms:
-                total = mpi_add(total, mpi_mul(_mpi_rational(q * den, prec),
-                                               _arg_enclosure(w.t, prec), prec), prec)
-            rest = mpi_mul(_mpi_rational(Fraction(eighth, 4), prec), _mpi_pi(prec), prec)
-            lo, hi = mpi_div(mpi_sub(total, rest, prec), _mpi_two_pi(prec), prec)
-            lo, hi = to_int(lo, round_ceiling), to_int(hi, round_floor)
-            if lo == hi:
-                return lo
-            prec *= 2
-        raise PrecisionError("branch not pinned at maximum precision")
+        """Integer B with sum den*q_k*arg(w_k) = (eighth/4)*pi + 2*pi*B.
+        Shifted by pi that sum is (2B + 1)*pi, strictly inside the turn
+        (2*pi*B, 2*pi*(B + 1)), so its floor in turns is B."""
+        shifted = AngleExpr(1 - Fraction(eighth, 4), tuple((q * den, w) for q, w in self.terms))
+        return shifted._floor(2, "branch not pinned at maximum precision")
 
     def is_zero(self) -> bool:
         r = self.pi_ratio()
         return r is not None and r == 0
 
-    def is_multiple_of_pi(self, modulus=1) -> bool:
-        """True iff self is an integer multiple of modulus*pi."""
-        r = self.pi_ratio()
-        return r is not None and (r / Fraction(modulus)).denominator == 1
-
     def compare(self, other: "AngleExpr") -> int:
         """Sign of self - other.  Two rational multiples of pi compare by
         their coefficients.  Otherwise disjoint enclosures decide it at
         once; where they overlap, the difference is tested for zero
-        exactly and its own enclosure is refined until the sign is
-        certain."""
+        exactly and, off zero, lies strictly inside the turn below 0
+        (sign -1) or the one above it (sign 1)."""
         if not self.terms and not other.terms:
             d = self.pi_part - other.pi_part
             return (d > 0) - (d < 0)
@@ -158,50 +147,42 @@ class AngleExpr:
         diff = self - other
         if diff.is_zero():
             return 0
-        prec = 64
-        while prec <= _MAX_PREC:
-            lo, hi = diff.interval(prec)._mpi_
-            if mpf_lt(hi, fzero):
-                return -1
-            if mpf_gt(lo, fzero):
-                return 1
-            prec *= 2
-        raise PrecisionError("comparison not resolved at maximum precision")
+        return 1 if diff._floor(2, "comparison not resolved at maximum precision") >= 0 else -1
 
     def _enclosure(self):
-        """interval(64) as a libmp tuple, computed once per instance and
-        kept on it (the fields are frozen)."""
+        """interval(64), computed once per instance and kept on it (the
+        fields are frozen)."""
         cached = self.__dict__.get("_enc64")
         if cached is None:
-            cached = self.interval(64)._mpi_
+            cached = self.interval(64)
             object.__setattr__(self, "_enc64", cached)
         return cached
 
     def interval(self, prec: int = 64):
-        """Outward-rounded enclosure at ``prec`` bits, as an ``iv`` number."""
-        total = mpi_mul(_mpi_rational(self.pi_part, prec), _mpi_pi(prec), prec)
-        for q, w in self.terms:
-            total = mpi_add(total, mpi_mul(_mpi_rational(q, prec),
-                                           _arg_enclosure(w.t, prec), prec), prec)
-        return iv.make_mpf(total)
+        """Outward-rounded enclosure at ``prec`` bits, as a libmp
+        ``(lo, hi)`` tuple."""
+        return terms_enclosure(self.terms, prec, self.pi_part)
+
+    def _floor(self, turn, message: str) -> int:
+        """The k with k*turn*pi < self < (k + 1)*turn*pi from enclosures
+        up the precision ladder; PrecisionError(message) if none shows it."""
+        for prec in _PRECISIONS:
+            k = _open_floor(self._enclosure() if prec == 64 else self.interval(prec), turn, prec)
+            if k is not None:
+                return k
+        raise PrecisionError(message)
 
     def principal(self) -> "AngleExpr":
         """The representative in [0, 2*pi) modulo 2*pi."""
         r = self.pi_ratio()
         if r is not None:
             return AngleExpr.of_pi(r - 2 * (r // 2))
-        prec = 64
-        while prec <= _MAX_PREC:
-            lo, hi = mpi_div(self.interval(prec)._mpi_, _mpi_two_pi(prec), prec)
-            lo, hi = to_int(lo, round_floor), to_int(hi, round_floor)
-            if lo == hi:
-                return self.shift_pi(Fraction(-2 * lo))
-            prec *= 2
-        raise PrecisionError("principal value not resolved")  # pragma: no cover
+        # self/pi is irrational, so self lies strictly inside a turn
+        return self.shift_pi(-2 * self._floor(2, "principal value not resolved"))
 
     def __float__(self):
         # the midpoint at 53 bits, the default precision of mpmath.iv
-        return to_float(mpi_mid(self.interval(64)._mpi_, 53))
+        return to_float(mpi_mid(self._enclosure(), 53))
 
     def __repr__(self):
         if not self.terms:
@@ -359,11 +340,6 @@ def _mpi_pi(prec: int):
     return mpf_pi(prec, round_floor), mpf_pi(prec, round_ceiling)
 
 
-@lru_cache(maxsize=8)
-def _mpi_two_pi(prec: int):
-    return mpi_mul(_mpi_int(2, prec), _mpi_pi(prec), prec)
-
-
 @lru_cache(maxsize=4096)
 def _arg_enclosure(t, prec: int):
     """arg(w) for w = GaussRat.from_triple(t) in the open first octant."""
@@ -372,42 +348,63 @@ def _arg_enclosure(t, prec: int):
 
 
 @lru_cache(maxsize=256)
-def pi_enclosure(p: Fraction):
-    """The 64-bit enclosure of p*pi (that of ``interval(64)``), for the
-    few multiples of pi/(4k) that directions and arguments take."""
-    return mpi_mul(_mpi_rational(p, 64), _mpi_pi(64), 64)
+def pi_enclosure(p: Fraction, prec: int = 64):
+    """The ``prec``-bit enclosure of p*pi (that of ``interval``): the
+    multiples of pi/(4k) of directions, and the turns of ``_open_floor``."""
+    return mpi_mul(_mpi_rational(p, prec), _mpi_pi(prec), prec)
 
 
-def terms_enclosure(terms):
-    """A 64-bit enclosure of sum q*arg(w) over ``terms``; added to
-    ``pi_enclosure`` it encloses the angle, though not always with the
-    bits of ``interval(64)``, which adds the terms in another order."""
-    total = (fzero, fzero)
+def terms_enclosure(terms, prec: int = 64, pi_part=0):
+    """The enclosure of pi_part*pi + sum q*arg(w) (``interval``): the pi
+    product unless pi_part is 0, then the terms in order.  Added to a
+    ``pi_enclosure``, the bare terms' sum encloses the angle too."""
+    total = pi_enclosure(pi_part, prec) if pi_part else (fzero, fzero)
     for q, w in terms:
-        total = mpi_add(total, mpi_mul(_mpi_rational(q, 64), _arg_enclosure(w.t, 64), 64), 64)
+        total = mpi_add(total, mpi_mul(_mpi_rational(q, prec), _arg_enclosure(w.t, prec), prec),
+                        prec)
     return total
 
 
+def _open_floor(enc, turn, prec: int) -> Optional[int]:
+    """The integer k with k*turn*pi < x < (k + 1)*turn*pi for every x in
+    the enclosure ``enc``, from the floor and ceiling of enc/(turn*pi);
+    None if enc meets a multiple of turn*pi."""
+    lo, hi = mpi_div(enc, pi_enclosure(turn, prec), prec)
+    k = to_int(hi, round_floor)
+    return k if to_int(lo, round_ceiling) > k else None
+
+
 # ----------------------------------------------------------------------
-# trigonometric sign with exactness escape
+# the sign of a cosine, by quarter turns
 # ----------------------------------------------------------------------
+
+_HALF = Fraction(1, 2)
+# cos is positive on the open quarter turns k*pi/2 < x < (k + 1)*pi/2
+# with k mod 4 in {0, 3} and negative on those with k mod 4 in {1, 2}
+_QUARTER_SIGNS = (1, -1, -1, 1)
+
+
+def _quarter_sign(enc) -> Optional[int]:
+    """The sign of cos(x) for every x in the 64-bit enclosure ``enc``,
+    from the open quarter turn that holds it; None if enc meets a
+    multiple of pi/2, where x itself may lie."""
+    k = _open_floor(enc, _HALF, 64)
+    return None if k is None else _QUARTER_SIGNS[k % 4]
+
 
 def cos_sign(expr: AngleExpr) -> int:
-    """Sign of cos(expr); returns 0 exactly when expr is congruent to
-    pi/2 mod pi (decided exactly, not numerically).
+    """Sign of cos(expr); 0 exactly when expr is congruent to pi/2 mod pi.
 
-    The 64-bit enclosure of cos(expr) comes first: one of strict sign
-    proves cos(expr) != 0 and gives the sign.  Only an enclosure that
-    contains 0 runs the Niven test for pi/2 mod pi, and off zero the
-    enclosure is refined until its sign is certain."""
-    prec = 64
-    while prec <= _MAX_PREC:
-        lo, hi = mpi_cos(expr.interval(prec)._mpi_, prec)
-        if mpf_gt(lo, fzero):
-            return 1
-        if mpf_lt(hi, fzero):
-            return -1
-        if prec == 64 and (expr - AngleExpr.of_pi(Fraction(1, 2))).is_multiple_of_pi(1):
-            return 0
-        prec *= 2
-    raise PrecisionError("cosine sign not resolved")  # pragma: no cover
+    The open quarter turn holding the 64-bit enclosure gives the sign.
+    One that meets a multiple of pi/2 asks for r = expr/pi: a rational r
+    has the sign of the quarter turn floor(2r), or 0 for 2r odd, since a
+    multiple of pi written with arg terms (arg(2+i) + arg(3+i) + 3*pi/4
+    = pi) stays on it at every precision; an irrational r is refined."""
+    sign = _quarter_sign(expr._enclosure())
+    if sign is not None:
+        return sign
+    r = expr.pi_ratio()
+    if r is None:
+        return _QUARTER_SIGNS[expr._floor(_HALF, "cosine sign not resolved") % 4]
+    k = math.floor(2 * r)
+    return 0 if k == 2 * r and k % 2 else _QUARTER_SIGNS[k % 4]

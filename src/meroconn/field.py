@@ -247,9 +247,6 @@ class CMat:
     def bracket(self, other) -> "CMat":
         return self * other - other * self
 
-    def transpose(self) -> "CMat":
-        return CMat._of(zip(*self.rows))
-
     def conjugate(self) -> "CMat":
         return CMat._of([[x.conjugate() for x in row] for row in self.rows])
 

@@ -154,9 +154,6 @@ class ParabolicSpec:
     def __setattr__(self, *a):
         raise AttributeError("ParabolicSpec is immutable")
 
-    def block_of(self, i: int) -> int:
-        return self._block_of[i]
-
     def root_subset(self):
         """All roots r with U_r inside the parabolic."""
         return {

@@ -29,9 +29,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from mpmath.libmp import from_int, fzero, mpf_gt, mpf_lt, mpi_add, mpi_cos, mpi_mul, mpi_sub
+from mpmath.libmp import from_int, mpi_add, mpi_mul, mpi_sub
 
-from .angles import (AngleExpr, arg_angle, cos_sign, exact_runs, pi_enclosure,
+from .angles import (AngleExpr, _quarter_sign, arg_angle, cos_sign, exact_runs, pi_enclosure,
                      terms_enclosure)
 from .field import CMat, GaussRat
 from .rootdata import IrregularType, ParabolicSpec, Root
@@ -225,20 +225,17 @@ def half_periods(diag: StokesDiagram, d1: int = 0) -> HalfPeriodData:
 def _decay_signs(roots, delta: AngleExpr) -> Optional[List[int]]:
     """The sign of cos(arg(c_r) - k_r delta), i.e. of Re(q_r) along
     delta, for each (r, k_r, arg(c_r)); None as soon as one is 0 (delta
-    is not generic).  A 64-bit enclosure of the cosine with a strict
-    sign decides it; only one that contains 0 builds the exact
-    expression for ``cos_sign``."""
-    delta_enc = delta.interval(64)._mpi_
+    is not generic).  A 64-bit enclosure of arg(c_r) - k_r delta,
+    composed from those of arg(c_r) and delta, is read by the
+    quarter-turn rule of ``cos_sign``; only one that meets a multiple of
+    pi/2 builds the exact expression for ``cos_sign``."""
+    delta_enc = delta.interval(64)
     signs = []
     for _, k_r, arg in roots:
         arg_enc = mpi_add(pi_enclosure(arg.pi_part), terms_enclosure(arg.terms), 64)
         k_delta = mpi_mul((from_int(k_r), from_int(k_r)), delta_enc, 64)
-        lo, hi = mpi_cos(mpi_sub(arg_enc, k_delta, 64), 64)
-        if mpf_gt(lo, fzero):
-            sign = 1
-        elif mpf_lt(hi, fzero):
-            sign = -1
-        else:
+        sign = _quarter_sign(mpi_sub(arg_enc, k_delta, 64))
+        if sign is None:
             sign = cos_sign(arg - delta.scale(k_r))
             if sign == 0:
                 return None

@@ -8,9 +8,11 @@ from hypothesis import given, settings, strategies as st
 from mpmath import iv
 from mpmath.libmp import fzero, mpf_gt, mpf_lt, mpi_cos
 
-from meroconn.angles import (AngleExpr, PrecisionError, _axis_diag_eighths, arg_angle,
-                             cos_sign, exact_runs)
+from meroconn.angles import (AngleExpr, PrecisionError, _axis_diag_eighths, _quarter_sign,
+                             arg_angle, cos_sign, exact_runs, pi_enclosure)
 from meroconn.field import gr
+from meroconn.rootdata import Root
+from meroconn.stokes import _decay_signs
 
 
 # ---------------------------------------------------------------------
@@ -63,13 +65,13 @@ def test_principal_reduction():
 
 
 def test_is_multiple_of_pi():
-    assert AngleExpr.of_pi(3).is_multiple_of_pi(1)
-    assert not AngleExpr.of_pi(F(3, 2)).is_multiple_of_pi(1)
-    assert AngleExpr.of_pi(4).is_multiple_of_pi(2)
-    assert not arg_angle(gr(1, 2)).is_multiple_of_pi(1)
+    assert AngleExpr.of_pi(3).pi_ratio() == 3
+    assert AngleExpr.of_pi(F(3, 2)).pi_ratio().denominator == 2
+    assert (AngleExpr.of_pi(4).pi_ratio() / 2).denominator == 1
+    assert arg_angle(gr(1, 2)).pi_ratio() is None
     # arg(1+2i) + arg(1-2i) is a multiple of 2 pi
     total = arg_angle(gr(1, 2)) + arg_angle(gr(1, -2))
-    assert total.is_multiple_of_pi(2)
+    assert total.terms and total.pi_ratio() == 2
 
 
 def test_cos_sign_with_exactness_escape():
@@ -86,11 +88,12 @@ def test_cos_sign_with_exactness_escape():
 def reference_cos_sign(expr):
     """cos_sign with the exact test first: 0 on pi/2 mod pi, otherwise
     the cosine's enclosure refined until its sign is certain."""
-    if (expr - AngleExpr.of_pi(F(1, 2))).is_multiple_of_pi(1):
+    r = (expr - AngleExpr.of_pi(F(1, 2))).pi_ratio()
+    if r is not None and r.denominator == 1:
         return 0
     prec = 64
     while prec <= 2048:
-        lo, hi = mpi_cos(expr.interval(prec)._mpi_, prec)
+        lo, hi = mpi_cos(expr.interval(prec), prec)
         if mpf_gt(lo, fzero):
             return 1
         if mpf_lt(hi, fzero):
@@ -100,7 +103,7 @@ def reference_cos_sign(expr):
 
 
 def _cos_enclosure_straddles_zero(expr):
-    lo, hi = mpi_cos(expr.interval(64)._mpi_, 64)
+    lo, hi = mpi_cos(expr.interval(64), 64)
     return not mpf_gt(lo, fzero) and not mpf_lt(hi, fzero)
 
 
@@ -157,7 +160,7 @@ def reference_compare(a, b):
         return 0
     prec = 64
     while prec <= 2048:
-        ival = diff.interval(prec)
+        ival = iv.make_mpf(diff.interval(prec))
         if ival.b < 0:
             return -1
         if ival.a > 0:
@@ -216,7 +219,7 @@ def test_filtered_compare_falls_back_below_enclosure_width():
     quarter = AngleExpr.of_pi(F(1, 4))
     a = quarter + arg_angle(gr(10**30, 1))
     b = quarter + arg_angle(gr(10**30 + 1, 1))
-    ia, ib = a.interval(64), b.interval(64)
+    ia, ib = iv.make_mpf(a.interval(64)), iv.make_mpf(b.interval(64))
     assert not (ia.b < ib.a or ib.b < ia.a)  # the filter cannot decide
     assert a.compare(b) == 1 == reference_compare(a, b)
     assert b.compare(a) == -1
@@ -402,7 +405,7 @@ def test_enclosures_match_iv_oracle_bit_for_bit():
     cases = _oracle_cases(rng, 120)
     for i, a in enumerate(cases):
         for prec in (64, 128, 256, 512, 1024, 2048) if i % 8 == 0 else (64, 128):
-            assert a.interval(prec)._mpi_ == iv_interval(a, prec)._mpi_
+            assert a.interval(prec) == iv_interval(a, prec)._mpi_
         assert float(a) == iv_float(a)
         assert a.pi_ratio() == iv_pi_ratio(a)
         assert cos_sign(a) == iv_cos_sign(a)
@@ -431,6 +434,60 @@ def test_principal_matches_iv_oracle_off_the_repro_cases():
             assert (p - o).pi_ratio() == 2
             differ += 1
     assert differ >= 2  # -2*pi - tiny and -4*pi - tiny among the cases
+
+
+def _quarter_multiples():
+    """(k, k*pi/2 as a rational, k*pi/2 with arg terms) for k = -4..7;
+    arg(2+i) + arg(3+i) = pi/4 exactly, so k = 2 is the pi of
+    arg(2+i) + arg(3+i) + 3*pi/4."""
+    quarter = arg_angle(gr(2, 1)) + arg_angle(gr(3, 1))
+    return [(k, AngleExpr.of_pi(F(k, 2)), quarter.shift_pi(F(2 * k - 1, 4)))
+            for k in range(-4, 8)]
+
+
+def _single_root_signs(target):
+    """_decay_signs for one root whose arg(c) - k_r*delta is ``target``,
+    over two leading orders and three test directions."""
+    out = []
+    for k_r in (1, 2):
+        for delta in (AngleExpr.of_pi(F(1, 3)), arg_angle(gr(5, 2)),
+                      arg_angle(gr(-4, 7)).scale(F(1, 3))):
+            out.append(_decay_signs([(Root(0, 1), k_r, target + delta.scale(k_r))], delta))
+    return out
+
+
+def test_cos_sign_on_multiples_of_half_pi_and_near_misses():
+    # an exact multiple of pi/2 written with arg terms stays on its
+    # multiple at every precision: only pi_ratio decides it
+    tiny = arg_angle(gr(10**30, 1)) - arg_angle(gr(10**30 + 1, 1))  # about 1e-60
+    for k, rational, written in _quarter_multiples():
+        assert written.terms and written.pi_ratio() == F(k, 2)
+        want = 0 if k % 2 else (-1) ** (k // 2)
+        for exact in (rational, written):
+            assert cos_sign(exact) == want == reference_cos_sign(exact) == iv_cos_sign(exact)
+            assert _single_root_signs(exact) == [None if want == 0 else [want]] * 6
+            for near in (exact + tiny, exact - tiny):
+                sign = reference_cos_sign(near)
+                assert sign != 0 and cos_sign(near) == sign == iv_cos_sign(near)
+                assert _single_root_signs(near) == [[sign]] * 6
+
+
+def _enc(lo, hi):
+    return iv.mpf([lo, hi])._mpi_
+
+
+def test_quarter_sign_needs_an_open_quarter_turn():
+    # inside one quarter turn k*pi/2 < x < (k+1)*pi/2: +1 for k mod 4 in {0, 3}
+    for (lo, hi), sign in (((0.1, 1.5), 1), ((1.6, 3.1), -1), ((3.2, 4.7), -1),
+                           ((4.8, 6.2), 1), ((-1.5, -0.1), 1), ((-3.1, -1.6), -1),
+                           ((6.4, 7.8), 1), ((-7.8, -6.3), 1)):
+        assert _quarter_sign(_enc(lo, hi)) == sign
+    # an enclosure that meets a multiple of pi/2, if only at an endpoint,
+    # may hold that multiple itself
+    half_pi_hi = pi_enclosure(F(1, 2))[1]  # divided by pi/2's enclosure: exactly 1
+    for enc in ((fzero, fzero), _enc(0, 0.5), _enc(-0.5, 0), (half_pi_hi, _enc(2, 2)[0]),
+                _enc(1.5, 1.6), _enc(-0.1, 0.1)):
+        assert _quarter_sign(enc) is None
 
 
 # ---------------------------------------------------------------------
@@ -499,10 +556,6 @@ def reference_runs(angles):
     return runs
 
 
-def _enc(lo, hi):
-    return iv.mpf([lo, hi])._mpi_
-
-
 def test_exact_runs_wide_enclosure_around_two_narrow_ones():
     # a lies near 2.51 but its enclosure spans [0, 3]; b and c have
     # narrow disjoint enclosures near 0.46 and 2.09.  A cut at the gap
@@ -569,6 +622,6 @@ def _angle_lists(draw):
 def test_exact_runs_matches_stable_sort_and_merge(angles, widen):
     assert exact_runs(angles) == reference_runs(angles)
     # any enclosure containing each angle gives the same runs
-    wide = [(a.interval(64) + iv.mpf([-widen[i % 2], widen[(i + 1) % 2]]))._mpi_
+    wide = [(iv.make_mpf(a.interval(64)) + iv.mpf([-widen[i % 2], widen[(i + 1) % 2]]))._mpi_
             for i, a in enumerate(angles)]
     assert exact_runs(angles, wide) == reference_runs(angles)

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import random
@@ -396,10 +397,23 @@ def test_closed_stdout_pipe_exits_without_traceback():
     assert b"Traceback" not in proc.stderr, proc.stderr.decode()
 
 
+def _imported_names(path):
+    """(module, name) for every name a source file imports."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            out |= {(node.module or "", a.name) for a in node.names}
+        elif isinstance(node, ast.Import):
+            out |= {(a.name, "") for a in node.names}
+    return out
+
+
 def test_translate_runs_without_sympy():
     """translate and verify-metric --numeric load neither sympy (a test
     oracle) nor numpy/scipy, mpmath is the only runtime dependency, and
-    modelmetric imports neither mpmath nor correspondence."""
+    modelmetric imports neither mpmath nor correspondence.  Angles need
+    no cosine series or mpmath.iv, and stokes reads no enclosure
+    endpoint itself."""
     script = (
         "import sys\n"
         "from meroconn.cli import main\n"
@@ -419,6 +433,10 @@ def test_translate_runs_without_sympy():
     # the model-metric side is exact: no numerics, not even through correspondence
     numeric = re.compile(r"^\s*(import\s+mpmath|from\s+(mpmath|\.correspondence)\b)", re.M)
     assert not numeric.search((src / "modelmetric.py").read_text())
+    imported = {p.name: _imported_names(p) for p in src.rglob("*.py")}
+    assert not [(f, m, n) for f, names in imported.items() for m, n in names
+                if n == "mpi_cos" or m.startswith("mpmath.iv") or (m, n) == ("mpmath", "iv")]
+    assert not {n for _, n in imported["stokes.py"]} & {"mpf_gt", "mpf_lt", "fzero"}
     tomllib = pytest.importorskip("tomllib")
     with open(root / "pyproject.toml", "rb") as fh:
         deps = tomllib.load(fh)["project"]["dependencies"]
