@@ -14,6 +14,12 @@ parabolics compatible with the tuple and, per parabolic, over the
 finite fundamental-cut generators of the anti-dominant character cone
 trivial on the center; degree is linear in the character, so positivity
 on the generators decides the cone.
+
+Compatibility is decided on the generators' joint support: a parabolic
+contains every generator iff it forbids no entry where some generator is
+nonzero.  That is one integer test per parabolic of the per-n table
+``rootdata.proper_parabolics``: ``ParabolicSpec.admits`` on the OR of
+the generators' nonzero patterns, ``StokesRep.support``.
 """
 
 from __future__ import annotations
@@ -23,9 +29,9 @@ from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 from .field import CMat
-from .rootdata import (Character, ParabolicSpec, Weight,
-                       enumerate_parabolics_containing_T,
-                       parabolic_from_weight, parahoric_degree)
+from .rootdata import (Character, ParabolicSpec, Weight, pairing,
+                       parabolic_from_weight, parahoric_degree,
+                       proper_parabolics)
 from .stokes import StokesDiagram, stokes_factor_defect
 
 
@@ -99,6 +105,14 @@ class StokesRep:
             gens.extend(p.S)
         return gens
 
+    def support(self) -> int:
+        """The generators' joint nonzero pattern, in ``CMat.support``'s
+        layout: a parabolic contains every generator iff it admits this."""
+        bits = 0
+        for m in self.generators():
+            bits |= m.support()
+        return bits
+
 
 def check_relation(rep: StokesRep) -> bool:
     """Evaluate the defining product exactly and compare with Id."""
@@ -168,8 +182,9 @@ class StabilityVerdict:
 
 
 def is_compatible(f: FilteredStokesRep, p: ParabolicSpec) -> bool:
-    """All generator matrices lie in P (then every path image does)."""
-    return all(p.contains_matrix(m) for m in f.rep.generators())
+    """All generator matrices lie in P (then every path image does),
+    decided on their joint support."""
+    return p.admits(f.rep.support())
 
 
 def degree_loc(f: FilteredStokesRep, p: ParabolicSpec, chi: Character) -> Fraction:
@@ -194,19 +209,23 @@ def degree_zero(f: FilteredStokesRep) -> bool:
 def check_stability(f: FilteredStokesRep) -> StabilityVerdict:
     """R-stability over invariant compatible proper parabolics: the sign
     of the degree at each fundamental cut character of each compatible
-    parabolic.  Compatibility is checked once per parabolic and the cut
-    characters are constant on its blocks, so the degree is taken without
-    ``degree_loc``'s checks."""
+    parabolic.  Compatibility is decided once per call on the generators'
+    joint support, one mask test per parabolic of the cached table.  The
+    cut characters are constant on the blocks, so the degree is taken
+    without ``degree_loc``'s checks, as the pairing of each character with
+    the weight sum over the punctures."""
     n = f.rep.n
     if n > 5:
         raise BettiError("stability guard: dimension > 5")
+    support = f.rep.support()
+    theta = sum(f.weights, Weight([0] * n))
     neg = []
     zero = []
-    for p in enumerate_parabolics_containing_T(n):
-        if not is_compatible(f, p):
+    for p in proper_parabolics(n):
+        if not p.admits(support):
             continue
         for chi in p.fundamental_cut_characters():
-            d = parahoric_degree(0, f.weights, chi)
+            d = pairing(theta, chi)
             if d < 0:
                 neg.append((p, chi, d))
             elif d == 0:
@@ -219,11 +238,9 @@ def check_stability(f: FilteredStokesRep) -> StabilityVerdict:
 
 
 def irreducible(rep: StokesRep) -> bool:
-    """No invariant proper parabolic is compatible: direct enumeration,
-    used as the oracle for the trivial-weight stability statement."""
-    n = rep.n
-    gens = rep.generators()
-    return not any(
-        all(p.contains_matrix(m) for m in gens)
-        for p in enumerate_parabolics_containing_T(n)
-    )
+    """No invariant proper parabolic is compatible, decided on the
+    generators' joint support against the cached table: direct
+    enumeration, used as the oracle for the trivial-weight stability
+    statement."""
+    support = rep.support()
+    return not any(p.admits(support) for p in proper_parabolics(rep.n))

@@ -256,6 +256,15 @@ class CMat:
     def is_zero(self) -> bool:
         return all(x.is_zero() for row in self.rows for x in row)
 
+    def support(self) -> int:
+        """The nonzero pattern as a bitmask: bit i*n + j is set iff entry
+        (i, j) is nonzero."""
+        bits = 0
+        for k, x in enumerate(x for row in self.rows for x in row):
+            if not x.is_zero():
+                bits |= 1 << k
+        return bits
+
     def is_diagonal(self) -> bool:
         return all(
             self.rows[i][j].is_zero()

@@ -133,9 +133,16 @@ class Character:
 
 
 class ParabolicSpec:
-    """Block-upper parabolic given by an ordered partition of {0..n-1}."""
+    """Block-upper parabolic given by an ordered partition of {0..n-1}.
 
-    __slots__ = ("n", "blocks", "_block_of")
+    ``below`` is the set of entries the parabolic forbids, as a bitmask
+    in the layout of ``CMat.support``: bit i*n + j is set iff
+    block(i) > block(j).  A matrix, or a set of matrices with joint
+    nonzero pattern ``support``, lies in the parabolic iff
+    ``not (below & support)``.
+    """
+
+    __slots__ = ("n", "blocks", "_block_of", "below")
 
     def __init__(self, blocks: Sequence[Sequence[int]]):
         blocks = tuple(tuple(sorted(b)) for b in blocks)
@@ -147,9 +154,15 @@ class ParabolicSpec:
         for k, b in enumerate(blocks):
             for i in b:
                 block_of[i] = k
+        below = 0
+        for i in range(n):
+            for j in range(n):
+                if block_of[i] > block_of[j]:
+                    below |= 1 << (i * n + j)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "_block_of", tuple(block_of))
+        object.__setattr__(self, "below", below)
 
     def __setattr__(self, *a):
         raise AttributeError("ParabolicSpec is immutable")
@@ -163,14 +176,14 @@ class ParabolicSpec:
             if i != j and self._block_of[i] <= self._block_of[j]
         }
 
+    def admits(self, support: int) -> bool:
+        """True iff every matrix whose nonzero pattern lies inside
+        ``support`` lies in the parabolic."""
+        return not (self.below & support)
+
     def contains_matrix(self, m: CMat) -> bool:
         """Entry (i, j) must vanish whenever block(i) > block(j)."""
-        return all(
-            m[i, j].is_zero()
-            for i in range(self.n)
-            for j in range(self.n)
-            if self._block_of[i] > self._block_of[j]
-        )
+        return self.admits(m.support())
 
     def character_from_block_values(self, values) -> Character:
         ent = [0] * self.n
@@ -384,17 +397,30 @@ def parabolic_from_weight(theta: Weight) -> ParabolicSpec:
     return ParabolicSpec(blocks)
 
 
-def enumerate_parabolics_containing_T(n: int):
+# n -> every proper parabolic containing the torus, built on first use
+_PARABOLICS: Dict[int, Tuple[ParabolicSpec, ...]] = {}
+
+
+def proper_parabolics(n: int) -> Tuple[ParabolicSpec, ...]:
     """All proper parabolics containing the diagonal torus: one per
-    ordered partition of {0..n-1} into at least two blocks."""
+    ordered partition of {0..n-1} into at least two blocks, sorted by
+    (number of blocks, blocks).  The table is built once per n and
+    shared, hence a tuple."""
     if n > 5:
         raise ValueError("n > 5: parabolic enumeration guard")
-    out = []
-    for parts in _ordered_set_partitions(list(range(n))):
-        if len(parts) >= 2:
-            out.append(ParabolicSpec(parts))
-    out.sort(key=lambda p: (len(p.blocks), p.blocks))
-    return out
+    table = _PARABOLICS.get(n)
+    if table is None:
+        specs = [ParabolicSpec(parts)
+                 for parts in _ordered_set_partitions(list(range(n)))
+                 if len(parts) >= 2]
+        specs.sort(key=lambda p: (len(p.blocks), p.blocks))
+        table = _PARABOLICS[n] = tuple(specs)
+    return table
+
+
+def enumerate_parabolics_containing_T(n: int) -> List[ParabolicSpec]:
+    """``proper_parabolics(n)`` as a fresh list."""
+    return list(proper_parabolics(n))
 
 
 def _ordered_set_partitions(items):

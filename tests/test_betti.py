@@ -2,7 +2,9 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from meroconn import rootdata
 from meroconn.betti import (BettiError, FilteredStokesRep, PunctureData,
                             StokesRep, check_relation, check_stability,
                             degree_loc, degree_zero, group_act, irreducible,
@@ -10,7 +12,9 @@ from meroconn.betti import (BettiError, FilteredStokesRep, PunctureData,
 from meroconn.field import CMat, gr
 from meroconn.randomgen import (gl2_four_direction_diagram, rand_invertible,
                                 rand_relation_rep, solvable_gl2_puncture)
-from meroconn.rootdata import Character, IrregularType, ParabolicSpec, Root, Weight
+from meroconn.rootdata import (Character, IrregularType, ParabolicSpec, Root, Weight,
+                               enumerate_parabolics_containing_T, parahoric_degree)
+from meroconn.selftest import stability_fixtures
 from meroconn.stokes import anti_stokes, stokes_factor_matrix
 
 
@@ -250,3 +254,177 @@ def test_stability_diagonal_zero_weights_semistable():
     assert verdict.witnesses  # saturating pairs recorded
     assert not irreducible(rep)
 
+
+
+def test_stability_guard_above_rank_five():
+    big = CMat.identity(6)
+    f = FilteredStokesRep(StokesRep(1, ((big, big),), ()), ())
+    with pytest.raises(BettiError, match="dimension > 5"):
+        check_stability(f)
+
+
+def test_repeated_stability_builds_no_parabolic(monkeypatch):
+    """The n = 5 table is built once; later verdicts only read it."""
+    a = CMat.diag([1, 2, 3, 4, 5])
+    f = FilteredStokesRep(StokesRep(1, ((a, a),), ()), ())
+    first = check_stability(f)
+    built = []
+    init = ParabolicSpec.__init__
+
+    def counting_init(self, blocks):
+        built.append(blocks)
+        init(self, blocks)
+
+    monkeypatch.setattr(ParabolicSpec, "__init__", counting_init)
+    again = check_stability(f)
+    assert irreducible(f.rep) is False
+    assert built == []
+    assert again == first and len(first.witnesses) > 500
+
+
+# ---------------------------------------------------------------------
+# old-vs-new equivalence: support masks against the per-entry loops
+# ---------------------------------------------------------------------
+
+def reference_contains(p, m):
+    """Per-entry membership: entry (i, j) vanishes whenever
+    block(i) > block(j)."""
+    block_of = {i: k for k, b in enumerate(p.blocks) for i in b}
+    return all(m[i, j].is_zero() for i in range(p.n) for j in range(p.n)
+               if block_of[i] > block_of[j])
+
+
+def reference_check_stability(f):
+    """Every parabolic re-read against every generator entry by entry,
+    the degree summed puncture by puncture."""
+    neg, zero = [], []
+    for p in enumerate_parabolics_containing_T(f.rep.n):
+        if not all(reference_contains(p, m) for m in f.rep.generators()):
+            continue
+        for chi in p.fundamental_cut_characters():
+            d = parahoric_degree(0, f.weights, chi)
+            if d < 0:
+                neg.append((p, chi, d))
+            elif d == 0:
+                zero.append((p, chi, d))
+    if neg:
+        return "unstable", tuple(neg)
+    if zero:
+        return "semistable", tuple(zero)
+    return "stable", ()
+
+
+def reference_irreducible(rep):
+    gens = rep.generators()
+    return not any(all(reference_contains(p, m) for m in gens)
+                   for p in enumerate_parabolics_containing_T(rep.n))
+
+
+def assert_matches_reference(f):
+    verdict = check_stability(f)
+    assert (verdict.status, verdict.witnesses) == reference_check_stability(f)
+    assert irreducible(f.rep) == reference_irreducible(f.rep)
+
+
+VALUES = [gr(1), gr(-2), gr(0, 1), gr(F(1, 3), -1)]
+
+
+@st.composite
+def sparse_mats(draw, n, count):
+    """``count`` matrices that are nonzero only where a drawn level map
+    allows (level(i) <= level(j)) and at one optional stray entry, so
+    that some parabolics contain them all and some do not."""
+    level = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    stray = draw(st.none() | st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))
+    mats = []
+    for _ in range(count):
+        keep = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+        vals = draw(st.lists(st.sampled_from(VALUES), min_size=n * n, max_size=n * n))
+        mats.append(CMat([[vals[i * n + j] if keep[i * n + j]
+                           and (level[i] <= level[j] or (i, j) == stray) else 0
+                           for j in range(n)] for i in range(n)]))
+    return mats
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 5).flatmap(
+    lambda n: sparse_mats(n, 3) if n > 1 else st.just([CMat([[2]]), CMat.zero(1)])))
+def test_support_mask_matches_per_entry_test(mats):
+    n = mats[0].n
+    joint = 0
+    for m in mats:
+        joint |= m.support()
+    for p in enumerate_parabolics_containing_T(n):
+        for m in mats:
+            assert p.contains_matrix(m) == reference_contains(p, m)
+        assert p.admits(joint) == all(reference_contains(p, m) for m in mats)
+
+
+_DIAGRAMS = {}
+
+
+def alternating_diagram(n):
+    """Q = diag(0, 1, 0, 1, ...)/z: Levi blocks of the even and the odd
+    indices, two anti-Stokes directions."""
+    if n not in _DIAGRAMS:
+        _DIAGRAMS[n] = anti_stokes(IrregularType(n, {1: tuple(gr(i % 2) for i in range(n))}))
+    return _DIAGRAMS[n]
+
+
+@st.composite
+def sparse_filtered_reps(draw):
+    """A genus 0-1 representation of rank 2-5 with one or two punctures
+    on the alternating diagram.  Handles and conjugators are sparse, h is
+    block-diagonal for the Levi blocks and inside its weight's
+    parabolic, Stokes factors are drawn on their direction's roots; the
+    defining relation is not imposed (stability does not read it)."""
+    n = draw(st.integers(2, 5))
+    genus = draw(st.integers(0, 1))
+    punctures = draw(st.integers(1, 2))
+    diagram = alternating_diagram(n)
+    mats = iter(draw(sparse_mats(n, 2 * genus + 2 * punctures)))
+    handles = tuple((next(mats), next(mats)) for _ in range(genus))
+    data, weights = [], []
+    for _ in range(punctures):
+        w = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+        w = Weight([F(e, 4) for e in w], validate=False)
+        raw = next(mats)
+        h = CMat([[raw[i, j] if i % 2 == j % 2 and w.entries[i] >= w.entries[j]
+                   else 0 for j in range(n)] for i in range(n)])
+        S = []
+        for d, direction in enumerate(diagram.directions):
+            roots = draw(st.lists(st.sampled_from(direction.roots()), max_size=2))
+            S.append(stokes_factor_matrix(diagram, d, {r: draw(st.sampled_from(VALUES))
+                                                       for r in roots}))
+        data.append(PunctureData(diagram, next(mats), h, tuple(S)))
+        weights.append(w)
+    return FilteredStokesRep(StokesRep(genus, handles, tuple(data)), tuple(weights))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(sparse_filtered_reps())
+def test_stability_matches_per_entry_reference_on_sparse_reps(f):
+    assert_matches_reference(f)
+
+
+def test_stability_matches_per_entry_reference_on_fixtures_and_images():
+    rng = random.Random(28)
+    statuses = set()
+    for rep in stability_fixtures():
+        n = rep.n
+        perm = list(range(n))
+        rng.shuffle(perm)
+        sparse_g = CMat([[gr(i + 1) if perm[i] == j else 0 for j in range(n)]
+                         for i in range(n)])
+        ks = [CMat.diag([rng.randint(1, 4) for _ in range(n)]) for _ in rep.punctures]
+        for image in (rep, group_act(sparse_g, ks, rep),
+                      group_act(rand_invertible(rng, n), ks, rep)):
+            weights = [tuple(Weight([0] * n) for _ in image.punctures)]
+            if all(p.h.is_diagonal() for p in image.punctures):
+                weights.append(tuple(Weight([F(rng.randint(-3, 3), 2) for _ in range(n)],
+                                            validate=False) for _ in image.punctures))
+            for ws in weights:
+                f = FilteredStokesRep(image, ws)
+                assert_matches_reference(f)
+                statuses.add(check_stability(f).status)
+    assert statuses == {"stable", "semistable", "unstable"}

@@ -177,3 +177,11 @@ def test_cmat_inv_of_singular_and_empty_matrices():
     assert CMat([]).inv() == CMat([])
     m = CMat([[gr(1, 1), 2], [gr(0, 3), gr(F(1, 2))]])
     assert m * m.inv() == CMat.identity(2) == m.inv() * m
+
+
+def test_cmat_support_bits():
+    assert CMat.zero(3).support() == 0 == CMat([]).support()
+    assert CMat.identity(3).support() == 1 | 1 << 4 | 1 << 8
+    # a purely imaginary entry is nonzero; an entry that cancels is not
+    m = CMat([[gr(0, 1), 0], [gr(1) - gr(1), gr(F(-1, 3))]])
+    assert m.support() == 0b1001

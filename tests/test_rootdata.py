@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -139,10 +140,53 @@ def test_parahoric_degree_examples():
 
 def test_enumerate_counts():
     assert enumerate_parabolics_containing_T(1) == []
-    assert len(enumerate_parabolics_containing_T(2)) == 2
-    assert len(enumerate_parabolics_containing_T(3)) == 12
+    assert [len(enumerate_parabolics_containing_T(n)) for n in range(1, 6)] == \
+        [0, 2, 12, 74, 540]
     with pytest.raises(ValueError):
         enumerate_parabolics_containing_T(6)
+
+
+def brute_force_parabolics(n):
+    """One parabolic per surjection of {0..n-1} onto 2..n ordered block
+    positions, sorted by (number of blocks, blocks)."""
+    out = []
+    for k in range(2, n + 1):
+        for pos in itertools.product(range(k), repeat=n):
+            if len(set(pos)) == k:
+                out.append(ParabolicSpec([[i for i in range(n) if pos[i] == b]
+                                          for b in range(k)]))
+    return sorted(out, key=lambda p: (len(p.blocks), p.blocks))
+
+
+def test_parabolic_table_is_the_sorted_set_of_ordered_partitions():
+    for n in range(1, 6):
+        table = enumerate_parabolics_containing_T(n)
+        assert [p.blocks for p in table] == [p.blocks for p in brute_force_parabolics(n)]
+        assert table == sorted(table, key=lambda p: (len(p.blocks), p.blocks))
+
+
+def test_enumeration_returns_a_fresh_list():
+    first = enumerate_parabolics_containing_T(3)
+    assert type(first) is list
+    first.pop()
+    first.append(ParabolicSpec([[0, 1, 2]]))
+    again = enumerate_parabolics_containing_T(3)
+    assert len(again) == 12 and ParabolicSpec([[0, 1, 2]]) not in again
+    assert again is not enumerate_parabolics_containing_T(3)
+
+
+def test_below_mask_layout():
+    """Bit i*n + j of ``below`` is set iff block(i) > block(j), the
+    layout of ``CMat.support``."""
+    for n in range(1, 5):
+        for p in enumerate_parabolics_containing_T(n) + [ParabolicSpec([range(n)])]:
+            block_of = {i: k for k, b in enumerate(p.blocks) for i in b}
+            for i in range(n):
+                for j in range(n):
+                    unit = CMat.unit(n, i, j, gr(2, -1))
+                    assert unit.support() == 1 << (i * n + j)
+                    assert bool(p.below >> (i * n + j) & 1) == (block_of[i] > block_of[j])
+                    assert p.contains_matrix(unit) == (block_of[i] <= block_of[j])
 
 
 def test_enumerated_parabolics_root_subsets():
