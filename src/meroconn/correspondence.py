@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 import mpmath
 from mpmath.libmp import from_man_exp, mpc_to_complex, round_nearest
 
-from .field import CMat, GaussRat
+from .field import CMat, GaussRat, entry_mask
 from .rootdata import IrregularType, Weight
 
 if TYPE_CHECKING:
@@ -61,7 +61,9 @@ class DeRhamLocal:
 
     Invariants enforced here: the residue lies in the Levi factor of the
     weight parabolic (entries across different beta-levels vanish) and
-    commutes with the irregular type's diagonal coefficients."""
+    commutes with the irregular type (entries across Q-levels vanish).
+    A residue breaking both gets the message of its first bad entry in
+    row-major order: the lowest set bit of the two masks' union."""
 
     beta: Weight
     residue: CMat
@@ -71,18 +73,14 @@ class DeRhamLocal:
         n = self.residue.n
         if self.beta.n != n or self.q.n != n:
             raise CorrespondenceError("dimension mismatch in de Rham data")
-        for i in range(n):
-            for j in range(n):
-                if self.residue[i, j].is_zero():
-                    continue
-                if self.beta.entries[i] != self.beta.entries[j]:
-                    raise CorrespondenceError(
-                        "residue leaves the Levi factor of its weight"
-                    )
-                if self.q.entry(i) != self.q.entry(j):
-                    raise CorrespondenceError(
-                        "residue does not commute with the irregular type"
-                    )
+        beta = self.beta.entries
+        q = [self.q.entry(i) for i in range(n)]
+        off_beta = entry_mask(n, lambda i, j: beta[i] != beta[j])
+        bad = self.residue.support() & (off_beta | entry_mask(n, lambda i, j: q[i] != q[j]))
+        if bad & -bad & off_beta:
+            raise CorrespondenceError("residue leaves the Levi factor of its weight")
+        if bad:
+            raise CorrespondenceError("residue does not commute with the irregular type")
 
     def structure(self) -> Sl2Data:
         """Jordan decomposition plus blockwise sl2 completion; blocks are

@@ -10,6 +10,10 @@ is stored as a normalized integer triple ``(a, b, d)`` for
 and representation tuples use it without any Laurent series.  So does
 ``rref``, the library's one Gauss-Jordan elimination, behind inverses,
 kernels, ranks and the centralizer solve of the canonical reduction.
+
+One pattern rule decides every vanishing test: m vanishes on the entries
+with pred(i, j) iff ``not (m.support() & entry_mask(n, pred))``.  So does
+[D, m] = 0 for a diagonal D: m vanishes wherever D_i != D_j.
 """
 
 from __future__ import annotations
@@ -266,32 +270,25 @@ class CMat:
         return bits
 
     def is_diagonal(self) -> bool:
-        return all(
-            self.rows[i][j].is_zero()
-            for i in range(self.n)
-            for j in range(self.n)
-            if i != j
-        )
+        return self.is_block_diagonal([i] for i in range(self.n))
 
     def is_block_diagonal(self, blocks) -> bool:
         """Entries between different blocks of the partition vanish."""
         block_of = {i: b for b, idxs in enumerate(blocks) for i in idxs}
-        return all(
-            self.rows[i][j].is_zero()
-            for i in range(self.n)
-            for j in range(self.n)
-            if block_of[i] != block_of[j]
-        )
+        return not (self.support()
+                    & entry_mask(self.n, lambda i, j: block_of[i] != block_of[j]))
 
     def __pow__(self, k: int):
-        out = CMat.identity(self.n)
+        """M^k for k >= 0 by squaring, with no product by I."""
+        out = None
         base = self
         while k:
             if k & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             k >>= 1
-        return out
+            if k:
+                base = base * base
+        return CMat.identity(self.n) if out is None else out
 
     def is_nilpotent(self) -> bool:
         p = self
@@ -347,6 +344,12 @@ class CMat:
             " ".join(_short(x) for x in row) for row in self.rows
         )
         return f"CMat[{body}]"
+
+
+def entry_mask(n: int, pred) -> int:
+    """The entries (i, j) of an n x n matrix with pred(i, j), as a bitmask
+    in the layout of ``CMat.support``: bit i*n + j."""
+    return sum(1 << (i * n + j) for i in range(n) for j in range(n) if pred(i, j))
 
 
 def _short(x: GaussRat) -> str:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar, Dict, List, Optional, Tuple
 
-from .field import CMat, GaussRat
+from .field import CMat, GaussRat, entry_mask
 from .lmatrix import LaurentMatrix
 from .residues import Sl2Data
 from .rootdata import IrregularType, Weight
@@ -107,6 +107,9 @@ class MetricData:
     """Input of the local model: weight beta, residue structure
     (s, X, H, Y) and irregular type Q with [s, Y] = 0.
 
+    Validation checks the brackets of the triple and with s, then that
+    s, X, H and Y vanish across beta-levels (``_off_levi``).
+
     ``validate=False`` skips the consistency checks; the corrupted-triple
     negative tests rely on it."""
 
@@ -126,13 +129,22 @@ class MetricData:
         for other in (t.X, t.H):
             if not t.s.bracket(other).is_zero():
                 raise MetricError("triple does not commute with s")
-        beta_mat = self._beta_mat()
+        off_levi = self._off_levi()
         for m in (t.s, t.X, t.H, t.Y):
-            if not beta_mat.bracket(m).is_zero():
+            if m.support() & off_levi:
                 raise MetricError("data leaves the Levi factor of beta")
 
     def _beta_mat(self) -> CMat:
         return CMat.diag([GaussRat(b) for b in self.beta.entries])
+
+    def _off_levi(self) -> int:
+        """The entries across different beta-levels: [diag(beta), m] = 0
+        iff m vanishes there."""
+        beta = self.beta.entries
+        n = self.triple.H.n
+        if len(beta) != n:
+            raise ValueError(f"dimension mismatch: {len(beta)} vs {n}")
+        return entry_mask(n, lambda i, j: beta[i] != beta[j])
 
     @classmethod
     def from_de_rham(cls, d) -> "MetricData":
@@ -176,12 +188,9 @@ def sl2_identity_suite(triple: Sl2Data) -> IdentityReport:
         """m lies in the ad(H)-eigenspace of weight w (checked in the
         diagonalizing basis), which is exactly what makes the log-power
         conjugation scale it by (-ln|z|^2)^(w/2)."""
-        mm = p_inv * m * p
-        for i in range(m.n):
-            for j in range(m.n):
-                if not mm[i, j].is_zero() and d_entries[i] - d_entries[j] != GaussRat(w):
-                    return False
-        return True
+        shifted = [d + w for d in d_entries]
+        off_weight = entry_mask(m.n, lambda i, j: d_entries[i] != shifted[j])
+        return not ((p_inv * m * p).support() & off_weight)
 
     def dlog_rule(sign: int) -> bool:
         """z-bar d/dz-bar (-ln|z|^2)^(sign*h/2)
@@ -244,9 +253,9 @@ def curvature_e0(data: MetricData) -> TPoly:
     2H t^2 + 4X t^3 by g0 = |z|^-beta (-ln)^-H/2 e^X; the identities
     collapse it to 2H t^2."""
     t = data.triple
-    beta_mat = data._beta_mat()
+    off_levi = data._off_levi()
     for m in (t.H, t.X):
-        if not beta_mat.bracket(m).is_zero():
+        if m.support() & off_levi:
             raise MetricError("|z|^beta conjugation is nontrivial: data leaves the Levi")
     f_e = TPoly.of((2, t.H.scale(2)), (3, t.X.scale(4)))
     conj = _conj_log_power(f_e, t, +1)  # (-ln)^{H/2} . (-ln)^{-H/2}

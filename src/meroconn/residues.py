@@ -230,19 +230,24 @@ def jordan_decompose(m: CMat) -> Tuple[CMat, CMat]:
         lam = eigs[0][0]
         s = CMat.identity(n).scale(lam)
         return s, m - s
+    p = eigenbasis(m, eigs)
+    col_vals = [lam for lam, mult in eigs for _ in range(mult)]
+    s = p * CMat.diag(col_vals) * p.inv()
+    return s, m - s
+
+
+def eigenbasis(m: CMat, eigs: List[Tuple[GaussRat, int]]) -> CMat:
+    """Generalized eigenvectors of m as columns: for each (lambda, mult)
+    of ``eigs`` in turn, the ``nullspace`` basis of (m - lambda)^mult."""
+    n = m.n
     cols = []
-    col_vals = []
     ident = CMat.identity(n)
     for lam, mult in eigs:
-        power = (m - ident.scale(lam)) ** mult
-        basis = nullspace(power)
+        basis = nullspace((m - ident.scale(lam)) ** mult)
         if len(basis) != mult:
             raise EigenvalueError("generalized eigenspace dimension mismatch")
         cols.extend(basis)
-        col_vals.extend([lam] * mult)
-    p = CMat([[cols[j][i] for j in range(n)] for i in range(n)])
-    s = p * CMat.diag(col_vals) * p.inv()
-    return s, m - s
+    return CMat([[cols[j][i] for j in range(n)] for i in range(n)])
 
 
 # ----------------------------------------------------------------------

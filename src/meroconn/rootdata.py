@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
-from .field import GaussRat
+from .field import GaussRat, entry_mask
 
 # Laurent series and matrices are imported inside the functions that
 # build or test them.
@@ -135,11 +135,11 @@ class Character:
 class ParabolicSpec:
     """Block-upper parabolic given by an ordered partition of {0..n-1}.
 
-    ``below`` is the set of entries the parabolic forbids, as a bitmask
-    in the layout of ``CMat.support``: bit i*n + j is set iff
-    block(i) > block(j).  A matrix, or a set of matrices with joint
-    nonzero pattern ``support``, lies in the parabolic iff
-    ``not (below & support)``.
+    ``below`` is the set of entries the parabolic forbids,
+    ``field.entry_mask(n, block(i) > block(j))``.  A matrix, or a set of
+    matrices with joint nonzero pattern ``support``, lies in the
+    parabolic iff ``not (below & support)``: the field module's one
+    pattern rule.
     """
 
     __slots__ = ("n", "blocks", "_block_of", "below")
@@ -154,15 +154,11 @@ class ParabolicSpec:
         for k, b in enumerate(blocks):
             for i in b:
                 block_of[i] = k
-        below = 0
-        for i in range(n):
-            for j in range(n):
-                if block_of[i] > block_of[j]:
-                    below |= 1 << (i * n + j)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "_block_of", tuple(block_of))
-        object.__setattr__(self, "below", below)
+        object.__setattr__(self, "below",
+                           entry_mask(n, lambda i, j: block_of[i] > block_of[j]))
 
     def __setattr__(self, *a):
         raise AttributeError("ParabolicSpec is immutable")

@@ -7,21 +7,22 @@ from hypothesis import given, settings, strategies as st
 import meroconn.connection
 import meroconn.selftest
 from meroconn.connection import (CanonicalForm, MeroConnection,
-                                 ReductionError, _diagonalizer, _require_residue_window,
+                                 ReductionError, _diagonalizer,
+                                 _off_diagonal_in_nonneg_grades, _require_residue_window,
                                  _resolve_trunc, _resolve_weight, _split_depth,
                                  canonical_reduce, connection_from_irregular_type,
                                  extract_irregular_type, gauge_act,
                                  gauge_orbit_equal, in_irregular_shape,
                                  recover_irregular_shape)
 from meroconn.errors import InternalError
-from meroconn.field import CMat, gr
+from meroconn.field import CMat, gr, nullspace
 from meroconn.jsonio import enc_canonical
 from meroconn.lmatrix import LaurentMatrix as LM, mat_exp_pair, mat_inv, mat_mul
 from meroconn.selftest import criterion_canonical_suite
 from meroconn.randomgen import (rand_connection, rand_connection_levi, rand_invertible,
                                 rand_parahoric_gauge, rand_small_weight)
-from meroconn.residues import EigenvalueError
-from meroconn.rootdata import IrregularType, Weight, parahoric_member
+from meroconn.residues import EigenvalueError, gaussian_eigenvalues
+from meroconn.rootdata import IrregularType, Weight, parabolic_from_weight, parahoric_member
 from meroconn.selftest import criterion_irregular_invariance
 from meroconn.series import INF, LaurentSeries as LS
 
@@ -1013,3 +1014,100 @@ def test_inputs_that_must_be_refused_get_the_exact_error():
                 canonical_reduce(MeroConnection(polar_free))
             assert str(exc.value) == ("trivial irregular type: input has no polar part "
                                       "(logarithmic reduction is out of scope)")
+
+
+# ---------------------------------------------------------------------
+# old-vs-new equivalence: invariants, grades and the diagonalizer
+# ---------------------------------------------------------------------
+
+_VALUES = [gr(1), gr(-2), gr(0, 1), gr(F(1, 3), -1)]
+
+
+def reference_check_invariants(c, theta=None):
+    """The former check: per-entry diagonality, brackets of the residue
+    with every polar coefficient and of the polar coefficients pairwise."""
+    mats = list(c.polar.values())
+    if any(not m[i, j].is_zero() for m in mats for i in range(m.n) for j in range(m.n)
+           if i != j):
+        return False
+    if any(not m.bracket(c.residue).is_zero() for m in mats):
+        return False
+    if any(not a.bracket(b).is_zero() for a in mats for b in mats):
+        return False
+    return theta is None or parabolic_from_weight(theta).contains_matrix(c.residue)
+
+
+@st.composite
+def canonical_forms(draw):
+    """Polar coefficients with few distinct diagonal values (sometimes one
+    off-diagonal entry), a residue nonzero on their joint level sets plus
+    up to two strays, and no weight or one with few levels."""
+    n = draw(st.integers(1, 4))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    polar = {}
+    for j in rng.sample(range(1, 4), rng.randint(0, 2)):
+        m = CMat.diag([rng.choice([0, 1, gr(0, 2)]) for _ in range(n)])
+        if rng.random() < 0.15:
+            m = m + CMat.unit(n, rng.randrange(n), rng.randrange(n), 1)
+        polar[j] = m
+    key = [tuple(m[i, i] for m in polar.values()) for i in range(n)]
+    strays = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2))]
+    residue = CMat([[rng.choice(_VALUES)
+                     if (key[i] == key[j] and rng.random() < 0.6) or (i, j) in strays else 0
+                     for j in range(n)] for i in range(n)])
+    theta = None if rng.random() < 0.5 else Weight([F(rng.randrange(2), 2) for _ in range(n)])
+    return CanonicalForm(polar, residue), theta
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(canonical_forms())
+def test_check_invariants_matches_brackets(case):
+    c, theta = case
+    assert c.check_invariants(theta) == reference_check_invariants(c, theta)
+
+
+def reference_off_diagonal_in_nonneg_grades(B, theta):
+    """The former scan over every off-diagonal coefficient's grade."""
+    return all(theta.entries[a] - theta.entries[b] + m >= 0
+               for a in range(B.n) for b in range(B.n) if a != b
+               for m, _ in B.rows[a][b].items())
+
+
+@st.composite
+def graded_matrices(draw):
+    """Sparse Laurent matrices with exponents -3..3 and weights with
+    thirds and halves, so both verdicts occur."""
+    n = draw(st.integers(1, 4))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    rows = [[LS.from_dict({e: rng.choice(_VALUES) for e in rng.sample(range(-3, 4), rng.randint(0, 2))})
+             for _ in range(n)] for _ in range(n)]
+    theta = Weight([rng.choice([F(0), F(1, 3), F(1, 2), F(1)]) for _ in range(n)])
+    return LM(rows, rng.choice([INF, 4])), theta
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(graded_matrices())
+def test_grades_by_valuation_match_the_scan(case):
+    B, theta = case
+    assert _off_diagonal_in_nonneg_grades(B, theta) == \
+        reference_off_diagonal_in_nonneg_grades(B, theta)
+
+
+def reference_diagonalizer(m):
+    """The former loop: one kernel vector per eigenvalue, in (re, im)
+    order."""
+    lams = sorted((lam for lam, _ in gaussian_eigenvalues(m)), key=lambda x: (x.re, x.im))
+    cols = [nullspace(m - CMat.identity(m.n).scale(lam))[0] for lam in lams]
+    return CMat([[cols[j][i] for j in range(m.n)] for i in range(m.n)])
+
+
+def test_diagonalizer_matches_the_former_loop():
+    rng = random.Random(29)
+    for n in (1, 2, 3, 4):
+        for _ in range(3):
+            lams = rng.sample([gr(k) for k in range(-4, 5)] + [gr(1, 1), gr(0, -2)], n)
+            p = rand_invertible(rng, n)
+            m = p * CMat.diag(lams) * p.inv()
+            s = _diagonalizer(m)
+            assert s == reference_diagonalizer(m)
+            assert (s.inv() * m * s).is_diagonal()

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from meroconn.correspondence import (CorrespondenceError, DeRhamLocal,
                                      PiMatrixPoly, RootOfUnity,
@@ -52,6 +53,80 @@ def test_de_rham_invariants_enforced():
     q = IrregularType(2, {1: (gr(1), gr(0))})
     with pytest.raises(CorrespondenceError, match="commute"):
         DeRhamLocal(Weight([0, 0]), CMat.unit(2, 1, 0), q)
+
+
+# ---------------------------------------------------------------------
+# old-vs-new equivalence: the de Rham invariants by support mask
+# ---------------------------------------------------------------------
+
+LEVI = "residue leaves the Levi factor of its weight"
+COMMUTE = "residue does not commute with the irregular type"
+
+
+def reference_de_rham_outcome(beta, residue, q):
+    """The former row-major loop: the first nonzero entry across beta
+    levels or Q levels decides, the beta test first."""
+    n = residue.n
+    for i in range(n):
+        for j in range(n):
+            if residue[i, j].is_zero():
+                continue
+            if beta.entries[i] != beta.entries[j]:
+                return LEVI
+            if q.entry(i) != q.entry(j):
+                return COMMUTE
+    return None
+
+
+def de_rham_outcome(beta, residue, q):
+    try:
+        DeRhamLocal(beta, residue, q)
+    except CorrespondenceError as exc:
+        return str(exc)
+    return None
+
+
+_VALUES = [gr(1), gr(-2), gr(0, 1), gr(F(1, 3), -1)]
+
+
+@st.composite
+def de_rham_inputs(draw):
+    """(beta, residue, Q) at n = 1-5 with few beta and Q levels; the
+    residue is nonzero inside the joint level sets and at up to two stray
+    entries, so both messages and acceptance occur."""
+    n = draw(st.integers(1, 5))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    b, q1, q2 = ([rng.randrange(2) for _ in range(n)] for _ in range(3))
+    beta = Weight([F(x, 2) for x in b])
+    q = IrregularType(n, {1: tuple(gr(x) for x in q1), 2: tuple(gr(0, x) for x in q2)})
+    strays = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2))]
+    inside = [[(b[i], q1[i], q2[i]) == (b[j], q1[j], q2[j]) for j in range(n)] for i in range(n)]
+    residue = CMat([[rng.choice(_VALUES)
+                     if (inside[i][j] and rng.random() < 0.7) or (i, j) in strays else 0
+                     for j in range(n)] for i in range(n)])
+    return beta, residue, q
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(de_rham_inputs())
+def test_de_rham_invariants_match_per_entry_loop(case):
+    assert de_rham_outcome(*case) == reference_de_rham_outcome(*case)
+
+
+def test_doubly_bad_residue_gets_the_first_entry_message():
+    """A residue that breaks both rules at different entries gets the
+    message of the first one in row-major order, in either order."""
+    beta = Weight([0, 0, F(1, 2)])
+    q = IrregularType(3, {1: (gr(1), gr(0), gr(1))})
+    # (0, 1) crosses Q levels only, (0, 2) and (2, 0) cross beta levels only
+    for entries, want in ((((0, 1), (0, 2)), COMMUTE), (((0, 2), (1, 0)), LEVI),
+                          (((1, 0), (2, 0)), COMMUTE), (((2, 0), (2, 1)), LEVI),
+                          (((0, 1),), COMMUTE), (((2, 0),), LEVI)):
+        residue = CMat.diag([1, 2, 3])
+        for i, j in entries:
+            residue = residue + CMat.unit(3, i, j, gr(1, 1))
+        assert de_rham_outcome(beta, residue, q) == want
+        assert reference_de_rham_outcome(beta, residue, q) == want
 
 
 # ---------------------------------------------------------------------

@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from meroconn.field import CMat, GaussRat, gr, rref
+from meroconn.field import CMat, GaussRat, entry_mask, gr, rref
 
 
 def rand_gauss(rng, nonzero=False):
@@ -185,3 +185,71 @@ def test_cmat_support_bits():
     # a purely imaginary entry is nonzero; an entry that cancels is not
     m = CMat([[gr(0, 1), 0], [gr(1) - gr(1), gr(F(-1, 3))]])
     assert m.support() == 0b1001
+
+
+def test_cmat_powers_match_repeated_products():
+    rng = random.Random(3)
+    for n in (1, 2, 3):
+        m = CMat([[rand_gauss(rng) for _ in range(n)] for _ in range(n)])
+        want = CMat.identity(n)
+        for k in range(7):
+            assert m ** k == want
+            want = want * m
+
+
+# ---------------------------------------------------------------------
+# old-vs-new equivalence: pattern tests by support mask
+# ---------------------------------------------------------------------
+
+def reference_is_block_diagonal(m, blocks):
+    """Per-entry: entries between different blocks vanish."""
+    block_of = {i: b for b, idxs in enumerate(blocks) for i in idxs}
+    return all(m[i, j].is_zero() for i in range(m.n) for j in range(m.n)
+               if block_of[i] != block_of[j])
+
+
+def reference_is_diagonal(m):
+    return all(m[i, j].is_zero() for i in range(m.n) for j in range(m.n) if i != j)
+
+
+def test_entry_mask_layout():
+    """Bit i*n + j stands for entry (i, j), as in ``CMat.support``."""
+    assert entry_mask(3, lambda i, j: (i, j) == (0, 1)) == 1 << 1 == CMat.unit(3, 0, 1).support()
+    assert entry_mask(3, lambda i, j: (i, j) == (1, 0)) == 1 << 3 == CMat.unit(3, 1, 0).support()
+    assert entry_mask(3, lambda i, j: i < j) == 0b000100110
+    for n in range(5):
+        assert entry_mask(n, lambda i, j: True) == (1 << n * n) - 1
+        assert entry_mask(n, lambda i, j: i == j) == CMat.identity(n).support()
+        assert entry_mask(n, lambda i, j: False) == 0
+
+
+_SPARSE_VALUES = [gr(1), gr(-2), gr(0, 1), gr(F(1, 3), -1)]
+
+
+@st.composite
+def sparse_mats_and_partitions(draw):
+    """A matrix at n = 1-5, nonzero only inside the blocks of a drawn
+    partition (listed in a drawn order) and at up to two stray entries,
+    so that both verdicts occur."""
+    n = draw(st.integers(1, 5))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    label = [rng.randrange(n) for _ in range(n)]
+    blocks = {}
+    for i, lab in enumerate(label):
+        blocks.setdefault(lab, []).append(i)
+    blocks = list(blocks.values())
+    rng.shuffle(blocks)
+    strays = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2))]
+    m = CMat([[rng.choice(_SPARSE_VALUES)
+               if (label[i] == label[j] and rng.random() < 0.6) or (i, j) in strays else 0
+               for j in range(n)] for i in range(n)])
+    return m, blocks
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(sparse_mats_and_partitions())
+def test_pattern_tests_match_per_entry_loops(case):
+    m, blocks = case
+    assert m.is_block_diagonal(blocks) == reference_is_block_diagonal(m, blocks)
+    assert m.is_diagonal() == reference_is_diagonal(m)
+    assert m.is_diagonal() == m.is_block_diagonal([[i] for i in range(m.n)])

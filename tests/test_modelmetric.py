@@ -4,6 +4,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from meroconn import jsonio
 
@@ -15,7 +16,7 @@ from meroconn.modelmetric import (HiggsOperators, MetricData, MetricError,
                                   curvature_e0, higgs_extraction,
                                   _h_frame, pseudo_curvature,
                                   sl2_identity_suite, weight_jump_check)
-from meroconn.randomgen import rand_de_rham_local, rand_nilpotent
+from meroconn.randomgen import rand_de_rham_local, rand_invertible, rand_nilpotent
 from meroconn.residues import Sl2Data, sl2_complete
 from meroconn.rootdata import IrregularType, Weight
 
@@ -279,3 +280,117 @@ def test_weight_jump_holds_on_random_data():
         report = weight_jump_check(MetricData.from_de_rham(d))
         assert report.de_rham_exponents == tuple(2 * b for b in d.beta.entries)
         assert report.all_pass, d
+
+
+# ---------------------------------------------------------------------
+# old-vs-new equivalence: Levi and weight tests by support mask
+# ---------------------------------------------------------------------
+
+LEVI = "data leaves the Levi factor of beta"
+E0_LEVI = "|z|^beta conjugation is nontrivial: data leaves the Levi"
+
+
+def reference_metric_outcome(beta, t):
+    """The former ``MetricData`` validation, brackets with diag(beta)."""
+    if t.s is None:
+        return "metric data requires the semisimple part s"
+    if not t.check_brackets():
+        return "sl2 bracket relations fail"
+    if any(not t.s.bracket(m).is_zero() for m in (t.X, t.H)):
+        return "triple does not commute with s"
+    beta_mat = CMat.diag(beta.entries)
+    if any(not beta_mat.bracket(m).is_zero() for m in (t.s, t.X, t.H, t.Y)):
+        return LEVI
+    return None
+
+
+def reference_e0_refuses(beta, t):
+    beta_mat = CMat.diag(beta.entries)
+    return any(not beta_mat.bracket(m).is_zero() for m in (t.H, t.X))
+
+
+def _permuted(t, perm):
+    """The triple conjugated by the permutation matrix of ``perm``."""
+    n = len(perm)
+    p = CMat([[1 if perm[j] == i else 0 for j in range(n)] for i in range(n)])
+    p_inv = p.inv()
+    return Sl2Data(*(p * m * p_inv for m in (t.s, t.X, t.H, t.Y)), p * t.basis)
+
+
+@st.composite
+def metric_inputs(draw):
+    """A valid triple of seeded de Rham data at n = 2-4, conjugated by a
+    random permutation, with the permuted beta of the data (inside its
+    Levi) or random beta levels (often outside)."""
+    n = draw(st.integers(2, 4))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    d = rand_de_rham_local(rng, n)
+    perm = rng.sample(range(n), n)
+    t = _permuted(d.structure(), perm)
+    if rng.random() < 0.5:
+        beta = Weight([d.beta.entries[perm.index(i)] for i in range(n)])
+    else:
+        beta = Weight([rng.choice([F(0), F(1, 4), F(1, 2)]) for _ in range(n)])
+    return beta, t, d.q
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(metric_inputs())
+def test_metric_levi_checks_match_brackets(case):
+    beta, t, q = case
+    try:
+        MetricData(beta, t, q)
+        got = None
+    except MetricError as exc:
+        got = str(exc)
+    assert got == reference_metric_outcome(beta, t)
+    unchecked = MetricData(beta, t, q, validate=False)
+    if reference_e0_refuses(beta, t):
+        with pytest.raises(MetricError) as exc:
+            curvature_e0(unchecked)
+        assert str(exc.value) == E0_LEVI
+    else:
+        assert curvature_e0(unchecked) == TPoly.of((2, t.H.scale(2)))
+
+
+def reference_ad_weight_is(p, d_entries, m, w):
+    """The former per-entry test of p^-1 m p against H's eigenvalues."""
+    mm = p.inv() * m * p
+    return all(mm[i, j].is_zero() or d_entries[i] - d_entries[j] == w
+               for i in range(m.n) for j in range(m.n))
+
+
+@st.composite
+def weight_triples(draw):
+    """(p, H's eigenvalues, X, Y) at n = 1-4: eigenvalues sorted
+    descending; in the basis p, X is strictly upper triangular and
+    nonzero at weight-2 entries plus up to two strays, and Y likewise
+    strictly lower at weight -2, so both are nilpotent and both verdicts
+    occur."""
+    n = draw(st.integers(1, 4))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    d = sorted((rng.randint(-2, 2) for _ in range(n)), reverse=True)
+    p = rand_invertible(rng, n)
+    p_inv = p.inv()
+
+    def part(w, lower):
+        strays = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2))]
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                if (j < i if lower else i < j) and (d[i] - d[j] == w or (i, j) in strays):
+                    rows[i][j] = rng.choice([1, 2, gr(0, 1)])
+        return p * CMat(rows) * p_inv
+
+    return p, d, part(2, False), part(-2, True)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(weight_triples())
+def test_ad_weight_matches_per_entry_test(case):
+    p, d, x, y = case
+    h = p * CMat.diag(d) * p.inv()
+    results = dict(sl2_identity_suite(Sl2Data(None, x, h, y, p)).results)
+    d_entries = [gr(e) for e in d]
+    assert results["log-power conjugation scales X"] == reference_ad_weight_is(p, d_entries, x, 2)
+    assert results["log-power conjugation scales Y"] == reference_ad_weight_is(p, d_entries, y, -2)
