@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import _kernel as K
 from .errors import InternalError
-from .field import CMat, GaussRat, rref
+from .field import CMat, GaussRat, nullspace, rref
 from .lmatrix import LaurentMatrix, mat_inv, mat_mul, mat_mul_trunc
 from .rootdata import IrregularType, Weight, parabolic_from_weight
 from .series import INF, LaurentSeries
@@ -602,7 +602,7 @@ def _diagonalizer(m: CMat) -> CMat:
     """Columns are eigenvectors of m, eigenvalues sorted by (re, im);
     requires distinct Gaussian-rational eigenvalues."""
     # Only shape recovery needs eigenvalues; reduction loads no residues.
-    from .residues import eigenbasis, gaussian_eigenvalues
+    from .residues import gaussian_eigenvalues
 
     eigs = gaussian_eigenvalues(m)
     if any(mult != 1 for _, mult in eigs):
@@ -610,7 +610,8 @@ def _diagonalizer(m: CMat) -> CMat:
             "polar leading coefficient is not regular semisimple; "
             "shape recovery needs distinct eigenvalues"
         )
-    return eigenbasis(m, eigs)
+    cols = [nullspace(m - CMat.identity(m.n).scale(lam))[0] for lam, _ in eigs]
+    return CMat(zip(*cols))
 
 
 def extract_irregular_type(conn: MeroConnection, theta: Optional[Weight] = None,

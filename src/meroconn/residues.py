@@ -1,15 +1,17 @@
 """Residue structure: exact Jordan decomposition and sl2 completion.
 
-The exactness boundary is explicit: eigenvalues must lie in the
-Gaussian rationals, otherwise the decomposition reports failure instead
-of approximating.  Eigenvalues come from a certified root finder: the
-numeric roots of the squarefree part of the characteristic polynomial
-are rounded to the only lattice in Q(i) that can hold them and accepted
-by exact evaluation; a root is declared outside Q(i) only under an
+The decomposition needs no eigenvalues: the semisimple part is a
+polynomial in the residue, found by Newton's iteration.  Eigenvalues
+serve shape recovery only, and there the exactness boundary is
+explicit: they must lie in the Gaussian rationals, otherwise
+``gaussian_eigenvalues`` reports failure instead of approximating.
+Eigenvalues come from a certified root finder: the numeric roots of
+the squarefree part of the characteristic polynomial are rounded to
+the only lattice in Q(i) that can hold them and accepted by exact
+evaluation; a root is declared outside Q(i) only under an
 inclusion-disk certificate.
-The semisimple part is assembled from generalized eigenspaces; nilpotent
-parts are completed to sl2 triples through Jordan chains with the
-standard weighted blocks
+Nilpotent parts are completed to sl2 triples through Jordan chains
+with the standard weighted blocks
 
     Y = subdiagonal ones,  H = diag(k-1, k-3, ..., 1-k),
     X = superdiagonal i(k-i),
@@ -97,11 +99,14 @@ _PASSES = 9
 
 def _squarefree_part(p: List[GaussRat]) -> List[GaussRat]:
     """p / gcd(p, p'), monic; coefficient lists run from degree 0 up."""
-    deriv = [c * GaussRat(k) for k, c in enumerate(p) if k > 0]
-    a, b = p, deriv
+    a, b = p, _derivative(p)
     while b:
         a, b = b, _poly_divmod(a, b)[1]
     return _monic(_poly_divmod(p, a)[0])
+
+
+def _derivative(p: List[GaussRat]) -> List[GaussRat]:
+    return [c * GaussRat(k) for k, c in enumerate(p) if k > 0]
 
 
 def _poly_divmod(a: List[GaussRat], b: List[GaussRat]):
@@ -223,31 +228,29 @@ def _abs2(z: GaussRat) -> Fraction:
 
 def jordan_decompose(m: CMat) -> Tuple[CMat, CMat]:
     """Additive Jordan decomposition m = s + y with s semisimple,
-    y nilpotent, [s, y] = 0; exact, via generalized eigenprojections."""
-    n = m.n
-    eigs = gaussian_eigenvalues(m)
-    if len(eigs) == 1 and eigs[0][1] == n:
-        lam = eigs[0][0]
-        s = CMat.identity(n).scale(lam)
-        return s, m - s
-    p = eigenbasis(m, eigs)
-    col_vals = [lam for lam, mult in eigs for _ in range(mult)]
-    s = p * CMat.diag(col_vals) * p.inv()
-    return s, m - s
+    y nilpotent, [s, y] = 0; exact, by Newton's iteration
+    S <- S - P(S) P'(S)^-1 from S = m until P(S) = 0, P the squarefree
+    part of the characteristic polynomial (so P'(S) is invertible).
+    After k steps S - s is a multiple of (m - s)^(2^k), so the loop ends
+    within ceil(log2 n) steps: ceil(log2 n) + 1 evaluations of P."""
+    p = _squarefree_part(charpoly(m))
+    dp = _derivative(p)
+    s = m
+    for _ in range((m.n - 1).bit_length() + 1):
+        ps = _matrix_horner(p, s)
+        if ps.is_zero():
+            return s, m - s
+        s = s - ps * _matrix_horner(dp, s).inv()
+    raise InternalError("internal error: Jordan-Chevalley iteration did not converge")
 
 
-def eigenbasis(m: CMat, eigs: List[Tuple[GaussRat, int]]) -> CMat:
-    """Generalized eigenvectors of m as columns: for each (lambda, mult)
-    of ``eigs`` in turn, the ``nullspace`` basis of (m - lambda)^mult."""
-    n = m.n
-    cols = []
-    ident = CMat.identity(n)
-    for lam, mult in eigs:
-        basis = nullspace((m - ident.scale(lam)) ** mult)
-        if len(basis) != mult:
-            raise EigenvalueError("generalized eigenspace dimension mismatch")
-        cols.extend(basis)
-    return CMat([[cols[j][i] for j in range(n)] for i in range(n)])
+def _matrix_horner(p: List[GaussRat], s: CMat) -> CMat:
+    """p(s) for a coefficient list p from degree 0 up, by Horner's rule."""
+    ident = CMat.identity(s.n)
+    acc = ident.scale(p[-1])
+    for c in reversed(p[:-1]):
+        acc = acc * s + ident.scale(c)
+    return acc
 
 
 # ----------------------------------------------------------------------

@@ -343,8 +343,7 @@ def criterion_cross_module(seed: int, count: int = 20) -> Dict:
         n = rng.randint(2, 4)
         d = rand_de_rham_local(rng, n)
         if k % 4 == 0:
-            s, _ = _split_residue(d)
-            d = DeRhamLocal(d.beta, s, d.q)  # the Y = 0 row
+            d = DeRhamLocal(d.beta, d.structure().s, d.q)  # the Y = 0 row
         ops = higgs_extraction(MetricData.from_de_rham(d))
         if ops.residue != dR_to_Dol(d).residue:
             failures.append(f"case {k}: residues differ")
@@ -360,12 +359,6 @@ def criterion_cross_module(seed: int, count: int = 20) -> Dict:
         "failures": failures,
         "passed": not failures,
     }
-
-
-def _split_residue(d: DeRhamLocal):
-    from .residues import jordan_decompose
-
-    return jordan_decompose(d.residue)
 
 
 def criterion_golden_examples(seed: int) -> Dict:

@@ -226,6 +226,8 @@ def test_cli_oracle_negative_rational_exponent(capsys):
 
 
 SERIES_Z_INV = {"order_min": -1, "coeffs": [{"re": "1", "im": "0"}], "trunc": 4}
+SQRT2_LOCAL = {"beta": ["0", "0"], "residue": [["0", "1"], ["2", "0"]],
+               "q": {"n": 2, "coeffs": {}}}
 
 
 @pytest.mark.parametrize("command, flag, doc, match", [
@@ -257,6 +259,10 @@ SERIES_Z_INV = {"order_min": -1, "coeffs": [{"re": "1", "im": "0"}], "trunc": 4}
      "declares n = 2 but has dimension 1"),
     ("check-relation", "--rep", {"n": 2, "genus": 1, "handles": [[[["1"]], [["1"]]]]},
      "declares n = 2 but has dimension 1"),
+    # eigenvalues +-sqrt(2): no diagonal semisimple part exists over Q(i)
+    ("translate --to dol", "--input", SQRT2_LOCAL, "not in Levi normal form"),
+    ("translate --to betti", "--input", SQRT2_LOCAL, "not in Levi normal form"),
+    ("verify-metric", "--input", SQRT2_LOCAL, "not in Levi normal form"),
 ])
 def test_cli_malformed_stokes_betti_inputs(tmp_path, capsys, command, flag, doc, match):
     path = tmp_path / "input.json"
