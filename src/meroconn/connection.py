@@ -1,21 +1,26 @@
 """Formal meromorphic connections d + B(z) dz/z and canonical-form reduction.
 
-Matrix units E_ab z^m are graded by (theta_a - theta_b) + m.  The
-reduction solves g B - z g' = C g for a gauge g = I + (positive grade)
-and a canonical form C (diagonal polar part plus a commuting residue) in
-one pass, grade by grade: each equation fixes one unknown, either by a
-division by a difference of polar eigenvalues or, on the common
-centralizer of the polar part, by an (m + ad(R0)) solve against the Levi
-residue R0 (see ``_solve_gauge``).  A singular system (resonance) is
-reported, never approximated; it cannot occur when the polar part is
-regular semisimple.
+Matrix units E_ab z^m are graded by (theta_a - theta_b) + m.  One graded
+solve, ``_solve_graded``, finds g = I + (positive grade) and
+C = (diagonal polar part) + R with g B - z g' = C g, grade by grade from
+-(pole order) up: each equation fixes one unknown, either C's polar
+entry, a division by a difference of polar eigenvalues, or, on the
+common centralizer of the polar part, an (m + ad(R0)) solve against the
+Levi residue R0.  A singular system (resonance) is reported, never
+approximated; it cannot occur when the polar part is regular
+semisimple.  Its callers differ only in the depth they pass and where
+they stop:
 
-A connection whose polar part is merely *conjugate* to a diagonal one
-(e.g. after an arbitrary parahoric gauge) is first brought back to
-irregular-type shape by ``recover_irregular_shape``: a constant
-diagonalization of the leading coefficient, then the same kind of graded
-solve below grade zero (see ``_solve_shape``).  The irregular type is
-read off that shape's diagonal polar part, which reduction never changes.
+* ``canonical_reduce`` solves every grade, with the depth at which the
+  input's diagonal polar part separates each pair (``_split_depth``);
+* ``recover_irregular_shape`` and ``extract_irregular_type`` solve below
+  grade zero only (``_solve_shape``), after a constant diagonalization
+  of a leading coefficient that is not diagonal (extraction skips it on
+  an input already in shape), with the depth of that coefficient alone.
+  This is the splitting lemma: it brings a connection whose polar part
+  is merely *conjugate* to a diagonal one (e.g. after an arbitrary
+  parahoric gauge) back to irregular-type shape, and the irregular type
+  is read off C's polar part, which reduction never changes.
 """
 
 from __future__ import annotations
@@ -201,16 +206,17 @@ def canonical_reduce(conn: MeroConnection, theta: Optional[Weight] = None,
     coefficients diagonal, an admissible weight, and the nonnegative part
     inside the theta-parahoric Lie algebra.
 
-    g = I + (positive grade) and the residue are solved for in one pass,
-    grade by grade (see ``_solve_gauge``).  g is returned on the window
-    W = T + pole order.  With J_ab the depth at which the polar part
-    first separates a from b (0 on its common centralizer), the input
-    mod z^T determines g's coefficient at (a, b, z^m) only if
-    m - J_ab < T; every other coefficient is 0.  At a boundary weight, a
-    z^-1 entry also meets a free coefficient at z^T in the equation at
-    z^(T-1), so the coefficients at m - J_ab = T - 1 are computed with
-    that free one at 0; and T is the window left after the grade-zero
-    steps of ``_centralize_grade_zero``.
+    g = I + (positive grade), the polar part and the residue are solved
+    for in one pass over every grade (``_solve_graded``, with the depth of
+    the input's diagonal polar part, whose entries the solve reproduces).
+    g is returned on the window W = T + pole order.  With J_ab the depth
+    at which the polar part first separates a from b (0 on its common
+    centralizer), the input mod z^T determines g's coefficient at
+    (a, b, z^m) only if m - J_ab < T; every other coefficient is 0.  At a
+    boundary weight, a z^-1 entry also meets a free coefficient at z^T in
+    the equation at z^(T-1), so the coefficients at m - J_ab = T - 1 are
+    computed with that free one at 0; and T is the window left after the
+    grade-zero steps of ``_centralize_grade_zero``.
     """
     n = conn.n
     theta = _resolve_weight(theta, n)
@@ -242,11 +248,11 @@ def canonical_reduce(conn: MeroConnection, theta: Optional[Weight] = None,
     _require_residue_window(cur)
     cur, g0 = _centralize_grade_zero(cur, theta, polar, W)
     _require_residue_window(cur)
-    g, residue = _solve_gauge(cur, theta, polar, depth, W)
+    g, form_polar, residue = _solve_graded(cur, theta, depth, W)
     if g0 is not None:
         g = _drop_undetermined(mat_mul(g, g0), depth, int(cur.trunc))
     canonical = CanonicalForm(
-        polar={j: CMat.diag(polar[j]) for j in polar if any(not e.is_zero() for e in polar[j])},
+        polar={j: m for j, m in form_polar.items() if not m.is_zero()},
         residue=residue,
     )
     return canonical, g
@@ -271,68 +277,75 @@ def _split_depth(polar, n: int) -> List[List[int]]:
              for b in range(n)] for a in range(n)]
 
 
-def _solve_gauge(B: LaurentMatrix, theta: Weight, polar, depth, W: int
-                 ) -> Tuple[LaurentMatrix, CMat]:
+_NOT_RECOVERABLE = ("polar part not recoverable: residual content below grade zero "
+                    "(nested splitting out of scope)")
+
+
+def _solve_graded(B: LaurentMatrix, theta: Weight, depth, W: int, stop: Optional[int] = None
+                  ) -> Tuple[LaurentMatrix, Dict[int, CMat], CMat]:
     """Solve g B - z g' = C g mod z^T, T = B.trunc, for g = I + (positive
-    grade) known below z^W and the residue R of C = (polar part) + R.
+    grade) known below z^W and C = (diagonal polar part) + R, at every
+    grade from -(pole order) up to ``stop`` (exclusive; None runs to the
+    window's end).  Returns (g, C's polar part {j: C_-j}, R).
 
     This is the recursion of formal reduction theory (D. G. Babbitt and
     V. S. Varadarajan, Pacific J. Math. 109, 1983; W. Balser, Formal
-    Power Series and Linear Systems of Meromorphic ODEs, Springer 2000).
-    The equation at slot (a, b) and z-degree e, of grade
-    theta_a - theta_b + e, fixes one unknown, with J = depth[a][b]:
+    Power Series and Linear Systems of Meromorphic ODEs, Springer 2000);
+    below grade zero it is the splitting lemma.  The equation at slot
+    (a, b) and z-degree e, of grade mu = theta_a - theta_b + e, fixes one
+    unknown, with J = depth[a][b] the depth at which C's polar part
+    separates a from b:
 
-    * J > 0: g[a,b,e+J], by a division by d^J_a - d^J_b;
-    * J = 0, e != 0: g[a,b,e], by the (e + ad R0) solve on all slots of
+    * J > 0: g[a,b,e+J], by a division by d^J_a - d^J_b, read off C's
+      diagonal, which the lower grades have solved; a right-hand side
+      that needs g at grade mu + J <= 0 is refused;
+    * J = 0, e < 0 or mu < 0: C's polar entry when a = b; nothing when
+      a != b, so a nonzero right-hand side is refused;
+    * J = 0, e = 0, mu >= 0: the residue entry R[a,b];
+    * J = 0, e > 0: g[a,b,e], by the (e + ad R0) solve on all slots of
       that grade and level, R0 the Levi part of the residue; a singular
       system (resonance) is reported, never approximated, and cannot
-      occur when the polar part is regular semisimple;
-    * J = 0, e = 0: the residue entry R[a,b].
+      occur when the polar part is regular semisimple.
 
     Grades run in ascending order; inside a grade the centralizer levels
     come first, since their unknowns reach the other slots of the grade
     through B's grade-zero part.  Each right-hand side is the residual's
-    coefficient at its slot with that slot's unknown still 0.  It is
-    computed once, when the slot's turn comes, from the blocks of g and
-    R fixed before it, so the whole solve costs about one residual.
+    coefficient at its slot with that slot's unknown still 0, one
+    ``_kernel.qconvat`` of g B (B from its pole), -C g (C's diagonal and
+    its nonzero residue entries) and -z g'.  The polar terms of g B and
+    -C g on a pair that C does not separate cancel exactly.  The whole
+    solve costs about one residual.
     """
     n = B.n
     T = int(B.trunc)
+    # 0 when B has no pole, e.g. when ``_centralize_grade_zero`` has removed
+    # an input's only polar entries (B.val() is INF when B = 0)
+    npole = max(0, -B.val())
     den, th = _integer_grades(theta)
-    # B minus its polar part, from z^-1: tail[c][b][i] is the coefficient at z^(i-1)
-    tail = [[_window(B.rows[c][b], -1, T) for b in range(n)] for c in range(n)]
-    for c in range(n):
-        tail[c][c][0] = K.ZERO
+    # B from its pole: win[c][b][i] is the coefficient at z^(i-npole)
+    win = [[_window(B.rows[c][b], -npole, T) for b in range(n)] for c in range(n)]
     y = [[[K.ONE if a == b else K.ZERO] + [K.ZERO] * (W - 1) for b in range(n)]
          for a in range(n)]
+    # -C[a][a] from z^-npole to z^0, and by row the nonzero -R[a][c], c != a
+    neg_diag = [[K.ZERO] * (npole + 1) for _ in range(n)]
+    neg_off: List[list] = [[] for _ in range(n)]
     res = [[K.ZERO] * n for _ in range(n)]
-    neg_res = [[K.ZERO] * n for _ in range(n)]
-    # per separated slot: (d^j_b - d^j_a) for 1 <= j < J, and d^J_a - d^J_b
-    lower = {}
-    pivot = {}
     grades: Dict[int, list] = {}
     for a in range(n):
         for b in range(n):
-            J = depth[a][b]
-            if J:
-                lower[a, b] = [(j, (polar[j][b] - polar[j][a]).t) for j in range(1, J)
-                               if polar[j][b] != polar[j][a]]
-                pivot[a, b] = (polar[J][a] - polar[J][b]).t
-            diff = th[a] - th[b]
-            for e in range(0 if a == b else -1, T):
-                if diff + e * den >= 0:
-                    grades.setdefault(diff + e * den, []).append((a, b, e))
+            for e in range(-npole, T):
+                mu = th[a] - th[b] + e * den
+                if mu >= -npole * den and (stop is None or mu < stop):
+                    grades.setdefault(mu, []).append((a, b, e))
 
     def residual(a, b, e):
         row = y[a]
-        terms = [(0, row[c], tail[c][b]) for c in range(n)]
-        terms += [(1, (r,), y[c][b]) for c, r in enumerate(neg_res[a]) if r[0] or r[1]]
-        if depth[a][b]:
-            own = row[b]
-            if e > 0:
-                terms.append((e + 1, ((-e, 0, 1),), (own[e],)))
-            terms += [(e + 1, (w,), (own[e + j],)) for j, w in lower[a, b]]
-        return K.qconvat(terms, e + 1)
+        terms = [(0, row[c], win[c][b]) for c in range(n)]
+        terms.append((0, neg_diag[a], row[b]))
+        terms += [(npole, (r,), y[c][b]) for c, r in neg_off[a]]
+        if e > 0:
+            terms.append((e + npole, ((-e, 0, 1),), (row[b][e],)))
+        return K.qconvat(terms, e + npole)
 
     for mu in sorted(grades):
         levels: Dict[int, list] = {}
@@ -345,20 +358,35 @@ def _solve_gauge(B: LaurentMatrix, theta: Weight, polar, depth, W: int
         for e in sorted(levels):
             slots = levels[e]
             rhs = [residual(a, b, e) for a, b in slots]
-            if e == 0:
+            if e < 0 or mu < 0:
+                for (a, b), r in zip(slots, rhs):
+                    if a == b:
+                        neg_diag[a][e + npole] = K.qneg(r)
+                    elif r[0] or r[1]:
+                        raise ReductionError(_NOT_RECOVERABLE)
+            elif e == 0:
                 for (a, b), r in zip(slots, rhs):
                     res[a][b] = r
-                    neg_res[a][b] = K.qneg(r)
+                    if a == b:
+                        neg_diag[a][npole] = K.qneg(r)
+                    elif r[0] or r[1]:
+                        neg_off[a].append((b, K.qneg(r)))
             elif any(r[0] or r[1] for r in rhs):
                 for (a, b), x in zip(slots, _solve_level(e, res, slots, rhs)):
                     y[a][b][e] = x
         for a, b, e in split:
             r = residual(a, b, e)
             if r[0] or r[1]:
-                y[a][b][e + depth[a][b]] = K.qdiv(r, pivot[a, b])
+                J = depth[a][b]
+                if mu + J * den <= 0:
+                    raise ReductionError(_NOT_RECOVERABLE)
+                pivot = K.qsub(neg_diag[b][npole - J], neg_diag[a][npole - J])
+                y[a][b][e + J] = K.qdiv(r, pivot)
     g = LaurentMatrix._of([[LaurentSeries._raw(0, y[a][b], W) for b in range(n)]
                            for a in range(n)], W)
-    return g, CMat([[GaussRat.from_triple(t) for t in row] for row in res])
+    polar = {j: CMat.diag([GaussRat.from_triple(K.qneg(d[npole - j])) for d in neg_diag])
+             for j in range(1, npole + 1)}
+    return g, polar, CMat([[GaussRat.from_triple(t) for t in row] for row in res])
 
 
 def _integer_grades(theta: Weight) -> Tuple[int, List[int]]:
@@ -429,7 +457,7 @@ def _centralize_grade_zero(cur: LaurentMatrix, theta: Weight, polar, W: int
     step takes two off the connection's window and one off the gauge's,
     so the window can run out (``_require_residue_window``).  With these
     entries gone, B's grade-zero part on the centralizer is R0 alone, and
-    ``_solve_gauge`` needs no further step of this kind."""
+    ``_solve_graded`` needs no further step of this kind."""
     n = cur.n
     th = theta.entries
     slots = [(a, b, int(th[b] - th[a])) for a in range(n) for b in range(n)
@@ -493,13 +521,15 @@ def recover_irregular_shape(conn: MeroConnection, theta: Optional[Weight] = None
                             trunc: Optional[int] = None
                             ) -> Tuple[MeroConnection, LaurentMatrix]:
     """Bring a connection whose polar part is conjugate to a diagonal one
-    back to irregular-type shape (diagonal polar coefficients, every
-    off-diagonal entry at grade >= 0).  Returns (g . conn, g), g the
-    constant diagonalizer followed by the I + X of ``_solve_shape``.
+    back to irregular-type shape (``in_irregular_shape``: every
+    off-diagonal entry at grade >= 0, so at a boundary weight a z^-1
+    entry on a slot of theta-difference one may stay off the diagonal).
+    Returns (g . conn, g), g the constant diagonalizer followed by the
+    I + X of ``_solve_shape``, the graded solve below grade zero.
 
-    Supported when the leading polar coefficient is regular semisimple
-    with Gaussian-rational eigenvalues (the unramified case at desk
-    scale); eigenvalues are ordered canonically by (re, im).
+    A leading polar coefficient that is not diagonal must be regular
+    semisimple with Gaussian-rational eigenvalues (the unramified case at
+    desk scale); eigenvalues are ordered canonically by (re, im).
     """
     cur, s_inv, x, _ = _solve_shape(conn, theta, trunc)
     g = x if s_inv is None else mat_mul(x, LaurentMatrix.from_const(s_inv, x.trunc))
@@ -520,26 +550,18 @@ def _polar_window(conn: MeroConnection, trunc: Optional[int]):
     return conn.B.truncate(T), T
 
 
-def _solve_shape(conn: MeroConnection, theta: Optional[Weight], trunc: Optional[int]):
-    """Conjugate B by the diagonalizer S of its leading coefficient L (if
-    L is not diagonal), then solve (I + X) B - z X' = C (I + X) below
-    grade zero, mod z^T, for X of grade in (0, pole order) known below
-    z^W, W = T + pole order, and C diagonal below grade zero.
-
-    z X' has X's grades, all positive, so it never enters.  The equation
-    at slot (a, b) and z-degree e, of grade mu in [-pole order, 0),
-    fixes one unknown:
-
-    * a = b: the polar entry C[a,a,e];
-    * a != b, L_a != L_b and mu > -pole order: X[a,b,e+pole order], by a
-      division by L_a - L_b;
-    * otherwise none, so a nonzero right-hand side means the polar part
-      is not recoverable.
-
-    Grades run in ascending order; the unknowns of one grade enter only
-    the equations of higher grades.  Each right-hand side is the
-    residual's coefficient at its slot with that slot's unknown still 0,
-    one ``_kernel.qconvat`` call as in ``_solve_gauge``.  Returns
+def _solve_shape(conn: MeroConnection, theta: Optional[Weight], trunc: Optional[int],
+                 keep_shape: bool = False):
+    """Conjugate B by the diagonalizer S of its leading coefficient L if
+    L is not diagonal (unless ``keep_shape`` and the input is already in
+    irregular-type shape), then run ``_solve_graded`` below grade zero
+    (``stop=0``) with the depth of L's diagonal alone:
+    (I + X) B - z X' = C (I + X) mod z^T, for X of grade in
+    (0, pole order) known below z^W, W = T + pole order, and C diagonal
+    below grade zero.  A pair with L_a = L_b has depth 0, so content
+    between them below grade zero is refused as not recoverable (nested
+    splitting).  An input in irregular-type shape that is not conjugated
+    comes back with X = 0 and C its own diagonal polar part.  Returns
     (S^-1 B S mod z^T, S^-1 or None, I + X, C's polar part {j: C_-j}).
     """
     n = conn.n
@@ -550,43 +572,15 @@ def _solve_shape(conn: MeroConnection, theta: Optional[Weight], trunc: Optional[
     B, T = _polar_window(conn, trunc)
     W = T + npole
     s_inv = None
-    if not B.coeff(-npole).is_diagonal():
-        s = _diagonalizer(B.coeff(-npole))
+    lead = B.coeff(-npole)
+    if not lead.is_diagonal() and not (keep_shape and in_irregular_shape(conn, theta)):
+        s = _diagonalizer(lead)
         s_inv = s.inv()
         B = mat_mul(mat_mul(LaurentMatrix.from_const(s_inv, W), B),
                     LaurentMatrix.from_const(s, W))
-    den, th = _integer_grades(theta)
-    lam = [B.rows[a][a].coeff(-npole).t for a in range(n)]
-    # B from z^-npole: win[c][b][i] is the coefficient at z^(i-npole)
-    win = [[_window(B.rows[c][b], -npole, T) for b in range(n)] for c in range(n)]
-    y = [[[K.ONE if a == b else K.ZERO] + [K.ZERO] * (W - 1) for b in range(n)]
-         for a in range(n)]
-    # -C's diagonal below grade zero: neg_c[a][i] is the coefficient at z^(i-npole)
-    neg_c = [[K.qneg(lam[a])] + [K.ZERO] * (npole - 1) for a in range(n)]
-    grades: Dict[int, list] = {}
-    for a in range(n):
-        for b in range(n):
-            for e in range(1 - npole, 0 if a == b else T):
-                mu = th[a] - th[b] + e * den
-                if -npole * den <= mu < 0:
-                    grades.setdefault(mu, []).append((a, b, e))
-    for mu in sorted(grades):
-        for a, b, e in grades[mu]:
-            terms = [(0, y[a][c], win[c][b]) for c in range(n)] + [(0, neg_c[a], y[a][b])]
-            r = K.qconvat(terms, e + npole)
-            if a == b:
-                neg_c[a][e + npole] = K.qneg(r)
-            elif r[0] or r[1]:
-                if lam[a] == lam[b] or mu == -npole * den:
-                    raise ReductionError(
-                        "polar part not recoverable: residual content below grade zero "
-                        "(nested splitting out of scope)"
-                    )
-                y[a][b][e + npole] = K.qdiv(r, K.qsub(lam[a], lam[b]))
-    x = LaurentMatrix._of([[LaurentSeries._raw(0, y[a][b], W) for b in range(n)]
-                           for a in range(n)], W)
-    polar = {j: CMat.diag([GaussRat.from_triple(K.qneg(c[npole - j])) for c in neg_c])
-             for j in range(1, npole + 1)}
+        lead = B.coeff(-npole)
+    depth = _split_depth({npole: _diag_entries(lead)}, n)
+    x, polar, _ = _solve_graded(B, theta, depth, W, stop=0)
     return B, s_inv, x, polar
 
 
@@ -617,21 +611,15 @@ def _diagonalizer(m: CMat) -> CMat:
 def extract_irregular_type(conn: MeroConnection, theta: Optional[Weight] = None,
                            trunc: Optional[int] = None) -> IrregularType:
     """The diagonal polar data Q with dQ = (polar part) dz/z, i.e.
-    Q = sum_j diag(B_-j) z^-j / (-j); a G_theta(K)-gauge invariant, read
-    off the polar part in irregular-type shape, or off the shape solve's
-    polar part when the shape is not there.  Either way only coefficients
-    below z^trunc are known (``_polar_window``).  No gauge is applied and no
-    reduction runs: Q ignores residue and tail, so only shape and window
-    errors raise."""
+    Q = sum_j diag(B_-j) z^-j / (-j) in irregular-type shape; a
+    G_theta(K)-gauge invariant, read off the polar part of the shape
+    solve (``_solve_shape`` with ``keep_shape``, so that an in-shape
+    input is not conjugated and the solve reproduces its own).
+    Only coefficients below z^trunc are known (``_polar_window``).  No
+    gauge is applied and no reduction runs: Q ignores residue and tail,
+    so only shape and window errors raise."""
     theta = _resolve_weight(theta, conn.n)
-    npole = conn.pole_order
-    if npole < 1:
-        polar = {}
-    elif in_irregular_shape(conn, theta):
-        B = _polar_window(conn, trunc)[0]
-        polar = {j: B.coeff(-j) for j in range(1, npole + 1)}
-    else:
-        polar = _solve_shape(conn, theta, trunc)[3]
+    polar = _solve_shape(conn, theta, trunc, keep_shape=True)[3] if conn.pole_order >= 1 else {}
     return IrregularType.from_polar(conn.n, polar)
 
 

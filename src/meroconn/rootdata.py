@@ -400,15 +400,19 @@ _PARABOLICS: Dict[int, Tuple[ParabolicSpec, ...]] = {}
 def proper_parabolics(n: int) -> Tuple[ParabolicSpec, ...]:
     """All proper parabolics containing the diagonal torus: one per
     ordered partition of {0..n-1} into at least two blocks, sorted by
-    (number of blocks, blocks).  The table is built once per n and
-    shared, hence a tuple."""
+    (number of blocks, blocks).  The ordered partitions into k blocks are
+    the surjections onto the block labels 0..k-1.  The table is built
+    once per n and shared, hence a tuple."""
     if n > 5:
         raise ValueError("n > 5: parabolic enumeration guard")
     table = _PARABOLICS.get(n)
     if table is None:
-        specs = [ParabolicSpec(parts)
-                 for parts in _ordered_set_partitions(list(range(n)))
-                 if len(parts) >= 2]
+        specs = []
+        for labels in itertools.product(range(n), repeat=n):
+            k = len(set(labels))
+            if k >= 2 and max(labels) < k:
+                specs.append(ParabolicSpec([[i for i in range(n) if labels[i] == b]
+                                            for b in range(k)]))
         specs.sort(key=lambda p: (len(p.blocks), p.blocks))
         table = _PARABOLICS[n] = tuple(specs)
     return table
@@ -417,22 +421,3 @@ def proper_parabolics(n: int) -> Tuple[ParabolicSpec, ...]:
 def enumerate_parabolics_containing_T(n: int) -> List[ParabolicSpec]:
     """``proper_parabolics(n)`` as a fresh list."""
     return list(proper_parabolics(n))
-
-
-def _ordered_set_partitions(items):
-    """All ordered set partitions (every unordered partition, every block
-    order)."""
-    for partition in _set_partitions(items):
-        for order in itertools.permutations(partition):
-            yield [list(b) for b in order]
-
-
-def _set_partitions(items):
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for partition in _set_partitions(rest):
-        for k in range(len(partition)):
-            yield partition[:k] + [[first] + partition[k]] + partition[k + 1:]
-        yield [[first]] + partition

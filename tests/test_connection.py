@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -6,17 +7,19 @@ from hypothesis import given, settings, strategies as st
 
 import meroconn.connection
 import meroconn.selftest
+from meroconn import _kernel as K
 from meroconn.connection import (CanonicalForm, MeroConnection,
-                                 ReductionError, _diagonalizer,
-                                 _off_diagonal_in_nonneg_grades, _require_residue_window,
-                                 _resolve_trunc, _resolve_weight, _split_depth,
+                                 ReductionError, _diagonalizer, _integer_grades,
+                                 _off_diagonal_in_nonneg_grades, _polar_window,
+                                 _require_residue_window, _resolve_trunc, _resolve_weight,
+                                 _solve_level, _split_depth, _window,
                                  canonical_reduce, connection_from_irregular_type,
                                  extract_irregular_type, gauge_act,
                                  gauge_orbit_equal, in_irregular_shape,
                                  recover_irregular_shape)
 from meroconn.errors import InternalError
-from meroconn.field import CMat, gr, nullspace
-from meroconn.jsonio import enc_canonical
+from meroconn.field import CMat, GaussRat, gr, nullspace
+from meroconn.jsonio import enc_canonical, enc_irregular, enc_lmatrix
 from meroconn.lmatrix import LaurentMatrix as LM, mat_exp_pair, mat_inv, mat_mul
 from meroconn.selftest import criterion_canonical_suite
 from meroconn.randomgen import (rand_connection, rand_connection_levi, rand_invertible,
@@ -1014,6 +1017,285 @@ def test_inputs_that_must_be_refused_get_the_exact_error():
                 canonical_reduce(MeroConnection(polar_free))
             assert str(exc.value) == ("trivial irregular type: input has no polar part "
                                       "(logarithmic reduction is out of scope)")
+
+
+# ---------------------------------------------------------------------
+# the former graded solvers, kept as the reference
+# ---------------------------------------------------------------------
+
+def _former_solve_gauge(B, theta, polar, depth, W):
+    """The former reduction solve, grades >= 0 only, with the polar part
+    kept out of B and its differences carried per slot."""
+    n = B.n
+    T = int(B.trunc)
+    den, th = _integer_grades(theta)
+    tail = [[_window(B.rows[c][b], -1, T) for b in range(n)] for c in range(n)]
+    for c in range(n):
+        tail[c][c][0] = K.ZERO
+    y = [[[K.ONE if a == b else K.ZERO] + [K.ZERO] * (W - 1) for b in range(n)]
+         for a in range(n)]
+    res = [[K.ZERO] * n for _ in range(n)]
+    neg_res = [[K.ZERO] * n for _ in range(n)]
+    lower = {}
+    pivot = {}
+    grades = {}
+    for a in range(n):
+        for b in range(n):
+            J = depth[a][b]
+            if J:
+                lower[a, b] = [(j, (polar[j][b] - polar[j][a]).t) for j in range(1, J)
+                               if polar[j][b] != polar[j][a]]
+                pivot[a, b] = (polar[J][a] - polar[J][b]).t
+            diff = th[a] - th[b]
+            for e in range(0 if a == b else -1, T):
+                if diff + e * den >= 0:
+                    grades.setdefault(diff + e * den, []).append((a, b, e))
+
+    def residual(a, b, e):
+        row = y[a]
+        terms = [(0, row[c], tail[c][b]) for c in range(n)]
+        terms += [(1, (r,), y[c][b]) for c, r in enumerate(neg_res[a]) if r[0] or r[1]]
+        if depth[a][b]:
+            own = row[b]
+            if e > 0:
+                terms.append((e + 1, ((-e, 0, 1),), (own[e],)))
+            terms += [(e + 1, (w,), (own[e + j],)) for j, w in lower[a, b]]
+        return K.qconvat(terms, e + 1)
+
+    for mu in sorted(grades):
+        levels = {}
+        split = []
+        for a, b, e in grades[mu]:
+            if depth[a][b]:
+                split.append((a, b, e))
+            else:
+                levels.setdefault(e, []).append((a, b))
+        for e in sorted(levels):
+            slots = levels[e]
+            rhs = [residual(a, b, e) for a, b in slots]
+            if e == 0:
+                for (a, b), r in zip(slots, rhs):
+                    res[a][b] = r
+                    neg_res[a][b] = K.qneg(r)
+            elif any(r[0] or r[1] for r in rhs):
+                for (a, b), x in zip(slots, _solve_level(e, res, slots, rhs)):
+                    y[a][b][e] = x
+        for a, b, e in split:
+            r = residual(a, b, e)
+            if r[0] or r[1]:
+                y[a][b][e + depth[a][b]] = K.qdiv(r, pivot[a, b])
+    g = LM._of([[LS._raw(0, y[a][b], W) for b in range(n)] for a in range(n)], W)
+    return g, CMat([[GaussRat.from_triple(t) for t in row] for row in res])
+
+
+def _former_solve_shape(conn, theta, trunc):
+    """The former shape solve below grade zero, with its own window,
+    grade table and residual loop, diagonalizing any non-diagonal
+    leading coefficient."""
+    n = conn.n
+    theta = _resolve_weight(theta, n)
+    npole = conn.pole_order
+    if npole < 1:
+        raise ReductionError("trivial irregular type: nothing to recover")
+    B, T = _polar_window(conn, trunc)
+    W = T + npole
+    s_inv = None
+    if not B.coeff(-npole).is_diagonal():
+        s = _diagonalizer(B.coeff(-npole))
+        s_inv = s.inv()
+        B = mat_mul(mat_mul(LM.from_const(s_inv, W), B), LM.from_const(s, W))
+    den, th = _integer_grades(theta)
+    lam = [B.rows[a][a].coeff(-npole).t for a in range(n)]
+    win = [[_window(B.rows[c][b], -npole, T) for b in range(n)] for c in range(n)]
+    y = [[[K.ONE if a == b else K.ZERO] + [K.ZERO] * (W - 1) for b in range(n)]
+         for a in range(n)]
+    neg_c = [[K.qneg(lam[a])] + [K.ZERO] * (npole - 1) for a in range(n)]
+    grades = {}
+    for a in range(n):
+        for b in range(n):
+            for e in range(1 - npole, 0 if a == b else T):
+                mu = th[a] - th[b] + e * den
+                if -npole * den <= mu < 0:
+                    grades.setdefault(mu, []).append((a, b, e))
+    for mu in sorted(grades):
+        for a, b, e in grades[mu]:
+            terms = [(0, y[a][c], win[c][b]) for c in range(n)] + [(0, neg_c[a], y[a][b])]
+            r = K.qconvat(terms, e + npole)
+            if a == b:
+                neg_c[a][e + npole] = K.qneg(r)
+            elif r[0] or r[1]:
+                if lam[a] == lam[b] or mu == -npole * den:
+                    raise ReductionError(NOT_RECOVERABLE)
+                y[a][b][e + npole] = K.qdiv(r, K.qsub(lam[a], lam[b]))
+    x = LM._of([[LS._raw(0, y[a][b], W) for b in range(n)] for a in range(n)], W)
+    polar = {j: CMat.diag([GaussRat.from_triple(K.qneg(c[npole - j])) for c in neg_c])
+             for j in range(1, npole + 1)}
+    return B, s_inv, x, polar
+
+
+def _former_reduce(conn, theta, trunc):
+    """canonical_reduce with the former solve in place of the graded one;
+    the polar part is the input's diagonal, as it was."""
+    polar = {j: [conn.polar_coeff(j)[i, i] for i in range(conn.n)]
+             for j in range(1, conn.pole_order + 1)}
+
+    def solve(B, theta, depth, W):
+        g, residue = _former_solve_gauge(B, theta, polar, depth, W)
+        return g, {j: CMat.diag(d) for j, d in polar.items()}, residue
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(meroconn.connection, "_solve_graded", solve)
+        return canonical_reduce(conn, theta, trunc)
+
+
+def _former_recover(conn, theta, trunc):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(meroconn.connection, "_solve_shape", _former_solve_shape)
+        return recover_irregular_shape(conn, theta, trunc)
+
+
+def _former_extract(conn, theta, trunc):
+    """The former extraction: an in-shape input's polar part read off
+    directly, any other input's off the former shape solve."""
+    theta = _resolve_weight(theta, conn.n)
+    npole = conn.pole_order
+    if npole < 1:
+        polar = {}
+    elif in_irregular_shape(conn, theta):
+        B = _polar_window(conn, trunc)[0]
+        polar = {j: B.coeff(-j) for j in range(1, npole + 1)}
+    else:
+        polar = _former_solve_shape(conn, theta, trunc)[3]
+    return IrregularType.from_polar(conn.n, polar)
+
+
+def _encoded(f, conn, theta, trunc):
+    """("ok", the JSON encoding of f's result), or the class and message
+    of the ValueError it raises."""
+    try:
+        out = f(conn, theta, trunc)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    if isinstance(out, IrregularType):
+        return "ok", enc_irregular(out)
+    first, g = out
+    return "ok", (enc_canonical(first) if isinstance(first, CanonicalForm)
+                  else enc_lmatrix(first.B), enc_lmatrix(g))
+
+
+def _graded_cases(rng):
+    """(theta, connection, trunc): regular and Levi polar parts at n = 2-4
+    and poles 1-3 under zero, small and boundary weights, trunc 6-12, each
+    as given, constant-conjugated and parahoric-gauged; at the boundary
+    weight also with z^-1 entries on its slots of theta-difference 1, and
+    with those entries as the only polar content."""
+    for n in (2, 3, 4):
+        for pole in (1, 2, 3):
+            for theta in _weights(rng, n):
+                for make in (rand_connection, rand_connection_levi):
+                    trunc = rng.randint(6, 12)
+                    conn = make(rng, n, pole, trunc, theta)
+                    yield theta, conn, trunc
+                    yield theta, gauge_act(LM.from_const(rand_invertible(rng, n)), conn), trunc
+                    g = rand_parahoric_gauge(rng, theta, trunc + pole)
+                    try:
+                        yield theta, gauge_act(g, conn), trunc
+                    except ZeroDivisionError:
+                        # at a boundary weight g has z^-1 entries, and
+                        # mat_inv refuses the rare g whose shifted leading
+                        # coefficient is singular
+                        pass
+                    if theta.entries[0] == 1:
+                        yield theta, _with_tail_pole(rng, conn, theta), trunc
+                        holomorphic = make(rng, n, 0, trunc, theta)
+                        yield theta, _with_tail_pole(rng, holomorphic, theta), trunc
+
+
+def test_graded_solve_matches_the_former_solvers():
+    # byte-identical reductions, recoveries and extractions, or the same
+    # refusal, on every input; each recovered shape is reduced as well
+    rng = random.Random(7)
+    refusals = Counter()
+    for theta, conn, trunc in _graded_cases(rng):
+        for new, old in ((canonical_reduce, _former_reduce),
+                         (recover_irregular_shape, _former_recover),
+                         (extract_irregular_type, _former_extract)):
+            got = _encoded(new, conn, theta, trunc)
+            assert got == _encoded(old, conn, theta, trunc)
+            refusals[new.__name__, got[1] if got[0] != "ok" else "ok"] += 1
+        try:
+            fixed = recover_irregular_shape(conn, theta, trunc)[0]
+        except ValueError:
+            continue
+        assert _encoded(canonical_reduce, fixed, theta, trunc) == \
+            _encoded(_former_reduce, fixed, theta, trunc)
+    for entry in ("recover_irregular_shape", "extract_irregular_type"):
+        assert refusals[entry, NOT_REGULAR] >= 3 and refusals[entry, NOT_RECOVERABLE] >= 3
+        assert refusals[entry, "ok"] >= 80
+    assert refusals["canonical_reduce", RESONANT] >= 3
+    assert refusals["canonical_reduce", "ok"] >= 40
+
+
+def test_extraction_reads_the_in_shape_polar_part():
+    # regular and Levi inputs in shape, with z^-1 tails at boundary
+    # weights: the shape solve gives back the polar coefficients as read
+    # off directly, at the full window and at windows cut into the pole
+    rng = random.Random(65)
+    for n in (2, 3, 4):
+        for pole in (1, 2, 3):
+            for theta in _weights(rng, n):
+                for make in (rand_connection, rand_connection_levi):
+                    conn = make(rng, n, pole, 6, theta)
+                    if theta.entries[0] == 1:
+                        conn = _with_tail_pole(rng, conn, theta)
+                    assert in_irregular_shape(conn, theta)
+                    for trunc in (None, 2, 0, 1 - pole):
+                        b = conn.B.truncate(6 if trunc is None else trunc)
+                        want = IrregularType.from_polar(
+                            n, {j: b.coeff(-j) for j in range(1, pole + 1)})
+                        assert extract_irregular_type(conn, theta, trunc) == want
+
+
+def test_extraction_keeps_an_in_shape_leading_coefficient():
+    # at a boundary weight and pole order 1, off-diagonal content of the
+    # leading coefficient at theta-difference 1 sits at grade 0, so the
+    # input is in shape: extraction reads its diagonal in its own order,
+    # while recovery still diagonalizes a leading coefficient that is not
+    # diagonal, refusing a repeated entry as not regular semisimple
+    regular = MeroConnection(LM.monomial(CMat([[2, 1], [0, 1]]), -1).truncate(8))
+    levi, theta = window_loss_example()
+    for conn, q in ((regular, (gr(-2), gr(-1))), (levi, (gr(-1), gr(-1)))):
+        assert in_irregular_shape(conn, theta)
+        assert extract_irregular_type(conn, theta) == IrregularType(2, {1: q})
+    fixed, g = recover_irregular_shape(regular, theta)
+    assert fixed.polar_coeff(1) == CMat.diag([1, 2])
+    assert gauge_orbit_equal(regular, fixed, g)
+    with pytest.raises(ReductionError) as exc:
+        recover_irregular_shape(levi, theta)
+    assert str(exc.value) == NOT_REGULAR
+
+
+def test_reduction_when_the_grade_zero_step_removes_the_only_pole():
+    # at a boundary weight an off-diagonal z^-1 entry on a slot of
+    # theta-difference 1 sits at grade 0; when such entries are the only
+    # polar content, _centralize_grade_zero removes them and the graded
+    # solve meets a connection with no pole left, whose positive grades
+    # it must still solve
+    E13 = CMat.unit(3, 0, 2)
+    cases = [
+        (MeroConnection(LM.monomial(E12, -1).truncate(8)), Weight([1, 0])),
+        (MeroConnection((LM.monomial(E13, -1) - LM.from_const(CMat.unit(3, 1, 2))
+                         + LM.monomial(CMat.unit(3, 1, 0), 1)).truncate(8)),
+         Weight([1, F(1, 2), 0])),
+    ]
+    for conn, theta in cases:
+        canonical, g = canonical_reduce(conn, theta)
+        assert canonical.polar == {} and canonical.residue.is_zero()
+        assert gauge_orbit_equal(conn, canonical.as_connection(8), g)
+        assert _encoded(canonical_reduce, conn, theta, None) == \
+            _encoded(_former_reduce, conn, theta, None)
+    # the z E_10 entry, at grade 1, is solved by a gauge entry at z^1
+    assert g.coeff(1) == CMat.unit(3, 1, 0)
 
 
 # ---------------------------------------------------------------------

@@ -158,10 +158,30 @@ def brute_force_parabolics(n):
     return sorted(out, key=lambda p: (len(p.blocks), p.blocks))
 
 
+def former_parabolics(n):
+    """The former generator, kept as the reference: every set partition
+    of {0..n-1} (built recursively) in every block order, at least two
+    blocks, sorted by (number of blocks, blocks)."""
+    def set_partitions(items):
+        if not items:
+            yield []
+            return
+        first, rest = items[0], items[1:]
+        for partition in set_partitions(rest):
+            for k in range(len(partition)):
+                yield partition[:k] + [[first] + partition[k]] + partition[k + 1:]
+            yield [[first]] + partition
+
+    out = [ParabolicSpec(order) for partition in set_partitions(list(range(n)))
+           for order in itertools.permutations(partition) if len(order) >= 2]
+    return sorted(out, key=lambda p: (len(p.blocks), p.blocks))
+
+
 def test_parabolic_table_is_the_sorted_set_of_ordered_partitions():
     for n in range(1, 6):
         table = enumerate_parabolics_containing_T(n)
         assert [p.blocks for p in table] == [p.blocks for p in brute_force_parabolics(n)]
+        assert [p.blocks for p in table] == [p.blocks for p in former_parabolics(n)]
         assert table == sorted(table, key=lambda p: (len(p.blocks), p.blocks))
 
 
