@@ -148,9 +148,11 @@ def gauge_orbit_equal(c1: MeroConnection, c2: MeroConnection, g: LaurentMatrix) 
     g . c1 = c2 mod z^b iff g B1 - z g' = B2 g mod z^b.  That is checked
     without inverting g, at the b that ``gauge_act(g, c1).agrees(c2)``
     would use (``mat_inv(g)`` has g's truncation and valuation 0).  Any
-    other g (poles, a singular constant term, exact), or a B2 g known
-    only below b, takes that path itself; a g that ``mat_inv`` rejects
-    is False."""
+    other g (poles, boundary-weight parahoric gauges among them, a
+    singular constant term, exact), or a B2 g known only below b, takes
+    that path itself.  A g that ``mat_inv`` refuses is False: one whose
+    determinant vanishes below the truncation, or an exact g whose
+    determinant is not a monomial, so that g^-1 is an infinite series."""
     try:
         if _integral_unit(g):
             gB = mat_mul(g, c1.B)

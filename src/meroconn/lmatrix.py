@@ -5,16 +5,19 @@ truncation order, and is immutable.  Its constant coefficients are
 ``field.CMat``s; ``CMat`` is imported here, so ``lmatrix.CMat`` names
 the same class.
 
-There is one Laurent exponential loop, ``mat_exp_pair``: it returns
-exp(m) and exp(-m) from one sequence of powers m^k, and
-``mat_exp_nilpotent`` keeps the first.  No gauge is built from it: the
-reduction and the shape recovery in ``connection`` solve for their
-gauges grade by grade.
+There is one inverse, ``mat_inv``: Cramer's rule on the minors of one
+memoized Laplace expansion, whose full minor is ``laurent_det``, with
+``LaurentSeries.inverse`` inverting the determinant.  There is one
+Laurent exponential loop, ``mat_exp_pair``: it returns exp(m) and
+exp(-m) from one sequence of powers m^k, and ``mat_exp_nilpotent``
+keeps the first.  No gauge is built from it: the reduction and the
+shape recovery in ``connection`` solve for their gauges grade by grade.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import List, Tuple
 
 from . import _kernel as K
@@ -27,7 +30,14 @@ class LaurentMatrix:
 
     The truncation is the minimum of ``trunc`` (if given) and the
     entries' own truncations, and every entry is cut to it: an entry is
-    never read beyond what it knows."""
+    never read beyond what it knows.
+
+    Known limit: one truncation for all entries loses what the entries
+    of z^r * u * z^c, for a unit u, know at different depths.  Once
+    spread(r) + spread(c) (max minus min exponent of each) reaches
+    u.trunc, forming that product cuts whole rows or columns of u to
+    nothing below the common truncation, and ``mat_inv`` of the product
+    then mostly raises 'not a unit in G(K)'."""
 
     __slots__ = ("n", "rows", "trunc")
 
@@ -221,81 +231,71 @@ def mat_mul_trunc(a: LaurentMatrix, b: LaurentMatrix):
 
 
 def laurent_det(a: LaurentMatrix) -> LaurentSeries:
-    """Exact determinant by permutation expansion (desk-scale n)."""
-    import itertools
+    """Exact determinant: the full minor of ``_minors(a)``."""
+    full = (1 << a.n) - 1
+    return _minors(a)(full, full)
 
+
+def _minors(a: LaurentMatrix):
+    """minor(rows, cols): the determinant of a's submatrix on the row and
+    column bitmasks ``rows`` and ``cols`` of equal size, by Laplace
+    expansion along its first row, one kernel call per minor.  Memoized,
+    so a determinant and all its cofactors share their smaller minors.
+    Zero entries stay in the expansion: a zero series known below trunc
+    bounds the truncation of its product as a nonzero one does."""
     n = a.n
-    out = LaurentSeries.zero()
-    for perm in itertools.permutations(range(n)):
-        sign = 1
-        seen = [False] * n
-        for i in range(n):
-            if seen[i]:
-                continue
-            j = i
-            length = 0
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
-        term = LaurentSeries.const(sign)
-        for i in range(n):
-            term = term * a.rows[i][perm[i]]
-        out = out + term
-    return out
+    neg = [[tuple(K.qneg(t) for t in x.coeffs) for x in row] for row in a.rows]
+
+    @lru_cache(maxsize=None)
+    def minor(rows, cols):
+        if not rows:
+            return LaurentSeries.const(1)
+        i = (rows & -rows).bit_length() - 1
+        terms, trunc, sign = [], INF, True
+        for j in range(n):
+            if cols >> j & 1:
+                x, m = a.rows[i][j], minor(rows & (rows - 1), cols ^ 1 << j)
+                trunc = min(trunc, x._mul_trunc(m))
+                if x.coeffs and m.coeffs:
+                    terms.append((x.order_min + m.order_min,
+                                  x.coeffs if sign else neg[i][j], m.coeffs))
+                sign = not sign
+        return _fused(terms, trunc)
+
+    return minor
 
 
-def mat_inv(a: LaurentMatrix, _depth: int = 0) -> LaurentMatrix:
-    """Inverse of a = z^r * (unit) * z^c with diagonal cocharacter
-    factors z^r, z^c pulled off the rows and columns: the remaining
-    valuation-0 part must be invertible over the field.  Covers units
-    of G(R) and torus monomials; raises 'not a unit in G(K)' otherwise.
+def mat_inv(a: LaurentMatrix) -> LaurentMatrix:
+    """Inverse of a in G(K) by Cramer's rule.
 
-    Known limit: z^r * u * z^c, for a unit u, cannot be inverted once
-    spread(r) + spread(c) (max minus min exponent of each) reaches
-    u.trunc.  A LaurentMatrix keeps one truncation for all its entries,
-    so forming that product cuts some entry of u to nothing below it,
-    and the inverse then raises 'zero matrix' or 'leading coefficient is
-    singular'."""
-    v = a.val()
-    if v == INF:
-        raise ZeroDivisionError("not a unit in G(K): zero matrix")
-    if _depth < 2:
-        row_vals = [
-            int(min((s.val() for s in row if not s.is_zero()), default=0))
-            for row in a.rows
-        ]
-        if any(rv != 0 for rv in row_vals):
-            rfac = _diag_monomial([-rv for rv in row_vals])
-            return mat_mul(mat_inv(mat_mul(rfac, a), _depth + 1), rfac)
-        col_vals = [
-            int(min((a.rows[i][j].val() for i in range(a.n)
-                     if not a.rows[i][j].is_zero()), default=0))
-            for j in range(a.n)
-        ]
-        if any(cv != 0 for cv in col_vals):
-            cfac = _diag_monomial([-cv for cv in col_vals])
-            return mat_mul(cfac, mat_inv(mat_mul(a, cfac), _depth + 1))
-    base = a.shift(-int(v))
-    c0 = base.coeff(0)
-    try:
-        c0_inv = c0.inv()
-    except ZeroDivisionError:
-        raise ZeroDivisionError(
-            "not a unit in G(K): leading coefficient is singular"
-        ) from None
-    # base = c0 (I + N) with val(N) >= 1; (I + N)^-1 = sum (-N)^k
-    ident = LaurentMatrix.identity(a.n)
-    nmat = mat_mul(LaurentMatrix.from_const(c0_inv), base) - ident
-    bound = base.trunc
-    if bound == INF and not nmat.is_zero() and not _is_nilpotent_series(nmat):
-        raise ValueError("inverse of an exact series matrix is infinite; truncate first")
-    powers = _powers(-nmat, bound)
-    acc = _power_sum(a.n, powers, [K.ONE] * len(powers), bound)
-    inv_unit = mat_mul(acc, LaurentMatrix.from_const(c0_inv))
-    return inv_unit.shift(-int(v))
+    The row valuations r of a, then the column valuations c of what is
+    left, come off as shifts of whole rows and columns: a = z^r * b * z^c.
+    Then b^-1 = adj(b) * det(b)^-1, the determinant and every cofactor
+    from one ``_minors`` expansion and det(b)^-1 from
+    ``LaurentSeries.inverse``, and a^-1 = z^-c * b^-1 * z^-r, with the
+    truncation that ``mat_mul`` by the torus factors would give.
+
+    Raises ZeroDivisionError 'not a unit in G(K)' when det(b) vanishes
+    below its truncation, and ValueError for an exact a (trunc INF) whose
+    det(b) is not a monomial, as its inverse is an infinite series."""
+    r = _vals(a.rows)
+    b = LaurentMatrix([[x.shift(-e) for x in row] for row, e in zip(a.rows, r)])
+    c = _vals(zip(*b.rows))
+    b = LaurentMatrix([[x.shift(-e) for x, e in zip(row, c)] for row in b.rows])
+    minor, full = _minors(b), (1 << a.n) - 1
+    det = minor(full, full)
+    if det.is_zero():
+        raise ZeroDivisionError("not a unit in G(K): determinant vanishes below "
+                                "the truncation")
+    dinv = det.inverse()
+    signed = (dinv, -dinv)
+    return LaurentMatrix([[(minor(full ^ 1 << j, full ^ 1 << i) * signed[(i + j) % 2])
+                           .shift(-c[i] - r[j]) for j in range(a.n)] for i in range(a.n)])
+
+
+def _vals(lines) -> List[int]:
+    """The valuation of each row (or column) in ``lines``, 0 for a zero one."""
+    return [int(min((x.val() for x in line if x.coeffs), default=0)) for line in lines]
 
 
 def mat_exp_nilpotent(m: LaurentMatrix) -> LaurentMatrix:
@@ -320,38 +320,38 @@ def mat_exp_pair(m: LaurentMatrix) -> Tuple[LaurentMatrix, LaurentMatrix]:
     beyond it), up to the first power that vanishes; odd terms enter
     exp(-m) with a minus sign.  The caller vouches that a power
     vanishes."""
-    powers = _powers(m, m.trunc)
+    powers = _powers(m)
     plus, minus = [], []
     fact = 1
     for k in range(1, len(powers) + 1):
         fact *= k
         plus.append((1, 0, fact))
         minus.append((-1 if k % 2 else 1, 0, fact))
-    return (_power_sum(m.n, powers, plus, m.trunc),
-            _power_sum(m.n, powers, minus, m.trunc))
+    return _power_sum(m, powers, plus), _power_sum(m, powers, minus)
 
 
-def _powers(m: LaurentMatrix, trunc) -> List[LaurentMatrix]:
+def _powers(m: LaurentMatrix) -> List[LaurentMatrix]:
     """[m^1, m^2, ...], each power the product of the last with m clamped
-    to ``trunc``, up to the last that does not vanish."""
+    to m's truncation, up to the last that does not vanish."""
     out = []
-    term = LaurentMatrix.identity(m.n, trunc)
+    term = LaurentMatrix.identity(m.n, m.trunc)
     while True:
-        term = mat_mul(term, m).truncate(trunc)
+        term = mat_mul(term, m).truncate(m.trunc)
         if term.is_zero():
             return out
         out.append(term)
 
 
-def _power_sum(n: int, powers: List[LaurentMatrix], scalars, start) -> LaurentMatrix:
+def _power_sum(m: LaurentMatrix, powers: List[LaurentMatrix], scalars) -> LaurentMatrix:
     """I + sum_k scalars[k] * powers[k] for kernel triples ``scalars``,
-    with I truncated at ``start``.  Each entry is one kernel call over all
-    the powers; the truncation is the least of ``start`` and the powers'."""
-    trunc = min([start] + [p.trunc for p in powers])
+    with I truncated at m's truncation.  Each entry is one kernel call
+    over all the powers; the truncation is the least of m's and the
+    powers'."""
+    trunc = min([m.trunc] + [p.trunc for p in powers])
     rows = []
-    for i in range(n):
+    for i in range(m.n):
         row = []
-        for j in range(n):
+        for j in range(m.n):
             entries = [p.rows[i][j] for p in powers]
             terms = [(x.order_min, x.coeffs, (c,)) for x, c in zip(entries, scalars)
                      if x.coeffs]
@@ -360,14 +360,6 @@ def _power_sum(n: int, powers: List[LaurentMatrix], scalars, start) -> LaurentMa
             row.append(_fused(terms, trunc))
         rows.append(row)
     return LaurentMatrix._of(rows, trunc)
-
-
-def _diag_monomial(exps):
-    n = len(exps)
-    return LaurentMatrix(
-        [[LaurentSeries.monomial(1, exps[i]) if i == j else LaurentSeries.zero()
-          for j in range(n)] for i in range(n)]
-    )
 
 
 def _is_nilpotent_series(m: LaurentMatrix) -> bool:

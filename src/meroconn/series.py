@@ -192,14 +192,10 @@ class LaurentSeries:
         out = [K.ZERO] * max(n, 0)
         if n > 0:
             out[0] = inv0
+        # out[k] = -inv0 * sum_{j >= 1} u_j out[k - j]; out[k:] is still zero
+        tail = ((1, self.coeffs[1:], out),)
         for k in range(1, n):
-            acc = K.ZERO
-            for j in range(1, min(k, len(self.coeffs) - 1) + 1):
-                a = self.coeffs[j]
-                if a[0] == 0 and a[1] == 0:
-                    continue
-                acc = K.qadd(acc, K.qmul(a, out[k - j]))
-            out[k] = K.qneg(K.qmul(acc, inv0))
+            out[k] = K.qneg(K.qmul(K.qconvat(tail, k), inv0))
         return LaurentSeries._raw(-v, out, res_trunc)
 
     # ------------------------------------------------------------------

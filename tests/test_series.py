@@ -5,7 +5,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from meroconn.field import gr
+from meroconn import _kernel as K
+from meroconn.field import GaussRat, gr
 from meroconn.series import INF, LaurentSeries as LS
 
 
@@ -187,3 +188,49 @@ def test_inverse_is_exact_below_its_truncation(a):
     assert inv.trunc == a.trunc - 2 * v
     assert inv.val() == -v
     assert a * inv == LS.const(1, trunc=a.trunc - v)
+
+
+def _former_inverse(s, trunc=None):
+    """The former ``LaurentSeries.inverse``, kept as the reference: each
+    coefficient a running ``qadd`` of ``qmul`` products."""
+    if s.is_zero():
+        raise ZeroDivisionError("inverse of zero series")
+    v = s.order_min
+    u0 = s.coeffs[0]
+    res_trunc = s.trunc - 2 * v if s.trunc != INF else INF
+    if trunc is not None:
+        res_trunc = min(res_trunc, trunc)
+    if res_trunc == INF:
+        if len(s.coeffs) > 1:
+            raise ValueError(
+                "inverse of an exact non-monomial series is infinite; pass trunc"
+            )
+        return LS.monomial(GaussRat.from_triple(K.qinv(u0)), -v)
+    n = int(res_trunc) + v
+    inv0 = K.qinv(u0)
+    out = [K.ZERO] * max(n, 0)
+    if n > 0:
+        out[0] = inv0
+    for k in range(1, n):
+        acc = K.ZERO
+        for j in range(1, min(k, len(s.coeffs) - 1) + 1):
+            a = s.coeffs[j]
+            if a[0] == 0 and a[1] == 0:
+                continue
+            acc = K.qadd(acc, K.qmul(a, out[k - j]))
+        out[k] = K.qneg(K.qmul(acc, inv0))
+    return LS._raw(-v, out, res_trunc)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(series().filter(_nonzero), st.one_of(st.none(), st.integers(-6, 12)))
+def test_inverse_matches_the_former_coefficient_loop(a, trunc):
+    # one qconvat per coefficient gives the same normalized triples
+    try:
+        want = _former_inverse(a, trunc)
+    except ValueError:
+        with pytest.raises(ValueError, match="pass trunc"):
+            a.inverse(trunc)
+        return
+    got = a.inverse(trunc)
+    assert got == want and got.order_min == want.order_min
