@@ -12,17 +12,40 @@ angle expressions decidable:
 * the remaining integer branch is pinned by interval arithmetic,
   refined until the enclosure is narrow enough.
 
-Enclosures are raw ``mpmath.libmp`` interval tuples ``(lo, hi)``, built
-with the same outward-rounded calls (``mpi_div``, ``mpi_mul``,
-``mpi_atan2``, ``mpi_add``) that the ``mpmath.iv`` context makes, so the
-endpoints are those of ``iv`` bit for bit without its object layer;
-``AngleExpr.interval`` returns the tuple.  The enclosure of each arg(w)
-is memoized per (w, precision).  Every integer part of an angle x is
-read one way, never through a float: x lies in the open turn
-k*u*pi < x < (k + 1)*u*pi once the exact floor and ceiling of its
-enclosure over u*pi show it, and one precision ladder refines the
-enclosure until they do (u = 2 for principal values and, shifted by pi,
-the branch of ``pi_ratio``; u = 1/2 for ``cos_sign``).
+An enclosure at ``prec`` bits is a pair of integers ``(lo, hi)`` with
+lo * 2**-prec <= x <= hi * 2**-prec; ``AngleExpr.interval`` returns
+it.  Sums add the bounds, and a rational scale a/b multiplies them by a
+and takes the floor (lower) and ceiling (upper) of the quotient by b,
+swapping them for a < 0: plain ``int`` arithmetic, no float and no
+multiple-precision library.  The pieces are computed with 20 guard bits
+and their sum is rounded outward once.
+
+arg(w) for w = x + iy in the open first octant (x > y > 0) comes from
+Euler's series
+
+    atan(y/x) = sum_k 2^(2k) (k!)^2 / (2k + 1)! * y^(2k+1) x / (x^2 + y^2)^(k+1).
+
+Its terms are positive and each is below half the one before (the ratio
+is (2k + 2)/(2k + 3) * y^2/(x^2 + y^2) < 1/2).  In units of the last
+bit, each term is the floor of the previous computed one times that
+ratio, so the sum is a lower bound; every computed term falls short of
+the exact one by less than half the previous shortfall plus 1, so by
+less than 2.  Summed until a term floors to 0 after m terms, the exact
+value lies below the sum plus 2m (the flooring) plus 4 (the tail, at
+most twice an exact term below 2).  Past pi/8 the series runs on
+pi/4 - arg(w) = arg((x + y) + i(x - y)) instead, so its ratio stays
+below sin(pi/8)^2 < 1/6.  pi comes from the same kernel:
+pi/4 = arg(2 + i) + arg(3 + i).  The enclosure of each arg(w) is
+memoized per (w, precision).
+
+Every integer part of an angle x is read one way, never through a
+float: x lies in the open turn k*u*pi < x < (k + 1)*u*pi once the exact
+floor and ceiling of its enclosure over u*pi show it, and one precision
+ladder (64, 128, ..., 2048 bits) refines the enclosure until they do
+(u = 2 for principal values and, shifted by pi, the branch of
+``pi_ratio``; u = 1/2 for ``cos_sign``).  ``float`` follows the same
+ladder: it returns the double nearest to the exact angle, the first
+rounding of an enclosure whose two ends round to one double.
 
 Comparison is filtered.  Two rational multiples of pi compare by their
 coefficients.  Every other expression keeps one outward-rounded 64-bit
@@ -50,11 +73,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
-
-from mpmath.libmp import (
-    from_int, fzero, mpf_lt, mpf_pi, mpi_add, mpi_atan2, mpi_div, mpi_mid,
-    mpi_mul, round_ceiling, round_floor, to_float, to_int,
-)
 
 from .errors import InternalError, PrecisionError
 from .field import GaussRat
@@ -140,9 +158,9 @@ class AngleExpr:
             d = self.pi_part - other.pi_part
             return (d > 0) - (d < 0)
         (alo, ahi), (blo, bhi) = self._enclosure(), other._enclosure()
-        if mpf_lt(ahi, blo):
+        if ahi < blo:
             return -1
-        if mpf_lt(bhi, alo):
+        if bhi < alo:
             return 1
         diff = self - other
         if diff.is_zero():
@@ -158,9 +176,9 @@ class AngleExpr:
             object.__setattr__(self, "_enc64", cached)
         return cached
 
-    def interval(self, prec: int = 64):
-        """Outward-rounded enclosure at ``prec`` bits, as a libmp
-        ``(lo, hi)`` tuple."""
+    def interval(self, prec: int = 64) -> Tuple[int, int]:
+        """Outward-rounded enclosure at ``prec`` bits: integers (lo, hi)
+        with lo * 2**-prec <= self <= hi * 2**-prec."""
         return terms_enclosure(self.terms, prec, self.pi_part)
 
     def _floor(self, turn, message: str) -> int:
@@ -181,8 +199,19 @@ class AngleExpr:
         return self.shift_pi(-2 * self._floor(2, "principal value not resolved"))
 
     def __float__(self):
-        # the midpoint at 53 bits, the default precision of mpmath.iv
-        return to_float(mpi_mid(self._enclosure(), 53))
+        """The double nearest to the angle: the first enclosure up the
+        precision ladder whose two ends round to the same double (int
+        division rounds correctly) gives it.  A dyadic rational angle
+        would never be so enclosed; by Lindemann's theorem the only one
+        is 0, which gives 0.0."""
+        for prec in _PRECISIONS:
+            lo, hi = self._enclosure() if prec == 64 else self.interval(prec)
+            x = lo / (1 << prec)
+            if x == hi / (1 << prec):
+                return x
+        if self.is_zero():
+            return 0.0
+        raise PrecisionError("angle not rounded at maximum precision")
 
     def __repr__(self):
         if not self.terms:
@@ -220,10 +249,10 @@ def exact_runs(angles: Sequence[AngleExpr], enclosures=None) -> List[List[int]]:
     ascending order and each run in ascending index order: what a stable
     sort under ``compare`` followed by a merge of equal neighbours gives.
 
-    ``enclosures`` holds a 64-bit libmp enclosure of each angle (by
-    default its cached ``interval(64)``); any enclosure that contains
-    the angle will do.  Keyed by their outward-rounded float bounds and
-    swept once in order of lower bound, the list is cut wherever a lower
+    ``enclosures`` holds a 64-bit enclosure of each angle (by default
+    its cached ``interval(64)``); any enclosure that contains the angle
+    will do.  Swept once in order of lower bound, the list is cut
+    wherever a lower
     bound exceeds every upper bound before it: each angle after the cut
     is then provably larger than each before it, and equal angles always
     share a cluster.  Inside a cluster the members are stable-sorted in
@@ -231,10 +260,7 @@ def exact_runs(angles: Sequence[AngleExpr], enclosures=None) -> List[List[int]]:
     preorder makes unique."""
     if enclosures is None:
         enclosures = [a._enclosure() for a in angles]
-    bounds = sorted(
-        (to_float(lo, rnd=round_floor), to_float(hi, rnd=round_ceiling), i)
-        for i, (lo, hi) in enumerate(enclosures)
-    )
+    bounds = sorted((lo, hi, i) for i, (lo, hi) in enumerate(enclosures))
     runs: List[List[int]] = []
     cluster: List[int] = []
     top = -math.inf
@@ -324,54 +350,92 @@ def _octant_index(c: GaussRat) -> int:
 
 
 # ----------------------------------------------------------------------
-# interval helpers (libmp (lo, hi) tuples)
+# integer enclosures: (lo, hi) at scale 2**-prec
 # ----------------------------------------------------------------------
 
-def _mpi_int(n: int, prec: int):
-    return from_int(n, prec, round_floor), from_int(n, prec, round_ceiling)
+# guard bits of the pieces of an enclosure, dropped once from their sum
+_GUARD = 20
 
 
-def _mpi_rational(q: Fraction, prec: int):
-    return mpi_div(_mpi_int(q.numerator, prec), _mpi_int(q.denominator, prec), prec)
+def _scaled(q: Fraction, enc: Tuple[int, int]) -> Tuple[int, int]:
+    """q times the enclosure ``enc``, rounded outward at its scale."""
+    a, b = q.numerator, q.denominator
+    lo, hi = (enc[1], enc[0]) if a < 0 else enc
+    return a * lo // b, -(-a * hi // b)
+
+
+def _euler_atan(x: int, y: int, bits: int) -> Tuple[int, int]:
+    """Integers (lo, hi) with lo <= atan(y/x) * 2**bits <= hi, for
+    integers x > y > 0, from Euler's series (see the module docstring):
+    m floored terms give lo, and hi adds 2m for the flooring and 4 for
+    the tail."""
+    n2 = x * x + y * y
+    y2 = y * y
+    term = (x * y << bits) // n2
+    total = m = 0
+    while term:
+        total += term
+        m += 1
+        term = term * (2 * m) * y2 // ((2 * m + 1) * n2)
+    return total, total + 2 * m + 4
 
 
 @lru_cache(maxsize=8)
-def _mpi_pi(prec: int):
-    return mpf_pi(prec, round_floor), mpf_pi(prec, round_ceiling)
+def _quarter_pi(bits: int) -> Tuple[int, int]:
+    """pi/4 = arg(2 + i) + arg(3 + i) at scale 2**-bits."""
+    a, b = _euler_atan(2, 1, bits)
+    c, d = _euler_atan(3, 1, bits)
+    return a + c, b + d
 
 
 @lru_cache(maxsize=4096)
-def _arg_enclosure(t, prec: int):
-    """arg(w) for w = GaussRat.from_triple(t) in the open first octant."""
-    w = GaussRat.from_triple(t)
-    return mpi_atan2(_mpi_rational(w.im, prec), _mpi_rational(w.re, prec), prec)
+def _arg_enclosure(t, prec: int) -> Tuple[int, int]:
+    """arg(w) for w = GaussRat.from_triple(t) in the open first octant,
+    at scale 2**-(prec + _GUARD).  Past pi/8 (x + y > sqrt(2) x) it is
+    pi/4 - arg((x + y) + i(x - y))."""
+    x, y, _ = t
+    g = math.gcd(x, y)
+    x, y = x // g, y // g
+    bits = prec + _GUARD
+    if (x + y) ** 2 > 2 * x * x:
+        lo, hi = _euler_atan(x + y, x - y, bits)
+        qlo, qhi = _quarter_pi(bits)
+        return qlo - hi, qhi - lo
+    return _euler_atan(x, y, bits)
 
 
 @lru_cache(maxsize=256)
-def pi_enclosure(p: Fraction, prec: int = 64):
+def pi_enclosure(p: Fraction, prec: int = 64) -> Tuple[int, int]:
     """The ``prec``-bit enclosure of p*pi (that of ``interval``): the
     multiples of pi/(4k) of directions, and the turns of ``_open_floor``."""
-    return mpi_mul(_mpi_rational(p, prec), _mpi_pi(prec), prec)
+    return terms_enclosure((), prec, p)
 
 
-def terms_enclosure(terms, prec: int = 64, pi_part=0):
-    """The enclosure of pi_part*pi + sum q*arg(w) (``interval``): the pi
-    product unless pi_part is 0, then the terms in order.  Added to a
-    ``pi_enclosure``, the bare terms' sum encloses the angle too."""
-    total = pi_enclosure(pi_part, prec) if pi_part else (fzero, fzero)
+def terms_enclosure(terms, prec: int = 64, pi_part=0) -> Tuple[int, int]:
+    """The enclosure of pi_part*pi + sum q*arg(w) (``interval``): every
+    piece at ``_GUARD`` extra bits, the sum rounded outward once.  Added
+    to a ``pi_enclosure``, the bare terms' enclosure encloses the angle
+    too."""
+    lo = hi = 0
+    if pi_part:
+        qlo, qhi = _quarter_pi(prec + _GUARD)
+        lo, hi = _scaled(Fraction(pi_part), (4 * qlo, 4 * qhi))
     for q, w in terms:
-        total = mpi_add(total, mpi_mul(_mpi_rational(q, prec), _arg_enclosure(w.t, prec), prec),
-                        prec)
-    return total
+        a, b = _scaled(q, _arg_enclosure(w.t, prec))
+        lo, hi = lo + a, hi + b
+    return lo >> _GUARD, -(-hi >> _GUARD)
 
 
 def _open_floor(enc, turn, prec: int) -> Optional[int]:
     """The integer k with k*turn*pi < x < (k + 1)*turn*pi for every x in
-    the enclosure ``enc``, from the floor and ceiling of enc/(turn*pi);
-    None if enc meets a multiple of turn*pi."""
-    lo, hi = mpi_div(enc, pi_enclosure(turn, prec), prec)
-    k = to_int(hi, round_floor)
-    return k if to_int(lo, round_ceiling) > k else None
+    the enclosure ``enc`` at ``prec`` bits, from the floor and ceiling of
+    enc/(turn*pi); None if enc meets a multiple of turn*pi."""
+    lo, hi = enc
+    plo, phi = pi_enclosure(turn, prec)
+    # the quotient's ends: each bound over the end of turn*pi that
+    # takes it furthest out
+    k = hi // (plo if hi >= 0 else phi)
+    return k if lo > k * (phi if lo >= 0 else plo) else None
 
 
 # ----------------------------------------------------------------------

@@ -12,7 +12,10 @@ Laurent layers and ``connection``, the Stokes and Betti commands add
 ``angles``, ``stokes`` and ``betti``, and the dictionary commands add
 ``correspondence``, with ``residues`` for ``translate`` and
 ``verify-metric`` (``oracle-monodromy`` needs no residue structure).
-Only the commands that need numerics load mpmath.
+Only the commands that print a number mpmath evaluates load it:
+``translate --to betti`` and ``oracle-monodromy``.  The Stokes and
+Betti commands decide angles on integer enclosures, and ``translate
+--to dol`` and ``verify-metric`` are exact.
 """
 
 from __future__ import annotations

@@ -19,6 +19,9 @@ The loop orientation of the rank-1 monodromy oracle is counterclockwise
 (z = exp(i phi), phi from 0 to 2 pi); with that orientation the measured
 multiplier of f' = (q' + b/z) f is exp(+2 pi i b).  This sign is the
 library-wide convention (ORIENTATION = +1).
+
+Only the functions that evaluate numbers import mpmath, so the exact
+translations (``dR_to_Dol``, the weights of ``dR_to_Betti``) load none.
 """
 
 from __future__ import annotations
@@ -26,9 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
-
-import mpmath
-from mpmath.libmp import from_man_exp, mpc_to_complex, round_nearest
 
 from .field import CMat, GaussRat, entry_mask
 from .rootdata import IrregularType, Weight
@@ -46,6 +46,8 @@ class CorrespondenceError(ValueError):
 def to_mpc(c: GaussRat):
     """c as an mpmath complex, each part num/den rounded at the working
     precision."""
+    import mpmath
+
     return mpmath.mpc(mpmath.mpf(c.re.numerator) / c.re.denominator,
                       mpmath.mpf(c.im.numerator) / c.im.denominator)
 
@@ -120,6 +122,8 @@ class RootOfUnity:
     q: int
 
     def mp(self, prec: int = 53):
+        import mpmath
+
         with mpmath.workprec(prec):
             return mpmath.expjpi(mpmath.mpf(-2 * self.p) / self.q)
 
@@ -141,6 +145,8 @@ class PiMatrixPoly:
 
     def mp(self, prec: int = 53) -> List[List[object]]:
         """Evaluate at pi as mpmath complex numbers at the given precision."""
+        import mpmath
+
         n = next(iter(self.coeffs.values())).n if self.coeffs else 0
         with mpmath.workprec(prec):
             pi = mpmath.pi
@@ -176,6 +182,8 @@ class BettiLocal:
     def monodromy_mp(self, prec: int = 53):
         """Full monodromy as mpmath complex numbers (semisimple diagonal
         times the unipotent pi-polynomial)."""
+        import mpmath
+
         with mpmath.workprec(prec):
             diag = [
                 f.mp(prec) if isinstance(f, RootOfUnity) else mpmath.mpc(f)
@@ -220,6 +228,8 @@ def dR_to_Betti(d: DeRhamLocal, prec: int = 128) -> BettiLocal:
         else:
             # kept as an mpmath complex at the working precision; callers
             # downcast to float complex at the API edge
+            import mpmath
+
             with mpmath.workprec(prec):
                 factors.append(mpmath.exp(-2j * mpmath.pi * to_mpc(si)))
     nil = PiMatrixPoly.exp_neg_two_pi_i(st.Y)
@@ -290,6 +300,9 @@ def rank1_monodromy_oracle(b, q: Optional[IrregularType] = None,
     within 2**-(prec - 4) * max(1, |f|) of the exact RK4 value before its
     round-to-nearest to a complex double (infinities on overflow).
     """
+    import mpmath
+    from mpmath.libmp import from_man_exp, mpc_to_complex, round_nearest
+
     if steps < 1:
         raise CorrespondenceError(f"oracle needs at least one step, got {steps}")
     if prec < 1:
@@ -333,6 +346,8 @@ def rank1_monodromy_oracle(b, q: Optional[IrregularType] = None,
 
 def expected_multiplier(b, prec: int = 128) -> complex:
     """exp(ORIENTATION * 2 pi i b), the table value the oracle measures."""
+    import mpmath
+
     b = Fraction(b)
     with mpmath.workprec(prec):
         return complex(mpmath.expjpi(ORIENTATION * 2 * mpmath.mpf(b.numerator) / b.denominator))

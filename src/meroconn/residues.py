@@ -5,11 +5,13 @@ polynomial in the residue, found by Newton's iteration.  Eigenvalues
 serve shape recovery only, and there the exactness boundary is
 explicit: they must lie in the Gaussian rationals, otherwise
 ``gaussian_eigenvalues`` reports failure instead of approximating.
-Eigenvalues come from a certified root finder: the numeric roots of
-the squarefree part of the characteristic polynomial are rounded to
-the only lattice in Q(i) that can hold them and accepted by exact
-evaluation; a root is declared outside Q(i) only under an
-inclusion-disk certificate.
+A squarefree part of degree at most 2 is solved exactly, by a square
+root test in Q(i) for the discriminant of a quadratic.  Higher degrees
+go to a certified root finder: the numeric roots of the squarefree part
+of the characteristic polynomial are rounded to the only lattice in
+Q(i) that can hold them and accepted by exact evaluation; a root is
+declared outside Q(i) only under an inclusion-disk certificate.  Only
+that root finder loads mpmath.
 Nilpotent parts are completed to sl2 triples through Jordan chains
 with the standard weighted blocks
 
@@ -25,9 +27,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
-
-import mpmath
-from mpmath.libmp import NoConvergence
 
 from .errors import InternalError
 from .field import CMat, GaussRat, nullspace, rref
@@ -57,7 +56,10 @@ def gaussian_eigenvalues(m: CMat) -> List[Tuple[GaussRat, int]]:
     """Eigenvalues in Q(i) with algebraic multiplicities, sorted by (re, im).
 
     The distinct eigenvalues are the roots of the squarefree part of the
-    characteristic polynomial.  Numeric roots are rounded to the lattice
+    characteristic polynomial.  Those of a quadratic x^2 + bx + c are
+    (-b +- sqrt(D))/2 when D = b^2 - 4c has a square root in Q(i), and
+    lie outside the Gaussian rationals otherwise, decided exactly.  For
+    a higher degree, numeric roots are rounded to the lattice
     (1/L) Z[i], L the lcm of the characteristic polynomial's denominators,
     which holds every root in Q(i) (rational-root theorem in Z[i]); a
     candidate counts only if it is an exact root, and its multiplicity
@@ -71,6 +73,14 @@ def gaussian_eigenvalues(m: CMat) -> List[Tuple[GaussRat, int]]:
     sf = _squarefree_part(p)
     if len(sf) == 2:
         return [(-sf[0], m.n)]
+    if len(sf) == 3:
+        c, b, _ = sf
+        root = _gaussian_sqrt(b * b - c * GaussRat(4))
+        if root is None:
+            raise EigenvalueError("eigenvalues outside coefficient field")
+        half = GaussRat(Fraction(1, 2))
+        zs = [(root - b) * half, (-root - b) * half]
+        return sorted(((z, _multiplicity(p, z)) for z in zs), key=lambda t: (t[0].re, t[0].im))
     den = math.lcm(*(c.t[2] for c in p))
     prec = _START_PREC + den.bit_length()
     for _ in range(_PASSES):
@@ -88,6 +98,28 @@ def gaussian_eigenvalues(m: CMat) -> List[Tuple[GaussRat, int]]:
                 raise EigenvalueError("eigenvalues outside coefficient field")
         prec *= 2
     raise EigenvalueError(f"eigenvalues not certified at {prec // 2} bits")
+
+
+def _gaussian_sqrt(c: GaussRat) -> Optional[GaussRat]:
+    """A square root of c in Q(i), or None if c has none.  (p + iq)^2 = c
+    asks for p^2 = (|c| + Re c)/2 and q^2 = (|c| - Re c)/2, q of the sign
+    of Im c: |c| and both halves must be rational squares."""
+    u, v = c.re, c.im
+    r = _rational_sqrt(u * u + v * v)
+    if r is None:
+        return None
+    p, q = _rational_sqrt((r + u) / 2), _rational_sqrt((r - u) / 2)
+    if p is None or q is None:
+        return None
+    return GaussRat(p, q if v >= 0 else -q)
+
+
+def _rational_sqrt(x: Fraction) -> Optional[Fraction]:
+    """The square root of the rational x >= 0 if it is rational, else None."""
+    num, den = math.isqrt(x.numerator), math.isqrt(x.denominator)
+    if num * num == x.numerator and den * den == x.denominator:
+        return Fraction(num, den)
+    return None
 
 
 # Working precision (bits) of the first root-finding pass, on top of the
@@ -157,6 +189,9 @@ def _approx_roots(p: List[GaussRat], prec: int) -> Optional[List[GaussRat]]:
     mpmath stops on an absolute tolerance, so the roots are first scaled
     by a power of two into the unit disk (Fujiwara's bound
     2 max |c_k|^(1/(deg - k))) and scaled back exactly."""
+    import mpmath
+    from mpmath.libmp import NoConvergence
+
     deg = len(p) - 1
     shift = max([0] + [
         1 - (d.bit_length() - max(abs(a), abs(b)).bit_length() - 2) // (deg - k)

@@ -29,8 +29,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from mpmath.libmp import from_int, mpi_add, mpi_mul, mpi_sub
-
 from .angles import (AngleExpr, _quarter_sign, arg_angle, cos_sign, exact_runs, pi_enclosure,
                      terms_enclosure)
 from .field import CMat, GaussRat
@@ -123,7 +121,8 @@ def anti_stokes(q: IrregularType) -> StokesDiagram:
         terms = pair_terms[min(r.i, r.j), max(r.i, r.j)]
         for phi in phis:
             raw.append(phi)
-            enclosures.append(mpi_add(pi_enclosure(phi.pi_part), terms, 64))
+            lo, hi = pi_enclosure(phi.pi_part)
+            enclosures.append((lo + terms[0], hi + terms[1]))
             sources.append((r, k_r, c_r))
     # Each run of equal angles starts with its first raw representative,
     # whose expression the merged direction keeps.
@@ -229,12 +228,12 @@ def _decay_signs(roots, delta: AngleExpr) -> Optional[List[int]]:
     composed from those of arg(c_r) and delta, is read by the
     quarter-turn rule of ``cos_sign``; only one that meets a multiple of
     pi/2 builds the exact expression for ``cos_sign``."""
-    delta_enc = delta.interval(64)
+    dlo, dhi = delta.interval(64)
     signs = []
     for _, k_r, arg in roots:
-        arg_enc = mpi_add(pi_enclosure(arg.pi_part), terms_enclosure(arg.terms), 64)
-        k_delta = mpi_mul((from_int(k_r), from_int(k_r)), delta_enc, 64)
-        sign = _quarter_sign(mpi_sub(arg_enc, k_delta, 64))
+        plo, phi = pi_enclosure(arg.pi_part)
+        tlo, thi = terms_enclosure(arg.terms)
+        sign = _quarter_sign((plo + tlo - k_r * dhi, phi + thi - k_r * dlo))
         if sign is None:
             sign = cos_sign(arg - delta.scale(k_r))
             if sign == 0:

@@ -4,12 +4,13 @@ import random
 from fractions import Fraction as F
 
 import pytest
+import mpmath
 from hypothesis import given, settings, strategies as st
 from mpmath import iv
-from mpmath.libmp import fzero, mpf_gt, mpf_lt, mpi_cos
+from mpmath.libmp import from_man_exp, fzero, mpf_gt, mpf_lt, mpi_cos
 
-from meroconn.angles import (AngleExpr, PrecisionError, _axis_diag_eighths, _quarter_sign,
-                             arg_angle, cos_sign, exact_runs, pi_enclosure)
+from meroconn.angles import (_PRECISIONS, AngleExpr, PrecisionError, _axis_diag_eighths,
+                             _quarter_sign, arg_angle, cos_sign, exact_runs, pi_enclosure)
 from meroconn.field import gr
 from meroconn.rootdata import Root
 from meroconn.stokes import _decay_signs
@@ -85,6 +86,12 @@ def test_cos_sign_with_exactness_escape():
     assert cos_sign(arg_angle(gr(1, 2)) + AngleExpr.of_pi(F(1, 2))) == -1
 
 
+def _libmp(enc, prec):
+    """The integer enclosure (lo, hi) at ``prec`` bits as the libmp
+    interval [lo * 2**-prec, hi * 2**-prec], exactly."""
+    return from_man_exp(enc[0], -prec), from_man_exp(enc[1], -prec)
+
+
 def reference_cos_sign(expr):
     """cos_sign with the exact test first: 0 on pi/2 mod pi, otherwise
     the cosine's enclosure refined until its sign is certain."""
@@ -93,7 +100,7 @@ def reference_cos_sign(expr):
         return 0
     prec = 64
     while prec <= 2048:
-        lo, hi = mpi_cos(expr.interval(prec), prec)
+        lo, hi = mpi_cos(_libmp(expr.interval(prec), prec), prec)
         if mpf_gt(lo, fzero):
             return 1
         if mpf_lt(hi, fzero):
@@ -103,7 +110,7 @@ def reference_cos_sign(expr):
 
 
 def _cos_enclosure_straddles_zero(expr):
-    lo, hi = mpi_cos(expr.interval(64), 64)
+    lo, hi = mpi_cos(_libmp(expr.interval(64), 64), 64)
     return not mpf_gt(lo, fzero) and not mpf_lt(hi, fzero)
 
 
@@ -160,10 +167,10 @@ def reference_compare(a, b):
         return 0
     prec = 64
     while prec <= 2048:
-        ival = iv.make_mpf(diff.interval(prec))
-        if ival.b < 0:
+        lo, hi = diff.interval(prec)
+        if hi < 0:
             return -1
-        if ival.a > 0:
+        if lo > 0:
             return 1
         prec *= 2
     raise AssertionError("reference comparison did not resolve")
@@ -219,8 +226,8 @@ def test_filtered_compare_falls_back_below_enclosure_width():
     quarter = AngleExpr.of_pi(F(1, 4))
     a = quarter + arg_angle(gr(10**30, 1))
     b = quarter + arg_angle(gr(10**30 + 1, 1))
-    ia, ib = iv.make_mpf(a.interval(64)), iv.make_mpf(b.interval(64))
-    assert not (ia.b < ib.a or ib.b < ia.a)  # the filter cannot decide
+    (alo, ahi), (blo, bhi) = a.interval(64), b.interval(64)
+    assert not (ahi < blo or bhi < alo)  # the filter cannot decide
     assert a.compare(b) == 1 == reference_compare(a, b)
     assert b.compare(a) == -1
     assert a.compare(a + AngleExpr.of_pi(0)) == 0
@@ -400,13 +407,48 @@ def _oracle_cases(rng, count):
     return [rand_angle(rng) for _ in range(count)] + _edge_cases()
 
 
-def test_enclosures_match_iv_oracle_bit_for_bit():
+# every enclosure at prec bits is at most 2**(WIDTH_BITS - prec) wide:
+# its pieces' sum, at 20 guard bits, is under one unit of 2**-prec wide,
+# and rounding it outward adds less than one more
+WIDTH_BITS = 1
+
+
+def mp_value(expr, prec):
+    """The angle as mpmath evaluates it at ``prec`` bits."""
+    with mpmath.workprec(prec):
+        total = mpmath.mpf(expr.pi_part.numerator) / expr.pi_part.denominator * mpmath.pi
+        for q, w in expr.terms:
+            (x, y, _) = w.t
+            total += mpmath.mpf(q.numerator) / q.denominator * mpmath.atan2(y, x)
+        return total
+
+
+def _contains(enc, prec, value):
+    """lo * 2**-prec <= value <= hi * 2**-prec, decided exactly."""
+    scaled = mpmath.ldexp(value, prec)
+    return enc[0] <= scaled <= enc[1]
+
+
+def test_enclosures_contain_the_angle_and_match_iv_oracle():
     rng = random.Random(5213)
     cases = _oracle_cases(rng, 120)
+    straddling = 0
     for i, a in enumerate(cases):
-        for prec in (64, 128, 256, 512, 1024, 2048) if i % 8 == 0 else (64, 128):
-            assert a.interval(prec) == iv_interval(a, prec)._mpi_
-        assert float(a) == iv_float(a)
+        for prec in _PRECISIONS if i % 8 == 0 else _PRECISIONS[:2]:
+            lo, hi = a.interval(prec)
+            assert _contains((lo, hi), prec, mp_value(a, 4 * prec))
+            assert 0 <= hi - lo <= 2**WIDTH_BITS
+        # float is the double nearest to the angle; iv's is the midpoint
+        # of its 64-bit enclosure, the same double unless that enclosure
+        # holds 0 around an angle of about +-1e-60
+        want = float(mp_value(a, 256))
+        assert float(a) == want
+        ival = iv_interval(a, 64)
+        if want != 0 and ival.a <= 0 <= ival.b:
+            assert iv_float(a) == 0.0
+            straddling += 1
+        else:
+            assert want == iv_float(a)
         assert a.pi_ratio() == iv_pi_ratio(a)
         assert cos_sign(a) == iv_cos_sign(a)
         b = cases[(7 * i + 3) % len(cases)]
@@ -416,7 +458,20 @@ def test_enclosures_match_iv_oracle_bit_for_bit():
     for a in edges:
         for b in edges:
             assert a.compare(b) == iv_compare(a, b)
-    assert iv.prec == 53
+    assert iv.prec == 53 and straddling == 2
+
+
+def test_pi_enclosure_at_every_ladder_precision():
+    for prec in _PRECISIONS:
+        for p in (F(1), F(1, 2), F(2), F(-1, 4), F(7, 3), F(-8)):
+            lo, hi = pi_enclosure(p, prec)
+            assert _contains((lo, hi), prec, mp_value(AngleExpr.of_pi(p), 4 * prec))
+            assert 0 < hi - lo <= 2**WIDTH_BITS
+        assert pi_enclosure(F(0), prec) == (0, 0)
+        # 4 * (pi/4 written as arg(2 + i) + arg(3 + i)) is pi
+        quarter = arg_angle(gr(2, 1)) + arg_angle(gr(3, 1))
+        lo, hi = quarter.scale(4).interval(prec)
+        assert _contains((lo, hi), prec, mp_value(AngleExpr.of_pi(1), 4 * prec))
 
 
 def test_principal_matches_iv_oracle_off_the_repro_cases():
@@ -473,7 +528,8 @@ def test_cos_sign_on_multiples_of_half_pi_and_near_misses():
 
 
 def _enc(lo, hi):
-    return iv.mpf([lo, hi])._mpi_
+    """The 64-bit enclosure of the floats [lo, hi]."""
+    return math.floor(F(lo) * 2**64), math.ceil(F(hi) * 2**64)
 
 
 def test_quarter_sign_needs_an_open_quarter_turn():
@@ -485,7 +541,7 @@ def test_quarter_sign_needs_an_open_quarter_turn():
     # an enclosure that meets a multiple of pi/2, if only at an endpoint,
     # may hold that multiple itself
     half_pi_hi = pi_enclosure(F(1, 2))[1]  # divided by pi/2's enclosure: exactly 1
-    for enc in ((fzero, fzero), _enc(0, 0.5), _enc(-0.5, 0), (half_pi_hi, _enc(2, 2)[0]),
+    for enc in ((0, 0), _enc(0, 0.5), _enc(-0.5, 0), (half_pi_hi, _enc(2, 2)[0]),
                 _enc(1.5, 1.6), _enc(-0.1, 0.1)):
         assert _quarter_sign(enc) is None
 
@@ -622,6 +678,8 @@ def _angle_lists(draw):
 def test_exact_runs_matches_stable_sort_and_merge(angles, widen):
     assert exact_runs(angles) == reference_runs(angles)
     # any enclosure containing each angle gives the same runs
-    wide = [(iv.make_mpf(a.interval(64)) + iv.mpf([-widen[i % 2], widen[(i + 1) % 2]]))._mpi_
-            for i, a in enumerate(angles)]
+    wide = []
+    for i, a in enumerate(angles):
+        (lo, hi), (dlo, dhi) = a.interval(64), _enc(-widen[i % 2], widen[(i + 1) % 2])
+        wide.append((lo + dlo, hi + dhi))
     assert exact_runs(angles, wide) == reference_runs(angles)

@@ -135,9 +135,8 @@ def test_roots_one_lattice_step_apart():
         assert assert_same(m) == ("EigenvalueError", OUTSIDE)
 
 
-def test_near_lattice_quadratic_escalates_precision(monkeypatch):
-    # x^2 - 10^30 x + 1 is irreducible; its roots lie within 1e-30 of
-    # 10^30 and of 0, which a first pass cannot separate from them
+def _recorded_passes(monkeypatch):
+    """The precision of every numeric root-finding pass, in call order."""
     precs = []
     approx = residues._approx_roots
 
@@ -146,14 +145,53 @@ def test_near_lattice_quadratic_escalates_precision(monkeypatch):
         return approx(p, prec)
 
     monkeypatch.setattr(residues, "_approx_roots", recording)
-    m = companion([F(1), F(-10**30)])
-    assert assert_same(m) == ("EigenvalueError", OUTSIDE)
-    assert len(precs) > 1 and precs == sorted(precs)
-    # the same near miss with a large denominator bound
-    precs.clear()
+    return precs
+
+
+def test_near_lattice_quadratic_escalates_precision(monkeypatch):
+    # x^2 - 10^30 x + 1 is irreducible; its roots lie within 1e-30 of
+    # 10^30 and of 0.  As a quadratic it is decided exactly, with no
+    # numeric pass; times (x - 3) it goes to the root finder, whose
+    # first pass cannot separate the roots from those lattice points
+    precs = _recorded_passes(monkeypatch)
     eps = F(2, 10**62)
-    assert assert_same(companion([1 - eps, F(-2)])) == ("EigenvalueError", OUTSIDE)
-    # and a split neighbour: roots 10^30 and 10^-30 exactly
-    precs.clear()
-    m = companion([F(1), -(F(10**30) + F(1, 10**30))])
-    assert assert_same(m) == [(gr(F(1, 10**30)), 1), (gr(10**30), 1)]
+    cases = (
+        ([F(1), F(-10**30)], ("EigenvalueError", OUTSIDE)),
+        # the same near miss with a large denominator bound
+        ([1 - eps, F(-2)], ("EigenvalueError", OUTSIDE)),
+        # and a split neighbour: roots 10^30 and 10^-30 exactly
+        ([F(1), -(F(10**30) + F(1, 10**30))], [(gr(F(1, 10**30)), 1), (gr(10**30), 1)]),
+    )
+    for quadratic, want in cases:
+        precs.clear()
+        assert assert_same(companion(quadratic)) == want
+        assert precs == []
+        cubic = companion(poly_mul(quadratic + [F(1)], [F(-3), F(1)])[:-1])
+        got = assert_same(cubic)
+        assert got == want if isinstance(want, tuple) else got == [want[0], (gr(3), 1), want[1]]
+        assert len(precs) > 1 and precs == sorted(precs)
+
+
+def test_quadratic_discriminants_decided_without_numerics(monkeypatch):
+    # x^2 + bx + c with discriminant D = b^2 - 4c: split exactly when D
+    # has a square root in Q(i), which needs |D| rational and both
+    # (|D| +- Re D)/2 rational squares
+    precs = _recorded_passes(monkeypatch)
+    rng = random.Random(14)
+    discriminants = [gr(4), gr(-9), gr(0, 2), gr(0, -2), gr(3, 4), gr(-7, 24), gr(F(9, 4)),
+                     gr(F(-3, 4), -1), gr(2), gr(-3), gr(0, 1), gr(1, 1), gr(5, 12) * gr(2),
+                     gr(F(1, 3)), gr(6, 8) * gr(F(1, 2))]
+    discriminants += [rand_gauss(rng, 6, 3) ** 2 for _ in range(10)]
+    discriminants += [rand_gauss(rng, 6, 3) for _ in range(10)]
+    split = 0
+    for d in discriminants:
+        b = rand_gauss(rng, 5, 3)
+        m = conjugate(rng, companion([(b * b - d) * GaussRat(F(1, 4)), b]))
+        got = assert_same(m)
+        split += isinstance(got, list)
+        # and a repeated pair: the same quadratic squared
+        p2 = poly_mul([(b * b - d) * GaussRat(F(1, 4)), b, gr(1)],
+                      [(b * b - d) * GaussRat(F(1, 4)), b, gr(1)])
+        assert assert_same(conjugate(rng, companion(p2[:-1]))) == (
+            got if not isinstance(got, list) else [(z, 2 * k) for z, k in got])
+    assert precs == [] and 15 <= split < len(discriminants)

@@ -37,19 +37,20 @@ _LAURENT = {"lmatrix", "series"}
 
 CLOSURES = [
     # (CLI arguments or None for a bare ``import meroconn.jsonio``,
-    #  modules loaded, whether mpmath is loaded)
+    #  modules loaded, whether mpmath is loaded: only by the calls that
+    #  print a number mpmath evaluates)
     (None, _CODECS, False),
     ("canonical-form --input conn_gl2.json", _CLI | _LAURENT | {"connection"}, False),
-    ("antistokes --irregular-type q_gl2.json", _STOKES, True),
-    ("stokes-dim --irregular-type q_gl3.json", _STOKES, True),
-    ("check-relation --rep rep_gl2.json", _STOKES | {"betti"}, True),
-    ("stability --rep rep_gl2.json --weights weights_zero.json", _STOKES | {"betti"}, True),
-    ("translate --to dol --input local_nilpotent.json", _DICTIONARY, True),
+    ("antistokes --irregular-type q_gl2.json", _STOKES, False),
+    ("stokes-dim --irregular-type q_gl3.json", _STOKES, False),
+    ("check-relation --rep rep_gl2.json", _STOKES | {"betti"}, False),
+    ("stability --rep rep_gl2.json --weights weights_zero.json", _STOKES | {"betti"}, False),
+    ("translate --to dol --input local_nilpotent.json", _DICTIONARY, False),
     ("translate --to betti --input local_semisimple.json", _DICTIONARY, True),
     ("oracle-monodromy --b 1/3 --irregular-type q_gl1.json --steps 512 --precision 64",
      _CLI | {"correspondence"}, True),
     ("verify-metric --input local_nilpotent.json", _DICTIONARY | _LAURENT | {"modelmetric"},
-     True),
+     False),
 ]
 
 

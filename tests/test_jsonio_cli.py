@@ -414,12 +414,30 @@ def _imported_names(path):
     return out
 
 
+def _module_level_imports(path):
+    """The modules a source file imports when it is loaded: every import
+    outside a function body."""
+    out, todo = set(), list(ast.parse(path.read_text()).body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.ImportFrom):
+            out.add(node.module or "")
+        elif isinstance(node, ast.Import):
+            out |= {a.name for a in node.names}
+        todo += ast.iter_child_nodes(node)
+    return out
+
+
 def test_translate_runs_without_sympy():
     """translate and verify-metric --numeric load neither sympy (a test
     oracle) nor numpy/scipy, mpmath is the only runtime dependency, and
     modelmetric imports neither mpmath nor correspondence.  Angles need
     no cosine series or mpmath.iv, and stokes reads no enclosure
-    endpoint itself."""
+    endpoint itself.  The Stokes and Betti side and the exact
+    dictionaries import mpmath only inside the functions that evaluate
+    numbers."""
     script = (
         "import sys\n"
         "from meroconn.cli import main\n"
@@ -443,6 +461,13 @@ def test_translate_runs_without_sympy():
     assert not [(f, m, n) for f, names in imported.items() for m, n in names
                 if n == "mpi_cos" or m.startswith("mpmath.iv") or (m, n) == ("mpmath", "iv")]
     assert not {n for _, n in imported["stokes.py"]} & {"mpf_gt", "mpf_lt", "fzero"}
+    lazy = ("angles.py", "stokes.py", "betti.py", "correspondence.py", "residues.py")
+    assert not [(f, m) for f in lazy for m in _module_level_imports(src / f)
+                if m.split(".")[0] == "mpmath"]
+    # what the check reads: module-level imports, not the numeric
+    # functions' own
+    assert "field" in _module_level_imports(src / "correspondence.py")
+    assert ("mpmath", "") in imported["correspondence.py"]
     tomllib = pytest.importorskip("tomllib")
     with open(root / "pyproject.toml", "rb") as fh:
         deps = tomllib.load(fh)["project"]["dependencies"]
