@@ -74,6 +74,7 @@ from fractions import Fraction
 from functools import cmp_to_key, lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from . import _kernel as K
 from .errors import InternalError, PrecisionError
 from .field import GaussRat
 
@@ -155,7 +156,8 @@ class AngleExpr:
         exactly and, off zero, lies strictly inside the turn below 0
         (sign -1) or the one above it (sign 1)."""
         if not self.terms and not other.terms:
-            d = self.pi_part - other.pi_part
+            a, b = self.pi_part, other.pi_part
+            d = a.numerator * b.denominator - b.numerator * a.denominator
             return (d > 0) - (d < 0)
         (alo, ahi), (blo, bhi) = self._enclosure(), other._enclosure()
         if ahi < blo:
@@ -295,22 +297,26 @@ def _cluster_runs(angles, members: List[int]) -> List[List[int]]:
 def _axis_diag_eighths(c: GaussRat) -> Optional[int]:
     """If arg(c) is a multiple of pi/4, return it as eighths (0..7),
     else None.  Exact (Niven: no other Gaussian rational has rational
-    arg/pi)."""
-    if c.is_zero():
-        raise ZeroDivisionError("argument of zero")
-    re, im = c.re, c.im
-    if im == 0:
-        return 0 if re > 0 else 4
-    if re == 0:
-        return 2 if im > 0 else 6
-    if re == im:
-        return 1 if re > 0 else 5
-    if re == -im:
-        return 3 if im > 0 else 7
+    arg/pi).  c = (a + bi)/d with d > 0, so the signs and the order of
+    its real and imaginary parts are those of the integers a and b."""
+    a, b, _ = c.t
+    if b == 0:
+        if a == 0:
+            raise ZeroDivisionError("argument of zero")
+        return 0 if a > 0 else 4
+    if a == 0:
+        return 2 if b > 0 else 6
+    if a == b:
+        return 1 if a > 0 else 5
+    if a == -b:
+        return 3 if b > 0 else 7
     return None
 
 
 _OCTANT_ROT = None
+# o/4 for o = 0..7: the pi parts of octants and of axes and diagonals
+_EIGHTHS = tuple(Fraction(o, 4) for o in range(8))
+_ONE = Fraction(1)
 
 
 def _octant_rotations():
@@ -326,27 +332,49 @@ def _octant_rotations():
 
 
 def arg_angle(c: GaussRat) -> AngleExpr:
-    """Principal argument in [0, 2*pi) as an exact AngleExpr."""
+    """Principal argument in [0, 2*pi) as an exact AngleExpr: a multiple
+    of pi/4, or (o/4)*pi + arg(w) with w = c*(1 - i)^o in the open first
+    octant, o the octant of c."""
     eighth = _axis_diag_eighths(c)
     if eighth is not None:
-        return AngleExpr.of_pi(Fraction(eighth, 4))
+        return AngleExpr(_EIGHTHS[eighth])
     o = _octant_index(c)
     w = c * _octant_rotations()[o]
-    # w now has arg in (0, pi/4): normalize sign conventions
-    if not (w.re > 0 and w.im > 0 and w.re > w.im):
+    x, y, _ = w.t
+    if not x > y > 0:
         raise InternalError("internal error: octant reduction failed")
-    return AngleExpr(Fraction(0), ((Fraction(1), w),)).shift_pi(Fraction(o, 4))
+    return AngleExpr(_EIGHTHS[o], ((_ONE, w),))
+
+
+def opposite_arg_angle(arg: AngleExpr) -> AngleExpr:
+    """arg_angle(-c) from arg = arg_angle(c), the same expression without
+    a second octant reduction: -c lies in the octant o + 4 mod 8, and as
+    (1 - i)^4 = -4, its w is 4w for o < 4 and w/4 otherwise."""
+    p = arg.pi_part
+    o = 4 * p.numerator // p.denominator
+    if not arg.terms:
+        return AngleExpr(_EIGHTHS[(o + 4) % 8])
+    (_, w), = arg.terms
+    a, b, d = w.t
+    if o < 4:
+        o, t = o + 4, K.qnormalize(4 * a, 4 * b, d)
+    else:
+        o, t = o - 4, K.qnormalize(a, b, 4 * d)
+    return AngleExpr(_EIGHTHS[o], ((_ONE, GaussRat.from_triple(t)),))
 
 
 def _octant_index(c: GaussRat) -> int:
-    re, im = c.re, c.im
-    if im > 0:
-        if re > 0:
-            return 0 if re > im else 1
-        return 2 if -re < im else 3
-    if re < 0:
-        return 4 if -re > -im else 5
-    return 6 if re < -im else 7
+    """The open octant o of c off the axes and diagonals, o*pi/4 <
+    arg(c) < (o + 1)*pi/4, from the signs and order of the integers a
+    and b of c = (a + bi)/d."""
+    a, b, _ = c.t
+    if b > 0:
+        if a > 0:
+            return 0 if a > b else 1
+        return 2 if -a < b else 3
+    if a < 0:
+        return 4 if -a > -b else 5
+    return 6 if a < -b else 7
 
 
 # ----------------------------------------------------------------------

@@ -5,6 +5,11 @@ rationals are {"re": .., "im": ..}; series carry order_min, a row of
 coefficients and a truncation (integer or "inf"); matrices are
 row-major.  Every top-level document carries a "format" field.
 
+Gaussian rationals decode straight to kernel triples: ASCII "p" and
+"p/q" strings are read with ``int``, and every other spelling that
+``Fraction`` accepts (a sign '+', spaces, decimals, exponents, non-ASCII
+digits, JSON numbers) goes through ``Fraction``, errors included.
+
 At import the module loads only ``field`` and ``rootdata``; each codec
 imports the rest of the library it needs when it runs.
 """
@@ -14,6 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Dict, List
 
+from . import _kernel as K
 from .field import CMat, GaussRat
 from .rootdata import Character, IrregularType, ParabolicSpec, Weight
 
@@ -53,12 +59,38 @@ def enc_gauss(g: GaussRat) -> Dict[str, str]:
     return {"re": enc_fraction(g.re), "im": enc_fraction(g.im)}
 
 
-def dec_gauss(obj) -> GaussRat:
+def _rational_pair(s):
+    """(p, q) with q > 0 for the rational s in lowest terms or not: an
+    ASCII "p" or "p/q" string (p with an optional '-') is read with
+    ``int``; every other spelling goes through ``dec_fraction``, with its
+    errors."""
+    if type(s) is str:
+        num, slash, den = s.partition("/")
+        digits = num[1:] if num[:1] == "-" else num
+        if digits.isascii() and digits.isdigit() and (
+                not slash or den.isascii() and den.isdigit() and den.strip("0")):
+            try:
+                return int(num), int(den) if slash else 1
+            except ValueError:  # past int's digit limit: Fraction's error
+                pass
+    f = dec_fraction(s)
+    return f.numerator, f.denominator
+
+
+def _gauss_triple(obj):
+    """The kernel triple of a Gaussian rational (see ``dec_gauss``)."""
     if isinstance(obj, str):
-        return GaussRat(dec_fraction(obj))
+        p, q = _rational_pair(obj)
+        return K.qnormalize(p, 0, q)
     if isinstance(obj, dict):
-        return GaussRat(dec_fraction(obj.get("re", 0)), dec_fraction(obj.get("im", 0)))
+        p, q = _rational_pair(obj.get("re", 0))
+        r, s = _rational_pair(obj.get("im", 0))
+        return K.qnormalize(p * s, r * q, q * s)
     raise FormatError(f"bad Gaussian rational {obj!r}")
+
+
+def dec_gauss(obj) -> GaussRat:
+    return GaussRat.from_triple(_gauss_triple(obj))
 
 
 # ----------------------------------------------------------------------
@@ -83,8 +115,8 @@ def dec_series(obj) -> LaurentSeries:
     try:
         trunc = obj.get("trunc", "inf")
         trunc = INF if trunc == "inf" else int(trunc)
-        return LaurentSeries(
-            int(obj["order_min"]), [dec_gauss(c) for c in obj["coeffs"]], trunc
+        return LaurentSeries._raw(
+            int(obj["order_min"]), [_gauss_triple(c) for c in obj["coeffs"]], trunc
         )
     except (KeyError, TypeError) as exc:
         raise FormatError(f"bad series object: {exc}") from exc

@@ -9,9 +9,10 @@ A squarefree part of degree at most 2 is solved exactly, by a square
 root test in Q(i) for the discriminant of a quadratic.  Higher degrees
 go to a certified root finder: the numeric roots of the squarefree part
 of the characteristic polynomial are rounded to the only lattice in
-Q(i) that can hold them and accepted by exact evaluation; a root is
-declared outside Q(i) only under an inclusion-disk certificate.  Only
-that root finder loads mpmath.
+Q(i) that can hold them and accepted by exact evaluation; the roots so
+found are divided out, which leaves a quotient of degree at most 2 to
+the exact test.  A root is declared outside Q(i) only under an
+inclusion-disk certificate.  Only that root finder loads mpmath.
 Nilpotent parts are completed to sl2 triples through Jordan chains
 with the standard weighted blocks
 
@@ -63,7 +64,8 @@ def gaussian_eigenvalues(m: CMat) -> List[Tuple[GaussRat, int]]:
     (1/L) Z[i], L the lcm of the characteristic polynomial's denominators,
     which holds every root in Q(i) (rational-root theorem in Z[i]); a
     candidate counts only if it is an exact root, and its multiplicity
-    comes from exact division.
+    comes from exact division.  The exact roots a pass finds are
+    divided out, and a quotient of degree at most 2 is decided exactly.
     Raises EigenvalueError if some root lies outside the Gaussian
     rationals, which is reported only under a certificate: Weierstrass
     inclusion disks that are pairwise disjoint and narrower than the
@@ -73,31 +75,59 @@ def gaussian_eigenvalues(m: CMat) -> List[Tuple[GaussRat, int]]:
     sf = _squarefree_part(p)
     if len(sf) == 2:
         return [(-sf[0], m.n)]
-    if len(sf) == 3:
-        c, b, _ = sf
-        root = _gaussian_sqrt(b * b - c * GaussRat(4))
-        if root is None:
-            raise EigenvalueError("eigenvalues outside coefficient field")
-        half = GaussRat(Fraction(1, 2))
-        zs = [(root - b) * half, (-root - b) * half]
-        return sorted(((z, _multiplicity(p, z)) for z in zs), key=lambda t: (t[0].re, t[0].im))
-    den = math.lcm(*(c.t[2] for c in p))
-    prec = _START_PREC + den.bit_length()
+    zs = _gaussian_roots(sf, math.lcm(*(c.t[2] for c in p)))
+    return sorted(((z, _multiplicity(p, z)) for z in zs), key=lambda t: (t[0].re, t[0].im))
+
+
+def _gaussian_roots(sf: List[GaussRat], den: int) -> List[GaussRat]:
+    """The roots of the monic squarefree sf, which all lie in the lattice
+    (1/den) Z[i]; EigenvalueError if one lies outside Q(i).
+
+    Numeric roots are rounded to the lattice, up the precision ladder.
+    The exact roots a pass finds are divided out, and the quotient goes
+    on at the same precision; once it has degree at most 2 it is decided
+    exactly (``_low_degree_roots``), so a root crowding a lattice point
+    that is itself a root cannot stall the certificate."""
+    found: List[GaussRat] = []
+    prec = last = _START_PREC + den.bit_length()
     for _ in range(_PASSES):
+        if len(sf) <= 3:
+            break
+        last = prec
         zs = _approx_roots(sf, prec)
-        if zs is not None:
-            found = {}
-            for z in zs:
-                cand = _nearest_lattice_point(z, den)
-                mult = found.get(cand) or _multiplicity(p, cand)
-                if mult:
-                    found[cand] = mult
-            if sum(found.values()) == m.n:
-                return sorted(found.items(), key=lambda t: (t[0].re, t[0].im))
-            if _inclusion_certified(sf, zs, den):
-                raise EigenvalueError("eigenvalues outside coefficient field")
+        if zs is None:
+            prec *= 2
+            continue
+        new: List[GaussRat] = []
+        for z in zs:
+            cand = _nearest_lattice_point(z, den)
+            if cand not in new and _horner(sf, cand).is_zero():
+                new.append(cand)
+        if new:
+            for z in new:
+                sf = _poly_divmod(sf, [-z, GaussRat(1)])[0]
+            found += new
+            continue
+        if _inclusion_certified(sf, zs, den):
+            raise EigenvalueError("eigenvalues outside coefficient field")
         prec *= 2
-    raise EigenvalueError(f"eigenvalues not certified at {prec // 2} bits")
+    if len(sf) > 3:
+        raise EigenvalueError(f"eigenvalues not certified at {last} bits")
+    return found + _low_degree_roots(sf)
+
+
+def _low_degree_roots(sf: List[GaussRat]) -> List[GaussRat]:
+    """The roots of the monic squarefree sf of degree at most 2, decided
+    exactly: those of x^2 + bx + c are (-b +- sqrt(D))/2 when
+    D = b^2 - 4c has a square root in Q(i); EigenvalueError otherwise."""
+    if len(sf) <= 2:
+        return [-c for c in sf[:-1]]
+    c, b, _ = sf
+    root = _gaussian_sqrt(b * b - c * GaussRat(4))
+    if root is None:
+        raise EigenvalueError("eigenvalues outside coefficient field")
+    half = GaussRat(Fraction(1, 2))
+    return [(root - b) * half, (-root - b) * half]
 
 
 def _gaussian_sqrt(c: GaussRat) -> Optional[GaussRat]:
@@ -124,7 +154,7 @@ def _rational_sqrt(x: Fraction) -> Optional[Fraction]:
 
 # Working precision (bits) of the first root-finding pass, on top of the
 # bit length of the denominator bound; doubled after each pass that
-# neither accepts nor certifies the roots.
+# neither finds an exact root nor certifies the roots.
 _START_PREC = 64
 _PASSES = 9
 
@@ -188,7 +218,12 @@ def _approx_roots(p: List[GaussRat], prec: int) -> Optional[List[GaussRat]]:
 
     mpmath stops on an absolute tolerance, so the roots are first scaled
     by a power of two into the unit disk (Fujiwara's bound
-    2 max |c_k|^(1/(deg - k))) and scaled back exactly."""
+    2 max |c_k|^(1/(deg - k))) and scaled back exactly.  The iteration
+    runs at twice ``prec`` bits against a tolerance of ``prec`` bits:
+    the Durand-Kerner step of a root in a cluster of width delta stalls
+    near the working precision over delta, so at ``prec`` bits alone
+    such a cluster misses the tolerance at every precision, while at
+    2 * prec it converges once delta exceeds 2**-prec."""
     import mpmath
     from mpmath.libmp import NoConvergence
 
@@ -204,7 +239,7 @@ def _approx_roots(p: List[GaussRat], prec: int) -> Optional[List[GaussRat]]:
             d <<= shift * (deg - k)
             coeffs.append(mpmath.mpc(mpmath.mpf(a) / d, mpmath.mpf(b) / d))
         try:
-            roots = mpmath.polyroots(coeffs, maxsteps=100 + 10 * deg)
+            roots = mpmath.polyroots(coeffs, maxsteps=100 + 10 * deg, extraprec=prec)
         except NoConvergence:
             return None
         return [GaussRat(_dyadic(z.real) * 2**shift, _dyadic(z.imag) * 2**shift)

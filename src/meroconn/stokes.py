@@ -10,7 +10,8 @@ negative, i.e. exp(q_r) has maximal decay).  Their principal values
 come from the octant form of arg(c), a multiple of pi/4 or (o/4)*pi +
 arg(w) with arg(w) in (0, pi/4): phi lies at a multiple of pi/(4k) or
 strictly before the next one, so its branch mod 2*pi is read off the
-rational part exactly, without an interval.  Directions arising from
+rational part exactly, without an interval: in units of pi/(4k) the
+rational part is an integer, reduced mod 8k.  Directions arising from
 different roots are sorted and merged by one sweep over 64-bit
 enclosures (``angles.exact_runs``): exact comparison runs only among
 directions whose enclosures overlap.
@@ -20,6 +21,11 @@ differs from arg(c_r) by pi and is written with the same arg(w) up to a
 factor 4 in w.  The leading data are evaluated for one root of each
 pair, the irrational part of the direction enclosures is computed once
 per pair, and the decay sign of -r along a direction is minus that of r.
+
+The leading data are computed once per diagram: ``anti_stokes`` keeps
+each upper root's (r, k_r, arg(c_r)) on the ``StokesDiagram``, where
+``half_periods`` reads them along with the 64-bit enclosure cached on
+each arg(c_r).
 """
 
 from __future__ import annotations
@@ -29,8 +35,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .angles import (AngleExpr, _quarter_sign, arg_angle, cos_sign, exact_runs, pi_enclosure,
-                     terms_enclosure)
+from .angles import (AngleExpr, _quarter_sign, arg_angle, cos_sign, exact_runs,
+                     opposite_arg_angle, pi_enclosure, terms_enclosure)
 from .field import CMat, GaussRat
 from .rootdata import IrregularType, ParabolicSpec, Root
 
@@ -71,6 +77,16 @@ class StokesDiagram:
         self.directions = list(directions)
         self.k = k
         self.uniform_k = uniform_k
+        self._leading = None
+
+    def leading_data(self) -> List[Tuple[Root, int, AngleExpr]]:
+        """(r, k_r, arg(c_r)) for the roots e_i - e_j with i < j and
+        q_r != 0: kept by ``anti_stokes``, which computed them, and
+        computed from q on first use for a diagram built directly."""
+        if self._leading is None:
+            self._leading = [(r, k_r, arg_angle(c_r))
+                             for r, k_r, c_r in _upper_leading_data(self.q)]
+        return self._leading
 
     @property
     def num_directions(self) -> int:
@@ -108,21 +124,21 @@ def anti_stokes(q: IrregularType) -> StokesDiagram:
             "trivial irregular type for the adjoint action "
             "(all q_r vanish; no anti-Stokes directions)"
         )
-    per_root = _root_leading_data(q)
+    upper = [(r, k_r, c_r, arg_angle(c_r)) for r, k_r, c_r in _upper_leading_data(q)]
     raw: List[AngleExpr] = []
     enclosures = []
     sources: List[Tuple[Root, int, GaussRat]] = []
     pair_terms = {}
-    for r, k_r, c_r in per_root:
-        phis = _directions(arg_angle(c_r), k_r)
+    for r, k_r, c_r, arg in _root_leading_data(upper):
+        phis = _directions(arg, k_r)
         # e_i - e_j with i < j comes first; -r reuses its arg-term enclosure
         if r.i < r.j:
             pair_terms[r.i, r.j] = terms_enclosure(phis[0].terms)
-        terms = pair_terms[min(r.i, r.j), max(r.i, r.j)]
+        tlo, thi = pair_terms[min(r.i, r.j), max(r.i, r.j)]
         for phi in phis:
             raw.append(phi)
             lo, hi = pi_enclosure(phi.pi_part)
-            enclosures.append((lo + terms[0], hi + terms[1]))
+            enclosures.append((lo + tlo, hi + thi))
             sources.append((r, k_r, c_r))
     # Each run of equal angles starts with its first raw representative,
     # whose expression the merged direction keeps.
@@ -131,8 +147,10 @@ def anti_stokes(q: IrregularType) -> StokesDiagram:
             (sources[i] for i in run), key=lambda t: (t[0].i, t[0].j))))
         for run in exact_runs(raw, enclosures)
     ]
-    orders = {k_r for _, k_r, _ in per_root}
-    return StokesDiagram(q, directions, max(orders), len(orders) == 1)
+    orders = {k_r for _, k_r, _, _ in upper}
+    diagram = StokesDiagram(q, directions, max(orders), len(orders) == 1)
+    diagram._leading = [(r, k_r, arg) for r, k_r, _, arg in upper]
+    return diagram
 
 
 def _directions(base: AngleExpr, k_r: int) -> List[AngleExpr]:
@@ -143,13 +161,13 @@ def _directions(base: AngleExpr, k_r: int) -> List[AngleExpr]:
     arg(w) in (0, pi/4).  With p = (p0 + 2m - 1)/k_r the angle lies in
     [p*pi, p*pi + pi/(4k_r)), whose ends are consecutive multiples of
     pi/(4k_r); no multiple of 2*pi lies strictly inside, so the branch
-    is floor(p/2) exactly."""
+    is floor(p/2) exactly.  In units of 1/(4k_r), p is the integer
+    4*p0 + 8m - 4, and p mod 2 is that integer mod 8k_r."""
     terms = tuple((q / k_r, w) for q, w in base.terms)
-    out = []
-    for m in range(k_r):
-        p = (base.pi_part + 2 * m - 1) / k_r
-        out.append(AngleExpr(p - 2 * (p // 2), terms))
-    return out
+    p0 = base.pi_part
+    first = 4 * p0.numerator // p0.denominator - 4
+    turn = 8 * k_r
+    return [AngleExpr(Fraction((first + 8 * m) % turn, 4 * k_r), terms) for m in range(k_r)]
 
 
 def stokes_group_basis(diag: StokesDiagram, d: int) -> List[Root]:
@@ -198,7 +216,7 @@ def half_periods(diag: StokesDiagram, d1: int = 0) -> HalfPeriodData:
         gap = AngleExpr.of_pi(2)
 
     # one root of each opposite pair: -r decays exactly where r grows
-    roots = [(r, k_r, arg_angle(c_r)) for r, k_r, c_r in _upper_leading_data(diag.q)]
+    roots = diag.leading_data()
     for attempt in range(16):
         delta = (last + gap.scale(Fraction(1, 2 + attempt))).principal()
         signs = _decay_signs(roots, delta)
@@ -225,15 +243,14 @@ def _decay_signs(roots, delta: AngleExpr) -> Optional[List[int]]:
     """The sign of cos(arg(c_r) - k_r delta), i.e. of Re(q_r) along
     delta, for each (r, k_r, arg(c_r)); None as soon as one is 0 (delta
     is not generic).  A 64-bit enclosure of arg(c_r) - k_r delta,
-    composed from those of arg(c_r) and delta, is read by the
-    quarter-turn rule of ``cos_sign``; only one that meets a multiple of
-    pi/2 builds the exact expression for ``cos_sign``."""
-    dlo, dhi = delta.interval(64)
+    composed from the enclosures kept on arg(c_r) and delta, is read by
+    the quarter-turn rule of ``cos_sign``; only one that meets a
+    multiple of pi/2 builds the exact expression for ``cos_sign``."""
+    dlo, dhi = delta._enclosure()
     signs = []
     for _, k_r, arg in roots:
-        plo, phi = pi_enclosure(arg.pi_part)
-        tlo, thi = terms_enclosure(arg.terms)
-        sign = _quarter_sign((plo + tlo - k_r * dhi, phi + thi - k_r * dlo))
+        alo, ahi = arg._enclosure()
+        sign = _quarter_sign((alo - k_r * dhi, ahi - k_r * dlo))
         if sign is None:
             sign = cos_sign(arg - delta.scale(k_r))
             if sign == 0:
@@ -242,20 +259,17 @@ def _decay_signs(roots, delta: AngleExpr) -> Optional[List[int]]:
     return signs
 
 
-def _root_leading_data(q: IrregularType) -> List[Tuple[Root, int, GaussRat]]:
-    """(r, k_r, c_r) for every root with q_r != 0: the order and the
-    coefficient of the most singular term of q_r, for e_i - e_j in the
-    order of i, then j.  -r has (k_r, -c_r), since q_{-r} = -q_r."""
-    upper = {(r.i, r.j): (k_r, c_r) for r, k_r, c_r in _upper_leading_data(q)}
-    out = []
-    for i in range(q.n):
-        for j in range(q.n):
-            if (i, j) in upper:
-                out.append((Root(i, j),) + upper[i, j])
-            elif (j, i) in upper:
-                k_r, c_r = upper[j, i]
-                out.append((Root(i, j), k_r, -c_r))
-    return out
+def _root_leading_data(upper) -> List[Tuple[Root, int, GaussRat, AngleExpr]]:
+    """(r, k_r, c_r, arg(c_r)) for every root with q_r != 0, for e_i - e_j
+    in the order of i, then j, from ``upper``, the same for the roots
+    with i < j.  -r has (k_r, -c_r), since q_{-r} = -q_r, and the
+    argument of -c_r follows from that of c_r without an octant
+    reduction (``opposite_arg_angle``)."""
+    rows = {}
+    for r, k_r, c_r, arg in upper:
+        rows[r.i, r.j] = (r, k_r, c_r, arg)
+        rows[r.j, r.i] = (-r, k_r, -c_r, opposite_arg_angle(arg))
+    return [rows[key] for key in sorted(rows)]
 
 
 def _upper_leading_data(q: IrregularType) -> List[Tuple[Root, int, GaussRat]]:

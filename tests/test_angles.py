@@ -10,10 +10,11 @@ from mpmath import iv
 from mpmath.libmp import from_man_exp, fzero, mpf_gt, mpf_lt, mpi_cos
 
 from meroconn.angles import (_PRECISIONS, AngleExpr, PrecisionError, _axis_diag_eighths,
-                             _quarter_sign, arg_angle, cos_sign, exact_runs, pi_enclosure)
+                             _octant_index, _quarter_sign, arg_angle, cos_sign, exact_runs,
+                             opposite_arg_angle, pi_enclosure)
 from meroconn.field import gr
 from meroconn.rootdata import Root
-from meroconn.stokes import _decay_signs
+from meroconn.stokes import _decay_signs, _directions
 
 
 # ---------------------------------------------------------------------
@@ -683,3 +684,108 @@ def test_exact_runs_matches_stable_sort_and_merge(angles, widen):
         (lo, hi), (dlo, dhi) = a.interval(64), _enc(-widen[i % 2], widen[(i + 1) % 2])
         wide.append((lo + dlo, hi + dhi))
     assert exact_runs(angles, wide) == reference_runs(angles)
+
+
+# ---------------------------------------------------------------------
+# octants and directions on integers against the Fraction versions
+# ---------------------------------------------------------------------
+
+def reference_axis_diag_eighths(c):
+    """_axis_diag_eighths on the Fraction parts c.re and c.im."""
+    if c.is_zero():
+        raise ZeroDivisionError("argument of zero")
+    re, im = c.re, c.im
+    if im == 0:
+        return 0 if re > 0 else 4
+    if re == 0:
+        return 2 if im > 0 else 6
+    if re == im:
+        return 1 if re > 0 else 5
+    if re == -im:
+        return 3 if im > 0 else 7
+    return None
+
+
+def reference_octant_index(c):
+    re, im = c.re, c.im
+    if im > 0:
+        if re > 0:
+            return 0 if re > im else 1
+        return 2 if -re < im else 3
+    if re < 0:
+        return 4 if -re > -im else 5
+    return 6 if re < -im else 7
+
+
+def reference_arg_angle(c):
+    """arg_angle through the Fraction helpers and shift_pi."""
+    eighth = reference_axis_diag_eighths(c)
+    if eighth is not None:
+        return AngleExpr.of_pi(F(eighth, 4))
+    o = reference_octant_index(c)
+    w = c * gr(1, -1) ** o
+    assert w.re > 0 and w.im > 0 and w.re > w.im
+    return AngleExpr(F(0), ((F(1), w),)).shift_pi(F(o, 4))
+
+
+def reference_directions(base, k_r):
+    """_directions with p = (p0 + 2m - 1)/k_r and its floor in Fractions."""
+    terms = tuple((q / k_r, w) for q, w in base.terms)
+    out = []
+    for m in range(k_r):
+        p = (base.pi_part + 2 * m - 1) / k_r
+        out.append(AngleExpr(p - 2 * (p // 2), terms))
+    return out
+
+
+def _expression(angle):
+    """The stored expression with the exact types of its parts."""
+    return (type(angle.pi_part), angle.pi_part,
+            tuple((type(q), q, w.t) for q, w in angle.terms))
+
+
+_ints = st.one_of(st.integers(-9, 9), st.integers(-10**41, 10**41))
+_dens = st.one_of(st.integers(1, 9), st.just(10**40), st.integers(1, 10**41))
+
+
+@st.composite
+def _gaussians(draw):
+    """Nonzero Gaussian rationals on and off the axes and diagonals, of
+    magnitudes from about 1e-40 to 1e41."""
+    a, b, d = draw(_ints), draw(_ints), draw(_dens)
+    shape = draw(st.sampled_from(["free", "real", "imaginary", "diagonal", "antidiagonal"]))
+    if shape == "real":
+        b = 0
+    elif shape == "imaginary":
+        a = 0
+    elif shape == "diagonal":
+        b = a
+    elif shape == "antidiagonal":
+        b = -a
+    if a == 0 and b == 0:
+        a = 1
+    return gr(F(a, d), F(b, d))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_gaussians())
+def test_integer_octants_match_the_fraction_reference(c):
+    assert _axis_diag_eighths(c) == reference_axis_diag_eighths(c)
+    assert _octant_index(c) == reference_octant_index(c)
+    assert _expression(arg_angle(c)) == _expression(reference_arg_angle(c))
+    # -c from c, with no octant reduction of its own
+    assert _expression(opposite_arg_angle(arg_angle(c))) == _expression(reference_arg_angle(-c))
+
+
+def test_argument_of_zero_raises():
+    for f in (_axis_diag_eighths, reference_axis_diag_eighths, arg_angle):
+        with pytest.raises(ZeroDivisionError):
+            f(gr(0))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_gaussians(), st.integers(1, 6))
+def test_integer_directions_match_the_fraction_reference(c, k_r):
+    for base in (arg_angle(c), reference_arg_angle(-c)):
+        assert [_expression(a) for a in _directions(base, k_r)] == \
+            [_expression(a) for a in reference_directions(base, k_r)]

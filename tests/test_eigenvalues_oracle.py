@@ -7,6 +7,7 @@ list, or raise EigenvalueError with the same message.
 """
 
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -151,8 +152,10 @@ def _recorded_passes(monkeypatch):
 def test_near_lattice_quadratic_escalates_precision(monkeypatch):
     # x^2 - 10^30 x + 1 is irreducible; its roots lie within 1e-30 of
     # 10^30 and of 0.  As a quadratic it is decided exactly, with no
-    # numeric pass; times (x - 3) it goes to the root finder, whose
-    # first pass cannot separate the roots from those lattice points
+    # numeric pass.  Times (x^2 - 3), which has no root in Q(i), it goes
+    # to the root finder, whose first pass cannot separate the roots
+    # from those lattice points.  Times (x - 3) the passes end once one
+    # finds the lattice root 3: the quadratic quotient is exact again
     precs = _recorded_passes(monkeypatch)
     eps = F(2, 10**62)
     cases = (
@@ -166,10 +169,34 @@ def test_near_lattice_quadratic_escalates_precision(monkeypatch):
         precs.clear()
         assert assert_same(companion(quadratic)) == want
         assert precs == []
+        quartic = companion(poly_mul(quadratic + [F(1)], [F(-3), F(0), F(1)])[:-1])
+        assert assert_same(quartic) == ("EigenvalueError", OUTSIDE)
+        assert len(precs) > 1 and precs == sorted(precs)
+        if isinstance(want, tuple):
+            assert precs[-1] > precs[0]
+        precs.clear()
         cubic = companion(poly_mul(quadratic + [F(1)], [F(-3), F(1)])[:-1])
         got = assert_same(cubic)
         assert got == want if isinstance(want, tuple) else got == [want[0], (gr(3), 1), want[1]]
-        assert len(precs) > 1 and precs == sorted(precs)
+        assert precs and precs == sorted(precs)
+
+
+def test_lattice_root_divided_out_of_a_near_lattice_cubic(monkeypatch):
+    # x(x^2 - 10^30 x + 1): the root near 1e-30 crowds the lattice root
+    # 0, and no inclusion disk separates them.  (x + 1/3)(x^2 - 2x + 1 -
+    # 2e-62): two roots 1.4e-31 from 1.  Each pass divides the exact
+    # roots it finds out, and the quadratic quotient is decided exactly,
+    # so one pass settles both
+    precs = _recorded_passes(monkeypatch)
+    eps = F(2, 10**62)
+    for lattice_root, quadratic in ((F(0), [F(1), F(-10**30)]), (F(-1, 3), [1 - eps, F(-2)])):
+        m = companion(poly_mul([-lattice_root, F(1)], quadratic + [F(1)])[:-1])
+        precs.clear()
+        start = time.perf_counter()
+        got = outcome(gaussian_eigenvalues, m)
+        assert time.perf_counter() - start < 1.0
+        assert got == ("EigenvalueError", OUTSIDE) == outcome(sympy_eigenvalues, m)
+        assert len(precs) == 1
 
 
 def test_quadratic_discriminants_decided_without_numerics(monkeypatch):

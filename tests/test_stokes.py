@@ -359,7 +359,7 @@ def _mixed_irregular_types(draw):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(_mixed_irregular_types())
 def test_direction_from_octant_form_matches_principal_chain(q):
-    for _r, k_r, c_r in _root_leading_data(q):
+    for _r, k_r, c_r in reference_root_leading_data(q):
         base = arg_angle(c_r)
         for m, got in enumerate(_directions(base, k_r)):
             want = _principal_chain(base, k_r, m)
@@ -382,7 +382,7 @@ def reference_half_periods(diag, d1=0):
     gap = (nxt - last).principal()
     if gap.is_zero():
         gap = AngleExpr.of_pi(2)
-    roots = [(r, k_r, arg_angle(c_r)) for r, k_r, c_r in _root_leading_data(diag.q)]
+    roots = [(r, k_r, arg_angle(c_r)) for r, k_r, c_r in reference_root_leading_data(diag.q)]
     for attempt in range(16):
         delta = (last + gap.scale(F(1, 2 + attempt))).principal()
         signs = [cos_sign(arg - delta.scale(k_r)) for _, k_r, arg in roots]
@@ -420,6 +420,30 @@ def test_half_periods_match_all_roots_reference():
     assert compared >= 20
 
 
+def test_half_periods_of_a_directly_built_diagram_match_anti_stokes():
+    # anti_stokes keeps the leading data it computed; a diagram built
+    # from its four arguments computes them from q on first use
+    compared = 0
+    for q in _merge_cases():
+        try:
+            diag = anti_stokes(q)
+        except StokesError:
+            continue
+        direct = StokesDiagram(q, diag.directions, diag.k, diag.uniform_k)
+        assert [(r, k_r, _expression(arg)) for r, k_r, arg in direct.leading_data()] == \
+            [(r, k_r, _expression(arg)) for r, k_r, arg in diag.leading_data()]
+        if diag.l is None:
+            continue
+        for d1 in range(diag.num_directions):
+            got, want = half_periods(direct, d1), half_periods(diag, d1)
+            assert (got.u_plus, got.u_minus) == (want.u_plus, want.u_minus)
+            assert (got.p_plus.blocks, got.p_minus.blocks) == (want.p_plus.blocks,
+                                                               want.p_minus.blocks)
+            assert _expression(got.delta) == _expression(want.delta)
+            compared += 1
+    assert compared >= 50
+
+
 # ---------------------------------------------------------------------
 # leading data from one root per opposite pair
 # ---------------------------------------------------------------------
@@ -442,9 +466,14 @@ def reference_root_leading_data(q):
 def test_paired_root_leading_data_matches_all_pairs_loop():
     for q in _merge_cases():
         want = [(r, k_r, c_r.t) for r, k_r, c_r in reference_root_leading_data(q)]
-        assert [(r, k_r, c_r.t) for r, k_r, c_r in _root_leading_data(q)] == want
-        assert [(r, k_r, c_r.t) for r, k_r, c_r in _upper_leading_data(q)] == \
+        upper = [(r, k_r, c_r, arg_angle(c_r)) for r, k_r, c_r in _upper_leading_data(q)]
+        got = _root_leading_data(upper)
+        assert [(r, k_r, c_r.t) for r, k_r, c_r, _ in got] == want
+        assert [(r, k_r, c_r.t) for r, k_r, c_r, _ in upper] == \
             [t for t in want if t[0].i < t[0].j]
+        # -r's argument, derived from r's, is arg_angle's own expression
+        assert [_expression(arg) for _, _, _, arg in got] == \
+            [_expression(arg_angle(c_r)) for _, _, c_r, _ in got]
 
 
 # ---------------------------------------------------------------------
