@@ -5,16 +5,16 @@ polynomial in the residue, found by Newton's iteration.  Eigenvalues
 serve shape recovery only, and there the exactness boundary is
 explicit: they must lie in the Gaussian rationals, otherwise
 ``gaussian_eigenvalues`` reports failure instead of approximating.
-A squarefree part of degree at most 2 is solved exactly, by a square
-root test in Q(i) for the discriminant of a quadratic.  Higher degrees
-go to a certified root finder: the numeric roots of the squarefree part
-of the characteristic polynomial are rounded to the only lattice in
-Q(i) that can hold them and accepted by exact evaluation; the roots so
-found are divided out, which leaves a quotient of degree at most 2 to
-the exact test.  A root is declared outside Q(i) only under an
-inclusion-disk certificate.  Only that root finder loads mpmath.
-Nilpotent parts are completed to sl2 triples through Jordan chains
-with the standard weighted blocks
+One exact root finder serves every degree, with no numerics.  Scaled
+by the lcm of the characteristic polynomial's denominators, the
+squarefree part becomes a monic polynomial over Z[i], whose roots in
+Q(i) are Gaussian integers inside its Cauchy bound.  They are found
+modulo the first prime p = 1 (mod 4) at which both images of that
+polynomial in F_p[y] (i mapped to either square root of -1) are
+squarefree, lifted p-adically past twice the bound, and accepted only
+by exact evaluation; fewer roots than the degree means some root lies
+outside Q(i).  Nilpotent parts are completed to sl2 triples through
+Jordan chains with the standard weighted blocks
 
     Y = subdiagonal ones,  H = diag(k-1, k-3, ..., 1-k),
     X = superdiagonal i(k-i),
@@ -57,25 +57,17 @@ def gaussian_eigenvalues(m: CMat) -> List[Tuple[GaussRat, int]]:
     """Eigenvalues in Q(i) with algebraic multiplicities, sorted by (re, im).
 
     The distinct eigenvalues are the roots of the squarefree part of the
-    characteristic polynomial.  Those of a quadratic x^2 + bx + c are
-    (-b +- sqrt(D))/2 when D = b^2 - 4c has a square root in Q(i), and
-    lie outside the Gaussian rationals otherwise, decided exactly.  For
-    a higher degree, numeric roots are rounded to the lattice
-    (1/L) Z[i], L the lcm of the characteristic polynomial's denominators,
-    which holds every root in Q(i) (rational-root theorem in Z[i]); a
+    characteristic polynomial.  Every one in Q(i) lies in the lattice
+    (1/L) Z[i], L the lcm of the characteristic polynomial's
+    denominators (rational-root theorem in Z[i]), and ``_gaussian_roots``
+    finds them there by p-adic lifting, for every degree alike.  A
     candidate counts only if it is an exact root, and its multiplicity
-    comes from exact division.  The exact roots a pass finds are
-    divided out, and a quotient of degree at most 2 is decided exactly.
-    Raises EigenvalueError if some root lies outside the Gaussian
-    rationals, which is reported only under a certificate: Weierstrass
-    inclusion disks that are pairwise disjoint and narrower than the
-    lattice spacing.  Without one the precision is doubled.
+    comes from exact division.  Raises EigenvalueError if some root lies
+    outside the Gaussian rationals, which is the case exactly when fewer
+    exact roots than the degree of the squarefree part are found.
     """
     p = charpoly(m)
-    sf = _squarefree_part(p)
-    if len(sf) == 2:
-        return [(-sf[0], m.n)]
-    zs = _gaussian_roots(sf, math.lcm(*(c.t[2] for c in p)))
+    zs = _gaussian_roots(_squarefree_part(p), math.lcm(*(c.t[2] for c in p)))
     return sorted(((z, _multiplicity(p, z)) for z in zs), key=lambda t: (t[0].re, t[0].im))
 
 
@@ -83,80 +75,113 @@ def _gaussian_roots(sf: List[GaussRat], den: int) -> List[GaussRat]:
     """The roots of the monic squarefree sf, which all lie in the lattice
     (1/den) Z[i]; EigenvalueError if one lies outside Q(i).
 
-    Numeric roots are rounded to the lattice, up the precision ladder.
-    The exact roots a pass finds are divided out, and the quotient goes
-    on at the same precision; once it has degree at most 2 it is decided
-    exactly (``_low_degree_roots``), so a root crowding a lattice point
-    that is itself a root cannot stall the certificate."""
-    found: List[GaussRat] = []
-    prec = last = _START_PREC + den.bit_length()
-    for _ in range(_PASSES):
-        if len(sf) <= 3:
-            break
-        last = prec
-        zs = _approx_roots(sf, prec)
-        if zs is None:
-            prec *= 2
-            continue
-        new: List[GaussRat] = []
-        for z in zs:
-            cand = _nearest_lattice_point(z, den)
-            if cand not in new and _horner(sf, cand).is_zero():
-                new.append(cand)
-        if new:
-            for z in new:
-                sf = _poly_divmod(sf, [-z, GaussRat(1)])[0]
-            found += new
-            continue
-        if _inclusion_certified(sf, zs, den):
-            raise EigenvalueError("eigenvalues outside coefficient field")
-        prec *= 2
-    if len(sf) > 3:
-        raise EigenvalueError(f"eigenvalues not certified at {last} bits")
-    return found + _low_degree_roots(sf)
-
-
-def _low_degree_roots(sf: List[GaussRat]) -> List[GaussRat]:
-    """The roots of the monic squarefree sf of degree at most 2, decided
-    exactly: those of x^2 + bx + c are (-b +- sqrt(D))/2 when
-    D = b^2 - 4c has a square root in Q(i); EigenvalueError otherwise."""
-    if len(sf) <= 2:
-        return [-c for c in sf[:-1]]
-    c, b, _ = sf
-    root = _gaussian_sqrt(b * b - c * GaussRat(4))
-    if root is None:
+    y = den x turns sf into a monic g in Z[i][y]: den^n times the
+    characteristic polynomial at y/den is monic and integral, and sf is
+    a monic factor of it, integral by Gauss's lemma.  A root of sf in
+    Q(i) is then (a + bi)/den with a + bi a root of g, so |a|, |b| <= B =
+    1 + max_k (|Re g_k| + |Im g_k|), the Cauchy bound.  At the first
+    prime p = 1 (mod 4) where both images of g in F_p[y], under
+    i -> +-iota with iota^2 = -1, are squarefree, a + bi reduces to a
+    simple root a +- b iota of each image.  The roots of the images in
+    F_p are lifted by Newton's step to a modulus q = p^(2^j) > 2B, and
+    each pair (r+, r-) gives a = (r+ + r-)/2 and b = (r+ - r-)/(2 iota)
+    as symmetric residues mod q (Loos, SIAM J. Comput. 12 (1983),
+    carried over to Z[i]).  A candidate counts only if it is an exact
+    root of sf; none is missed, so fewer than deg sf of them is the
+    refusal."""
+    d = len(sf) - 1
+    g = [(c * GaussRat(den ** (d - k))).t[:2] for k, c in enumerate(sf)]
+    bound = 1 + max((abs(a) + abs(b) for a, b in g[:-1]), default=0)
+    p, iota = _good_prime(g)
+    q, lifts = p, 0
+    while q <= 2 * bound:
+        q, lifts = q * q, lifts + 1
+    iota = _lift([1, 0, 1], iota, p, lifts)
+    images = []
+    for s in (iota, -iota):
+        h = [(a + b * s) % q for a, b in g]
+        images.append([_lift(h, r, p, lifts) for r in range(p) if _eval_mod(h, r, p) == 0])
+    half, half_iota = pow(2, -1, q), pow(2 * iota, -1, q)
+    found = []
+    for rp in images[0]:
+        for rm in images[1]:
+            a, b = _symmetric((rp + rm) * half, q), _symmetric((rp - rm) * half_iota, q)
+            z = GaussRat(Fraction(a, den), Fraction(b, den))
+            if abs(a) <= bound and abs(b) <= bound and _horner(sf, z).is_zero():
+                found.append(z)
+    if len(found) < d:
         raise EigenvalueError("eigenvalues outside coefficient field")
-    half = GaussRat(Fraction(1, 2))
-    return [(root - b) * half, (-root - b) * half]
+    return found
 
 
-def _gaussian_sqrt(c: GaussRat) -> Optional[GaussRat]:
-    """A square root of c in Q(i), or None if c has none.  (p + iq)^2 = c
-    asks for p^2 = (|c| + Re c)/2 and q^2 = (|c| - Re c)/2, q of the sign
-    of Im c: |c| and both halves must be rational squares."""
-    u, v = c.re, c.im
-    r = _rational_sqrt(u * u + v * v)
-    if r is None:
-        return None
-    p, q = _rational_sqrt((r + u) / 2), _rational_sqrt((r - u) / 2)
-    if p is None or q is None:
-        return None
-    return GaussRat(p, q if v >= 0 else -q)
+def _good_prime(g: List[Tuple[int, int]]) -> Tuple[int, int]:
+    """The first prime p = 1 (mod 4) at which both images of the
+    Gaussian-integer polynomial g (pairs (Re, Im) from degree 0 up) in
+    F_p[y] are squarefree, and iota with iota^2 = -1 mod p, namely
+    c^((p-1)/4) for the least quadratic non-residue c: a rejected prime
+    costs a gcd in F_p[y], no search through F_p."""
+    p = 1
+    while True:
+        p += 4
+        if any(p % f == 0 for f in range(3, math.isqrt(p) + 1, 2)):
+            continue
+        c = 2
+        while pow(c, (p - 1) // 2, p) != p - 1:
+            c += 1
+        iota = pow(c, (p - 1) // 4, p)
+        if all(_squarefree_mod([(a + b * s) % p for a, b in g], p) for s in (iota, -iota)):
+            return p, iota
 
 
-def _rational_sqrt(x: Fraction) -> Optional[Fraction]:
-    """The square root of the rational x >= 0 if it is rational, else None."""
-    num, den = math.isqrt(x.numerator), math.isqrt(x.denominator)
-    if num * num == x.numerator and den * den == x.denominator:
-        return Fraction(num, den)
-    return None
+def _squarefree_mod(h: List[int], p: int) -> bool:
+    """gcd(h, h') is a nonzero constant in F_p[y] (h with a unit leading
+    coefficient, from degree 0 up)."""
+    a, b = h, _strip([k * c % p for k, c in enumerate(h) if k])
+    while b:
+        a, b = b, _rem_mod(a, b, p)
+    return len(a) == 1
 
 
-# Working precision (bits) of the first root-finding pass, on top of the
-# bit length of the denominator bound; doubled after each pass that
-# neither finds an exact root nor certifies the roots.
-_START_PREC = 64
-_PASSES = 9
+def _rem_mod(a: List[int], b: List[int], p: int) -> List[int]:
+    """a mod b in F_p[y], leading zeros stripped; b[-1] != 0 mod p."""
+    a, inv = list(a), pow(b[-1], -1, p)
+    while len(a) >= len(b):
+        c = a.pop() * inv % p
+        shift = len(a) - len(b) + 1
+        for j, bj in enumerate(b[:-1]):
+            a[shift + j] = (a[shift + j] - c * bj) % p
+    return _strip(a)
+
+
+def _strip(a: List[int]) -> List[int]:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _eval_mod(h: List[int], r: int, q: int) -> int:
+    acc = 0
+    for c in reversed(h):
+        acc = (acc * r + c) % q
+    return acc
+
+
+def _lift(h: List[int], r: int, p: int, steps: int) -> int:
+    """The root mod p^(2^steps) of h (integer coefficients from degree 0
+    up) over the simple root r mod p, by ``steps`` Newton steps, each of
+    which squares the modulus."""
+    dh = [k * c for k, c in enumerate(h) if k]
+    q = p
+    for _ in range(steps):
+        q *= q
+        r = (r - _eval_mod(h, r, q) * pow(_eval_mod(dh, r, q), -1, q)) % q
+    return r
+
+
+def _symmetric(x: int, q: int) -> int:
+    """The residue of x mod q in (-q/2, q/2]."""
+    x %= q
+    return x - q if 2 * x > q else x
 
 
 def _squarefree_part(p: List[GaussRat]) -> List[GaussRat]:
@@ -210,86 +235,6 @@ def _multiplicity(p: List[GaussRat], root: GaussRat) -> int:
         if rem:
             return mult
         mult += 1
-
-
-def _approx_roots(p: List[GaussRat], prec: int) -> Optional[List[GaussRat]]:
-    """Numeric roots of the monic p at ``prec`` bits, as the exact dyadic
-    values mpmath returned (None if the iteration did not converge).
-
-    mpmath stops on an absolute tolerance, so the roots are first scaled
-    by a power of two into the unit disk (Fujiwara's bound
-    2 max |c_k|^(1/(deg - k))) and scaled back exactly.  The iteration
-    runs at twice ``prec`` bits against a tolerance of ``prec`` bits:
-    the Durand-Kerner step of a root in a cluster of width delta stalls
-    near the working precision over delta, so at ``prec`` bits alone
-    such a cluster misses the tolerance at every precision, while at
-    2 * prec it converges once delta exceeds 2**-prec."""
-    import mpmath
-    from mpmath.libmp import NoConvergence
-
-    deg = len(p) - 1
-    shift = max([0] + [
-        1 - (d.bit_length() - max(abs(a), abs(b)).bit_length() - 2) // (deg - k)
-        for k, (a, b, d) in enumerate(c.t for c in p[:-1]) if a or b
-    ])
-    with mpmath.workprec(prec):
-        coeffs = []
-        for k in range(deg, -1, -1):
-            a, b, d = p[k].t
-            d <<= shift * (deg - k)
-            coeffs.append(mpmath.mpc(mpmath.mpf(a) / d, mpmath.mpf(b) / d))
-        try:
-            roots = mpmath.polyroots(coeffs, maxsteps=100 + 10 * deg, extraprec=prec)
-        except NoConvergence:
-            return None
-        return [GaussRat(_dyadic(z.real) * 2**shift, _dyadic(z.imag) * 2**shift)
-                for z in roots]
-
-
-def _dyadic(x) -> Fraction:
-    sign, man, exp, _ = x._mpf_
-    if sign:
-        man = -man
-    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
-
-
-def _nearest_lattice_point(z: GaussRat, den: int) -> GaussRat:
-    return GaussRat(Fraction(round(z.re * den), den), Fraction(round(z.im * den), den))
-
-
-def _inclusion_certified(p: List[GaussRat], zs: List[GaussRat], den: int) -> bool:
-    """Weierstrass inclusion test for the monic squarefree p of degree k
-    at the approximations zs (Braess & Hadeler, Numer. Math. 1973): the
-    disks |x - z_i| <= k |W_i|, W_i = p(z_i) / prod_{j != i} (z_i - z_j),
-    hold all roots, and when they are pairwise disjoint each holds
-    exactly one.  A disk of radius below 1/(2 den) meets (1/den) Z[i] at
-    most in the lattice point nearest its centre.  Decided exactly on
-    squared radii."""
-    k = len(zs)
-    rad2 = []
-    for i, zi in enumerate(zs):
-        denom = GaussRat(1)
-        for j, zj in enumerate(zs):
-            if j != i:
-                denom = denom * (zi - zj)
-        if denom.is_zero():
-            return False
-        r2 = k * k * _abs2(_horner(p, zi)) / _abs2(denom)
-        if not 4 * den * den * r2 < 1:
-            return False
-        rad2.append(r2)
-    for i in range(k):
-        for j in range(i + 1, k):
-            # sqrt(R_i) + sqrt(R_j) < sqrt(D), squared twice
-            gap = _abs2(zs[i] - zs[j]) - rad2[i] - rad2[j]
-            if gap <= 0 or gap * gap <= 4 * rad2[i] * rad2[j]:
-                return False
-    return True
-
-
-def _abs2(z: GaussRat) -> Fraction:
-    a, b, d = z.t
-    return Fraction(a * a + b * b, d * d)
 
 
 # ----------------------------------------------------------------------

@@ -1,16 +1,19 @@
 """gaussian_eigenvalues against sympy factoring over Q(i).
 
-sympy is a test-only oracle: ``factor_list(..., extension=I)`` decides
-exactly which roots of the characteristic polynomial are Gaussian
+sympy is a test-only oracle: factoring the characteristic polynomial
+over its domain ``QQ_I`` decides exactly which roots are Gaussian
 rationals.  Both sides must return the same (eigenvalue, multiplicity)
 list, or raise EigenvalueError with the same message.
 """
 
+import math
 import random
 import time
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from meroconn import residues
 from meroconn.field import CMat, GaussRat, gr
@@ -23,24 +26,16 @@ OUTSIDE = "eigenvalues outside coefficient field"
 
 
 def sympy_eigenvalues(m):
-    """Eigenvalues in Q(i) with multiplicities by sympy factoring."""
-    lam = sympy.Symbol("lam")
-    expr = sympy.Integer(0)
-    for k, c in enumerate(charpoly(m)):
-        a, b, d = c.t
-        expr += (sympy.Rational(a, d) + sympy.Rational(b, d) * sympy.I) * lam**k
-    _, factors = sympy.factor_list(sympy.expand(expr), lam, extension=sympy.I)
+    """Eigenvalues in Q(i) with multiplicities by sympy factoring over QQ_I."""
+    qq, qq_i = sympy.QQ, sympy.QQ_I
+    coeffs = [qq_i(qq(a, d), qq(b, d)) for a, b, d in (c.t for c in reversed(charpoly(m)))]
+    _, factors = sympy.Poly(coeffs, sympy.Symbol("lam"), domain=qq_i).factor_list()
     out = []
     for fac, mult in factors:
-        poly = sympy.Poly(fac, lam)
-        if poly.degree() == 0:
-            continue
-        if poly.degree() != 1:
+        if fac.degree() != 1:
             raise EigenvalueError(OUTSIDE)
-        c1, c0 = poly.all_coeffs()
-        re, im = sympy.simplify(-c0 / c1).as_real_imag()
-        if not (re.is_rational and im.is_rational):
-            raise EigenvalueError(OUTSIDE)
+        c1, c0 = fac.all_coeffs()
+        re, im = (-c0 / c1).as_real_imag()
         out.append((GaussRat(F(int(re.p), int(re.q)), F(int(im.p), int(im.q))), int(mult)))
     if sum(mult for _, mult in out) != m.n:
         raise EigenvalueError(OUTSIDE)
@@ -131,32 +126,16 @@ def test_roots_one_lattice_step_apart():
     for q in (7, 2**40 + 15):
         m = companion([F(0), F(-1, q)])
         assert assert_same(m) == [(gr(0), 1), (gr(F(1, q)), 1)]
-        # with a non-split factor the certificate must separate them
+        # a non-split factor makes it a refusal
         m = companion(poly_mul([0, F(-1, q), 1], [-2, 0, 1])[:-1])
         assert assert_same(m) == ("EigenvalueError", OUTSIDE)
 
 
-def _recorded_passes(monkeypatch):
-    """The precision of every numeric root-finding pass, in call order."""
-    precs = []
-    approx = residues._approx_roots
-
-    def recording(p, prec):
-        precs.append(prec)
-        return approx(p, prec)
-
-    monkeypatch.setattr(residues, "_approx_roots", recording)
-    return precs
-
-
-def test_near_lattice_quadratic_escalates_precision(monkeypatch):
+def test_near_lattice_quadratics_alone_and_with_lattice_and_non_split_factors():
     # x^2 - 10^30 x + 1 is irreducible; its roots lie within 1e-30 of
-    # 10^30 and of 0.  As a quadratic it is decided exactly, with no
-    # numeric pass.  Times (x^2 - 3), which has no root in Q(i), it goes
-    # to the root finder, whose first pass cannot separate the roots
-    # from those lattice points.  Times (x - 3) the passes end once one
-    # finds the lattice root 3: the quadratic quotient is exact again
-    precs = _recorded_passes(monkeypatch)
+    # 10^30 and of 0, next to lattice points that are no roots.  Alone,
+    # times the non-split (x^2 - 3) and times (x - 3), whose root 3 is
+    # on the lattice, the outcome is decided exactly
     eps = F(2, 10**62)
     cases = (
         ([F(1), F(-10**30)], ("EigenvalueError", OUTSIDE)),
@@ -166,44 +145,31 @@ def test_near_lattice_quadratic_escalates_precision(monkeypatch):
         ([F(1), -(F(10**30) + F(1, 10**30))], [(gr(F(1, 10**30)), 1), (gr(10**30), 1)]),
     )
     for quadratic, want in cases:
-        precs.clear()
         assert assert_same(companion(quadratic)) == want
-        assert precs == []
         quartic = companion(poly_mul(quadratic + [F(1)], [F(-3), F(0), F(1)])[:-1])
         assert assert_same(quartic) == ("EigenvalueError", OUTSIDE)
-        assert len(precs) > 1 and precs == sorted(precs)
-        if isinstance(want, tuple):
-            assert precs[-1] > precs[0]
-        precs.clear()
         cubic = companion(poly_mul(quadratic + [F(1)], [F(-3), F(1)])[:-1])
         got = assert_same(cubic)
         assert got == want if isinstance(want, tuple) else got == [want[0], (gr(3), 1), want[1]]
-        assert precs and precs == sorted(precs)
 
 
-def test_lattice_root_divided_out_of_a_near_lattice_cubic(monkeypatch):
+def test_lattice_root_divided_out_of_a_near_lattice_cubic():
     # x(x^2 - 10^30 x + 1): the root near 1e-30 crowds the lattice root
-    # 0, and no inclusion disk separates them.  (x + 1/3)(x^2 - 2x + 1 -
-    # 2e-62): two roots 1.4e-31 from 1.  Each pass divides the exact
-    # roots it finds out, and the quadratic quotient is decided exactly,
-    # so one pass settles both
-    precs = _recorded_passes(monkeypatch)
+    # 0.  (x + 1/3)(x^2 - 2x + 1 - 2e-62): two roots 1.4e-31 from 1.
+    # Both are decided quickly, outside Q(i)
     eps = F(2, 10**62)
     for lattice_root, quadratic in ((F(0), [F(1), F(-10**30)]), (F(-1, 3), [1 - eps, F(-2)])):
         m = companion(poly_mul([-lattice_root, F(1)], quadratic + [F(1)])[:-1])
-        precs.clear()
         start = time.perf_counter()
         got = outcome(gaussian_eigenvalues, m)
         assert time.perf_counter() - start < 1.0
         assert got == ("EigenvalueError", OUTSIDE) == outcome(sympy_eigenvalues, m)
-        assert len(precs) == 1
 
 
-def test_quadratic_discriminants_decided_without_numerics(monkeypatch):
+def test_quadratic_discriminants_decided_without_numerics():
     # x^2 + bx + c with discriminant D = b^2 - 4c: split exactly when D
     # has a square root in Q(i), which needs |D| rational and both
     # (|D| +- Re D)/2 rational squares
-    precs = _recorded_passes(monkeypatch)
     rng = random.Random(14)
     discriminants = [gr(4), gr(-9), gr(0, 2), gr(0, -2), gr(3, 4), gr(-7, 24), gr(F(9, 4)),
                      gr(F(-3, 4), -1), gr(2), gr(-3), gr(0, 1), gr(1, 1), gr(5, 12) * gr(2),
@@ -221,4 +187,73 @@ def test_quadratic_discriminants_decided_without_numerics(monkeypatch):
                       [(b * b - d) * GaussRat(F(1, 4)), b, gr(1)])
         assert assert_same(conjugate(rng, companion(p2[:-1]))) == (
             got if not isinstance(got, list) else [(z, 2 * k) for z, k in got])
-    assert precs == [] and 15 <= split < len(discriminants)
+    assert 15 <= split < len(discriminants)
+
+
+def _roots_with_multiplicities(roots):
+    return sorted(Counter(roots).items(), key=lambda t: (t[0].re, t[0].im))
+
+
+# Gaussian rationals (a + bi)/q with |a|, |b| from 0 up to 10^40, so
+# that one root often dominates the others and sits next to the Cauchy
+# bound of the scaled squarefree part
+_PARTS = st.builds(lambda s, e, k: s * (10**e - k), st.sampled_from([1, -1]),
+                   st.sampled_from([0, 1, 12, 40]), st.integers(0, 9))
+_ROOTS = st.builds(lambda a, b, q: GaussRat(F(a, q), F(b, q)),
+                   _PARTS, _PARTS, st.sampled_from([1, 2, 3, 40, 2**31 - 1]))
+# irreducible over Q(i): x^2 - 3, x^2 - i, x^3 + 2
+_NON_SPLIT = [None, [-3, 0, 1], [GaussRat(0, -1), 0, 1], [2, 0, 0, 1]]
+
+
+@settings(max_examples=24, deadline=None, derandomize=True, database=None)
+@given(st.lists(_ROOTS, min_size=1, max_size=3),
+       st.lists(st.integers(0, 2), min_size=3, max_size=3),
+       st.sampled_from(_NON_SPLIT), st.integers(0, 2**16))
+def test_products_of_linear_factors_match_sympy(roots, repeats, extra, seed):
+    # companion matrices of prod (x - z)^k, conjugated, sometimes times
+    # an irreducible quadratic or cubic
+    roots = roots + [z for z, k in zip(roots, repeats) for _ in range(k)][:2]
+    coeffs = [GaussRat(1)]
+    for z in roots:
+        coeffs = poly_mul(coeffs, [-z, GaussRat(1)])
+    if extra is not None:
+        coeffs = poly_mul(coeffs, [GaussRat(c) for c in extra])
+    got = assert_same(conjugate(random.Random(seed), companion(coeffs[:-1])))
+    assert got == (_roots_with_multiplicities(roots) if extra is None
+                   else ("EigenvalueError", OUTSIDE))
+
+
+def test_roots_at_the_cauchy_bound():
+    # one root +-R or +-iR far above the others: a or b is within the
+    # others' size of the bound B, and only a modulus above 2B tells +R
+    # from -R.  With R alone the prime is 5, and R = 3/4 of a power
+    # 5^(2^j) is past half of the first such power above B
+    for big in (10**40, 2**64 + 1, 3 * 5**16 // 4, 3 * 5**32 // 4):
+        for unit in (GaussRat(1), GaussRat(-1), GaussRat(0, 1), GaussRat(0, -1)):
+            for rest in ([], [GaussRat(1)], [GaussRat(-1, 1), GaussRat(F(1, 3), 2)]):
+                roots = [unit * GaussRat(big)] + rest
+                coeffs = [GaussRat(1)]
+                for z in roots:
+                    coeffs = poly_mul(coeffs, [-z, GaussRat(1)])
+                got = gaussian_eigenvalues(companion(coeffs[:-1]))
+                assert got == _roots_with_multiplicities(roots)
+
+
+def test_bad_primes_are_skipped():
+    # roots 0, P/den and 2P/den with P the product of the first 100
+    # primes = 1 (mod 4): the discriminant 4 P^6 (scaled) vanishes mod
+    # each of them, so both images are squarefree first at the 101st
+    primes, p = [], 5
+    while len(primes) < 101:
+        if all(p % f for f in range(3, int(p**0.5) + 1, 2)):
+            primes.append(p)
+        p += 4
+    big = math.prod(primes[:100])
+    for den in (1, 3):
+        m = companion([F(0), F(2 * big * big, den * den), F(-3 * big, den)])
+        got = gaussian_eigenvalues(m)
+        scaled = [(z * GaussRat(den), k) for z, k in got]
+        assert scaled == [(gr(0), 1), (gr(big), 1), (gr(2 * big), 1)]
+        # y = den^2 x scales the characteristic polynomial to g
+        g = [(0, 0), (2 * (big * den) ** 2, 0), (-3 * big * den, 0), (1, 0)]
+        assert residues._good_prime(g)[0] == primes[100]

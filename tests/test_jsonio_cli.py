@@ -435,9 +435,9 @@ def test_translate_runs_without_sympy():
     oracle) nor numpy/scipy, mpmath is the only runtime dependency, and
     modelmetric imports neither mpmath nor correspondence.  Angles need
     no cosine series or mpmath.iv, and stokes reads no enclosure
-    endpoint itself.  The Stokes and Betti side and the exact
-    dictionaries import mpmath only inside the functions that evaluate
-    numbers."""
+    endpoint itself.  Only correspondence and selftest import mpmath,
+    and the Stokes and Betti side and the exact dictionaries import it
+    only inside the functions that evaluate numbers."""
     script = (
         "import sys\n"
         "from meroconn.cli import main\n"
@@ -461,6 +461,9 @@ def test_translate_runs_without_sympy():
     assert not [(f, m, n) for f, names in imported.items() for m, n in names
                 if n == "mpi_cos" or m.startswith("mpmath.iv") or (m, n) == ("mpmath", "iv")]
     assert not {n for _, n in imported["stokes.py"]} & {"mpf_gt", "mpf_lt", "fzero"}
+    # only the numeric dictionary and the selftest use mpmath at all
+    assert {f for f, names in imported.items() for m, _ in names
+            if m.split(".")[0] == "mpmath"} == {"correspondence.py", "selftest.py"}
     lazy = ("angles.py", "stokes.py", "betti.py", "correspondence.py", "residues.py")
     assert not [(f, m) for f in lazy for m in _module_level_imports(src / f)
                 if m.split(".")[0] == "mpmath"]
