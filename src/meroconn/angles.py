@@ -1,4 +1,5 @@
-"""Exact angle arithmetic for anti-Stokes directions.
+"""Exact angle arithmetic for anti-Stokes directions, and the integer
+enclosures behind every float the package prints.
 
 An angle is stored as q*pi + sum_k q_k * arg(w_k) with rational q, q_k
 and Gaussian rationals w_k lying in the open first octant
@@ -36,16 +37,25 @@ most twice an exact term below 2).  Past pi/8 the series runs on
 pi/4 - arg(w) = arg((x + y) + i(x - y)) instead, so its ratio stays
 below sin(pi/8)^2 < 1/6.  pi comes from the same kernel:
 pi/4 = arg(2 + i) + arg(3 + i).  The enclosure of each arg(w) is
-memoized per (w, precision).
+memoized per (w, precision), that of each rational multiple of pi per
+(numerator, denominator, precision).
+
+The numbers of the Betti side come from the same enclosures, by
+floored Taylor series with proved bounds (R. P. Brent, "Fast
+multiple-precision evaluation of elementary functions", J. ACM 23
+(1976)): ``cos_sin_pi`` after an exact reduction to [0, pi/4], and
+``exp_enclosure`` by halving and squaring.
 
 Every integer part of an angle x is read one way, never through a
 float: x lies in the open turn k*u*pi < x < (k + 1)*u*pi once the exact
 floor and ceiling of its enclosure over u*pi show it, and one precision
 ladder (64, 128, ..., 2048 bits) refines the enclosure until they do
 (u = 2 for principal values and, shifted by pi, the branch of
-``pi_ratio``; u = 1/2 for ``cos_sign``).  ``float`` follows the same
-ladder: it returns the double nearest to the exact angle, the first
-rounding of an enclosure whose two ends round to one double.
+``pi_ratio``; u = 1/2 for ``cos_sign``).  Every float of the package
+follows the same ladder, in ``nearest_double``: it is the double
+nearest to the exact value, the first rounding of an enclosure whose
+two ends round to one double, and an exact 0, which no enclosure pins
+that way, is decided exactly first.
 
 Comparison is filtered.  Two rational multiples of pi compare by their
 coefficients.  Every other expression keeps one outward-rounded 64-bit
@@ -143,7 +153,7 @@ class AngleExpr:
         Shifted by pi that sum is (2B + 1)*pi, strictly inside the turn
         (2*pi*B, 2*pi*(B + 1)), so its floor in turns is B."""
         shifted = AngleExpr(1 - Fraction(eighth, 4), tuple((q * den, w) for q, w in self.terms))
-        return shifted._floor(2, "branch not pinned at maximum precision")
+        return shifted._floor(_TURN, "branch not pinned at maximum precision")
 
     def is_zero(self) -> bool:
         r = self.pi_ratio()
@@ -167,7 +177,7 @@ class AngleExpr:
         diff = self - other
         if diff.is_zero():
             return 0
-        return 1 if diff._floor(2, "comparison not resolved at maximum precision") >= 0 else -1
+        return 1 if diff._floor(_TURN, "comparison not resolved at maximum precision") >= 0 else -1
 
     def _enclosure(self):
         """interval(64), computed once per instance and kept on it (the
@@ -183,9 +193,10 @@ class AngleExpr:
         with lo * 2**-prec <= self <= hi * 2**-prec."""
         return terms_enclosure(self.terms, prec, self.pi_part)
 
-    def _floor(self, turn, message: str) -> int:
-        """The k with k*turn*pi < self < (k + 1)*turn*pi from enclosures
-        up the precision ladder; PrecisionError(message) if none shows it."""
+    def _floor(self, turn: Tuple[int, int], message: str) -> int:
+        """The k with k*u*pi < self < (k + 1)*u*pi, u = turn[0]/turn[1],
+        from enclosures up the precision ladder; PrecisionError(message)
+        if none shows it."""
         for prec in _PRECISIONS:
             k = _open_floor(self._enclosure() if prec == 64 else self.interval(prec), turn, prec)
             if k is not None:
@@ -198,22 +209,17 @@ class AngleExpr:
         if r is not None:
             return AngleExpr.of_pi(r - 2 * (r // 2))
         # self/pi is irrational, so self lies strictly inside a turn
-        return self.shift_pi(-2 * self._floor(2, "principal value not resolved"))
+        return self.shift_pi(-2 * self._floor(_TURN, "principal value not resolved"))
 
     def __float__(self):
-        """The double nearest to the angle: the first enclosure up the
-        precision ladder whose two ends round to the same double (int
-        division rounds correctly) gives it.  A dyadic rational angle
-        would never be so enclosed; by Lindemann's theorem the only one
-        is 0, which gives 0.0."""
-        for prec in _PRECISIONS:
+        """The double nearest to the angle, by ``nearest_double``.  By
+        Lindemann's theorem the only dyadic rational angle is 0, which
+        the exact test gives as 0.0."""
+
+        def enclose(prec):
             lo, hi = self._enclosure() if prec == 64 else self.interval(prec)
-            x = lo / (1 << prec)
-            if x == hi / (1 << prec):
-                return x
-        if self.is_zero():
-            return 0.0
-        raise PrecisionError("angle not rounded at maximum precision")
+            return lo, hi, 1 << prec
+        return nearest_double(enclose, self.is_zero, "angle not rounded at maximum precision")
 
     def __repr__(self):
         if not self.terms:
@@ -385,9 +391,9 @@ def _octant_index(c: GaussRat) -> int:
 _GUARD = 20
 
 
-def _scaled(q: Fraction, enc: Tuple[int, int]) -> Tuple[int, int]:
-    """q times the enclosure ``enc``, rounded outward at its scale."""
-    a, b = q.numerator, q.denominator
+def _scaled(a: int, b: int, enc: Tuple[int, int]) -> Tuple[int, int]:
+    """a/b (b > 0) times the enclosure ``enc``, rounded outward at its
+    scale."""
     lo, hi = (enc[1], enc[0]) if a < 0 else enc
     return a * lo // b, -(-a * hi // b)
 
@@ -416,6 +422,132 @@ def _quarter_pi(bits: int) -> Tuple[int, int]:
     return a + c, b + d
 
 
+def _alternating(x: int, first: int, bits: int) -> Tuple[int, int]:
+    """Integers (lo, hi) around sum_k (-1)^k x^(2k+first)/(2k+first)! at
+    scale 2**-bits, the series of cos (first 0) and sin (first 1), for
+    0 <= x * 2**-bits <= 1.  Each term is the floor of the previous
+    computed one times x^2/((2k+first+1)(2k+first+2)) < 1/2, so it falls
+    short of the exact one by less than 2; summed until a term floors to
+    0 after m terms, the alternating tail lies below that term's exact
+    value, below 2, so the exact sum is within 2m + 2 of the computed
+    one."""
+    x2 = x * x
+    term = x if first else 1 << bits
+    total = m = 0
+    while term:
+        total += -term if m & 1 else term
+        m += 1
+        k = 2 * m + first
+        term = (term * x2 >> 2 * bits) // ((k - 1) * k)
+    return total - 2 * m - 2, total + 2 * m + 2
+
+
+def _neg(enc: Tuple[int, int]) -> Tuple[int, int]:
+    return -enc[1], -enc[0]
+
+
+@lru_cache(maxsize=1024)
+def cos_sin_pi(num: int, den: int, prec: int = 64):
+    """Enclosures (cos, sin) of cos(r*pi) and sin(r*pi), r = num/den with
+    den > 0, each a pair (lo, hi) at scale 2**-prec.
+
+    r is reduced exactly: r = j/2 + a/(2*den) with j = floor(2r), so j
+    mod 4 quarter turns swap and negate the pair, and t = a/(2*den) lies
+    in [0, 1/2); past 1/4 the complement u = 1/2 - t swaps cos and sin.
+    At u*pi in [0, pi/4] the pair comes from the series of
+    ``_alternating`` at ``_GUARD`` extra bits on the ends of the
+    enclosure of u*pi (cos decreases and sin increases there), except
+    for the rational values, which by Niven's theorem are those of u = 0
+    and sin(pi/6) = 1/2 and are given exactly.  So each of the values 0,
+    +-1/2 and +-1 is its exact pair (lo = hi), and no other value, being
+    irrational, is ever one."""
+    j, a = divmod(2 * num, den)
+    bits = prec + _GUARD
+    swap = 2 * a > den
+    if swap:
+        a = den - a
+    if a == 0:
+        cos, sin = (1 << prec,) * 2, (0, 0)
+    else:
+        qlo, qhi = _quarter_pi(bits)
+        xlo, xhi = _scaled(a, den, (2 * qlo, 2 * qhi))
+        cos = _alternating(xhi, 0, bits)[0], _alternating(xlo, 0, bits)[1]
+        sin = _alternating(xlo, 1, bits)[0], _alternating(xhi, 1, bits)[1]
+        cos, sin = ((lo >> _GUARD, -(-hi >> _GUARD)) for lo, hi in (cos, sin))
+        if 3 * a == den:
+            sin = (1 << (prec - 1),) * 2
+    if swap:
+        cos, sin = sin, cos
+    # j quarter turns: (cos, sin) -> (-sin, cos) each
+    j %= 4
+    if j & 2:
+        cos, sin = _neg(cos), _neg(sin)
+    if j & 1:
+        cos, sin = _neg(sin), cos
+    return cos, sin
+
+
+def exp_enclosure(lo: int, hi: int, prec: int = 64) -> Tuple[int, int]:
+    """Integers (elo, ehi) with elo <= exp(x) * 2**prec <= ehi for every x
+    with lo <= x * 2**prec <= hi, for 0 <= lo <= hi.
+
+    exp increases, so elo comes from lo and ehi from hi.  Each end is
+    halved h times to below 1/2 and its Taylor series summed at
+    g = h + ``_GUARD`` extra bits: the terms are positive and each is the
+    floor of the previous computed one times y/(k + 1) <= 1/2, so the
+    sum is a lower bound, short of the exact value by less than 2 per
+    term plus a tail below 4 (at most twice an exact term below 2).
+    Squared h times, flooring the lower end and rounding up the upper,
+    the enclosure loses under h bits of the g."""
+    h = max(0, hi.bit_length() - prec + 1)
+    g = h + _GUARD
+    w = prec + g
+    ends = []
+    for x in (lo, hi):
+        y = x << (g - h)
+        term, total, m = 1 << w, 0, 0
+        while term:
+            total += term
+            m += 1
+            term = (term * y >> w) // m
+        ends.append((total, total + 2 * m + 4))
+    elo, ehi = ends[0][0], ends[1][1]
+    for _ in range(h):
+        elo = elo * elo >> w
+        ehi = -(-ehi * ehi >> w)
+    return elo >> g, -(-ehi >> g)
+
+
+def nearest_double(enclose, is_zero, message: str) -> float:
+    """The double nearest to a real x, the one float rule of the package.
+
+    ``enclose(prec)`` gives integers (lo, hi, den), den > 0, with
+    lo/den <= x <= hi/den, finer as prec climbs the ladder; the first
+    enclosure whose two ends round to one double gives it (int true
+    division rounds correctly, and a quotient past the largest double
+    rounds to +-inf).  x = 0 is decided apart, by the exact test
+    ``is_zero()``, asked only when the first enclosure meets 0: an
+    enclosure of 0 either never rounds its ends alike or rounds them to
+    -0.0 and 0.0, which compare equal.  PrecisionError(message) if the
+    ladder runs out."""
+    for prec in _PRECISIONS:
+        lo, hi, den = enclose(prec)
+        if prec == _PRECISIONS[0] and lo <= 0 <= hi and is_zero():
+            return 0.0
+        x = _quotient(lo, den)
+        if x == _quotient(hi, den):
+            return x
+    raise PrecisionError(message)
+
+
+def _quotient(a: int, b: int) -> float:
+    """a/b rounded to the nearest double, +-inf past the largest one."""
+    try:
+        return a / b
+    except OverflowError:
+        return math.inf if a > 0 else -math.inf
+
+
 @lru_cache(maxsize=4096)
 def _arg_enclosure(t, prec: int) -> Tuple[int, int]:
     """arg(w) for w = GaussRat.from_triple(t) in the open first octant,
@@ -433,10 +565,15 @@ def _arg_enclosure(t, prec: int) -> Tuple[int, int]:
 
 
 @lru_cache(maxsize=256)
-def pi_enclosure(p: Fraction, prec: int = 64) -> Tuple[int, int]:
-    """The ``prec``-bit enclosure of p*pi (that of ``interval``): the
-    multiples of pi/(4k) of directions, and the turns of ``_open_floor``."""
-    return terms_enclosure((), prec, p)
+def pi_enclosure(num: int, den: int, prec: int = 64) -> Tuple[int, int]:
+    """The ``prec``-bit enclosure of (num/den)*pi, den > 0: that of
+    ``AngleExpr.of_pi(Fraction(num, den)).interval(prec)``, reduced or
+    not.  It serves the residues over 4k of directions, the turns of
+    ``_open_floor`` and 2*pi and exp(2*pi*t) on the Betti side; keyed on
+    integers, a lookup hashes no ``Fraction``."""
+    qlo, qhi = _quarter_pi(prec + _GUARD)
+    lo, hi = _scaled(num, den, (4 * qlo, 4 * qhi))
+    return lo >> _GUARD, -(-hi >> _GUARD)
 
 
 def terms_enclosure(terms, prec: int = 64, pi_part=0) -> Tuple[int, int]:
@@ -446,21 +583,28 @@ def terms_enclosure(terms, prec: int = 64, pi_part=0) -> Tuple[int, int]:
     too."""
     lo = hi = 0
     if pi_part:
+        p = Fraction(pi_part)
         qlo, qhi = _quarter_pi(prec + _GUARD)
-        lo, hi = _scaled(Fraction(pi_part), (4 * qlo, 4 * qhi))
+        lo, hi = _scaled(p.numerator, p.denominator, (4 * qlo, 4 * qhi))
     for q, w in terms:
-        a, b = _scaled(q, _arg_enclosure(w.t, prec))
+        a, b = _scaled(q.numerator, q.denominator, _arg_enclosure(w.t, prec))
         lo, hi = lo + a, hi + b
     return lo >> _GUARD, -(-hi >> _GUARD)
 
 
-def _open_floor(enc, turn, prec: int) -> Optional[int]:
-    """The integer k with k*turn*pi < x < (k + 1)*turn*pi for every x in
-    the enclosure ``enc`` at ``prec`` bits, from the floor and ceiling of
-    enc/(turn*pi); None if enc meets a multiple of turn*pi."""
+# the turns of _open_floor, as (num, den): 2*pi and pi/2
+_TURN = (2, 1)
+_QUARTER = (1, 2)
+
+
+def _open_floor(enc, turn: Tuple[int, int], prec: int) -> Optional[int]:
+    """The integer k with k*u*pi < x < (k + 1)*u*pi, u = turn[0]/turn[1],
+    for every x in the enclosure ``enc`` at ``prec`` bits, from the
+    floor and ceiling of enc/(u*pi); None if enc meets a multiple of
+    u*pi."""
     lo, hi = enc
-    plo, phi = pi_enclosure(turn, prec)
-    # the quotient's ends: each bound over the end of turn*pi that
+    plo, phi = pi_enclosure(*turn, prec)
+    # the quotient's ends: each bound over the end of u*pi that
     # takes it furthest out
     k = hi // (plo if hi >= 0 else phi)
     return k if lo > k * (phi if lo >= 0 else plo) else None
@@ -470,7 +614,6 @@ def _open_floor(enc, turn, prec: int) -> Optional[int]:
 # the sign of a cosine, by quarter turns
 # ----------------------------------------------------------------------
 
-_HALF = Fraction(1, 2)
 # cos is positive on the open quarter turns k*pi/2 < x < (k + 1)*pi/2
 # with k mod 4 in {0, 3} and negative on those with k mod 4 in {1, 2}
 _QUARTER_SIGNS = (1, -1, -1, 1)
@@ -480,7 +623,7 @@ def _quarter_sign(enc) -> Optional[int]:
     """The sign of cos(x) for every x in the 64-bit enclosure ``enc``,
     from the open quarter turn that holds it; None if enc meets a
     multiple of pi/2, where x itself may lie."""
-    k = _open_floor(enc, _HALF, 64)
+    k = _open_floor(enc, _QUARTER, 64)
     return None if k is None else _QUARTER_SIGNS[k % 4]
 
 
@@ -497,6 +640,6 @@ def cos_sign(expr: AngleExpr) -> int:
         return sign
     r = expr.pi_ratio()
     if r is None:
-        return _QUARTER_SIGNS[expr._floor(_HALF, "cosine sign not resolved") % 4]
+        return _QUARTER_SIGNS[expr._floor(_QUARTER, "cosine sign not resolved") % 4]
     k = math.floor(2 * r)
     return 0 if k == 2 * r and k % 2 else _QUARTER_SIGNS[k % 4]

@@ -12,10 +12,11 @@ Laurent layers and ``connection``, the Stokes and Betti commands add
 ``angles``, ``stokes`` and ``betti``, and the dictionary commands add
 ``correspondence``, with ``residues`` for ``translate`` and
 ``verify-metric`` (``oracle-monodromy`` needs no residue structure).
-Only the commands that print a number mpmath evaluates load it:
-``translate --to betti`` and ``oracle-monodromy``.  The Stokes and
-Betti commands decide angles on integer enclosures, and ``translate
---to dol`` and ``verify-metric`` are exact.
+No command loads a dependency: angles, the monodromy and the oracle's
+constants are decided or evaluated on integer enclosures, and every
+float printed is the double nearest to its exact value, whatever the
+precision (``oracle-monodromy --precision`` sets the oracle's binary
+point, not that rule).
 """
 
 from __future__ import annotations
@@ -66,6 +67,10 @@ def _emit(doc, indent=2) -> None:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
+
+
+def _parts(z: complex):
+    return [repr(z.real), repr(z.imag)]
 
 
 def _angle_doc(angle: AngleExpr):
@@ -163,8 +168,8 @@ def cmd_translate(args) -> int:
             "irregular_type": jsonio.enc_irregular(dol.q),
         })
     else:
-        bet = dR_to_Betti(local, prec=args.precision)
-        num = bet.monodromy_numeric(args.precision)
+        bet = dR_to_Betti(local)
+        num = bet.monodromy_numeric()
         _emit({
             "format": FORMAT,
             "command": "translate",
@@ -173,16 +178,14 @@ def cmd_translate(args) -> int:
             "gamma": jsonio.enc_weight(bet.gamma),
             "semisimple_factor": [
                 {"root_of_unity": f"{f.p}/{f.q}"} if hasattr(f, "p")
-                else {"numeric": [repr(float(f.real)), repr(float(f.imag))]}
+                else {"numeric": _parts(f.numeric())}
                 for f in bet.semisimple_factor
             ],
             "nilpotent_factor_pi_coeffs": {
                 str(k): jsonio.enc_cmat(m)
                 for k, m in bet.nilpotent_factor.coeffs.items()
             },
-            "monodromy_numeric": [
-                [[repr(x.real), repr(x.imag)] for x in row] for row in num
-            ],
+            "monodromy_numeric": [[_parts(x) for x in row] for row in num],
             "irregular_type": jsonio.enc_irregular(bet.q),
         })
     return EXIT_OK
@@ -280,8 +283,8 @@ def cmd_oracle_monodromy(args) -> int:
         "format": FORMAT,
         "command": "oracle-monodromy",
         "b": jsonio.enc_fraction(b),
-        "multiplier": [repr(got.real), repr(got.imag)],
-        "expected": [repr(want.real), repr(want.imag)],
+        "multiplier": _parts(got),
+        "expected": _parts(want),
         "abs_error": repr(err),
         "matches": err < 1e-8,
         "orientation": "+1 (counterclockwise)",
@@ -354,7 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="source", default="dR", choices=["dR"])
     p.add_argument("--to", required=True, choices=["dol", "betti"])
     p.add_argument("--input", required=True)
-    p.add_argument("--precision", type=int, default=128, help="bits for numeric layers")
     p.set_defaults(fn=cmd_translate)
 
     p = sub.add_parser("check-relation", help="evaluate the defining relation")

@@ -11,17 +11,20 @@ irregular type Q), the translations are
 
 with (X, H, Y) the sl2 triple completing the nilpotent part.  Weights
 stay exact (Re(s) is exact for Gaussian-rational s); transcendentals
-enter only through the monodromy, where the nilpotent factor is carried
-symbolically as a polynomial in pi and the semisimple factor is kept as
-exact root-of-unity data when possible, with numerics on demand.
+enter only through the monodromy, which is kept exact: the nilpotent
+factor as a polynomial in pi, each semisimple entry as its exponent s
+(a ``RootOfUnity`` for real s, an ``Exponential`` otherwise).
+
+Numbers appear only when printed, each the double nearest to the exact
+value, from ``angles``' integer enclosures (``_Rounder``), so no result
+depends on a working precision.  Only the functions that evaluate
+numbers import ``angles``; the exact translations (``dR_to_Dol``,
+``dR_to_Betti`` itself) load none of it.
 
 The loop orientation of the rank-1 monodromy oracle is counterclockwise
 (z = exp(i phi), phi from 0 to 2 pi); with that orientation the measured
 multiplier of f' = (q' + b/z) f is exp(+2 pi i b).  This sign is the
 library-wide convention (ORIENTATION = +1).
-
-Only the functions that evaluate numbers import mpmath, so the exact
-translations (``dR_to_Dol``, the weights of ``dR_to_Betti``) load none.
 """
 
 from __future__ import annotations
@@ -41,15 +44,6 @@ ORIENTATION = +1
 
 class CorrespondenceError(ValueError):
     pass
-
-
-def to_mpc(c: GaussRat):
-    """c as an mpmath complex, each part num/den rounded at the working
-    precision."""
-    import mpmath
-
-    return mpmath.mpc(mpmath.mpf(c.re.numerator) / c.re.denominator,
-                      mpmath.mpf(c.im.numerator) / c.im.denominator)
 
 
 # ----------------------------------------------------------------------
@@ -121,11 +115,26 @@ class RootOfUnity:
     p: int
     q: int
 
-    def mp(self, prec: int = 53):
-        import mpmath
+    @property
+    def exponent(self) -> GaussRat:
+        return GaussRat(Fraction(self.p, self.q))
 
-        with mpmath.workprec(prec):
-            return mpmath.expjpi(mpmath.mpf(-2 * self.p) / self.q)
+
+@dataclass(frozen=True)
+class Exponential:
+    """exp(-2 pi i s) for a non-real Gaussian rational s = re + i*im,
+    stored exactly.  It has no ``p``: printers show p/q for a
+    ``RootOfUnity`` alone."""
+
+    re: Fraction
+    im: Fraction
+
+    @property
+    def exponent(self) -> GaussRat:
+        return GaussRat(self.re, self.im)
+
+    def numeric(self) -> complex:
+        return _factor_numeric(self.exponent)
 
 
 class PiMatrixPoly:
@@ -143,23 +152,6 @@ class PiMatrixPoly:
         return cls({k: t.scale(minus_2i ** k)
                     for k, t in enumerate(y.exp_nilpotent_terms())})
 
-    def mp(self, prec: int = 53) -> List[List[object]]:
-        """Evaluate at pi as mpmath complex numbers at the given precision."""
-        import mpmath
-
-        n = next(iter(self.coeffs.values())).n if self.coeffs else 0
-        with mpmath.workprec(prec):
-            pi = mpmath.pi
-            out = [[mpmath.mpc(0) for _ in range(n)] for _ in range(n)]
-            for k, m in self.coeffs.items():
-                w = pi**k
-                for i in range(n):
-                    for j in range(n):
-                        c = m[i, j]
-                        if not c.is_zero():
-                            out[i][j] += to_mpc(c) * w
-            return out
-
     def __eq__(self, other):
         if not isinstance(other, PiMatrixPoly):
             return NotImplemented
@@ -175,26 +167,109 @@ class BettiLocal:
     (semisimple diagonal, unipotent pi-polynomial)."""
 
     gamma: Weight
-    semisimple_factor: Tuple[object, ...]  # RootOfUnity or complex per entry
+    semisimple_factor: Tuple[object, ...]  # RootOfUnity or Exponential per entry
     nilpotent_factor: PiMatrixPoly
     q: IrregularType
 
-    def monodromy_mp(self, prec: int = 53):
-        """Full monodromy as mpmath complex numbers (semisimple diagonal
-        times the unipotent pi-polynomial)."""
-        import mpmath
-
-        with mpmath.workprec(prec):
-            diag = [
-                f.mp(prec) if isinstance(f, RootOfUnity) else mpmath.mpc(f)
-                for f in self.semisimple_factor
-            ]
-            nil = self.nilpotent_factor.mp(prec)
-            n = len(diag)
-            return [[diag[i] * nil[i][j] for j in range(n)] for i in range(n)]
-
     def monodromy_numeric(self, prec: int = 53) -> List[List[complex]]:
-        return [[complex(x) for x in row] for row in self.monodromy_mp(prec)]
+        """The monodromy (semisimple diagonal times the unipotent
+        pi-polynomial), each part the double nearest to its exact value.
+        ``prec`` is accepted for compatibility and changes nothing."""
+        n = len(self.semisimple_factor)
+        coeffs = self.nilpotent_factor.coeffs.items()
+        out = []
+        for i, f in enumerate(self.semisimple_factor):
+            row_factor = _Rounder(f.exponent)
+            row = []
+            for j in range(n):
+                cs = [(k, m[i, j].t) for k, m in coeffs]
+                # e^{i theta} (a + b i)/d has real part (a cos - b sin)/d
+                # and imaginary part (b cos + a sin)/d
+                row.append(complex(
+                    row_factor.nearest([(k, a, -b, d) for k, (a, b, d) in cs]),
+                    row_factor.nearest([(k, b, a, d) for k, (a, b, d) in cs])))
+            out.append(row)
+        return out
+
+
+class _Rounder:
+    """Nearest doubles of exp(-2 pi i s) times a polynomial in pi, for one
+    exponent s, by ``angles.nearest_double``.
+
+    Write theta = -2 pi Re s.  A part of such a product is
+    exp(2 pi Im s) * sum_k (a_k cos(theta) + b_k sin(theta)) * pi^k with
+    rational a_k, b_k.  The sum is 0 exactly when every coefficient
+    a_k cos(theta) + b_k sin(theta) = |a_k - i b_k| cos(theta +
+    arg(a_k - i b_k)) is, as pi is transcendental over the algebraic
+    coefficients; ``cos_sign`` decides each, asked only when the first
+    enclosure meets 0.  exp(2 pi Im s) is 1, ``exp_enclosure`` of
+    2 pi Im s, or for Im s < 0 the reciprocal of that of -2 pi Im s; its
+    enclosure is kept per precision, shared by the parts of a row."""
+
+    def __init__(self, s: GaussRat):
+        a, b, d = s.t
+        self.theta = (-2 * a, d)  # theta/pi
+        self.im = (b, d)
+        self._exp: Dict[int, Tuple[int, int, int]] = {}
+
+    def _exp_enclosure(self, prec: int) -> Tuple[int, int, int]:
+        """(elo, ehi, eden) with elo/eden <= exp(2 pi Im s) <= ehi/eden."""
+        enc = self._exp.get(prec)
+        if enc is None:
+            from .angles import exp_enclosure, pi_enclosure
+
+            b, d = self.im
+            if b == 0:
+                enc = (1, 1, 1)
+            elif b > 0:
+                enc = (*exp_enclosure(*pi_enclosure(2 * b, d, prec), prec), 1 << prec)
+            else:
+                flo, fhi = exp_enclosure(*pi_enclosure(-2 * b, d, prec), prec)
+                enc = (flo << prec, fhi << prec, flo * fhi)
+            self._exp[prec] = enc
+        return enc
+
+    def nearest(self, coeffs) -> float:
+        """The double nearest to the part with a_k = a/d and b_k = b/d
+        over the rows (k, a, b, d) of ``coeffs`` (integers, d > 0)."""
+        coeffs = [c for c in coeffs if c[1] or c[2]]
+        if not coeffs:
+            return 0.0
+        from .angles import (AngleExpr, _scaled, arg_angle, cos_sign, cos_sin_pi,
+                             nearest_double, pi_enclosure)
+
+        theta = self.theta
+
+        def is_zero():
+            base = AngleExpr.of_pi(Fraction(*theta))
+            return all(cos_sign(base + arg_angle(GaussRat(a, -b))) == 0
+                       for _, a, b, _ in coeffs)
+
+        def enclose(prec):
+            cos, sin = cos_sin_pi(*theta, prec)
+            plo, phi = pi_enclosure(1, 1, prec)
+            lo = hi = 0
+            for k, a, b, d in coeffs:
+                alo, ahi = _scaled(a, d, cos)
+                blo, bhi = _scaled(b, d, sin)
+                clo, chi = alo + blo, ahi + bhi
+                # times pi^k > 0, floored and rounded up at scale 2**-prec
+                klo, khi = plo ** k, phi ** k
+                shift = k * prec
+                lo += clo * (klo if clo >= 0 else khi) >> shift
+                hi -= -chi * (khi if chi >= 0 else klo) >> shift
+            # times the positive [elo, ehi]/eden
+            elo, ehi, eden = self._exp_enclosure(prec)
+            return (lo * (elo if lo >= 0 else ehi), hi * (ehi if hi >= 0 else elo),
+                    eden << prec)
+
+        return nearest_double(enclose, is_zero, "monodromy entry not rounded at maximum precision")
+
+
+def _factor_numeric(s: GaussRat) -> complex:
+    """exp(-2 pi i s) as nearest doubles."""
+    r = _Rounder(s)
+    return complex(r.nearest([(0, 1, 0, 1)]), r.nearest([(0, 0, 1, 1)]))
 
 
 # ----------------------------------------------------------------------
@@ -214,7 +289,9 @@ def dR_to_Dol(d: DeRhamLocal) -> DolbeaultLocal:
 
 def dR_to_Betti(d: DeRhamLocal, prec: int = 128) -> BettiLocal:
     """Betti data: gamma = beta - Re(s), monodromy
-    exp(-2 pi i s) exp(-2 pi i Y) with the nilpotent factor symbolic."""
+    exp(-2 pi i s) exp(-2 pi i Y), all exact: the semisimple factor as
+    the exponents s, the nilpotent factor as a pi-polynomial.  ``prec``
+    is accepted for compatibility and changes nothing."""
     st = d.structure()
     n = st.s.n
     gamma = Weight(
@@ -226,12 +303,7 @@ def dR_to_Betti(d: DeRhamLocal, prec: int = 128) -> BettiLocal:
         if si.is_real():
             factors.append(RootOfUnity(si.re.numerator, si.re.denominator))
         else:
-            # kept as an mpmath complex at the working precision; callers
-            # downcast to float complex at the API edge
-            import mpmath
-
-            with mpmath.workprec(prec):
-                factors.append(mpmath.exp(-2j * mpmath.pi * to_mpc(si)))
+            factors.append(Exponential(si.re, si.im))
     nil = PiMatrixPoly.exp_neg_two_pi_i(st.Y)
     return BettiLocal(
         gamma=gamma, semisimple_factor=tuple(factors), nilpotent_factor=nil, q=d.q
@@ -283,7 +355,8 @@ def rank1_monodromy_oracle(b, q: Optional[IrregularType] = None,
 
     exp(q) is single-valued on the circle, so the multiplier equals
     exp(ORIENTATION * 2 pi i b).  Fixed-step RK4, deterministic for fixed
-    (steps, prec); nothing is kept between calls.
+    (steps, prec); nothing is kept between calls but the bounded caches
+    of ``angles``' enclosures of the constants.
 
     In the angle phi (in turns) the equation reads df/dphi = a(phi) f with
     a(phi) = 2 pi i b + sum_e t_e(phi), t_e = 2 pi i c_e z^e for the terms
@@ -293,15 +366,15 @@ def rank1_monodromy_oracle(b, q: Optional[IrregularType] = None,
     fixed rotation exp(pi i e h), so no angle is evaluated in the loop.
 
     Gaussian integers carry the numbers at the binary point F = prec +
-    steps.bit_length() + 4: 2 pi and the rotations (mpmath at F + 32 bits),
-    2 pi b, 2 pi c_e and every product and quotient are floored to 2**-F.
-    f is a mantissa pair and an exponent, floored to F bits per product, so
-    a large or small exp(Re q) keeps its relative precision.  The result is
-    within 2**-(prec - 4) * max(1, |f|) of the exact RK4 value before its
+    steps.bit_length() + 4: 2 pi and the rotations (exact floors, from
+    integer enclosures whose two ends floor alike), 2 pi b, 2 pi c_e and
+    every product and quotient are floored to 2**-F.  f is a mantissa
+    pair and an exponent, floored to F bits per product, so a large or
+    small exp(Re q) keeps its relative precision.  The result is within
+    2**-(prec - 4) * max(1, |f|) of the exact RK4 value before its
     round-to-nearest to a complex double (infinities on overflow).
     """
-    import mpmath
-    from mpmath.libmp import from_man_exp, mpc_to_complex, round_nearest
+    from .angles import _quotient, cos_sin_pi, pi_enclosure
 
     if steps < 1:
         raise CorrespondenceError(f"oracle needs at least one step, got {steps}")
@@ -312,11 +385,10 @@ def rank1_monodromy_oracle(b, q: Optional[IrregularType] = None,
         raise CorrespondenceError("rank-1 oracle needs scalar irregular data")
     zq = {} if q is None else {-j: c * GaussRat(-j) for j, (c,) in q.coeffs.items()}
     fbits = prec + steps.bit_length() + 4
-    with mpmath.workprec(fbits + 32):
-        def grid(z):
-            return tuple(int(mpmath.floor(mpmath.ldexp(x, fbits))) for x in (z.real, z.imag))
-        two_pi = grid(2 * mpmath.pi)[0]
-        rhos = [grid(mpmath.expjpi(mpmath.mpf(e) / steps)) for e in zq]
+    two_pi = _floored(lambda bits: pi_enclosure(2, 1, bits), fbits)
+    # exp(pi i e / steps), each part floored
+    rhos = [tuple(_floored(lambda bits, e=e, k=k: cos_sin_pi(e, steps, bits)[k], fbits)
+                  for k in (0, 1)) for e in zq]
     # 2 pi i b and the t_e at phi = 0
     a_b, *ts = [(two_pi * -c.im.numerator // c.im.denominator,
                  two_pi * c.re.numerator // c.re.denominator) for c in (b, *zq.values())]
@@ -340,14 +412,26 @@ def rank1_monodromy_oracle(b, q: Optional[IrregularType] = None,
             ts, a1 = turned, (ex, ey)
             f = _times(f, _rk4_factor(a0, (mx, my), a1, steps, fbits), fbits)
             a0 = a1
+    # (x + i y) 2**e to the nearest doubles (int division rounds correctly)
     x, y, e = f
-    return mpc_to_complex((from_man_exp(x, e), from_man_exp(y, e)), False, round_nearest)
+    num, den = (1 << e, 1) if e >= 0 else (1, 1 << -e)
+    return complex(_quotient(x * num, den), _quotient(y * num, den))
 
 
-def expected_multiplier(b, prec: int = 128) -> complex:
-    """exp(ORIENTATION * 2 pi i b), the table value the oracle measures."""
-    import mpmath
+def _floored(enclose, fbits: int) -> int:
+    """floor(v * 2**fbits) for the value v that ``enclose(bits)`` encloses
+    at scale 2**-bits: the first enclosure at fbits + 32, 64, 128, ...
+    bits whose two ends floor alike."""
+    extra = 32
+    while True:
+        lo, hi = enclose(fbits + extra)
+        if lo >> extra == hi >> extra:
+            return lo >> extra
+        extra *= 2
 
+
+def expected_multiplier(b) -> complex:
+    """exp(ORIENTATION * 2 pi i b), the table value the oracle measures,
+    as nearest doubles."""
     b = Fraction(b)
-    with mpmath.workprec(prec):
-        return complex(mpmath.expjpi(ORIENTATION * 2 * mpmath.mpf(b.numerator) / b.denominator))
+    return _factor_numeric(GaussRat(-ORIENTATION * b))

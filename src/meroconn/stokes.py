@@ -137,7 +137,8 @@ def anti_stokes(q: IrregularType) -> StokesDiagram:
         tlo, thi = pair_terms[min(r.i, r.j), max(r.i, r.j)]
         for phi in phis:
             raw.append(phi)
-            lo, hi = pi_enclosure(phi.pi_part)
+            p = phi.pi_part
+            lo, hi = pi_enclosure(p.numerator, p.denominator)
             enclosures.append((lo + tlo, hi + thi))
             sources.append((r, k_r, c_r))
     # Each run of equal angles starts with its first raw representative,

@@ -59,8 +59,10 @@ def test_criterion_5_stability_crosscheck():
 
 
 def test_criterion_6_dictionary_identities():
-    """100 random local data: exact weight identities; monodromy
-    factorization to 1e-10; rank-1 oracle to 1e-8 with one global sign."""
+    """100 random local data: exact weight identities; the monodromy
+    factorization's exact condition (test_correspondence compares the
+    same draws with expm to 1e-10); rank-1 oracle to 1e-8 with one
+    global sign."""
     _report(6, criterion_dictionary(SEED, count=100, oracle_cases=20))
 
 

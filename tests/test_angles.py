@@ -10,8 +10,9 @@ from mpmath import iv
 from mpmath.libmp import from_man_exp, fzero, mpf_gt, mpf_lt, mpi_cos
 
 from meroconn.angles import (_PRECISIONS, AngleExpr, PrecisionError, _axis_diag_eighths,
-                             _octant_index, _quarter_sign, arg_angle, cos_sign, exact_runs,
-                             opposite_arg_angle, pi_enclosure)
+                             _octant_index, _quarter_sign, arg_angle, cos_sign, cos_sin_pi,
+                             exact_runs, exp_enclosure, nearest_double, opposite_arg_angle,
+                             pi_enclosure)
 from meroconn.field import gr
 from meroconn.rootdata import Root
 from meroconn.stokes import _decay_signs, _directions
@@ -465,14 +466,84 @@ def test_enclosures_contain_the_angle_and_match_iv_oracle():
 def test_pi_enclosure_at_every_ladder_precision():
     for prec in _PRECISIONS:
         for p in (F(1), F(1, 2), F(2), F(-1, 4), F(7, 3), F(-8)):
-            lo, hi = pi_enclosure(p, prec)
+            lo, hi = pi_enclosure(p.numerator, p.denominator, prec)
             assert _contains((lo, hi), prec, mp_value(AngleExpr.of_pi(p), 4 * prec))
             assert 0 < hi - lo <= 2**WIDTH_BITS
-        assert pi_enclosure(F(0), prec) == (0, 0)
+            # keyed on integers: an unreduced residue over 4k gives the same
+            assert pi_enclosure(12 * p.numerator, 12 * p.denominator, prec) == (lo, hi)
+            assert AngleExpr.of_pi(p).interval(prec) == (lo, hi)
+        assert pi_enclosure(0, 1, prec) == pi_enclosure(0, 8, prec) == (0, 0)
         # 4 * (pi/4 written as arg(2 + i) + arg(3 + i)) is pi
         quarter = arg_angle(gr(2, 1)) + arg_angle(gr(3, 1))
         lo, hi = quarter.scale(4).interval(prec)
         assert _contains((lo, hi), prec, mp_value(AngleExpr.of_pi(1), 4 * prec))
+
+
+def test_cos_sin_pi_contain_the_values_at_every_ladder_precision():
+    # r = p/q, unreduced, over two turns each way and one step beyond;
+    # every rung for q <= 6, the first two beyond
+    exact_pairs = 0
+    for q in range(1, 13):
+        precisions = _PRECISIONS if q <= 6 else _PRECISIONS[:2]
+        for p in range(-2 * q - 1, 2 * q + 2):
+            with mpmath.workprec(precisions[-1] + 400):
+                r = mpmath.mpf(p) / q
+                values = (mpmath.cospi(r), mpmath.sinpi(r))
+                # by Niven's theorem the rational values are 0, +-1/2, +-1
+                rational = [next((c for c in (0, F(1, 2), F(-1, 2), 1, -1)
+                                  if abs(v - mpmath.mpf(c.numerator) / c.denominator) < 2.0**-300),
+                                 None) for v in values]
+                for prec in precisions:
+                    for (lo, hi), v, c in zip(cos_sin_pi(p, q, prec), values, rational):
+                        if c is not None:
+                            assert lo == hi == c * 2**prec, (p, q, prec)
+                            exact_pairs += 1
+                        else:
+                            assert _contains((lo, hi), prec, v) and 0 < hi - lo <= 2**WIDTH_BITS
+    assert exact_pairs > 500
+
+
+def test_exp_enclosure_contains_the_values_at_every_ladder_precision():
+    for num in (0, 1, 2, 3, 5, 17, 40, 100, 1000):
+        for den in (1, 3, 7, 64):
+            for prec in _PRECISIONS:
+                # x = num/den itself (a dyadic enclosure) and 2 pi x
+                cut = (num << prec) // den, -(-(num << prec) // den)
+                for lo, hi in (cut, (cut[0], cut[0])) + ((pi_enclosure(2 * num, den, prec),)):
+                    elo, ehi = exp_enclosure(lo, hi, prec)
+                    with mpmath.workprec(prec + 64 + 2 * (hi >> prec)):
+                        assert elo <= mpmath.exp(mpmath.ldexp(lo, -prec)) * 2**prec
+                        assert mpmath.exp(mpmath.ldexp(hi, -prec)) * 2**prec <= ehi
+                    if lo == hi:
+                        # the series and the squarings lose under a unit of
+                        # 2**-prec relative to the value
+                        assert (ehi - elo) << prec <= ehi
+
+
+def test_nearest_double_rounds_decides_zero_and_overflows():
+    third = lambda prec: ((1 << prec) // 3, -(-(1 << prec) // 3), 1 << prec)  # noqa: E731
+    assert nearest_double(third, lambda: 1 / 0, "") == 1 / 3  # 0 not met: no test
+    asked = []
+
+    def zero(prec):
+        asked.append(prec)
+        return -1, 1, 1 << prec
+
+    assert nearest_double(zero, lambda: True, "") == 0.0 and asked == [64]
+    # an exact zero written with arg terms (the 2048-bit rung rounded it to -0.0)
+    quarter = arg_angle(gr(2, 1)) + arg_angle(gr(3, 1)) - AngleExpr.of_pi(F(1, 4))
+    assert repr(float(quarter)) == "0.0"
+    # a nonzero value whose first enclosure meets 0 goes on up the ladder
+    tiny = lambda prec: ((1 << prec) >> 100, -(-(1 << prec) >> 100) + 1, 1 << prec)  # noqa: E731
+    assert nearest_double(tiny, lambda: False, "") == 2.0**-100
+    big = 10**400
+    assert nearest_double(lambda prec: (big, big + 1, 1), lambda: False, "") == math.inf
+    assert nearest_double(lambda prec: (-big - 1, -big, 1), lambda: False, "") == -math.inf
+    # a midpoint between two doubles is never enclosed narrowly enough
+    mid = lambda prec: (((1 << 53) + 1 << prec - 53) - 1, ((1 << 53) + 1 << prec - 53) + 1,  # noqa: E731
+                        1 << prec)  # 1 + 2**-53
+    with pytest.raises(PrecisionError, match="not rounded"):
+        nearest_double(mid, lambda: False, "not rounded")
 
 
 def test_principal_matches_iv_oracle_off_the_repro_cases():
@@ -541,7 +612,7 @@ def test_quarter_sign_needs_an_open_quarter_turn():
         assert _quarter_sign(_enc(lo, hi)) == sign
     # an enclosure that meets a multiple of pi/2, if only at an endpoint,
     # may hold that multiple itself
-    half_pi_hi = pi_enclosure(F(1, 2))[1]  # divided by pi/2's enclosure: exactly 1
+    half_pi_hi = pi_enclosure(1, 2)[1]  # divided by pi/2's enclosure: exactly 1
     for enc in ((0, 0), _enc(0, 0.5), _enc(-0.5, 0), (half_pi_hi, _enc(2, 2)[0]),
                 _enc(1.5, 1.6), _enc(-0.1, 0.1)):
         assert _quarter_sign(enc) is None

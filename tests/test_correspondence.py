@@ -7,16 +7,24 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from meroconn.correspondence import (CorrespondenceError, DeRhamLocal,
-                                     PiMatrixPoly, RootOfUnity,
+from meroconn.angles import _PRECISIONS
+from meroconn.correspondence import (CorrespondenceError, DeRhamLocal, Exponential,
+                                     PiMatrixPoly, RootOfUnity, _Rounder,
                                      dR_to_Betti, dR_to_Dol, expected_multiplier,
                                      rank1_monodromy_oracle,
-                                     roundtrip_weight_check, to_mpc)
+                                     roundtrip_weight_check)
 from meroconn.field import CMat, GaussRat, gr
 from meroconn.randomgen import rand_de_rham_local
 from meroconn.rootdata import IrregularType, Weight
 
 Q_TRIV = IrregularType(2, {})
+
+
+def _mpc(c: GaussRat):
+    """c as an mpmath complex, each part num/den rounded at the working
+    precision."""
+    return mpmath.mpc(mpmath.mpf(c.re.numerator) / c.re.denominator,
+                      mpmath.mpf(c.im.numerator) / c.im.denominator)
 
 
 # ---------------------------------------------------------------------
@@ -166,25 +174,122 @@ def test_roundtrip_weight_identity():
         assert roundtrip_weight_check(d)
 
 
+def _selftest_monodromy_draws():
+    """The 20 local data of the monodromy cases of
+    ``selftest.criterion_dictionary`` at seed 42: its rng replayed past
+    the 100 weight cases."""
+    rng = random.Random(42 + 4)
+    for _ in range(100):
+        rand_de_rham_local(rng, rng.randint(2, 4))
+    return [rand_de_rham_local(rng, rng.randint(2, 3)) for _ in range(20)]
+
+
 def test_monodromy_factorization_against_expm():
     rng = random.Random(62)
-    for _ in range(10):
-        d = rand_de_rham_local(rng, rng.randint(2, 3))
+    drawn = [rand_de_rham_local(rng, rng.randint(2, 3)) for _ in range(10)]
+    for d in drawn + _selftest_monodromy_draws():
         st = d.structure()
-        bet = dR_to_Betti(d)
+        assert st.s * st.Y == st.Y * st.s
+        got = dR_to_Betti(d).monodromy_numeric()
         n = st.s.n
         with mpmath.workprec(120):
             residue = st.s + st.Y
-            full = mpmath.matrix([
-                [mpmath.mpc(mpmath.mpf(residue[i, j].re.numerator) / residue[i, j].re.denominator,
-                            mpmath.mpf(residue[i, j].im.numerator) / residue[i, j].im.denominator)
-                 for j in range(n)] for i in range(n)
-            ])
+            full = mpmath.matrix([[_mpc(residue[i, j]) for j in range(n)] for i in range(n)])
             want = mpmath.expm(-2j * mpmath.pi * full)
-            got = bet.monodromy_mp(120)
-            err = max(abs(complex(want[i, j]) - complex(got[i][j]))
-                      for i in range(n) for j in range(n))
+        err = max(abs(complex(want[i, j]) - got[i][j]) for i in range(n) for j in range(n))
         assert err < 1e-10
+
+
+def _mp_monodromy(d):
+    """exp(-2 pi i s) * sum_k (-2 pi i Y)^k / k! from the structure of d,
+    in mpmath at the working precision."""
+    st = d.structure()
+    n = st.s.n
+    y = mpmath.matrix([[_mpc(st.Y[i, j]) for j in range(n)] for i in range(n)])
+    term = nil = mpmath.eye(n)
+    for k in range(1, n):
+        term = term * y * (-2j * mpmath.pi) / k
+        nil = nil + term
+    return [[mpmath.exp(-2j * mpmath.pi * _mpc(st.s[i, i])) * nil[i, j] for j in range(n)]
+            for i in range(n)]
+
+
+def _near_cancelling_data():
+    """Residues [[s, 0], [y, s]] with Re s = -1/6 whose (1, 0) entry
+    exp(-2 pi i s) * (-2 pi i y) has a part (p - q sqrt(3))/2 (times
+    pi exp(2 pi Im s)), with p^2 - 3 q^2 = 1, so about 1/(4p): past
+    p = 2**32 its 64-bit enclosure meets 0, and the exact zero test and
+    the ladder decide it."""
+    out = []
+    p, q = 2, 1
+    for k in range(25):
+        p, q = 2 * p + 3 * q, p + 2 * q
+        if k % 6:
+            continue
+        for im in (0, F(1, 3), F(-2)):
+            s = gr(F(-1, 6), im)
+            y = gr(F(-q, 2), F(p, 2))
+            out.append(DeRhamLocal(Weight([0, 0]), CMat([[s, 0], [y, s]]), Q_TRIV))
+    return out
+
+
+def test_monodromy_is_the_nearest_double_of_the_exact_value():
+    """Every part is the double nearest to a 400-bit evaluation, and
+    exactly 0.0 where the exact value is 0: parts that vanish because
+    Re s is in Z/2 (or Z/4) for a non-real s print 0.0, not rounding
+    noise."""
+    rng = random.Random(6301)
+    drawn = [rand_de_rham_local(rng, rng.randint(2, 4)) for _ in range(320)]
+    vanishing = 0
+    for d in drawn + _near_cancelling_data():
+        got = dR_to_Betti(d).monodromy_numeric()
+        with mpmath.workprec(400):
+            want = _mp_monodromy(d)
+            for i, row in enumerate(want):
+                for j, w in enumerate(row):
+                    for g, v in ((got[i][j].real, w.real), (got[i][j].imag, w.imag)):
+                        if abs(v) < mpmath.mpf(2) ** -300:
+                            assert g == 0.0 and math.copysign(1, g) == 1, (d, i, j)
+                            if not d.structure().s[i, i].is_real() and abs(w) > 0.5:
+                                vanishing += 1
+                        else:
+                            assert g == float(v), (d, i, j)
+    assert vanishing >= 20
+
+
+def test_row_exponential_enclosures_contain_the_value():
+    for im in (F(4), F(-4), F(1, 3), F(-7, 2), F(0), F(40), F(-40)):
+        rounder = _Rounder(gr(F(1, 5), im))
+        for prec in _PRECISIONS[:3]:
+            elo, ehi, eden = rounder._exp_enclosure(prec)
+            with mpmath.workprec(prec + 400):
+                value = mpmath.exp(2 * mpmath.pi * mpmath.mpf(im.numerator) / im.denominator)
+                assert elo <= value * eden <= ehi
+            assert (ehi - elo) << (prec - 4) <= ehi
+
+
+def test_complex_residue_prints_an_exact_zero():
+    # exp(-2 pi i (2 + 4i)) = exp(8 pi) is real
+    d = DeRhamLocal(Weight([0, 0]), CMat.diag([gr(2, 4), gr(F(1, 2))]), Q_TRIV)
+    bet = dR_to_Betti(d)
+    assert bet.semisimple_factor == (Exponential(F(2), F(4)), RootOfUnity(1, 2))
+    assert not hasattr(bet.semisimple_factor[0], "p")
+    with mpmath.workprec(200):
+        e8pi = float(mpmath.exp(8 * mpmath.pi))
+    assert bet.semisimple_factor[0].numeric() == complex(e8pi, 0.0)
+    num = bet.monodromy_numeric()
+    assert num == [[complex(e8pi, 0.0), 0j], [0j, complex(-1.0, 0.0)]]
+    assert [repr(x.imag) for row in num for x in row] == ["0.0"] * 4
+    # the precision argument is kept and changes nothing
+    assert dR_to_Betti(d, prec=64).monodromy_numeric(200) == num
+
+
+def test_expected_multiplier_is_the_nearest_double():
+    for q in range(1, 25):
+        for p in range(-2 * q, 2 * q + 1):
+            with mpmath.workprec(256):
+                want = complex(mpmath.expjpi(2 * mpmath.mpf(p) / q))
+            assert expected_multiplier(F(p, q)) == want, (p, q)
 
 
 # ---------------------------------------------------------------------
@@ -241,10 +346,10 @@ def _reference_oracle(b, q=None, steps=8192, prec=128):
             k4 = a1 * (f + h * k3)
             return f + h * (k1 + 2 * k2 + 2 * k3 + k4) / 6
 
-        a_b = two_pi_i * to_mpc(b)
+        a_b = two_pi_i * _mpc(b)
         if not zq_terms:
             return step(mpmath.mpc(1), a_b, a_b, a_b) ** steps
-        ts = [two_pi_i * to_mpc(c) for _, c in zq_terms]
+        ts = [two_pi_i * _mpc(c) for _, c in zq_terms]
         rhos = [mpmath.expjpi(e * h) for e, _ in zq_terms]
 
         def coeff(ts):

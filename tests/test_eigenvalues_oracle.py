@@ -1,7 +1,7 @@
-"""gaussian_eigenvalues against sympy factoring over Q(i).
+"""gaussian_eigenvalues against sympy factoring over Q.
 
-sympy is a test-only oracle: factoring the characteristic polynomial
-over its domain ``QQ_I`` decides exactly which roots are Gaussian
+sympy is a test-only oracle: factoring the norm of the characteristic
+polynomial over ``QQ`` decides exactly which roots are Gaussian
 rationals.  Both sides must return the same (eigenvalue, multiplicity)
 list, or raise EigenvalueError with the same message.
 """
@@ -25,18 +25,63 @@ sympy = pytest.importorskip("sympy")
 OUTSIDE = "eigenvalues outside coefficient field"
 
 
+def _fraction(x):
+    return F(int(x.numerator), int(x.denominator))
+
+
+def _rational_sqrt(x):
+    """The nonnegative rational square root of the Fraction x, or None."""
+    if x < 0:
+        return None
+    p, q = math.isqrt(x.numerator), math.isqrt(x.denominator)
+    return F(p, q) if (p * p, q * q) == (x.numerator, x.denominator) else None
+
+
+def _divide_out(poly, z):
+    """poly / (x - z) for poly = [c0, ..., cn] if z is a root, else None
+    (synthetic division, exact)."""
+    out, acc = [], GaussRat(0)
+    for c in reversed(poly):
+        acc = acc * z + c
+        out.append(acc)
+    if not out.pop().is_zero():
+        return None
+    return out[::-1]
+
+
 def sympy_eigenvalues(m):
-    """Eigenvalues in Q(i) with multiplicities by sympy factoring over QQ_I."""
-    qq, qq_i = sympy.QQ, sympy.QQ_I
-    coeffs = [qq_i(qq(a, d), qq(b, d)) for a, b, d in (c.t for c in reversed(charpoly(m)))]
-    _, factors = sympy.Poly(coeffs, sympy.Symbol("lam"), domain=qq_i).factor_list()
+    """Eigenvalues in Q(i) with multiplicities, by sympy factoring over QQ.
+
+    With f = R + iI the characteristic polynomial (R and I real), a root
+    z of f in Q(i) is one of the norm N = R^2 + I^2 = f * conj(f), so a
+    root of an irreducible factor of N over QQ of degree 1 (z rational)
+    or 2 (z and its conjugate, when minus the discriminant is a rational
+    square).  Each such candidate that is an exact root of f counts with
+    its multiplicity, by repeated exact division; a shortfall means a
+    root outside Q(i)."""
+    poly = charpoly(m)
+    lam = sympy.Symbol("lam")
+    re, im = (sympy.Poly([sympy.QQ(x.numerator, x.denominator) for x in reversed(part)],
+                         lam, domain=sympy.QQ)
+              for part in ([c.re for c in poly], [c.im for c in poly]))
+    _, factors = (re**2 + im**2).factor_list()
+    candidates = []
+    for fac, _ in factors:
+        coeffs = [_fraction(c) for c in fac.all_coeffs()]
+        if len(coeffs) == 2:
+            candidates.append(GaussRat(-coeffs[1] / coeffs[0]))
+        elif len(coeffs) == 3:
+            a, b, c = coeffs
+            root = _rational_sqrt(4 * a * c - b * b)
+            if root is not None:
+                candidates += [GaussRat(-b / (2 * a), sign * root / (2 * a)) for sign in (1, -1)]
     out = []
-    for fac, mult in factors:
-        if fac.degree() != 1:
-            raise EigenvalueError(OUTSIDE)
-        c1, c0 = fac.all_coeffs()
-        re, im = (-c0 / c1).as_real_imag()
-        out.append((GaussRat(F(int(re.p), int(re.q)), F(int(im.p), int(im.q))), int(mult)))
+    for z in candidates:
+        mult = 0
+        while (quotient := _divide_out(poly, z)) is not None:
+            poly, mult = quotient, mult + 1
+        if mult:
+            out.append((z, mult))
     if sum(mult for _, mult in out) != m.n:
         raise EigenvalueError(OUTSIDE)
     return sorted(out, key=lambda t: (t[0].re, t[0].im))

@@ -36,6 +36,8 @@ CLI_DIGESTS = [
      "b2871dd9819d584cc85dd8ab9edf26a4b3745b74cb85b411ce988907eaebaf7f"),
     ("translate --to betti --input local_semisimple.json",
      "98c931c8b319631f6f37ffdd3f337f602e6a394d03e27edc560760a697659014"),
+    ("translate --to betti --input local_complex.json",
+     "62f5e565c1e3a046b19cc7ee78ecc1fc697331efd8d89ee0f61939713177824e"),
     ("check-relation --rep rep_gl2.json",
      "5ddc65fa9977905b1510a2e2d0dccc6dbf29e9f9383aa8330b10545aefcff15c"),
     ("stability --rep rep_gl2.json --weights weights_zero.json",

@@ -37,8 +37,8 @@ _LAURENT = {"lmatrix", "series"}
 
 CLOSURES = [
     # (CLI arguments or None for a bare ``import meroconn.jsonio``,
-    #  modules loaded, whether mpmath is loaded: only by the calls that
-    #  print a number mpmath evaluates)
+    #  modules loaded, whether mpmath is loaded: by no call, as the
+    #  numbers come from angles' integer enclosures)
     (None, _CODECS, False),
     ("canonical-form --input conn_gl2.json", _CLI | _LAURENT | {"connection"}, False),
     ("antistokes --irregular-type q_gl2.json", _STOKES, False),
@@ -46,9 +46,9 @@ CLOSURES = [
     ("check-relation --rep rep_gl2.json", _STOKES | {"betti"}, False),
     ("stability --rep rep_gl2.json --weights weights_zero.json", _STOKES | {"betti"}, False),
     ("translate --to dol --input local_nilpotent.json", _DICTIONARY, False),
-    ("translate --to betti --input local_semisimple.json", _DICTIONARY, True),
+    ("translate --to betti --input local_semisimple.json", _DICTIONARY | {"angles"}, False),
     ("oracle-monodromy --b 1/3 --irregular-type q_gl1.json --steps 512 --precision 64",
-     _CLI | {"correspondence"}, True),
+     _CLI | {"correspondence", "angles"}, False),
     ("verify-metric --input local_nilpotent.json", _DICTIONARY | _LAURENT | {"modelmetric"},
      False),
 ]

@@ -432,46 +432,40 @@ def _module_level_imports(path):
 
 def test_translate_runs_without_sympy():
     """translate and verify-metric --numeric load neither sympy (a test
-    oracle) nor numpy/scipy, mpmath is the only runtime dependency, and
-    modelmetric imports neither mpmath nor correspondence.  Angles need
-    no cosine series or mpmath.iv, and stokes reads no enclosure
-    endpoint itself.  Only correspondence and selftest import mpmath,
-    and the Stokes and Betti side and the exact dictionaries import it
-    only inside the functions that evaluate numbers."""
+    oracle) nor numpy/scipy, and no file of the package imports mpmath:
+    it has no runtime dependency.  Angles need no mpmath.iv, and stokes
+    reads no enclosure endpoint itself."""
     script = (
         "import sys\n"
         "from meroconn.cli import main\n"
         "codes = [main([*cmd, '--input', p]) for p in sys.argv[1:]\n"
         "         for cmd in (['translate', '--to', 'betti'], ['verify-metric', '--numeric'])]\n"
         "assert codes == [0] * len(codes), codes\n"
-        "loaded = {'sympy', 'numpy', 'scipy'} & set(sys.modules)\n"
+        "loaded = {'sympy', 'numpy', 'scipy', 'mpmath'} & set(sys.modules)\n"
         "assert not loaded, loaded\n"
     )
-    inputs = [str(DATA / "local_nilpotent.json"), str(DATA / "local_semisimple.json")]
+    inputs = [str(DATA / "local_nilpotent.json"), str(DATA / "local_semisimple.json"),
+              str(DATA / "local_complex.json")]
     subprocess.run([sys.executable, "-c", script, *inputs], capture_output=True,
                    env=dict(os.environ), check=True)
     root = Path(__file__).parent.parent
-    imports = re.compile(r"^\s*(import|from)\s+(sympy|numpy|scipy)\b", re.M)
+    imports = re.compile(r"^\s*(import|from)\s+(sympy|numpy|scipy|mpmath)\b", re.M)
     src = root / "src" / "meroconn"
     assert not [p.name for p in src.rglob("*.py") if imports.search(p.read_text())]
-    # the model-metric side is exact: no numerics, not even through correspondence
-    numeric = re.compile(r"^\s*(import\s+mpmath|from\s+(mpmath|\.correspondence)\b)", re.M)
-    assert not numeric.search((src / "modelmetric.py").read_text())
+    # the model-metric side is exact: not even through correspondence
+    assert not re.search(r"^\s*from\s+\.correspondence\b", (src / "modelmetric.py").read_text(),
+                         re.M)
     imported = {p.name: _imported_names(p) for p in src.rglob("*.py")}
-    assert not [(f, m, n) for f, names in imported.items() for m, n in names
-                if n == "mpi_cos" or m.startswith("mpmath.iv") or (m, n) == ("mpmath", "iv")]
-    assert not {n for _, n in imported["stokes.py"]} & {"mpf_gt", "mpf_lt", "fzero"}
-    # only the numeric dictionary and the selftest use mpmath at all
-    assert {f for f, names in imported.items() for m, _ in names
-            if m.split(".")[0] == "mpmath"} == {"correspondence.py", "selftest.py"}
-    lazy = ("angles.py", "stokes.py", "betti.py", "correspondence.py", "residues.py")
-    assert not [(f, m) for f in lazy for m in _module_level_imports(src / f)
+    assert not [(f, m) for f, names in imported.items() for m, _ in names
                 if m.split(".")[0] == "mpmath"]
-    # what the check reads: module-level imports, not the numeric
-    # functions' own
+    assert not {n for _, n in imported["stokes.py"]} & {"mpf_gt", "mpf_lt", "fzero"}
+    # what the check reads: module-level imports and the functions' own
     assert "field" in _module_level_imports(src / "correspondence.py")
-    assert ("mpmath", "") in imported["correspondence.py"]
+    assert ("mpmath", "") not in imported["correspondence.py"]
     tomllib = pytest.importorskip("tomllib")
     with open(root / "pyproject.toml", "rb") as fh:
-        deps = tomllib.load(fh)["project"]["dependencies"]
-    assert [re.match(r"[A-Za-z0-9_.-]+", d).group() for d in deps] == ["mpmath"]
+        project = tomllib.load(fh)["project"]
+    assert project["dependencies"] == []
+    # the tests and perfbench keep mpmath as an oracle
+    assert "mpmath" in [re.match(r"[A-Za-z0-9_.-]+", d).group()
+                        for d in project["optional-dependencies"]["test"]]

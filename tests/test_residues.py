@@ -221,7 +221,7 @@ def test_structure_needs_no_eigenvalues(monkeypatch):
     data = [jsonio.dec_de_rham(json.loads(p.read_text())) for p in sorted(DATA.glob("local_*.json"))]
     rng = random.Random(31)
     data += [rand_de_rham_local(rng, rng.randint(1, 4)) for _ in range(6)]
-    assert len(data) == 8
+    assert len(data) == 9  # the three local_*.json fixtures and six draws
     for d in data:
         triple = d.structure()
         assert triple.s + triple.Y == d.residue and triple.s.is_diagonal()
