@@ -44,7 +44,7 @@ The numbers of the Betti side come from the same enclosures, by
 floored Taylor series with proved bounds (R. P. Brent, "Fast
 multiple-precision evaluation of elementary functions", J. ACM 23
 (1976)): ``cos_sin_pi`` after an exact reduction to [0, pi/4], and
-``exp_enclosure`` by halving and squaring.
+``exp_enclosure`` by halving and squaring a mantissa with an exponent.
 
 Every integer part of an angle x is read one way, never through a
 float: x lies in the open turn k*u*pi < x < (k + 1)*u*pi once the exact
@@ -487,9 +487,10 @@ def cos_sin_pi(num: int, den: int, prec: int = 64):
     return cos, sin
 
 
-def exp_enclosure(lo: int, hi: int, prec: int = 64) -> Tuple[int, int]:
-    """Integers (elo, ehi) with elo <= exp(x) * 2**prec <= ehi for every x
-    with lo <= x * 2**prec <= hi, for 0 <= lo <= hi.
+def exp_enclosure(lo: int, hi: int, prec: int = 64) -> Tuple[int, int, int]:
+    """Integers (elo, ehi, e), e >= 0, with elo * 2**e <= exp(x) * 2**prec
+    <= ehi * 2**e for every x with lo <= x * 2**prec <= hi, for
+    0 <= lo <= hi.
 
     exp increases, so elo comes from lo and ehi from hi.  Each end is
     halved h times to below 1/2 and its Taylor series summed at
@@ -497,8 +498,9 @@ def exp_enclosure(lo: int, hi: int, prec: int = 64) -> Tuple[int, int]:
     floor of the previous computed one times y/(k + 1) <= 1/2, so the
     sum is a lower bound, short of the exact value by less than 2 per
     term plus a tail below 4 (at most twice an exact term below 2).
-    Squared h times, flooring the lower end and rounding up the upper,
-    the enclosure loses under h bits of the g."""
+    Squared h times as a mantissa of prec + g + 2 bits and an exponent,
+    flooring the lower end and rounding up the upper, the enclosure
+    loses under h bits of the g, and its cost does not grow with exp(x)."""
     h = max(0, hi.bit_length() - prec + 1)
     g = h + _GUARD
     w = prec + g
@@ -511,11 +513,15 @@ def exp_enclosure(lo: int, hi: int, prec: int = 64) -> Tuple[int, int]:
             m += 1
             term = (term * y >> w) // m
         ends.append((total, total + 2 * m + 4))
-    elo, ehi = ends[0][0], ends[1][1]
+    # the value of a mantissa m with exponent f is m * 2**(f - w)
+    elo, ehi, f = ends[0][0], ends[1][1], 0
     for _ in range(h):
-        elo = elo * elo >> w
-        ehi = -(-ehi * ehi >> w)
-    return elo >> g, -(-ehi >> g)
+        lo2, hi2 = elo * elo, ehi * ehi
+        k = hi2.bit_length() - w - 2
+        elo, ehi, f = lo2 >> k, -(-hi2 >> k), 2 * f - w + k
+    if f >= g:
+        return elo, ehi, f - g
+    return elo >> g - f, -(-ehi >> g - f), 0
 
 
 def nearest_double(enclose, is_zero, message: str) -> float:

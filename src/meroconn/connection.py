@@ -388,7 +388,7 @@ def _solve_graded(B: LaurentMatrix, theta: Weight, depth, W: int, stop: Optional
                            for a in range(n)], W)
     polar = {j: CMat.diag([GaussRat.from_triple(K.qneg(d[npole - j])) for d in neg_diag])
              for j in range(1, npole + 1)}
-    return g, polar, CMat([[GaussRat.from_triple(t) for t in row] for row in res])
+    return g, polar, CMat._of(res)
 
 
 def _integer_grades(theta: Weight) -> Tuple[int, List[int]]:
@@ -416,27 +416,27 @@ def _solve_level(e: int, res, slots, rhs) -> list:
     idx = {s: i for i, s in enumerate(slots)}
     k = len(slots)
     n = len(res)
-    op = [[GaussRat(0)] * k for _ in range(k)]
+    op = [[K.ZERO] * k for _ in range(k)]
     for i in range(k):
-        op[i][i] = GaussRat(e)
+        op[i][i] = (e, 0, 1)
     # ad(R0) E_ab = sum_c R0_ca E_cb - sum_c R0_bc E_ac
     coupled = False
     for (a, b), col in idx.items():
         for c in range(n):
             up = res[c][a]
             if (up[0] or up[1]) and (c, b) in idx:
-                op[idx[c, b]][col] = op[idx[c, b]][col] + GaussRat.from_triple(up)
+                op[idx[c, b]][col] = K.qadd(op[idx[c, b]][col], up)
                 coupled = coupled or c != a
             down = res[b][c]
             if (down[0] or down[1]) and (a, c) in idx:
-                op[idx[a, c]][col] = op[idx[a, c]][col] - GaussRat.from_triple(down)
+                op[idx[a, c]][col] = K.qsub(op[idx[a, c]][col], down)
                 coupled = coupled or c != b
     if coupled:
-        rows, pivots = rref([row + [GaussRat.from_triple(r)] for row, r in zip(op, rhs)])
+        rows, pivots = rref([row + [r] for row, r in zip(op, rhs)])
         if pivots == list(range(k)):
-            return [row[k].t for row in rows]
-    elif all(not op[i][i].is_zero() for i in range(k)):
-        return [K.qdiv(r, op[i][i].t) for i, r in enumerate(rhs)]
+            return [row[k] for row in rows]
+    elif all(op[i][i][0] or op[i][i][1] for i in range(k)):
+        return [K.qdiv(r, op[i][i]) for i, r in enumerate(rhs)]
     raise ReductionError(
         "resonant residue: (m + ad(B0)) is singular on the centralizer; "
         "canonical reduction needs a shearing transformation (out of scope)"
@@ -478,10 +478,10 @@ def _centralize_grade_zero(cur: LaurentMatrix, theta: Weight, polar, W: int
         level = [(a, b) for a, b, m in slots if m == m0]
         r0 = [[x.coeff(0).t for x in row] for row in cur.rows]
         w = _solve_level(m0, r0, level, [piece[a, b, m0] for a, b in level])
-        rows = [[0] * n for _ in range(n)]
+        rows = [[K.ZERO] * n for _ in range(n)]
         for (a, b), x in zip(level, w):
-            rows[a][b] = GaussRat.from_triple(x)
-        u = LaurentMatrix.monomial(CMat(rows), m0, W)
+            rows[a][b] = x
+        u = LaurentMatrix.monomial(CMat._of(rows), m0, W)
         g = ident + u
         cur = gauge_act(g, MeroConnection(cur), ident - u).B
         g0 = mat_mul(g, g0)

@@ -182,7 +182,7 @@ class BettiLocal:
             row_factor = _Rounder(f.exponent)
             row = []
             for j in range(n):
-                cs = [(k, m[i, j].t) for k, m in coeffs]
+                cs = [(k, m.t[i][j]) for k, m in coeffs]
                 # e^{i theta} (a + b i)/d has real part (a cos - b sin)/d
                 # and imaginary part (b cos + a sin)/d
                 row.append(complex(
@@ -222,10 +222,11 @@ class _Rounder:
             if b == 0:
                 enc = (1, 1, 1)
             elif b > 0:
-                enc = (*exp_enclosure(*pi_enclosure(2 * b, d, prec), prec), 1 << prec)
+                elo, ehi, e = exp_enclosure(*pi_enclosure(2 * b, d, prec), prec)
+                enc = (elo << e, ehi << e, 1 << prec)
             else:
-                flo, fhi = exp_enclosure(*pi_enclosure(-2 * b, d, prec), prec)
-                enc = (flo << prec, fhi << prec, flo * fhi)
+                flo, fhi, e = exp_enclosure(*pi_enclosure(-2 * b, d, prec), prec)
+                enc = (flo << prec, fhi << prec, flo * fhi << e)
             self._exp[prec] = enc
         return enc
 

@@ -5,11 +5,12 @@ than a tolerance, so the scalar type must be an exact field.  A value
 is stored as a normalized integer triple ``(a, b, d)`` for
 ``(a + b*i)/d``; arithmetic is delegated to the kernel.
 
-``CMat``, the dense constant matrix, lives here too: it needs only
-``GaussRat`` and the kernel's dot product, and residues, Stokes factors
-and representation tuples use it without any Laurent series.  So does
-``rref``, the library's one Gauss-Jordan elimination, behind inverses,
-kernels, ranks and the centralizer solve of the canonical reduction.
+``CMat``, the dense constant matrix, lives here too.  Its entries are
+kernel triples, as in series and Laurent matrices, so it needs only the
+kernel; residues, Stokes factors and representation tuples use it
+without any Laurent series.  So does ``rref``, the library's one
+Gauss-Jordan elimination on rows of triples, behind inverses, kernels,
+ranks and the centralizer solve of the canonical reduction.
 
 One pattern rule decides every vanishing test: m vanishes on the entries
 with pred(i, j) iff ``not (m.support() & entry_mask(n, pred))``.  So does
@@ -40,16 +41,19 @@ class GaussRat:
     __slots__ = ("t",)
 
     def __init__(self, re=0, im=0):
-        if type(re) is int and type(im) is int:
-            # (re + im i) / 1 is already normalized
-            object.__setattr__(self, "t", (re, im, 1))
-            return
         if isinstance(re, GaussRat):
             if im == 0:
                 object.__setattr__(self, "t", re.t)
                 return
             re = re.re
-        object.__setattr__(self, "t", _triple_from(re, im))
+        # (re + im i) / 1 is already normalized, and so is a Fraction
+        if type(re) is int and type(im) is int:
+            t = (re, im, 1)
+        elif im == 0 and isinstance(re, (int, Fraction)):
+            t = (re.numerator, 0, re.denominator)
+        else:
+            t = _triple_from(re, im)
+        object.__setattr__(self, "t", t)
 
     @classmethod
     def from_triple(cls, t):
@@ -163,111 +167,109 @@ def gr(re, im=0) -> GaussRat:
 # constant matrices
 # ----------------------------------------------------------------------
 
-def _as_gr(x) -> GaussRat:
-    if isinstance(x, GaussRat):
-        return x
-    return GaussRat(x)
+def _t(x):
+    """The kernel triple of a ``GaussRat`` or of anything ``GaussRat`` takes."""
+    return x.t if isinstance(x, GaussRat) else GaussRat(x).t
 
 
 class CMat:
-    """Dense n x n matrix over the Gaussian rationals."""
+    """Dense n x n matrix over the Gaussian rationals, immutable.
 
-    __slots__ = ("n", "rows")
+    ``t`` holds the entries as rows of kernel triples; every operation
+    runs on them, and ``GaussRat``s are built only where entries leave:
+    ``m[i, j]``, ``rows``, ``trace`` and ``apply``."""
+
+    __slots__ = ("n", "t")
 
     def __init__(self, rows):
-        rows = tuple(tuple(_as_gr(x) for x in row) for row in rows)
-        n = len(rows)
-        if any(len(r) != n for r in rows):
+        t = tuple(tuple(_t(x) for x in row) for row in rows)
+        if any(len(r) != len(t) for r in t):
             raise ValueError("CMat must be square")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "n", len(t))
+        object.__setattr__(self, "t", t)
 
     def __setattr__(self, *a):
         raise AttributeError("CMat is immutable")
 
     @classmethod
     def zero(cls, n):
-        return cls([[0] * n for _ in range(n)])
+        return cls._of([[K.ZERO] * n] * n)
 
     @classmethod
     def identity(cls, n):
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls._of([[K.ONE if i == j else K.ZERO for j in range(n)] for i in range(n)])
 
     @classmethod
     def diag(cls, entries):
-        entries = list(entries)
-        n = len(entries)
-        return cls([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
+        t = [_t(x) for x in entries]
+        return cls._of([[x if i == j else K.ZERO for j in range(len(t))] for i, x in enumerate(t)])
 
     @classmethod
     def unit(cls, n, i, j, c=1):
         """c * E_ij with 0-based indices."""
-        rows = [[0] * n for _ in range(n)]
-        rows[i][j] = c
-        return cls(rows)
+        return cls([[c if (a, b) == (i, j) else 0 for b in range(n)] for a in range(n)])
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.rows[i][j]
+        return GaussRat.from_triple(self.t[i][j])
+
+    @property
+    def rows(self):
+        """The entries as rows of ``GaussRat``s, built on each read."""
+        return tuple(tuple(map(GaussRat.from_triple, row)) for row in self.t)
 
     @classmethod
     def _of(cls, rows):
-        """From rows of ``GaussRat``s, unchecked."""
+        """From rows of kernel triples, unchecked."""
         self = object.__new__(cls)
         rows = tuple(map(tuple, rows))
         object.__setattr__(self, "n", len(rows))
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "t", rows)
         return self
 
     def __add__(self, other):
         _check_dim(self, other)
-        return CMat._of([[x + y for x, y in zip(r, s)] for r, s in zip(self.rows, other.rows)])
+        return CMat._of(map(K.qadd, r, s) for r, s in zip(self.t, other.t))
 
     def __sub__(self, other):
         _check_dim(self, other)
-        return CMat._of([[x - y for x, y in zip(r, s)] for r, s in zip(self.rows, other.rows)])
+        return CMat._of(map(K.qsub, r, s) for r, s in zip(self.t, other.t))
 
     def __neg__(self):
-        return CMat._of([[-x for x in row] for row in self.rows])
+        return CMat._of(map(K.qneg, row) for row in self.t)
 
     def __mul__(self, other):
         """Each entry of a product is one exact dot product, normalized once."""
         if isinstance(other, CMat):
             _check_dim(self, other)
-            cols = [[x.t for x in col] for col in zip(*other.rows)]
-            return CMat._of([
-                [GaussRat.from_triple(K.qdot(row, col)) for col in cols]
-                for row in ([x.t for x in r] for r in self.rows)
-            ])
+            cols = list(zip(*other.t))
+            return CMat._of([[K.qdot(row, col) for col in cols] for row in self.t])
         return self.scale(other)
 
     def __rmul__(self, other):
         return self.scale(other)
 
     def scale(self, c):
-        c = _as_gr(c)
-        return CMat._of([[x * c for x in row] for row in self.rows])
+        c = _t(c)
+        return CMat._of([[K.qmul(x, c) for x in row] for row in self.t])
 
     def bracket(self, other) -> "CMat":
         return self * other - other * self
 
     def conjugate(self) -> "CMat":
-        return CMat._of([[x.conjugate() for x in row] for row in self.rows])
+        return CMat._of([[(a, -b, d) for a, b, d in row] for row in self.t])
 
     def trace(self) -> GaussRat:
-        return sum((self.rows[i][i] for i in range(self.n)), GaussRat(0))
+        return sum((self[i, i] for i in range(self.n)), ZERO)
 
     def is_zero(self) -> bool:
-        return all(x.is_zero() for row in self.rows for x in row)
+        return not any(x[0] or x[1] for row in self.t for x in row)
 
     def support(self) -> int:
         """The nonzero pattern as a bitmask: bit i*n + j is set iff entry
         (i, j) is nonzero."""
-        bits = 0
-        for k, x in enumerate(x for row in self.rows for x in row):
-            if not x.is_zero():
-                bits |= 1 << k
-        return bits
+        return sum(1 << k for k, x in enumerate(x for row in self.t for x in row)
+                   if x[0] or x[1])
 
     def is_diagonal(self) -> bool:
         return self.is_block_diagonal([i] for i in range(self.n))
@@ -301,8 +303,8 @@ class CMat:
     def inv(self) -> "CMat":
         """Exact inverse: the right half of ``rref([M | I])``."""
         n = self.n
-        rows, pivots = rref([[*row, *(ONE if i == j else ZERO for j in range(n))]
-                             for i, row in enumerate(self.rows)])
+        rows, pivots = rref([[*row, *(K.ONE if i == j else K.ZERO for j in range(n))]
+                             for i, row in enumerate(self.t)])
         if pivots != list(range(n)):
             raise ZeroDivisionError("matrix not invertible")
         return CMat._of([row[n:] for row in rows])
@@ -328,21 +330,19 @@ class CMat:
         """Matrix times column vector (list of GaussRat)."""
         if len(vec) != self.n:
             raise ValueError(f"dimension mismatch: {self.n} vs vector of {len(vec)}")
-        vec = [_as_gr(x).t for x in vec]
-        return [GaussRat.from_triple(K.qdot([x.t for x in row], vec)) for row in self.rows]
+        vec = [_t(x) for x in vec]
+        return [GaussRat.from_triple(K.qdot(row, vec)) for row in self.t]
 
     def __eq__(self, other):
         if not isinstance(other, CMat):
             return NotImplemented
-        return self.n == other.n and self.rows == other.rows
+        return self.n == other.n and self.t == other.t
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash(self.t)  # = hash(self.rows), as hash(GaussRat) = hash of its t
 
     def __repr__(self):
-        body = "; ".join(
-            " ".join(_short(x) for x in row) for row in self.rows
-        )
+        body = "; ".join(" ".join(map(_short, row)) for row in self.rows)
         return f"CMat[{body}]"
 
 
@@ -363,24 +363,24 @@ def _check_dim(a, b):
         raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
 
 
-def rref(rows: List[List[GaussRat]]) -> Tuple[List[List[GaussRat]], List[int]]:
-    """Reduced row echelon form; returns (rows, pivot columns)."""
+def rref(rows) -> Tuple[List[list], List[int]]:
+    """Reduced row echelon form of rows of kernel triples: (rows, pivot columns)."""
     rows = [list(r) for r in rows]
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     pivots = []
     r = 0
     for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if not rows[i][c].is_zero()), None)
+        piv = next((i for i in range(r, nrows) if rows[i][c][0] or rows[i][c][1]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][c].inv()
-        rows[r] = [x * inv for x in rows[r]]
+        inv = K.qinv(rows[r][c])
+        rows[r] = [K.qmul(x, inv) for x in rows[r]]
         for i in range(nrows):
-            if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+            f = rows[i][c]
+            if i != r and (f[0] or f[1]):
+                rows[i] = [K.qsub(a, K.qmul(f, b)) for a, b in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -390,14 +390,14 @@ def rref(rows: List[List[GaussRat]]) -> Tuple[List[List[GaussRat]], List[int]]:
 
 def nullspace(m: CMat) -> List[List[GaussRat]]:
     """Basis of the kernel (as column vectors), deterministic."""
-    rows, pivots = rref([list(r) for r in m.rows])
+    rows, pivots = rref(m.t)
     n = m.n
     free = [c for c in range(n) if c not in pivots]
     basis = []
     for fc in free:
-        vec = [GaussRat(0)] * n
-        vec[fc] = GaussRat(1)
+        vec = [K.ZERO] * n
+        vec[fc] = K.ONE
         for r, pc in enumerate(pivots):
-            vec[pc] = -rows[r][fc]
-        basis.append(vec)
+            vec[pc] = K.qneg(rows[r][fc])
+        basis.append([GaussRat.from_triple(x) for x in vec])
     return basis

@@ -5,10 +5,11 @@ rationals are {"re": .., "im": ..}; series carry order_min, a row of
 coefficients and a truncation (integer or "inf"); matrices are
 row-major.  Every top-level document carries a "format" field.
 
-Gaussian rationals decode straight to kernel triples: ASCII "p" and
-"p/q" strings are read with ``int``, and every other spelling that
-``Fraction`` accepts (a sign '+', spaces, decimals, exponents, non-ASCII
-digits, JSON numbers) goes through ``Fraction``, errors included.
+Gaussian rationals decode straight to kernel triples, which series and
+constant matrices hold as they are: ASCII "p" and "p/q" strings are read
+with ``int``, and every other spelling that ``Fraction`` accepts (a sign
+'+', spaces, decimals, exponents, non-ASCII digits, JSON numbers) goes
+through ``Fraction``, errors included.
 
 At import the module loads only ``field`` and ``rootdata``; each codec
 imports the rest of the library it needs when it runs.
@@ -161,9 +162,12 @@ def enc_cmat(m: CMat) -> List[List[Dict[str, str]]]:
 
 def dec_cmat(obj) -> CMat:
     try:
-        return CMat([[dec_gauss(x) for x in row] for row in obj])
+        rows = [[_gauss_triple(x) for x in row] for row in obj]
     except (TypeError, ValueError) as exc:
         raise FormatError(f"bad constant matrix: {exc}") from exc
+    if any(len(row) != len(rows) for row in rows):
+        raise FormatError("bad constant matrix: CMat must be square")
+    return CMat._of(rows)
 
 
 def enc_weight(w: Weight) -> List[str]:

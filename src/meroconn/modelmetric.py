@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar, Dict, List, Optional, Tuple
 
+from . import _kernel as K
 from .field import CMat, GaussRat, entry_mask
 from .lmatrix import LaurentMatrix
 from .residues import Sl2Data
@@ -340,16 +341,21 @@ def _series_conj(s):
 
 def _conj_log_power(poly: TPoly, triple: Sl2Data, sign: int) -> TPoly:
     """Ad((-ln|z|^2)^(sign*H/2)) on each coefficient: the ad(H)-weight-w
-    component picks (-ln)^(sign*w/2) = (-1/t)^(sign*w/2)."""
+    component picks (-ln)^(sign*w/2) = (-1/t)^(sign*w/2).
+
+    The signed pieces are collected in the H-frame, one matrix per output
+    power, and each is conjugated back once.  Entry (i, j) of a power
+    comes from one input power at most, as its shift depends on (i, j)
+    only."""
     p, p_inv, d_entries = _h_frame(triple)
-    acc: Dict[int, CMat] = {}
+    frame: Dict[int, list] = {}
     n = triple.H.n
     for k, m in poly.coeffs.items():
-        mm = p_inv * m * p
+        mm = (p_inv * m * p).t
         for i in range(n):
             for j in range(n):
-                c = mm[i, j]
-                if c.is_zero():
+                c = mm[i][j]
+                if not (c[0] or c[1]):
                     continue
                 w = d_entries[i] - d_entries[j]
                 if w.im != 0 or (sign * w.re) % 2 != 0:
@@ -360,11 +366,10 @@ def _conj_log_power(poly: TPoly, triple: Sl2Data, sign: int) -> TPoly:
                 newk = k - shift
                 if newk < 0:
                     raise MetricError("conjugation left the polynomial model")
-                piece = p * CMat.unit(n, i, j, c) * p_inv
-                if shift % 2 != 0:
-                    piece = -piece
-                acc[newk] = acc[newk] + piece if newk in acc else piece
-    return TPoly(acc)
+                if newk not in frame:
+                    frame[newk] = [[K.ZERO] * n for _ in range(n)]
+                frame[newk][i][j] = K.qneg(c) if shift % 2 else c
+    return TPoly({k: p * CMat._of(rows) * p_inv for k, rows in frame.items()})
 
 
 def _conj_exp(poly: TPoly, nilp: CMat) -> TPoly:
@@ -437,10 +442,10 @@ def weight_jump_check(data: MetricData) -> WeightJumpReport:
 
 def _components(m: CMat) -> List[List[int]]:
     """Connected components of the nonzero pattern of m."""
-    label = list(range(m.n))
+    label, bits = list(range(m.n)), m.support()
     for i in range(m.n):
         for j in range(m.n):
-            if not m[i, j].is_zero() and label[i] != label[j]:
+            if bits >> (i * m.n + j) & 1 and label[i] != label[j]:
                 old = label[j]
                 label = [label[i] if b == old else b for b in label]
     return [[i for i in range(m.n) if label[i] == b] for b in sorted(set(label))]

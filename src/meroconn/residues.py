@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
+from . import _kernel as K
 from .errors import InternalError
 from .field import CMat, GaussRat, nullspace, rref
 
@@ -41,16 +42,21 @@ def charpoly(m: CMat) -> List[GaussRat]:
     """Characteristic polynomial coefficients [c0, ..., cn] with cn = 1,
     via the Faddeev-LeVerrier recursion (exact over the field)."""
     n = m.n
-    coeffs = [GaussRat(0)] * (n + 1)
-    coeffs[n] = GaussRat(1)
+    coeffs = [K.ZERO] * n + [K.ONE]
     mk = CMat.identity(n)
     for k in range(1, n + 1):
         mk = m * mk
-        ck = -mk.trace() / GaussRat(k)
+        ck = K.qdiv(K.qneg(mk.trace().t), (k, 0, 1))
         coeffs[n - k] = ck
         if k < n:
-            mk = mk + CMat.identity(n).scale(ck)
-    return coeffs
+            mk = _plus_scalar(mk, ck)
+    return [GaussRat.from_triple(c) for c in coeffs]
+
+
+def _plus_scalar(m: CMat, c) -> CMat:
+    """m + c I for a kernel triple c."""
+    return CMat._of([[K.qadd(x, c) if i == j else x for j, x in enumerate(row)]
+                     for i, row in enumerate(m.t)])
 
 
 def gaussian_eigenvalues(m: CMat) -> List[Tuple[GaussRat, int]]:
@@ -261,10 +267,9 @@ def jordan_decompose(m: CMat) -> Tuple[CMat, CMat]:
 
 def _matrix_horner(p: List[GaussRat], s: CMat) -> CMat:
     """p(s) for a coefficient list p from degree 0 up, by Horner's rule."""
-    ident = CMat.identity(s.n)
-    acc = ident.scale(p[-1])
+    acc = CMat.diag([p[-1]] * s.n)
     for c in reversed(p[:-1]):
-        acc = acc * s + ident.scale(c)
+        acc = _plus_scalar(acc * s, c.t)
     return acc
 
 
@@ -330,20 +335,19 @@ def sl2_complete_blockwise(y: CMat, blocks: List[List[int]]) -> Sl2Data:
     n = y.n
     if not y.is_block_diagonal(blocks):
         raise ValueError("nilpotent part is not block diagonal")
-    x_rows = [[GaussRat(0)] * n for _ in range(n)]
-    h_rows = [[GaussRat(0)] * n for _ in range(n)]
-    p_rows = [[GaussRat(0)] * n for _ in range(n)]
+    x_rows = [[K.ZERO] * n for _ in range(n)]
+    h_rows = [[K.ZERO] * n for _ in range(n)]
+    p_rows = [[K.ZERO] * n for _ in range(n)]
     for idxs in blocks:
-        sub = CMat([[y[i, j] for j in idxs] for i in idxs])
-        data = sl2_complete(sub)
+        data = sl2_complete(CMat._of([[y.t[i][j] for j in idxs] for i in idxs]))
         for a, i in enumerate(idxs):
             for b, j in enumerate(idxs):
-                x_rows[i][j] = data.X[a, b]
-                h_rows[i][j] = data.H[a, b]
-                p_rows[i][j] = data.basis[a, b]
+                x_rows[i][j] = data.X.t[a][b]
+                h_rows[i][j] = data.H.t[a][b]
+                p_rows[i][j] = data.basis.t[a][b]
     # brackets of block-diagonal matrices are taken block by block, and
     # sl2_complete checked every block
-    return Sl2Data(None, CMat(x_rows), CMat(h_rows), y, CMat(p_rows))
+    return Sl2Data(None, CMat._of(x_rows), CMat._of(h_rows), y, CMat._of(p_rows))
 
 
 def _jordan_chains(y: CMat) -> List[List[List[GaussRat]]]:
@@ -378,20 +382,20 @@ def _jordan_chains(y: CMat) -> List[List[List[GaussRat]]]:
 
 def _independent(spanning: List[List[GaussRat]], v: List[GaussRat]) -> bool:
     """v is outside the span of ``spanning``, an independent list."""
-    _, pivots = rref(spanning + [v])
+    _, pivots = rref([[x.t for x in row] for row in spanning + [v]])
     return len(pivots) == len(spanning) + 1
 
 
 def _standard_blocks(sizes: List[int]) -> Tuple[CMat, CMat]:
     """Block-diagonal standard X (superdiag i(k-i)) and H (diag k-1, ...)."""
     n = sum(sizes)
-    x_rows = [[GaussRat(0)] * n for _ in range(n)]
-    h_rows = [[GaussRat(0)] * n for _ in range(n)]
+    x_rows = [[K.ZERO] * n for _ in range(n)]
+    h_rows = [[K.ZERO] * n for _ in range(n)]
     off = 0
     for k in sizes:
         for i in range(1, k):
-            x_rows[off + i - 1][off + i] = GaussRat(i * (k - i))
+            x_rows[off + i - 1][off + i] = (i * (k - i), 0, 1)
         for i in range(k):
-            h_rows[off + i][off + i] = GaussRat(k - 1 - 2 * i)
+            h_rows[off + i][off + i] = (k - 1 - 2 * i, 0, 1)
         off += k
-    return CMat(x_rows), CMat(h_rows)
+    return CMat._of(x_rows), CMat._of(h_rows)

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
+from . import _kernel as K
 from .angles import (AngleExpr, _quarter_sign, arg_angle, cos_sign, exact_runs,
                      opposite_arg_angle, pi_enclosure, terms_enclosure)
 from .field import CMat, GaussRat
@@ -373,12 +374,12 @@ def stokes_factor_defect(diag: StokesDiagram, d: int, m: CMat) -> Optional[str]:
     """None when m lies in Sto_d (unipotent and supported on the roots
     R(d)); otherwise what is wrong with it, at the first bad entry."""
     allowed = {(r.i, r.j) for r in stokes_group_basis(diag, d)}
-    for i in range(m.n):
-        for j in range(m.n):
+    for i, row in enumerate(m.t):
+        for j, x in enumerate(row):
             if i == j:
-                if m[i, j] != GaussRat(1):
+                if x != K.ONE:
                     return "not unipotent"
-            elif (i, j) not in allowed and not m[i, j].is_zero():
+            elif (i, j) not in allowed and (x[0] or x[1]):
                 return "supported outside its root set"
     return None
 

@@ -510,7 +510,8 @@ def test_exp_enclosure_contains_the_values_at_every_ladder_precision():
                 # x = num/den itself (a dyadic enclosure) and 2 pi x
                 cut = (num << prec) // den, -(-(num << prec) // den)
                 for lo, hi in (cut, (cut[0], cut[0])) + ((pi_enclosure(2 * num, den, prec),)):
-                    elo, ehi = exp_enclosure(lo, hi, prec)
+                    elo, ehi, e = exp_enclosure(lo, hi, prec)
+                    elo, ehi = elo << e, ehi << e
                     with mpmath.workprec(prec + 64 + 2 * (hi >> prec)):
                         assert elo <= mpmath.exp(mpmath.ldexp(lo, -prec)) * 2**prec
                         assert mpmath.exp(mpmath.ldexp(hi, -prec)) * 2**prec <= ehi
@@ -518,6 +519,22 @@ def test_exp_enclosure_contains_the_values_at_every_ladder_precision():
                         # the series and the squarings lose under a unit of
                         # 2**-prec relative to the value
                         assert (ehi - elo) << prec <= ehi
+
+
+def test_exp_enclosure_keeps_short_mantissas_for_huge_arguments():
+    """exp(x) for x = 2 pi 10^k comes as a mantissa of about prec + h +
+    _GUARD bits and an exponent, never as the integer exp(x) * 2**prec."""
+    prec = 64
+    for k in (5, 6, 7):
+        enc = pi_enclosure(2 * 10**k, 1, prec)
+        for lo, hi in (enc, (enc[0], enc[0])):
+            elo, ehi, e = exp_enclosure(lo, hi, prec)
+            assert ehi.bit_length() <= 2 * prec and e > 10**k
+            with mpmath.workprec(prec + 128):
+                assert mpmath.ldexp(elo, e - prec) <= mpmath.exp(mpmath.ldexp(lo, -prec))
+                assert mpmath.exp(mpmath.ldexp(hi, -prec)) <= mpmath.ldexp(ehi, e - prec)
+            if lo == hi:
+                assert (ehi - elo) << prec <= ehi
 
 
 def test_nearest_double_rounds_decides_zero_and_overflows():

@@ -163,9 +163,9 @@ def test_rref_matches_sympy(rows):
         return gr(F(int(re.p), int(re.q)), F(int(im.p), int(im.q)))
 
     want, want_pivots = sympy.Matrix([[to_sympy(x) for x in r] for r in rows]).rref()
-    got, pivots = rref(rows)
+    got, pivots = rref([[x.t for x in r] for r in rows])
     assert pivots == list(want_pivots)
-    assert got == [[from_sympy(want[i, j]) for j in range(want.cols)]
+    assert got == [[from_sympy(want[i, j]).t for j in range(want.cols)]
                    for i in range(want.rows)]
 
 
@@ -253,3 +253,119 @@ def test_pattern_tests_match_per_entry_loops(case):
     assert m.is_block_diagonal(blocks) == reference_is_block_diagonal(m, blocks)
     assert m.is_diagonal() == reference_is_diagonal(m)
     assert m.is_diagonal() == m.is_block_diagonal([[i] for i in range(m.n)])
+
+
+# ---------------------------------------------------------------------
+# old-vs-new equivalence: CMat on kernel triples
+# ---------------------------------------------------------------------
+
+def reference_triple(re, im=0):
+    """The former GaussRat(re, im) for rationals: over lcm(den), then reduced."""
+    re, im = F(re), F(im)
+    d = re.denominator * im.denominator // gcd(re.denominator, im.denominator)
+    a, b = re.numerator * (d // re.denominator), im.numerator * (d // im.denominator)
+    g = gcd(a, b, d)
+    return a // g, b // g, d // g
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.one_of(_part, st.integers(-10**30, 10**30), st.booleans()))
+def test_gaussrat_of_a_rational_is_the_former_triple(x):
+    assert GaussRat(x).t == reference_triple(x) == GaussRat(x, 0).t == GaussRat(x, F(0)).t
+    assert GaussRat(x, 1).t == reference_triple(x, 1)
+
+
+def reference_rref(rows):
+    """The former elimination, on ``GaussRat`` rows."""
+    rows = [list(r) for r in rows]
+    nrows, ncols = len(rows), len(rows[0]) if rows else 0
+    pivots, r = [], 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, nrows) if not rows[i][c].is_zero()), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = rows[r][c].inv()
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(nrows):
+            if i != r and not rows[i][c].is_zero():
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows, pivots
+
+
+def _as_triples(rows):
+    return [[x.t for x in row] for row in rows]
+
+
+def reference_inv(rows):
+    n = len(rows)
+    out, pivots = reference_rref([[*row, *(gr(int(i == j)) for j in range(n))]
+                                  for i, row in enumerate(rows)])
+    if pivots != list(range(n)):
+        raise ZeroDivisionError("matrix not invertible")
+    return tuple(tuple(row[n:]) for row in out)
+
+
+def _dot(xs, ys):
+    return sum((x * y for x, y in zip(xs, ys)), gr(0))
+
+
+# entries with shared factors and cancellation; a third of them zero
+_mat_entry = st.one_of(st.just(gr(0)), _coeff, _gauss, st.integers(-3, 3), _small)
+
+
+@st.composite
+def cmat_cases(draw):
+    """Two n x n matrices at n = 1-5 (entries given as ints, Fractions and
+    GaussRats, as CMat accepts), a scalar and a vector."""
+    n = draw(st.integers(1, 5))
+    a, b = (CMat([[draw(_mat_entry) for _ in range(n)] for _ in range(n)]) for _ in "ab")
+    return a, b, draw(_mat_entry), [draw(_mat_entry) for _ in range(n)]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(cmat_cases())
+def test_cmat_matches_entrywise_gaussrat_formulas(case):
+    """Every operation against the former formulas on rows of GaussRats."""
+    a, b, c, v = case
+    ra, rb, gc = a.rows, b.rows, gr(c) if not isinstance(c, GaussRat) else c
+
+    def rows_of(f):
+        return tuple(tuple(f(i, j) for j in range(a.n)) for i in range(a.n))
+
+    assert all(type(x) is GaussRat for row in ra for x in row)
+    assert a.t == tuple(tuple(x.t for x in row) for row in ra)
+    assert all(a[i, j] == ra[i][j] for i in range(a.n) for j in range(a.n))
+    assert (a + b).rows == rows_of(lambda i, j: ra[i][j] + rb[i][j])
+    assert (a - b).rows == rows_of(lambda i, j: ra[i][j] - rb[i][j])
+    assert (-a).rows == rows_of(lambda i, j: -ra[i][j])
+    assert a.scale(c).rows == (a * c).rows == rows_of(lambda i, j: ra[i][j] * gc)
+    cols = list(zip(*rb))
+    assert (a * b).rows == rows_of(lambda i, j: _dot(ra[i], cols[j]))
+    assert a.conjugate().rows == rows_of(lambda i, j: ra[i][j].conjugate())
+    assert a.trace() == _dot([gr(1)] * a.n, [ra[i][i] for i in range(a.n)])
+    assert a.apply(v) == [_dot(row, [gr(x) for x in v]) for row in ra]
+    assert a.is_zero() == all(x.is_zero() for row in ra for x in row)
+    assert a.support() == sum(1 << (i * a.n + j) for i in range(a.n) for j in range(a.n)
+                              if not ra[i][j].is_zero())
+    assert (a == b) == (ra == rb) and a == CMat(ra) and hash(a) == hash(ra)
+    try:
+        want = reference_inv(ra)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError, match="^matrix not invertible$"):
+            a.inv()
+    else:
+        assert a.inv().rows == want
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_low_rank_rows())
+def test_rref_matches_the_gaussrat_elimination(rows):
+    got, pivots = rref(_as_triples(rows))
+    want, want_pivots = reference_rref(rows)
+    assert pivots == want_pivots and got == _as_triples(want)

@@ -125,6 +125,26 @@ def test_cli_translate_both_sides(capsys):
     assert doc["semisimple_factor"][0] == {"root_of_unity": "1/2"}
 
 
+_HUGE, _TINY = ["-inf", "-inf"], ["-0.0", "-0.0"]
+
+
+@pytest.mark.parametrize("im, numeric", [
+    ("100", ["-3.751809447791302e+272", "-6.498324583891469e+272"]),
+    ("-100", ["-6.663451422011198e-274", "-1.1541436416690479e-273"]),
+    ("100000", _HUGE), ("-100000", _TINY), ("1000000", _HUGE), ("-1000000", _TINY)])
+def test_cli_translate_betti_at_large_imaginary_residues(tmp_path, capsys, im, numeric):
+    """exp(-2 pi i s) for s = 1/3 + im i is exp(2 pi im) (-1/2 - i sqrt(3)/2):
+    past the double range its parts print as infinities and signed zeros."""
+    local = tmp_path / "local.json"
+    local.write_text(json.dumps({
+        "format": "meroconn/1", "kind": "de_rham_local", "beta": ["0"],
+        "q": {"coeffs": {}, "n": 1}, "residue": [[{"re": "1/3", "im": im}]]}))
+    code, doc = run_cli("translate", "--to", "betti", "--input", str(local), capsys=capsys)
+    assert code == 0
+    assert doc["semisimple_factor"] == [{"numeric": numeric}]
+    assert doc["monodromy_numeric"] == [[numeric]]
+
+
 def test_cli_check_relation_and_stability(tmp_path, capsys):
     code, doc = run_cli("check-relation", "--rep", str(DATA / "rep_gl2.json"),
                         capsys=capsys)
