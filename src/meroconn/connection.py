@@ -91,17 +91,7 @@ class CanonicalForm:
         return max(self.polar, default=0)
 
     def as_connection(self, trunc=INF) -> MeroConnection:
-        rows = [
-            [LaurentSeries.zero() for _ in range(self.n)] for _ in range(self.n)
-        ]
-        for i in range(self.n):
-            for k in range(self.n):
-                s = LaurentSeries.const(self.residue[i, k])
-                for j, mat in self.polar.items():
-                    if i == k:
-                        s = s + LaurentSeries.monomial(mat[i, i], -j)
-                rows[i][k] = s
-        return MeroConnection(LaurentMatrix(rows, trunc))
+        return connection_from_irregular_type(self.irregular_type(), self.residue, trunc=trunc)
 
     def irregular_type(self) -> IrregularType:
         return IrregularType.from_polar(self.n, self.polar)
@@ -129,9 +119,11 @@ def gauge_act(g: LaurentMatrix, conn: MeroConnection,
               g_inv: Optional[LaurentMatrix] = None) -> MeroConnection:
     """g . (d + B dz/z) = d + (g B - z g') g^-1 dz/z.
 
-    One product by g^-1.  The result carries the truncation of
-    g B g^-1 - z g' g^-1 with the two products taken apart, so the
-    bound does not depend on cancellation in g B - z g'."""
+    One product by g^-1, each entry known as far as ``mat_mul`` knows
+    it, then cut to the bound ``mat_mul_trunc`` gives g B g^-1 and
+    z g' g^-1 taken apart, so the result does not depend on cancellation
+    in g B - z g'.  ``_centralize_grade_zero`` needs that bound: without
+    it the window it reads never runs out."""
     if g_inv is None:
         g_inv = mat_inv(g)
     gB = mat_mul(g, conn.B)
@@ -385,7 +377,7 @@ def _solve_graded(B: LaurentMatrix, theta: Weight, depth, W: int, stop: Optional
                 pivot = K.qsub(neg_diag[b][npole - J], neg_diag[a][npole - J])
                 y[a][b][e + J] = K.qdiv(r, pivot)
     g = LaurentMatrix._of([[LaurentSeries._raw(0, y[a][b], W) for b in range(n)]
-                           for a in range(n)], W)
+                           for a in range(n)])
     polar = {j: CMat.diag([GaussRat.from_triple(K.qneg(d[npole - j])) for d in neg_diag])
              for j in range(1, npole + 1)}
     return g, polar, CMat._of(res)
@@ -470,13 +462,13 @@ def _centralize_grade_zero(cur: LaurentMatrix, theta: Weight, polar, W: int
     ident = LaurentMatrix.identity(n, W)
     g0 = ident
     for _ in range(T + 3):
-        piece = {(a, b, m): cur.rows[a][b].coeff(m).t for a, b, m in slots}
+        piece = {(a, b, m): cur.rows[a][b]._coeff(m) for a, b, m in slots}
         live = [m for (_, _, m), t in piece.items() if t[0] or t[1]]
         if not live:
             return cur, g0
         m0 = min(live)
         level = [(a, b) for a, b, m in slots if m == m0]
-        r0 = [[x.coeff(0).t for x in row] for row in cur.rows]
+        r0 = cur.coeff(0).t
         w = _solve_level(m0, r0, level, [piece[a, b, m0] for a, b in level])
         rows = [[K.ZERO] * n for _ in range(n)]
         for (a, b), x in zip(level, w):
@@ -489,10 +481,11 @@ def _centralize_grade_zero(cur: LaurentMatrix, theta: Weight, polar, W: int
 
 
 def _drop_undetermined(g: LaurentMatrix, depth, T: int) -> LaurentMatrix:
-    """g with every coefficient at (a, b, z^m), m - J_ab >= T, set to 0."""
+    """g with every coefficient at (a, b, z^m), m - J_ab >= T, set to 0;
+    each entry keeps its own truncation."""
     return LaurentMatrix._of([
-        [LaurentSeries._raw(s.order_min, list(s.coeffs[:max(T + J - s.order_min, 0)]), g.trunc)
-         for s, J in zip(row, depths)] for row, depths in zip(g.rows, depth)], g.trunc)
+        [LaurentSeries._raw(s.order_min, s.coeffs[:max(T + J - s.order_min, 0)], s.trunc)
+         for s, J in zip(row, depths)] for row, depths in zip(g.rows, depth)])
 
 
 def _resolve_trunc(conn: MeroConnection, trunc: Optional[int]) -> int:

@@ -204,7 +204,9 @@ class _Rounder:
     coefficients; ``cos_sign`` decides each, asked only when the first
     enclosure meets 0.  exp(2 pi Im s) is 1, ``exp_enclosure`` of
     2 pi Im s, or for Im s < 0 the reciprocal of that of -2 pi Im s; its
-    enclosure is kept per precision, shared by the parts of a row."""
+    mantissa and exponent are kept per precision, shared by the parts of
+    a row.  Past the double range the exponent is capped before the
+    mantissa is shifted, so time and memory do not grow with |Im s|."""
 
     def __init__(self, s: GaussRat):
         a, b, d = s.t
@@ -213,20 +215,14 @@ class _Rounder:
         self._exp: Dict[int, Tuple[int, int, int]] = {}
 
     def _exp_enclosure(self, prec: int) -> Tuple[int, int, int]:
-        """(elo, ehi, eden) with elo/eden <= exp(2 pi Im s) <= ehi/eden."""
+        """(elo, ehi, e) with exp(2 pi |Im s|) in [elo, ehi] * 2^(e - prec)."""
         enc = self._exp.get(prec)
         if enc is None:
             from .angles import exp_enclosure, pi_enclosure
 
             b, d = self.im
-            if b == 0:
-                enc = (1, 1, 1)
-            elif b > 0:
-                elo, ehi, e = exp_enclosure(*pi_enclosure(2 * b, d, prec), prec)
-                enc = (elo << e, ehi << e, 1 << prec)
-            else:
-                flo, fhi, e = exp_enclosure(*pi_enclosure(-2 * b, d, prec), prec)
-                enc = (flo << prec, fhi << prec, flo * fhi << e)
+            enc = (exp_enclosure(*pi_enclosure(2 * abs(b), d, prec), prec) if b
+                   else (1 << prec, 1 << prec, 0))
             self._exp[prec] = enc
         return enc
 
@@ -259,10 +255,17 @@ class _Rounder:
                 shift = k * prec
                 lo += clo * (klo if clo >= 0 else khi) >> shift
                 hi -= -chi * (khi if chi >= 0 else klo) >> shift
-            # times the positive [elo, ehi]/eden
-            elo, ehi, eden = self._exp_enclosure(prec)
-            return (lo * (elo if lo >= 0 else ehi), hi * (ehi if hi >= 0 else elo),
-                    eden << prec)
+            # times exp(2 pi Im s), or over exp(-2 pi Im s) when Im s < 0,
+            # from [elo, ehi] * 2^(e - prec); the shift by e is capped where
+            # every nonzero end already rounds to +-inf (2^(e - 2 prec) >=
+            # 2^1024) or to +-0.0 (below 2^-1075), which the bit lengths decide
+            elo, ehi, e = self._exp_enclosure(prec)
+            lo, hi = lo * (elo if lo >= 0 else ehi), hi * (ehi if hi >= 0 else elo)
+            if self.im[0] >= 0:
+                e = min(e, 2 * prec + 1024)
+                return lo << e, hi << e, 1 << 2 * prec
+            e = min(e, max(lo.bit_length(), hi.bit_length()) + 1076)
+            return lo, hi, elo * ehi << e
 
         return nearest_double(enclose, is_zero, "monodromy entry not rounded at maximum precision")
 

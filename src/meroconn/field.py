@@ -35,6 +35,22 @@ def _triple_from(re, im=0):
     return K.qnormalize(a, b, d)
 
 
+def _binary(op):
+    """The ``GaussRat`` operator (x, y) -> op(x.t, y.t).  It returns
+    NotImplemented for an operand that ``_coerce`` cannot take, so that a
+    matrix or a series on the other side can take it; a float or complex
+    is refused."""
+    def method(self, other):
+        try:
+            t = _coerce(other).t
+        except TypeError:
+            if isinstance(other, (float, complex)):
+                raise
+            return NotImplemented
+        return GaussRat.from_triple(op(self.t, t))
+    return method
+
+
 class GaussRat:
     """An element of Q(i), immutable and hashable."""
 
@@ -84,27 +100,12 @@ class GaussRat:
         a, b, d = self.t
         return GaussRat.from_triple((a, -b, d))
 
-    def __add__(self, other):
-        return GaussRat.from_triple(K.qadd(self.t, _coerce(other).t))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return GaussRat.from_triple(K.qsub(self.t, _coerce(other).t))
-
-    def __rsub__(self, other):
-        return GaussRat.from_triple(K.qsub(_coerce(other).t, self.t))
-
-    def __mul__(self, other):
-        return GaussRat.from_triple(K.qmul(self.t, _coerce(other).t))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return GaussRat.from_triple(K.qdiv(self.t, _coerce(other).t))
-
-    def __rtruediv__(self, other):
-        return GaussRat.from_triple(K.qdiv(_coerce(other).t, self.t))
+    __add__ = __radd__ = _binary(K.qadd)
+    __sub__ = _binary(K.qsub)
+    __rsub__ = _binary(lambda x, y: K.qsub(y, x))
+    __mul__ = __rmul__ = _binary(K.qmul)
+    __truediv__ = _binary(K.qdiv)
+    __rtruediv__ = _binary(lambda x, y: K.qdiv(y, x))
 
     def __neg__(self):
         return GaussRat.from_triple(K.qneg(self.t))
@@ -148,7 +149,7 @@ def _coerce(x) -> GaussRat:
         return x
     if isinstance(x, (int, Fraction)):
         return GaussRat(x)
-    if isinstance(x, complex):
+    if isinstance(x, (float, complex)):
         raise TypeError("floats are not exact; build GaussRat from Fractions")
     raise TypeError(f"cannot coerce {type(x).__name__} to GaussRat")
 

@@ -124,12 +124,13 @@ def dec_series(obj) -> LaurentSeries:
 
 
 def enc_lmatrix(m: LaurentMatrix) -> Dict[str, Any]:
+    """Every entry cut to ``m.trunc``, the least of the entries'."""
     from .series import INF
 
     return {
         "n": m.n,
         "trunc": "inf" if m.trunc == INF else int(m.trunc),
-        "entries": [[enc_series(x) for x in row] for row in m.rows],
+        "entries": [[enc_series(x) for x in row] for row in m.truncate(m.trunc).rows],
     }
 
 

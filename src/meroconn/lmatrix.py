@@ -1,9 +1,16 @@
 """Laurent matrices: n x n matrices of Laurent series over the exact field.
 
-LaurentMatrix models elements of the loop group/algebra with a shared
-truncation order, and is immutable.  Its constant coefficients are
-``field.CMat``s; ``CMat`` is imported here, so ``lmatrix.CMat`` names
-the same class.
+LaurentMatrix models elements of the loop group/algebra, and is
+immutable.  There is one truncation rule, the series one: each entry
+keeps its own truncation, a sum is known below the least of its terms'
+and a product x * y below min(x.trunc + val(y), y.trunc + val(x)), so
+an entry of a matrix product or of a minor is known below the least of
+that over its terms (per-entry, or "jagged", precision, as in X. Caruso,
+D. Roe and T. Vaccon, "Tracking p-adic precision", LMS J. Comput. Math.
+17A, 2014).  A matrix's ``trunc`` is the least of its entries'; the
+printed document (``jsonio.enc_lmatrix``) cuts every entry to it.  Its
+constant coefficients are ``field.CMat``s; ``CMat`` is imported here, so
+``lmatrix.CMat`` names the same class.
 
 There is one inverse, ``mat_inv``: Cramer's rule on the minors of one
 memoized Laplace expansion, whose full minor is ``laurent_det``, with
@@ -26,54 +33,36 @@ from .series import INF, LaurentSeries
 
 
 class LaurentMatrix:
-    """n x n matrix of Laurent series sharing a common truncation.
+    """n x n matrix of Laurent series, each entry with its own truncation.
 
-    The truncation is the minimum of ``trunc`` (if given) and the
-    entries' own truncations, and every entry is cut to it: an entry is
-    never read beyond what it knows.
-
-    Known limit: one truncation for all entries loses what the entries
-    of z^r * u * z^c, for a unit u, know at different depths.  Once
-    spread(r) + spread(c) (max minus min exponent of each) reaches
-    u.trunc, forming that product cuts whole rows or columns of u to
-    nothing below the common truncation, and ``mat_inv`` of the product
-    then mostly raises 'not a unit in G(K)'."""
+    ``trunc`` is the least of the entries' truncations: the window on
+    which every entry is known.  An entry is never read beyond what it
+    knows (coefficients at or past its own truncation read as 0), and an
+    explicit ``trunc`` cuts the entries that know more, never extending
+    one.  So z^r * u * z^c keeps, for a unit u, what each entry of u
+    knows, however far the exponents r and c spread."""
 
     __slots__ = ("n", "rows", "trunc")
 
-    def __init__(self, rows, trunc=None):
-        rows = [list(row) for row in rows]
-        n = len(rows)
-        if any(len(r) != n for r in rows):
+    def __new__(cls, rows, trunc=None):
+        rows = [[x if isinstance(x, LaurentSeries) else LaurentSeries.const(x) for x in row]
+                for row in rows]
+        if any(len(r) != len(rows) for r in rows):
             raise ValueError("LaurentMatrix must be square")
-        entries = []
-        t = INF if trunc is None else trunc
-        for row in rows:
-            out_row = []
-            for x in row:
-                if not isinstance(x, LaurentSeries):
-                    x = LaurentSeries.const(x)
-                t = min(t, x.trunc)
-                out_row.append(x)
-            entries.append(out_row)
-        norm = tuple(
-            tuple(
-                e if e.trunc == t else LaurentSeries._raw(e.order_min, list(e.coeffs), t)
-                for e in row
-            )
-            for row in entries
-        )
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "rows", norm)
-        object.__setattr__(self, "trunc", t)
+        if trunc is not None:
+            rows = [[x if x.trunc <= trunc else LaurentSeries._raw(x.order_min, x.coeffs, trunc)
+                     for x in row] for row in rows]
+        return cls._of(rows)
 
     @classmethod
-    def _of(cls, rows, trunc):
-        """From lists of series that are already cut to ``trunc``."""
+    def _of(cls, rows):
+        """From lists of series, each keeping its own truncation."""
         self = object.__new__(cls)
+        rows = tuple(map(tuple, rows))
         object.__setattr__(self, "n", len(rows))
-        object.__setattr__(self, "rows", tuple(map(tuple, rows)))
-        object.__setattr__(self, "trunc", trunc)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "trunc", min((x.trunc for row in rows for x in row),
+                                              default=INF))
         return self
 
     def __setattr__(self, *a):
@@ -82,31 +71,23 @@ class LaurentMatrix:
     # ------------------------------------------------------------------
     @classmethod
     def zero(cls, n, trunc=INF):
-        return cls([[LaurentSeries.zero()] * n for _ in range(n)], trunc)
+        return cls.from_const(CMat.zero(n), trunc)
 
     @classmethod
     def identity(cls, n, trunc=INF):
-        one = LaurentSeries.const(1)
-        zero = LaurentSeries.zero()
-        return cls(
-            [[one if i == j else zero for j in range(n)] for i in range(n)], trunc
-        )
+        return cls.from_const(CMat.identity(n), trunc)
 
     @classmethod
     def from_const(cls, m: CMat, trunc=INF):
-        return cls(
-            [[LaurentSeries.const(x) for x in row] for row in m.rows], trunc
-        )
+        return cls.monomial(m, 0, trunc)
 
     @classmethod
     def monomial(cls, m: CMat, e: int, trunc=INF):
         """m * z^e."""
-        return cls(
-            [[LaurentSeries.monomial(x, e) for x in row] for row in m.rows], trunc
-        )
+        return cls._of([[LaurentSeries._raw(e, (t,), trunc) for t in row] for row in m.t])
 
     def coeff(self, e: int) -> CMat:
-        return CMat([[x.coeff(e) for x in row] for row in self.rows])
+        return CMat._of([[x._coeff(e) for x in row] for row in self.rows])
 
     def val(self):
         return min((x.val() for row in self.rows for x in row), default=INF)
@@ -118,28 +99,21 @@ class LaurentMatrix:
     def __add__(self, other):
         other = self._coerce(other)
         _check_dim(self, other)
-        return LaurentMatrix(
-            [
-                [self.rows[i][j] + other.rows[i][j] for j in range(self.n)]
-                for i in range(self.n)
-            ]
-        )
+        return LaurentMatrix._of([[x + y for x, y in zip(ra, rb)]
+                                  for ra, rb in zip(self.rows, other.rows)])
 
     def __sub__(self, other):
         other = self._coerce(other)
         _check_dim(self, other)
-        return LaurentMatrix._of(
-            [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
-            min(self.trunc, other.trunc))
+        return LaurentMatrix._of([[x - y for x, y in zip(ra, rb)]
+                                  for ra, rb in zip(self.rows, other.rows)])
 
     def __neg__(self):
-        return LaurentMatrix([[-x for x in row] for row in self.rows], self.trunc)
+        return LaurentMatrix._of([[-x for x in row] for row in self.rows])
 
     def __mul__(self, other):
         if isinstance(other, (GaussRat, int, Fraction, LaurentSeries)):
-            return LaurentMatrix(
-                [[x * other for x in row] for row in self.rows]
-            )
+            return LaurentMatrix._of([[x * other for x in row] for row in self.rows])
         other = self._coerce(other)
         return mat_mul(self, other)
 
@@ -149,10 +123,10 @@ class LaurentMatrix:
         return NotImplemented
 
     def shift(self, e: int):
-        return LaurentMatrix([[x.shift(e) for x in row] for row in self.rows])
+        return LaurentMatrix._of([[x.shift(e) for x in row] for row in self.rows])
 
     def zdz(self):
-        return LaurentMatrix([[x.zdz() for x in row] for row in self.rows], self.trunc)
+        return LaurentMatrix._of([[x.zdz() for x in row] for row in self.rows])
 
     def _coerce(self, other):
         if isinstance(other, LaurentMatrix):
@@ -174,14 +148,13 @@ class LaurentMatrix:
     def __eq__(self, other):
         if not isinstance(other, LaurentMatrix):
             return NotImplemented
-        return self.n == other.n and self.trunc == other.trunc and self.rows == other.rows
+        return self.rows == other.rows
 
     def __hash__(self):
-        return hash((self.trunc, self.rows))
+        return hash(self.rows)
 
     def truncate(self, trunc):
-        if trunc >= self.trunc:
-            return self
+        """Every entry cut to at most ``trunc``."""
         return LaurentMatrix(self.rows, trunc)
 
     def __repr__(self):
@@ -191,21 +164,20 @@ class LaurentMatrix:
 def mat_mul(a: LaurentMatrix, b: LaurentMatrix) -> LaurentMatrix:
     """Exact truncated product.
 
-    The result's truncation is min(a.trunc + val(b), b.trunc + val(a)):
-    coefficients below that bound are fully determined by the known
-    windows of the factors.  Each entry sum_k a_ik b_kj is one kernel
-    call (``qconvsum``), which normalizes each output coefficient once.
+    Entry (i, j) is known below min_k of the truncation of the series
+    product a_ik * b_kj, min(a_ik.trunc + val(b_kj), b_kj.trunc +
+    val(a_ik)), the rule ``_minors`` uses: coefficients below that bound
+    are fully determined by the known windows of the factors.  Each entry
+    sum_k a_ik b_kj is one kernel call (``qconvsum``), which normalizes
+    each output coefficient once.
     """
     _check_dim(a, b)
-    trunc = mat_mul_trunc(a, b)
     cols = list(zip(*b.rows))
-    rows = []
-    for arow in a.rows:
-        rows.append([
-            _fused([(x.order_min + y.order_min, x.coeffs, y.coeffs)
-                    for x, y in zip(arow, bcol) if x.coeffs and y.coeffs], trunc)
-            for bcol in cols])
-    return LaurentMatrix._of(rows, trunc)
+    return LaurentMatrix._of([
+        [_fused([(x.order_min + y.order_min, x.coeffs, y.coeffs)
+                 for x, y in zip(arow, bcol) if x.coeffs and y.coeffs],
+                min(map(LaurentSeries._mul_trunc, arow, bcol)))
+         for bcol in cols] for arow in a.rows])
 
 
 def _fused(terms, trunc) -> LaurentSeries:
@@ -224,7 +196,9 @@ def _fused(terms, trunc) -> LaurentSeries:
 
 
 def mat_mul_trunc(a: LaurentMatrix, b: LaurentMatrix):
-    """The truncation of ``mat_mul(a, b)``."""
+    """A bound below which ``mat_mul(a, b)`` is known in every entry,
+    from the least truncation and the valuation of each factor, however
+    the entries' truncations differ."""
     ta = a.trunc + b.val() if a.trunc != INF else INF
     tb = b.trunc + a.val() if b.trunc != INF else INF
     return min(ta, tb)
@@ -272,16 +246,16 @@ def mat_inv(a: LaurentMatrix) -> LaurentMatrix:
     left, come off as shifts of whole rows and columns: a = z^r * b * z^c.
     Then b^-1 = adj(b) * det(b)^-1, the determinant and every cofactor
     from one ``_minors`` expansion and det(b)^-1 from
-    ``LaurentSeries.inverse``, and a^-1 = z^-c * b^-1 * z^-r, with the
-    truncation that ``mat_mul`` by the torus factors would give.
+    ``LaurentSeries.inverse``, and a^-1 = z^-c * b^-1 * z^-r, each entry
+    with the truncation that ``mat_mul`` by the torus factors would give.
 
     Raises ZeroDivisionError 'not a unit in G(K)' when det(b) vanishes
     below its truncation, and ValueError for an exact a (trunc INF) whose
     det(b) is not a monomial, as its inverse is an infinite series."""
     r = _vals(a.rows)
-    b = LaurentMatrix([[x.shift(-e) for x in row] for row, e in zip(a.rows, r)])
+    b = LaurentMatrix._of([[x.shift(-e) for x in row] for row, e in zip(a.rows, r)])
     c = _vals(zip(*b.rows))
-    b = LaurentMatrix([[x.shift(-e) for x, e in zip(row, c)] for row in b.rows])
+    b = LaurentMatrix._of([[x.shift(-e) for x, e in zip(row, c)] for row in b.rows])
     minor, full = _minors(b), (1 << a.n) - 1
     det = minor(full, full)
     if det.is_zero():
@@ -289,8 +263,8 @@ def mat_inv(a: LaurentMatrix) -> LaurentMatrix:
                                 "the truncation")
     dinv = det.inverse()
     signed = (dinv, -dinv)
-    return LaurentMatrix([[(minor(full ^ 1 << j, full ^ 1 << i) * signed[(i + j) % 2])
-                           .shift(-c[i] - r[j]) for j in range(a.n)] for i in range(a.n)])
+    return LaurentMatrix._of([[(minor(full ^ 1 << j, full ^ 1 << i) * signed[(i + j) % 2])
+                               .shift(-c[i] - r[j]) for j in range(a.n)] for i in range(a.n)])
 
 
 def _vals(lines) -> List[int]:
@@ -345,9 +319,8 @@ def _powers(m: LaurentMatrix) -> List[LaurentMatrix]:
 def _power_sum(m: LaurentMatrix, powers: List[LaurentMatrix], scalars) -> LaurentMatrix:
     """I + sum_k scalars[k] * powers[k] for kernel triples ``scalars``,
     with I truncated at m's truncation.  Each entry is one kernel call
-    over all the powers; the truncation is the least of m's and the
-    powers'."""
-    trunc = min([m.trunc] + [p.trunc for p in powers])
+    over all the powers, known below the least truncation of m's and of
+    that entry of the powers."""
     rows = []
     for i in range(m.n):
         row = []
@@ -357,9 +330,9 @@ def _power_sum(m: LaurentMatrix, powers: List[LaurentMatrix], scalars) -> Lauren
                      if x.coeffs]
             if i == j:
                 terms.append((0, (K.ONE,), (K.ONE,)))
-            row.append(_fused(terms, trunc))
+            row.append(_fused(terms, min([m.trunc] + [x.trunc for x in entries])))
         rows.append(row)
-    return LaurentMatrix._of(rows, trunc)
+    return LaurentMatrix._of(rows)
 
 
 def _is_nilpotent_series(m: LaurentMatrix) -> bool:

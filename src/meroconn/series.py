@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 
 from . import _kernel as K
-from .field import ZERO, GaussRat
+from .field import GaussRat
 
 INF = math.inf
 
@@ -73,10 +73,12 @@ class LaurentSeries:
         return self.order_min if self.coeffs else INF
 
     def coeff(self, e: int) -> GaussRat:
+        return GaussRat.from_triple(self._coeff(e))
+
+    def _coeff(self, e: int):
+        """The coefficient at z^e as a kernel triple (0 outside the window)."""
         i = e - self.order_min
-        if 0 <= i < len(self.coeffs):
-            return GaussRat.from_triple(self.coeffs[i])
-        return ZERO
+        return self.coeffs[i] if 0 <= i < len(self.coeffs) else K.ZERO
 
     def items(self):
         for i, t in enumerate(self.coeffs):

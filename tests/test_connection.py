@@ -286,7 +286,17 @@ def test_gauge_act_matches_two_product_oracle():
                          (x, None), (x, x_inv)):
             want = _gauge_act_two_products(h, conn, h_inv)
             got = gauge_act(h, conn, h_inv)
-            assert got.B == want.B and got.B.trunc == want.B.trunc
+            # equal on the window both know, with the same least truncation
+            assert got.B.agrees(want.B) and got.B.trunc == want.B.trunc
+            # each entry knows what its series products know, cut to the
+            # bound of the two products taken apart
+            inv = mat_inv(h) if h_inv is None else h_inv
+            gb, dz = mat_mul(h, conn.B), h.zdz()
+            bound = min(gb.trunc + inv.val(), inv.trunc + gb.val(),
+                        dz.trunc + inv.val(), inv.trunc + dz.val())
+            assert [[x.trunc for x in row] for row in got.B.rows] == [
+                [min(bound, min((p * q).trunc for p, q in zip(row, col)))
+                 for col in zip(*inv.rows)] for row in (gb - dz).rows]
 
 
 # ---------------------------------------------------------------------
@@ -440,6 +450,23 @@ def test_lost_window_is_a_reduction_error():
     # a truncation that never covers z^0 is refused up front
     with pytest.raises(ReductionError, match="known only below z\\^0"):
         canonical_reduce(gl2_example(), trunc=0)
+
+
+def test_wall_gauge_keeps_each_entrys_truncation(monkeypatch):
+    # at the wall weight (1, 0) the gauge is the graded solve's times the
+    # grade-zero steps' product; setting the coefficients the input does
+    # not determine to 0 keeps that product's truncation entry by entry
+    conn = MeroConnection((LM.monomial(CMat([[1, F(1, 3)], [0, 1]]), -1)
+                           + LM.from_const(CMat([[1, 4], [0, 7]]))).truncate(8))
+    products = []
+    drop = meroconn.connection._drop_undetermined
+    monkeypatch.setattr(meroconn.connection, "_drop_undetermined",
+                        lambda g, depth, T: drop(products.append(g) or g, depth, T))
+    form, g = canonical_reduce(conn, Weight([1, 0]))
+    truncs = [[x.trunc for x in row] for row in g.rows]
+    assert len(products) == 1 and truncs == [[x.trunc for x in row] for row in products[0].rows]
+    assert g.trunc == 8 and truncs != [[8, 8], [8, 8]]
+    assert gauge_orbit_equal(conn, form.as_connection(8), g)
 
 
 @pytest.mark.parametrize("entry", [canonical_reduce, recover_irregular_shape,
@@ -1102,7 +1129,7 @@ def _former_solve_gauge(B, theta, polar, depth, W):
             r = residual(a, b, e)
             if r[0] or r[1]:
                 y[a][b][e + depth[a][b]] = K.qdiv(r, pivot[a, b])
-    g = LM._of([[LS._raw(0, y[a][b], W) for b in range(n)] for a in range(n)], W)
+    g = LM._of([[LS._raw(0, y[a][b], W) for b in range(n)] for a in range(n)])
     return g, CMat([[GaussRat.from_triple(t) for t in row] for row in res])
 
 
@@ -1145,7 +1172,7 @@ def _former_solve_shape(conn, theta, trunc):
                 if lam[a] == lam[b] or mu == -npole * den:
                     raise ReductionError(NOT_RECOVERABLE)
                 y[a][b][e + npole] = K.qdiv(r, K.qsub(lam[a], lam[b]))
-    x = LM._of([[LS._raw(0, y[a][b], W) for b in range(n)] for a in range(n)], W)
+    x = LM._of([[LS._raw(0, y[a][b], W) for b in range(n)] for a in range(n)])
     polar = {j: CMat.diag([GaussRat.from_triple(K.qneg(c[npole - j])) for c in neg_c])
              for j in range(1, npole + 1)}
     return B, s_inv, x, polar

@@ -261,10 +261,11 @@ def test_row_exponential_enclosures_contain_the_value():
     for im in (F(4), F(-4), F(1, 3), F(-7, 2), F(0), F(40), F(-40)):
         rounder = _Rounder(gr(F(1, 5), im))
         for prec in _PRECISIONS[:3]:
-            elo, ehi, eden = rounder._exp_enclosure(prec)
+            # exp(2 pi |Im s|) in [elo, ehi] * 2^(e - prec)
+            elo, ehi, e = rounder._exp_enclosure(prec)
             with mpmath.workprec(prec + 400):
-                value = mpmath.exp(2 * mpmath.pi * mpmath.mpf(im.numerator) / im.denominator)
-                assert elo <= value * eden <= ehi
+                value = mpmath.exp(2 * mpmath.pi * abs(im.numerator) / mpmath.mpf(im.denominator))
+                assert elo <= mpmath.ldexp(value, prec - e) <= ehi
             assert (ehi - elo) << (prec - 4) <= ehi
 
 

@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction as F
 from math import gcd
@@ -6,6 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from meroconn.field import CMat, GaussRat, entry_mask, gr, rref
+from meroconn.lmatrix import LaurentMatrix
+from meroconn.series import LaurentSeries
 
 
 def rand_gauss(rng, nonzero=False):
@@ -37,8 +40,22 @@ def test_normalization_makes_equality_structural():
 
 
 def test_floats_rejected():
-    with pytest.raises(TypeError):
-        gr(1) + 0.5
+    # on either side of every arithmetic operator
+    for x in (0.5, 1j):
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            for args in ((gr(1), x), (x, gr(1))):
+                with pytest.raises(TypeError, match="floats are not exact"):
+                    op(*args)
+
+
+def test_gaussrat_leaves_a_matrix_or_series_operand_to_the_other_side():
+    c = gr(F(1, 2), -3)
+    m = CMat([[1, 2], [gr(0, 1), F(-1, 3)]])
+    s = LaurentSeries(-1, [1, gr(2, 1)], 4)
+    lm = LaurentMatrix([[s, 1], [0, s]], 3)
+    assert (c * m).rows == (m * c).rows and c * s == s * c and c * lm == lm * c
+    with pytest.raises(TypeError, match="unsupported operand"):
+        c + "1"
 
 
 def test_complex_operands_compare_unequal():
@@ -344,7 +361,7 @@ def test_cmat_matches_entrywise_gaussrat_formulas(case):
     assert (a + b).rows == rows_of(lambda i, j: ra[i][j] + rb[i][j])
     assert (a - b).rows == rows_of(lambda i, j: ra[i][j] - rb[i][j])
     assert (-a).rows == rows_of(lambda i, j: -ra[i][j])
-    assert a.scale(c).rows == (a * c).rows == rows_of(lambda i, j: ra[i][j] * gc)
+    assert a.scale(c).rows == (a * c).rows == (c * a).rows == rows_of(lambda i, j: ra[i][j] * gc)
     cols = list(zip(*rb))
     assert (a * b).rows == rows_of(lambda i, j: _dot(ra[i], cols[j]))
     assert a.conjugate().rows == rows_of(lambda i, j: ra[i][j].conjugate())

@@ -20,6 +20,8 @@ DATA = Path(__file__).parent / "data"
 CLI_DIGESTS = [
     ("canonical-form --input conn_gl2.json --trunc 12",
      "07cc1cd5020099cca58df5526be0024143cc4f1533c3b80e3bf2dbf8059a6d9d"),
+    ("canonical-form --input conn_wall.json --weight weight_wall.json --trunc 8",
+     "86d6f05d984117cd00e30556fe53d75ed1a52e77a8b9ec3bb7a59bb6bcc83920"),
     ("antistokes --irregular-type q_gl2.json",
      "511eaa30bef06bf47b9824e41f57cb5c803179fb6309e5b646f1cdbc065b9987"),
     ("antistokes --irregular-type q_gl3.json",

@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from meroconn import jsonio
+from meroconn import angles, jsonio
+from meroconn.angles import nearest_double
 from meroconn.cli import main
 from meroconn.connection import MeroConnection
 from meroconn.correspondence import expected_multiplier
@@ -131,10 +132,23 @@ _HUGE, _TINY = ["-inf", "-inf"], ["-0.0", "-0.0"]
 @pytest.mark.parametrize("im, numeric", [
     ("100", ["-3.751809447791302e+272", "-6.498324583891469e+272"]),
     ("-100", ["-6.663451422011198e-274", "-1.1541436416690479e-273"]),
-    ("100000", _HUGE), ("-100000", _TINY), ("1000000", _HUGE), ("-1000000", _TINY)])
-def test_cli_translate_betti_at_large_imaginary_residues(tmp_path, capsys, im, numeric):
+    ("100000", _HUGE), ("-100000", _TINY), ("1000000", _HUGE), ("-1000000", _TINY),
+    ("10000000", _HUGE), ("-10000000", _TINY), ("100000000", _HUGE), ("-100000000", _TINY)])
+def test_cli_translate_betti_at_large_imaginary_residues(tmp_path, capsys, monkeypatch,
+                                                         im, numeric):
     """exp(-2 pi i s) for s = 1/3 + im i is exp(2 pi im) (-1/2 - i sqrt(3)/2):
-    past the double range its parts print as infinities and signed zeros."""
+    past the double range its parts print as infinities and signed zeros,
+    from enclosures whose integers stay short, however large |im| is."""
+    bits = []
+
+    def recorded(enclose, is_zero, message):
+        def logged(prec):
+            out = enclose(prec)
+            bits.append(max(abs(v).bit_length() for v in out))
+            return out
+        return nearest_double(logged, is_zero, message)
+
+    monkeypatch.setattr(angles, "nearest_double", recorded)
     local = tmp_path / "local.json"
     local.write_text(json.dumps({
         "format": "meroconn/1", "kind": "de_rham_local", "beta": ["0"],
@@ -143,6 +157,8 @@ def test_cli_translate_betti_at_large_imaginary_residues(tmp_path, capsys, im, n
     assert code == 0
     assert doc["semisimple_factor"] == [{"numeric": numeric}]
     assert doc["monodromy_numeric"] == [[numeric]]
+    # exp(2 pi |im|) alone has about 9 |im| bits; here, under 1500 for |im| <= 10^8
+    assert bits and max(bits) <= 2048, max(bits)
 
 
 def test_cli_check_relation_and_stability(tmp_path, capsys):

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from meroconn import _kernel as K
 from meroconn.connection import MeroConnection, gauge_orbit_equal
@@ -148,16 +148,38 @@ def test_inverse_of_a_unit_round_trips(m):
 @given(units(), st.data())
 def test_inverse_pulls_off_torus_factors(u, data):
     # z^r * u * z^c with exponents in [-2, 2]: the row and column
-    # valuations are divided out before the unit is inverted.  The
-    # product keeps one common truncation, so the spreads of r and c must
-    # stay below u's, or some entry of u loses its constant term.
+    # valuations are divided out before the unit is inverted.  Each entry
+    # of the product keeps what the entry of u knows, however far r and c
+    # spread.
     exps = st.lists(st.integers(-2, 2), min_size=u.n, max_size=u.n)
     r, c = data.draw(exps), data.draw(exps)
-    assume(max(r) - min(r) + max(c) - min(c) < u.trunc)
     m = mat_mul(mat_mul(_torus(r), u), _torus(c))
     inv = mat_inv(m)
     ident = LM.identity(m.n)
     assert mat_mul(m, inv).agrees(ident) and mat_mul(inv, m).agrees(ident)
+
+
+def test_torus_factored_units_beyond_the_truncation_invert():
+    # spread(r) + spread(c) at or beyond u's truncation: one common
+    # truncation cut whole rows or columns of u off such products; each
+    # entry of z^r * u * z^c knows u.trunc + r_i + c_j, and of its inverse
+    # z^-c * u^-1 * z^-r, u.trunc - c_i - r_j
+    rng = random.Random(33)
+    cases = 0
+    while cases < 150:
+        n, trunc = rng.randint(2, 4), rng.randint(2, 6)
+        r = [rng.randint(-2, 2) for _ in range(n)]
+        c = [rng.randint(-2, 2) for _ in range(n)]
+        if max(r) - min(r) + max(c) - min(c) < trunc:
+            continue
+        cases += 1
+        u = rand_unit_matrix(rng, n, trunc)
+        m = mat_mul(mat_mul(_torus(r), u), _torus(c))
+        assert _truncs(m) == [[trunc + ri + cj for cj in c] for ri in r]
+        inv = mat_inv(m)
+        assert _truncs(inv) == [[trunc - ci - rj for rj in r] for ci in c]
+        assert _round_trips(m, inv)
+        assert mat_inv(inv).agrees(m)
 
 
 # ---------------------------------------------------------------------
@@ -230,7 +252,7 @@ def _former_power_sum(n, powers, scalars, start):
                 terms.append((0, (K.ONE,), (K.ONE,)))
             row.append(_fused(terms, trunc))
         rows.append(row)
-    return LM._of(rows, trunc)
+    return LM._of(rows)
 
 
 def _diag_monomial(exps):
@@ -334,17 +356,19 @@ def boundary_gauges(draw):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(inverse_inputs())
 def test_inverse_matches_the_former_inverse(m):
-    # the same bytes wherever the former inverse returns; where it
-    # refuses, a refusal or a round trip to I; the determinant agrees
-    # below the lower truncation and is never known less far
+    # wherever the former inverse returns, the same printed bytes and
+    # values on the window both know, each entry known at least as far;
+    # wherever the new one returns, a round trip to I whose entries know
+    # what their series products know; the determinant agrees below the
+    # lower truncation and is never known less far
     want = _former_inverse_or_none(m)
     got = _inverse_or_none(m)
     if want is not None:
-        _same(got, want)
-    elif got is not None:
-        assert _round_trips(m, got)
+        _same_window(got, want)
+        _knows_at_least(got, want)
     if got is not None:
         assert _round_trips(m, got)
+        assert _truncs(mat_mul(m, got)) == _product_truncs(m, got)
     old, new = _former_laurent_det(m), laurent_det(m)
     assert new.trunc >= old.trunc and new.agrees(old)
 
@@ -481,6 +505,23 @@ def test_exp_pair_of_a_non_nilpotent_matrix_stops_at_the_truncation():
     assert plus.coeff(7) == CMat([[0, 1], [1, 0]]).scale(F(1, 5040))
 
 
+def test_exp_pair_keeps_each_entrys_truncation():
+    # entry (i, j) of u^2 is known below 6 + min(val of row i, val of
+    # column j of u), so the z^-1 entry at (0, 1) costs row 0 and column 1
+    # one off the window; each entry of the sums is known below the least
+    # truncation of that entry over I and the powers, not of whole powers
+    z = LS.monomial
+    u = LM([[0, z(1, -1), z(F(1, 2), 1)], [0, 0, z(3, 1)], [0, 0, 0]], 6)
+    plus, minus = mat_exp_pair(u)
+    assert plus == _exp_sum(u) and minus == _exp_sum(-u)
+    assert _truncs(plus) == _truncs(minus) == [[5, 5, 5], [6, 5, 6], [6, 5, 6]]
+    # the former common truncation knew u^2 below 4 only
+    for got, want in zip((plus, minus), _exp_pair_by_powers(u)):
+        assert want.trunc == 4
+        _knows_at_least(got, want)
+    assert mat_mul(plus, minus).agrees(LM.identity(3))
+
+
 # ---------------------------------------------------------------------
 # the fused kernel against the series arithmetic it replaced
 # ---------------------------------------------------------------------
@@ -564,11 +605,44 @@ def factor_pairs(draw):
     return draw(lmatrices(n)), draw(lmatrices(n))
 
 
+def _product_truncs(a, b):
+    """min_k of the truncation of the series product a_ik * b_kj, entry by
+    entry: what each entry of a * b knows, zero factors included."""
+    return [[min((x * y).trunc for x, y in zip(row, col)) for col in zip(*b.rows)]
+            for row in a.rows]
+
+
+def _truncs(m):
+    return [[x.trunc for x in row] for row in m.rows]
+
+
+def _knows_at_least(got, want):
+    # equal below each entry's lower truncation, each entry of got known
+    # at least as far as that of want
+    assert got.agrees(want)
+    assert all(x >= y for r, s in zip(_truncs(got), _truncs(want)) for x, y in zip(r, s))
+
+
+def _same_window(got, want):
+    # equal below each entry's lower truncation, with the same least
+    # truncation, so the printed documents (cut to it) are the same bytes
+    assert got.agrees(want) and got.trunc == want.trunc
+    assert enc_lmatrix(got) == enc_lmatrix(want)
+
+
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(factor_pairs())
 def test_mat_mul_matches_the_term_by_term_oracle(ab):
+    # the former common truncation on the window both know; beyond it each
+    # entry keeps what its own series products know
     a, b = ab
-    _same(mat_mul(a, b), _mat_mul_terms(a, b))
+    got = mat_mul(a, b)
+    _same_window(got, _mat_mul_terms(a, b))
+    assert _truncs(got) == _product_truncs(a, b)
+    cols = list(zip(*b.rows))
+    for arow, got_row in zip(a.rows, got.rows):
+        for col, x in zip(cols, got_row):
+            assert x == sum((p * q for p, q in zip(arow[1:], col[1:])), arow[0] * col[0])
 
 
 def test_mat_mul_cancelled_entry_is_the_zero_series():
@@ -713,10 +787,18 @@ def test_explicit_trunc_above_an_entry_is_clamped():
     short = LS(0, [1, 1], 2)
     m = LM([[short]], 12)
     assert m.trunc == 2 and m.rows[0][0].trunc == 2
-    m = LM([[short, LS.const(1)], [LS.zero(), LS.monomial(1, 5)]], 12)
+    # each entry keeps min(its own truncation, the explicit one); the
+    # matrix's is the least of them
+    entries = [[short, LS.const(1)], [LS.zero(), LS.monomial(1, 5)]]
+    m = LM(entries, 12)
     assert m.trunc == 2
-    assert all(x.trunc == 2 for row in m.rows for x in row)
-    assert m.rows[1][1].is_zero()
+    assert _truncs(m) == [[min(x.trunc, 12) for x in row] for row in entries] == [[2, 12],
+                                                                                   [12, 12]]
+    assert m.rows[1][1] == LS(5, [1], 12)
+    # the printed document cuts every entry to the least truncation
+    doc = enc_lmatrix(m)
+    assert doc["trunc"] == 2 and all(x["trunc"] == 2 for row in doc["entries"] for x in row)
+    assert doc["entries"][1][1] == {"order_min": 0, "coeffs": [], "trunc": 2}
     # an explicit trunc below the entries still cuts them
     assert LM([[short]], 1).rows[0][0] == LS(0, [1], 1)
     doc = {"n": 1, "trunc": 12,
