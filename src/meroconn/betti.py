@@ -9,17 +9,26 @@ Membership of h_x in the stabilizer of Q_x is enforced structurally
 (block-diagonal for the level sets of Q_x); Stokes factors must be
 supported on the roots of their direction.
 
-Stability quantifies over all invariant (torus-containing) proper
-parabolics compatible with the tuple and, per parabolic, over the
-finite fundamental-cut generators of the anti-dominant character cone
-trivial on the center; degree is linear in the character, so positivity
-on the generators decides the cone.
+Stability quantifies over the maximal invariant (torus-containing)
+proper parabolics compatible with the tuple, each with its one
+fundamental-cut character, trivial on the center.  For GL_n a maximal
+parabolic is the stabilizer of one coordinate subspace: the ordered
+two-block partitions (A, rest), the first 2^n - 2 entries of the per-n
+table ``rootdata.proper_parabolics``.  They decide the same status as
+every parabolic with every anti-dominant character (A. Ramanathan,
+"Stable principal bundles on a compact Riemann surface", Math. Ann. 213,
+1975): a flag's fundamental cut characters are those of its two-block
+coarsenings, a coarsening admits whatever the flag admits, and degree is
+linear in the character, so positivity on the generators decides the
+cone.  For GL_n this is subobject (slope) stability, as in Biquard and
+Boalch, "Wild non-abelian Hodge theory on curves", Compositio Math. 140
+(2004).
 
 Compatibility is decided on the generators' joint support: a parabolic
 contains every generator iff it forbids no entry where some generator is
-nonzero.  That is one integer test per parabolic of the per-n table
-``rootdata.proper_parabolics``: ``ParabolicSpec.admits`` on the OR of
-the generators' nonzero patterns, ``StokesRep.support``.
+nonzero.  That is one integer test per maximal parabolic:
+``ParabolicSpec.admits`` on the OR of the generators' nonzero patterns,
+``StokesRep.support``.
 """
 
 from __future__ import annotations
@@ -206,30 +215,36 @@ def degree_zero(f: FilteredStokesRep) -> bool:
     ) == 0
 
 
+def _maximal_compatible(support: int, n: int) -> List[ParabolicSpec]:
+    """The maximal parabolics (A, rest) that admit ``support``, in table
+    order.  ``proper_parabolics`` sorts by the number of blocks, so they
+    are its first 2^n - 2 entries, one per proper nonempty subset A."""
+    return [p for p in proper_parabolics(n)[:2 ** n - 2] if p.admits(support)]
+
+
 def check_stability(f: FilteredStokesRep) -> StabilityVerdict:
-    """R-stability over invariant compatible proper parabolics: the sign
-    of the degree at each fundamental cut character of each compatible
-    parabolic.  Compatibility is decided once per call on the generators'
-    joint support, one mask test per parabolic of the cached table.  The
-    cut characters are constant on the blocks, so the degree is taken
-    without ``degree_loc``'s checks, as the pairing of each character with
+    """R-stability over the invariant compatible maximal parabolics: the
+    sign of the degree at the one fundamental cut character of each.
+    That decides the same status as every compatible parabolic with each
+    of its cut characters (Ramanathan; see the module docstring), and the
+    witnesses are the pairs of the maximal ones, one per coordinate
+    subspace, where a flag would repeat a (character, degree) pair once
+    per refinement.  The cut character is constant on the blocks, so the
+    degree is taken without ``degree_loc``'s checks, as its pairing with
     the weight sum over the punctures."""
     n = f.rep.n
     if n > 5:
         raise BettiError("stability guard: dimension > 5")
-    support = f.rep.support()
     theta = sum(f.weights, Weight([0] * n))
     neg = []
     zero = []
-    for p in proper_parabolics(n):
-        if not p.admits(support):
-            continue
-        for chi in p.fundamental_cut_characters():
-            d = pairing(theta, chi)
-            if d < 0:
-                neg.append((p, chi, d))
-            elif d == 0:
-                zero.append((p, chi, d))
+    for p in _maximal_compatible(f.rep.support(), n):
+        (chi,) = p.fundamental_cut_characters()
+        d = pairing(theta, chi)
+        if d < 0:
+            neg.append((p, chi, d))
+        elif d == 0:
+            zero.append((p, chi, d))
     if neg:
         return StabilityVerdict("unstable", tuple(neg))
     if zero:
@@ -238,9 +253,9 @@ def check_stability(f: FilteredStokesRep) -> StabilityVerdict:
 
 
 def irreducible(rep: StokesRep) -> bool:
-    """No invariant proper parabolic is compatible, decided on the
-    generators' joint support against the cached table: direct
-    enumeration, used as the oracle for the trivial-weight stability
+    """No invariant maximal parabolic is compatible, decided on the
+    generators' joint support: no coordinate subspace is invariant, which
+    holds iff no proper parabolic is compatible, as each lies in a
+    maximal one.  Used as the oracle for the trivial-weight stability
     statement."""
-    support = rep.support()
-    return not any(p.admits(support) for p in proper_parabolics(rep.n))
+    return not _maximal_compatible(rep.support(), rep.n)

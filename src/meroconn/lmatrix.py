@@ -198,10 +198,14 @@ def _fused(terms, trunc) -> LaurentSeries:
 def mat_mul_trunc(a: LaurentMatrix, b: LaurentMatrix):
     """A bound below which ``mat_mul(a, b)`` is known in every entry,
     from the least truncation and the valuation of each factor, however
-    the entries' truncations differ."""
-    ta = a.trunc + b.val() if a.trunc != INF else INF
-    tb = b.trunc + a.val() if b.trunc != INF else INF
-    return min(ta, tb)
+    the entries' truncations differ.  A zero entry known below t counts
+    as of valuation t, as in ``LaurentSeries._mul_trunc``."""
+    return min(a.trunc + _known_val(b), b.trunc + _known_val(a))
+
+
+def _known_val(m: LaurentMatrix):
+    """The least of the entries' ``LaurentSeries._known_val``."""
+    return min((x._known_val() for row in m.rows for x in row), default=INF)
 
 
 def laurent_det(a: LaurentMatrix) -> LaurentSeries:

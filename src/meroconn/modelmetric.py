@@ -232,20 +232,20 @@ def sl2_identity_suite(triple: Sl2Data) -> IdentityReport:
 # curvature computations
 # ----------------------------------------------------------------------
 
-def _sbar(data: MetricData) -> CMat:
-    return data.triple.s.conjugate()
+def _regular_parts(data: MetricData) -> Tuple[TPoly, TPoly]:
+    """K_reg = -(1/2) s-bar - (1/2) H t and M_reg = (1/2)(s - beta) - Y t."""
+    t = data.triple
+    half = Fraction(1, 2)
+    k_reg = TPoly.of((0, t.s.conjugate().scale(-half)), (1, t.H.scale(-half)))
+    m_reg = TPoly.of((0, (t.s - data._beta_mat()).scale(half)), (1, -t.Y))
+    return k_reg, m_reg
 
 
 def pseudo_curvature(data: MetricData) -> TPoly:
-    """-(z-bar d/dz-bar M_reg + [K_reg, M_reg]) with
-    K_reg = -(1/2) s-bar - (1/2) H t and M_reg = (1/2)(s - beta) - Y t;
-    identically zero for valid data (the Higgs-pair certificate)."""
-    t = data.triple
-    half = Fraction(1, 2)
-    k_reg = TPoly.of((0, _sbar(data).scale(-half)), (1, t.H.scale(-half)))
-    m_reg = TPoly.of(
-        (0, (t.s - data._beta_mat()).scale(half)), (1, -t.Y)
-    )
+    """-(z-bar d/dz-bar M_reg + [K_reg, M_reg]) with K_reg and M_reg from
+    ``_regular_parts``; identically zero for valid data (the Higgs-pair
+    certificate)."""
+    k_reg, m_reg = _regular_parts(data)
     return -(m_reg.t_derivative() + k_reg.bracket(m_reg))
 
 
@@ -296,15 +296,15 @@ class HiggsOperators:
 
 
 def higgs_extraction(data: MetricData) -> HiggsOperators:
-    """The operators of the induced Higgs pair in the orthonormal frame,
-    plus the final holomorphic-frame residue
+    """The operators of the induced Higgs pair in the orthonormal frame
+    (the del-bar part is K_reg and phi is M_reg, from
+    ``_regular_parts``), plus the final holomorphic-frame residue
     (1/2)(s - beta) + (Y - H + X)."""
     t = data.triple
     half = Fraction(1, 2)
-    del_bar = TPoly.of((0, _sbar(data).scale(-half)), (1, t.H.scale(-half)))
-    phi = TPoly.of((0, (t.s - data._beta_mat()).scale(half)), (1, -t.Y))
+    del_bar, phi = _regular_parts(data)
     phi_star = TPoly.of(
-        (0, (_sbar(data) - data._beta_mat()).scale(half)), (1, -t.X)
+        (0, (t.s.conjugate() - data._beta_mat()).scale(half)), (1, -t.X)
     )
     residue = (t.s - data._beta_mat()).scale(half) + t.Y - t.H + t.X
     q_half = data.q.half()

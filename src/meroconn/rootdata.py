@@ -400,9 +400,12 @@ _PARABOLICS: Dict[int, Tuple[ParabolicSpec, ...]] = {}
 def proper_parabolics(n: int) -> Tuple[ParabolicSpec, ...]:
     """All proper parabolics containing the diagonal torus: one per
     ordered partition of {0..n-1} into at least two blocks, sorted by
-    (number of blocks, blocks).  The ordered partitions into k blocks are
-    the surjections onto the block labels 0..k-1.  The table is built
-    once per n and shared, hence a tuple."""
+    (number of blocks, blocks), so its first 2^n - 2 entries are the
+    maximal parabolics (A, rest), which ``betti`` reads.  The ordered
+    partitions into k blocks are the surjections onto the block labels
+    0..k-1.  The table is built once per n and shared, hence a tuple;
+    the flags beyond the maximal ones serve the lemma tests and the
+    reference enumeration of the stability tests."""
     if n > 5:
         raise ValueError("n > 5: parabolic enumeration guard")
     table = _PARABOLICS.get(n)

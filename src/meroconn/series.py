@@ -108,19 +108,7 @@ class LaurentSeries:
         )
 
     def __sub__(self, other):
-        other = _coerce_series(other)
-        trunc = min(self.trunc, other.trunc)
-        if other.is_zero():
-            return LaurentSeries._raw(self.order_min, list(self.coeffs), trunc)
-        if self.is_zero():
-            return LaurentSeries._raw(other.order_min, [K.qneg(t) for t in other.coeffs],
-                                      trunc)
-        lo = min(self.order_min, other.order_min)
-        a = [K.ZERO] * (self.order_min - lo) + list(self.coeffs)
-        b = [K.ZERO] * (other.order_min - lo) + list(other.coeffs)
-        a += [K.ZERO] * (len(b) - len(a))
-        b += [K.ZERO] * (len(a) - len(b))
-        return LaurentSeries._raw(lo, [K.qsub(x, y) for x, y in zip(a, b)], trunc)
+        return self + -_coerce_series(other)
 
     def __rsub__(self, other):
         return _coerce_series(other) - self
@@ -145,9 +133,12 @@ class LaurentSeries:
 
     def _mul_trunc(self, other):
         # exponents >= min(a.trunc + val(b), b.trunc + val(a)) are unknown
-        ta = self.trunc + other.val() if self.trunc != INF else INF
-        tb = other.trunc + self.val() if other.trunc != INF else INF
-        return min(ta, tb)
+        return min(self.trunc + other._known_val(), other.trunc + self._known_val())
+
+    def _known_val(self):
+        """A lower bound of the valuation: a zero series known below t
+        may still have a term at z^t."""
+        return self.order_min if self.coeffs else self.trunc
 
     def scale(self, c):
         t = _as_triple(c)

@@ -46,6 +46,10 @@ CLI_DIGESTS = [
      "c61814b968a91d767649fa4dfb59d025322bb34433a833eb121cdc5428628986"),
     ("stability --rep rep_gl2.json --weights weights_traceless.json",
      "c61814b968a91d767649fa4dfb59d025322bb34433a833eb121cdc5428628986"),
+    ("stability --rep rep_gl3_diag.json --weights weights_gl3_zero.json",
+     "1a15f5378db7f572737a8fee2a2f76ad9632553e094dd63402d44afe85b28a5f"),
+    ("stability --rep rep_gl3_diag.json --weights weights_gl3_one.json",
+     "ad87bf8558da532addb77c9edede968e9561a0514a483a2112df6846b2e20de0"),
     ("verify-metric --input local_nilpotent.json",
      "b694209145a302a2be7c46034ae0a07f45efa948c5b7286d7dd6960c7a70884b"),
     ("verify-metric --input local_semisimple.json",
@@ -62,6 +66,12 @@ CLI_DIGESTS = [
      "c100b21232bee89a798dde148002a073032f877622fb1adf62231b3b67f55300"),
 ]
 
+# rows whose command reports a violation: a verdict other than "stable"
+EXIT_VIOLATION_ROWS = {
+    "stability --rep rep_gl3_diag.json --weights weights_gl3_zero.json",
+    "stability --rep rep_gl3_diag.json --weights weights_gl3_one.json",
+}
+
 GOLDEN_EXAMPLES_DIGEST = "fb5e8bdce8979a697c52fbf8dd64e1fc616e5e88147284d482c06781e9ccf3e7"
 
 
@@ -72,7 +82,7 @@ def _sha256(text):
 @pytest.mark.parametrize("command, digest", CLI_DIGESTS)
 def test_cli_fixture_output_is_pinned(capsys, command, digest):
     argv = [str(DATA / a) if a.endswith(".json") else a for a in command.split()]
-    assert main(argv) == 0
+    assert main(argv) == (1 if command in EXIT_VIOLATION_ROWS else 0)
     assert _sha256(capsys.readouterr().out) == digest
 
 

@@ -62,6 +62,17 @@ def test_dimension_mismatch():
         mat_mul(LM.identity(2), LM.identity(3))
 
 
+def test_products_of_zeros_keep_their_truncation():
+    """A zero series known below t may have a term at z^t, so products of
+    zeros are known below the sum of the truncations, not exactly."""
+    assert (LS.zero(3) * LS.zero(4)).trunc == 7
+    assert (LS.zero(3) * LS.zero()).trunc == INF
+    zero = LM.zero(2, 5)
+    assert mat_mul(zero, zero).trunc == 10
+    assert mat_mul_trunc(zero, zero) == 10
+    assert mat_mul_trunc(zero, LM.monomial(CMat.identity(2), -1)) == 4
+
+
 # ---------------------------------------------------------------------
 # inverse
 # ---------------------------------------------------------------------
